@@ -18,6 +18,7 @@ factorizations are cached per active set.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,15 +62,9 @@ class QpProblem:
         A_eq = np.atleast_2d(A_eq)
         if A_eq.shape[1] != n:
             raise ValueError(f"A_eq has {A_eq.shape[1]} columns, expected {n}")
-        b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-        if b_eq.shape[0] != A_eq.shape[0]:
-            raise ValueError("b_eq length must match A_eq rows")
-        lower = np.asarray(self.lower, dtype=float).ravel()
-        upper = np.asarray(self.upper, dtype=float).ravel()
-        if lower.shape[0] != n or upper.shape[0] != n:
-            raise ValueError("bounds must have the same length as q")
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
+        q, b_eq, lower, upper = _checked_vectors(
+            n, A_eq.shape[0], q, self.b_eq, self.lower, self.upper
+        )
         for name, val in (
             ("P", P), ("q", q), ("A_eq", A_eq), ("b_eq", b_eq),
             ("lower", lower), ("upper", upper),
@@ -84,8 +79,34 @@ class QpProblem:
     def m_eq(self) -> int:
         return self.A_eq.shape[0]
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ (self.P @ x) + self.q @ x)
+    def objective(self, x: np.ndarray, Px: np.ndarray | None = None) -> float:
+        """Cost at ``x``; pass ``Px = P @ x`` when it is already known."""
+        if Px is None:
+            Px = self.P @ x
+        return float(0.5 * x @ Px + self.q @ x)
+
+
+def _checked_vectors(n: int, m_eq: int, q, b_eq, lower, upper):
+    """Coerce and check the vectors of a QP with n variables and m_eq equality rows.
+
+    ``q`` and ``b_eq`` must be finite; the bounds may hold +-inf but no
+    NaN, and ``lower <= upper``.  Returns the four float vectors.
+    """
+    vecs = []
+    for name, val, size in (("q", q, n), ("b_eq", b_eq, m_eq), ("lower", lower, n),
+                            ("upper", upper, n)):
+        vec = np.asarray(val, dtype=float).ravel()
+        if vec.shape[0] != size:
+            raise ValueError(f"{name} has length {vec.shape[0]}, expected {size}")
+        vecs.append(vec)
+    q, b_eq, lower, upper = vecs
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(b_eq))):
+        raise ValueError("q and b_eq must be finite")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("bounds must not be NaN")
+    if np.any(lower > upper):
+        raise ValueError("lower bound exceeds upper bound")
+    return q, b_eq, lower, upper
 
 
 @dataclass(frozen=True)
@@ -165,8 +186,11 @@ class QpSolver:
     """Reusable operator-splitting engine bound to one problem structure.
 
     ``update`` swaps the vectors that change between receding-horizon
-    steps (q, b_eq, bounds) without touching the cached factorization
-    or the equilibration; altering P or A_eq requires a new instance.
+    steps (q, b_eq, bounds) without touching the cached factorization,
+    the equilibration or the polish cache.  It validates the new
+    vectors only: P and A_eq are checked once, when the ``QpProblem``
+    is built, and are shared unchanged by every updated problem.
+    Altering P or A_eq requires a new instance.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
@@ -262,18 +286,26 @@ class QpSolver:
         lower: np.ndarray | None = None,
         upper: np.ndarray | None = None,
     ) -> None:
-        """Replace cost/right-hand-side vectors; keeps the factorization."""
+        """Replace cost/right-hand-side vectors; keeps the factorization.
+
+        Checks only the vectors (length, finiteness, ``lower <= upper``)
+        and raises ValueError without changing the problem if one fails.
+        The new ``problem`` shares the ``P`` and ``A_eq`` arrays of the
+        old one; they are not re-validated.
+        """
         p = self.problem
-        kwargs = dict(P=p.P, q=p.q, A_eq=p.A_eq, b_eq=p.b_eq, lower=p.lower, upper=p.upper)
-        if q is not None:
-            kwargs["q"] = q
-        if b_eq is not None:
-            kwargs["b_eq"] = b_eq
-        if lower is not None:
-            kwargs["lower"] = lower
-        if upper is not None:
-            kwargs["upper"] = upper
-        self.problem = QpProblem(**kwargs)
+        vecs = _checked_vectors(
+            p.n,
+            p.m_eq,
+            p.q if q is None else q,
+            p.b_eq if b_eq is None else b_eq,
+            p.lower if lower is None else lower,
+            p.upper if upper is None else upper,
+        )
+        updated = copy.copy(p)
+        for name, val in zip(("q", "b_eq", "lower", "upper"), vecs):
+            object.__setattr__(updated, name, val)
+        self.problem = updated
 
     def solve(
         self,
@@ -310,13 +342,13 @@ class QpSolver:
         rho[:m_eq] = self._rho * s.rho_eq_scale
         rho[m_eq:] = self._rho
 
-        best: Optional[tuple[float, np.ndarray, np.ndarray, float, float]] = None
+        best: Optional[tuple[float, np.ndarray, np.ndarray, np.ndarray, float, float]] = None
         y_prev_check = y.copy()
         last_polish_iter = -(10**9)
         iters_done = 0
 
         def unscaled_residuals(xv, yv, zv):
-            """Residuals and tolerance scales in original problem units."""
+            """Residuals, tolerance scales and P x in original problem units."""
             xu = d * xv
             yu = e_all * yv / c
             zu = zv / e_all
@@ -327,9 +359,9 @@ class QpSolver:
             r_d = np.max(np.abs(pxu + p.q + atyu))
             sc_p = max(np.max(np.abs(axu)), np.max(np.abs(zu))) if m else 0.0
             sc_d = max(np.max(np.abs(pxu)), np.max(np.abs(atyu)), np.max(np.abs(p.q)))
-            return r_p, r_d, sc_p, sc_d
+            return r_p, r_d, sc_p, sc_d, pxu
 
-        def finish(status, xv, yv, r_p, r_d, iters, polished=False, scaled=True):
+        def finish(status, xv, yv, pxu, r_p, r_d, iters, polished=False, scaled=True):
             if scaled:
                 xu = d * xv
                 yu = e_all * yv / c
@@ -337,7 +369,7 @@ class QpSolver:
                 xu, yu = xv, yv
             return QpSolution(
                 x=xu,
-                objective=p.objective(xu),
+                objective=p.objective(xu, pxu),
                 status=status,
                 primal_residual=float(r_p),
                 dual_residual=float(r_d),
@@ -349,11 +381,11 @@ class QpSolver:
 
         # A warm start that already satisfies the KKT conditions returns
         # immediately, so a warm solve never needs more iterations than cold.
-        r_p, r_d, sc_p, sc_d = unscaled_residuals(x, y, z)
+        r_p, r_d, sc_p, sc_d, px = unscaled_residuals(x, y, z)
         eps_pri = s.eps_abs + s.eps_rel * sc_p
         eps_dua = s.eps_abs + s.eps_rel * sc_d
         if r_p <= eps_pri and r_d <= eps_dua:
-            return finish(SOLVED, x, y, r_p, r_d, 0)
+            return finish(SOLVED, x, y, px, r_p, r_d, 0)
 
         # direct attempt: the active-set KKT solve handles (consistent)
         # rank-deficient behavioral equality rows that stall the splitting
@@ -363,9 +395,11 @@ class QpSolver:
             last_polish_iter = 0
             pol = self._polish(e_all * y / c)
             if pol is not None:
-                xp, yp, rp_p, rd_p = pol
+                xp, yp, pxp, rp_p, rd_p = pol
                 if rp_p <= eps_pri and rd_p <= eps_dua:
-                    return finish(SOLVED, xp, yp, rp_p, rd_p, 0, polished=True, scaled=False)
+                    return finish(
+                        SOLVED, xp, yp, pxp, rp_p, rd_p, 0, polished=True, scaled=False
+                    )
 
         for it in range(1, s.max_iter + 1):
             rhs = s.sigma * x - q_s + self._rmatvec_s(rho * z - y)
@@ -381,12 +415,12 @@ class QpSolver:
             if it % s.check_every != 0 and it != s.max_iter:
                 continue
 
-            r_p, r_d, sc_p, sc_d = unscaled_residuals(x, y, z)
+            r_p, r_d, sc_p, sc_d, px = unscaled_residuals(x, y, z)
             eps_pri = s.eps_abs + s.eps_rel * sc_p
             eps_dua = s.eps_abs + s.eps_rel * sc_d
             score = max(r_p / max(eps_pri, 1e-300), r_d / max(eps_dua, 1e-300))
             if best is None or score < best[0]:
-                best = (score, x.copy(), y.copy(), r_p, r_d)
+                best = (score, x.copy(), y.copy(), px, r_p, r_d)
 
             converged = r_p <= eps_pri and r_d <= eps_dua
             # primal proximity alone triggers a polish attempt: with nearly
@@ -397,17 +431,17 @@ class QpSolver:
                 last_polish_iter = it
                 pol = self._polish(e_all * y / c)
                 if pol is not None:
-                    xp, yp, rp_p, rd_p = pol
+                    xp, yp, pxp, rp_p, rd_p = pol
                     good = rp_p <= eps_pri and rd_p <= eps_dua
                     if good and (not converged or max(rp_p, rd_p) <= max(r_p, r_d)):
                         return finish(
-                            SOLVED, xp, yp, rp_p, rd_p, it, polished=True, scaled=False
+                            SOLVED, xp, yp, pxp, rp_p, rd_p, it, polished=True, scaled=False
                         )
             if converged:
-                return finish(SOLVED, x, y, r_p, r_d, it)
+                return finish(SOLVED, x, y, px, r_p, r_d, it)
 
             if self._primal_infeasible((y - y_prev_check) * e_all):
-                return finish(INFEASIBLE, x, y, r_p, r_d, it)
+                return finish(INFEASIBLE, x, y, px, r_p, r_d, it)
             y_prev_check = y.copy()
 
             if s.adaptive_rho and it != s.max_iter:
@@ -422,10 +456,10 @@ class QpSolver:
                         rho[m_eq:] = self._rho
 
         if best is not None:
-            _, xb, yb, r_p, r_d = best
+            _, xb, yb, px, r_p, r_d = best
         else:
             xb, yb = x, y
-        return finish(MAX_ITERATIONS, xb, yb, r_p, r_d, iters_done)
+        return finish(MAX_ITERATIONS, xb, yb, px, r_p, r_d, iters_done)
 
     # -- infeasibility certificate ----------------------------------------
 
@@ -461,8 +495,8 @@ class QpSolver:
         set is seeded from the dual signs, then adjusted a few rounds:
         bounds the trial point violates are added, actives whose
         multipliers come out with the wrong sign are dropped.  Returns
-        ``(x, y_full, r_primal, r_dual)`` only when the final point is a
-        clean KKT point, else None.
+        ``(x, y_full, P x, r_primal, r_dual)`` only when the final point
+        is a clean KKT point, else None.
         """
         p = self.problem
         m_eq = p.m_eq
@@ -476,7 +510,7 @@ class QpSolver:
             result = self._polish_once(pinned, low_act, up_act)
             if result is None:
                 return None
-            x, y_full, r_p, r_d = result
+            x, y_full, _, r_p, r_d = result
             mu = y_full[m_eq:]
             if np.max(np.abs(y_full), initial=0.0) > dual_cap:
                 return None  # nearly singular active-set system
@@ -487,7 +521,7 @@ class QpSolver:
             add_low = (x < p.lower - feas_tol) & ~pinned & ~low_act
             add_up = (x > p.upper + feas_tol) & ~pinned & ~up_act
             if not (wrong_low.any() or wrong_up.any() or add_low.any() or add_up.any()):
-                return x, y_full, r_p, r_d
+                return result
             low_act = (low_act & ~wrong_low) | add_low
             up_act = (up_act & ~wrong_up) | add_up
             low_act &= ~up_act  # a bound cannot be active on both sides
@@ -564,10 +598,11 @@ class QpSolver:
         if m_eq:
             r_p = max(r_p, float(np.max(np.abs(p.A_eq @ x - p.b_eq))))
         aty = p.A_eq.T @ y_full[:m_eq] + y_full[m_eq:] if m_eq else y_full[m_eq:]
-        r_d = float(np.max(np.abs(p.P @ x + p.q + aty)))
+        px = p.P @ x
+        r_d = float(np.max(np.abs(px + p.q + aty)))
         if not (np.isfinite(r_p) and np.isfinite(r_d)):
             return None
-        return x, y_full, r_p, r_d
+        return x, y_full, px, r_p, r_d
 
     def _kkt_apply_scaled(self, sol: np.ndarray, act_idx: np.ndarray) -> np.ndarray:
         """Apply the unregularized polish KKT matrix (scaled space)."""

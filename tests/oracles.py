@@ -23,12 +23,12 @@ def injections_scalar(theta, susceptance):
     return np.array(out)
 
 
-def _fista_box(P, q, lower, upper, max_iter=60000, tol=1e-14):
-    """Accelerated projected gradient for a box-constrained QP."""
+def _fista_box(P, q, lower, upper, x0=None, max_iter=60000, tol=1e-14):
+    """Accelerated projected gradient for a box-constrained QP, started at x0 (default 0)."""
     n = q.shape[0]
     lip = float(np.max(np.linalg.eigvalsh(P)))
     step = 1.0 / max(lip, 1e-12)
-    x = np.clip(np.zeros(n), lower, upper)
+    x = np.clip(np.zeros(n) if x0 is None else x0, lower, upper)
     z = x.copy()
     t = 1.0
     for _ in range(max_iter):
@@ -46,7 +46,8 @@ def projected_gradient_qp(P, q, A_eq, b_eq, lower, upper, outer_tol=1e-9, max_ou
 
     For box-only problems this is plain accelerated projected gradient;
     equality constraints are handled by multiplier updates on a fixed
-    quadratic penalty.
+    quadratic penalty, each inner solve warm-started from the previous
+    round's minimizer.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -63,7 +64,7 @@ def projected_gradient_qp(P, q, A_eq, b_eq, lower, upper, outer_tol=1e-9, max_ou
     for _ in range(max_outer):
         P_aug = P + mu * (A.T @ A)
         q_aug = q + A.T @ (nu - mu * b)
-        x = _fista_box(P_aug, q_aug, lower, upper)
+        x = _fista_box(P_aug, q_aug, lower, upper, x0=x)
         residual = A @ x - b
         gap = float(np.max(np.abs(residual)))
         if gap < outer_tol:

@@ -185,6 +185,84 @@ def test_update_reuses_factorization():
     assert np.max(np.abs(reused.x - fresh.x)) <= 1e-6
 
 
+def test_update_bounds_matches_fresh_solve():
+    rng = np.random.default_rng(13)
+    P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
+    prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
+    solver = QpSolver(prob, TIGHT)
+    solver.solve()
+    # shrink the box around a point that keeps the equalities feasible
+    x_feas = rng.uniform(0.5 * lo, 0.5 * hi)
+    lo2, hi2 = 0.5 * lo, 0.5 * hi
+    b2 = A @ x_feas
+    solver.update(b_eq=b2, lower=lo2, upper=hi2)
+    reused = solver.solve()
+    fresh = solve(QpProblem(P=P, q=q, A_eq=A, b_eq=b2, lower=lo2, upper=hi2), TIGHT)
+    assert reused.status == fresh.status == SOLVED
+    assert np.max(np.abs(reused.x - fresh.x)) <= 1e-6
+
+
+def test_update_shares_matrices():
+    rng = np.random.default_rng(14)
+    P, q, A, b, lo, hi = random_box_qp(rng, n_max=8, m_max=3)
+    solver = QpSolver(QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi))
+    before = solver.problem
+    solver.update(q=-q, lower=lo - 1.0)
+    after = solver.problem
+    assert after is not before
+    assert after.P is before.P and after.A_eq is before.A_eq
+    assert np.array_equal(after.q, -q) and np.array_equal(after.lower, lo - 1.0)
+    # the solver's own problem keeps its vectors
+    assert np.array_equal(before.q, q) and np.array_equal(before.lower, lo)
+
+
+def test_update_rejects_bad_vectors():
+    P = np.eye(3)
+    A = np.array([[1.0, 1.0, 0.0]])
+    prob = QpProblem(P=P, q=[0.0] * 3, A_eq=A, b_eq=[0.5], lower=[-1.0] * 3, upper=[1.0] * 3)
+    solver = QpSolver(prob)
+    bad = [
+        dict(q=np.zeros(2)),
+        dict(b_eq=np.zeros(2)),
+        dict(lower=-np.ones(4)),
+        dict(upper=np.ones(2)),
+        dict(lower=[2.0, -1.0, -1.0]),  # lower > upper
+        dict(lower=[-1.0] * 3, upper=[1.0, -2.0, 1.0]),
+        dict(q=[0.0, np.nan, 0.0]),
+        dict(b_eq=[np.nan]),
+        dict(lower=[np.nan, -1.0, -1.0]),
+        dict(upper=[1.0, 1.0, np.nan]),
+        dict(q=[np.inf, 0.0, 0.0]),
+        dict(b_eq=[-np.inf]),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            solver.update(**kwargs)
+        # a failed update leaves the problem as it was
+        assert solver.problem is prob
+    # infinite bounds stay allowed
+    solver.update(lower=[-np.inf] * 3, upper=[np.inf, 1.0, np.inf])
+    assert solver.solve().status == SOLVED
+
+
+def test_problem_rejects_non_finite_vectors():
+    base = dict(P=np.eye(2), q=[0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[0.0],
+                lower=[-1.0, -1.0], upper=[1.0, 1.0])
+    for name, val in (("q", [np.nan, 0.0]), ("q", [0.0, -np.inf]), ("b_eq", [np.nan]),
+                      ("b_eq", [np.inf]), ("lower", [np.nan, 0.0]), ("upper", [0.0, np.nan])):
+        with pytest.raises(ValueError):
+            QpProblem(**{**base, name: val})
+
+
+def test_solution_objective_matches_problem():
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        P, q, A, b, lo, hi = random_box_qp(rng, n_max=10, m_max=3)
+        prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
+        sol = solve(prob)
+        assert sol.objective == prob.objective(sol.x)
+
+
 def test_solution_reports_residuals_within_tolerance():
     rng = np.random.default_rng(12)
     P, q, A, b, lo, hi = random_box_qp(rng)
