@@ -368,9 +368,15 @@ class _BehavioralController:
         self.state.record(u, y)
 
     def stage_cost(self, u: np.ndarray, y: np.ndarray) -> float:
+        """Tracking cost of one step; +inf when it overflows on finite u and y."""
         ey = np.asarray(y, dtype=float) - self._refs[0]
         eu = np.asarray(u, dtype=float) - self._u_nom[0]
-        return float(ey @ self._q_mat @ ey + eu @ self._r_mat @ eu)
+        # a diverging plant overflows the products; report that as +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = float(ey @ self._q_mat @ ey + eu @ self._r_mat @ eu)
+        if not math.isfinite(cost) and np.all(np.isfinite(ey)) and np.all(np.isfinite(eu)):
+            return math.inf
+        return cost
 
     # subclass hooks
     def _build_problem(self) -> QpProblem:
@@ -555,7 +561,7 @@ class ClosedLoopTrace:
     iterations: np.ndarray
     primal_residual: np.ndarray
     dual_residual: np.ndarray
-    stage_cost: np.ndarray
+    stage_cost: np.ndarray  # +inf where the cost overflowed (diverging plant), never NaN
     fallback: np.ndarray
     activation_step: int
     diverged_at: int | None = None

@@ -182,6 +182,50 @@ def _inf_col_norms(mat: np.ndarray) -> np.ndarray:
     return np.max(np.abs(mat), axis=0)
 
 
+class _Hessian:
+    """The cost Hessian in the form the solver multiplies with.
+
+    A P with no off-diagonal nonzeros (the cost of both behavioral
+    controllers) is kept as its diagonal vector, so no product reads an
+    n x n array.  Adding exact zeros leaves a sum unchanged, so every
+    result equals the dense one bit for bit.  Any other P stays dense.
+    """
+
+    def __init__(self, data: np.ndarray):
+        self.data = data  # (n,) diagonal or (n, n) dense
+
+    @classmethod
+    def of(cls, P: np.ndarray) -> "_Hessian":
+        """Diagonal form if P has no off-diagonal nonzeros; one pass, no n x n temporary."""
+        diag = np.diagonal(P)
+        if np.count_nonzero(P) == np.count_nonzero(diag):
+            return cls(diag.copy())
+        return cls(P)
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.data.ndim == 1
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.data * x if self.is_diagonal else self.data @ x
+
+    def col_norms(self) -> np.ndarray:
+        return np.abs(self.data) if self.is_diagonal else _inf_col_norms(self.data)
+
+    def scaled(self, dd: np.ndarray) -> "_Hessian":
+        """diag(dd) P diag(dd), as a new array."""
+        if self.is_diagonal:
+            return _Hessian((self.data * dd) * dd)
+        return _Hessian((self.data * dd[None, :]) * dd[:, None])
+
+    def add_to(self, mat: np.ndarray) -> None:
+        """``mat += P`` in place, for an n x n array or view ``mat``."""
+        if self.is_diagonal:
+            mat[np.diag_indices(mat.shape[0])] += self.data
+        else:
+            mat += self.data
+
+
 class QpSolver:
     """Reusable operator-splitting engine bound to one problem structure.
 
@@ -191,6 +235,10 @@ class QpSolver:
     vectors only: P and A_eq are checked once, when the ``QpProblem``
     is built, and are shared unchanged by every updated problem.
     Altering P or A_eq requires a new instance.
+
+    A diagonal P is detected once, here, and kept as a vector (scaled
+    and unscaled) for every product the solver forms; the dense path
+    serves any other P.  Both give the same iterates bit for bit.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
@@ -223,11 +271,12 @@ class QpSolver:
         d = np.ones(n)
         e_eq = np.ones(m_eq)
         s_box = np.ones(n)
-        P_s = p.P.copy()
+        self._P = _Hessian.of(p.P)
+        P_s = self._P
         A_s = p.A_eq.copy()
         c = 1.0
         for _ in range(iters):
-            col = np.maximum(_inf_col_norms(P_s), s_box)
+            col = np.maximum(P_s.col_norms(), s_box)
             if m_eq:
                 col = np.maximum(col, _inf_col_norms(A_s))
                 row_eq = np.max(np.abs(A_s), axis=1)
@@ -236,19 +285,19 @@ class QpSolver:
             dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
             de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
             ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
-            P_s = (P_s * dd[None, :]) * dd[:, None]
+            P_s = P_s.scaled(dd)
             if m_eq:
                 A_s = (A_s * dd[None, :]) * de[:, None]
             s_box = s_box * ds * dd
             d *= dd
             e_eq *= de
             # cost normalization
-            pc = _inf_col_norms(P_s)
+            pc = P_s.col_norms()
             denom = max(float(np.mean(pc)) if pc.size else 0.0,
                         float(np.max(np.abs(c * d * p.q))) if n else 0.0)
             if denom > 1e-8:
                 gamma = 1.0 / denom
-                P_s *= gamma
+                P_s.data *= gamma
                 c *= gamma
         self._d = d
         self._e_eq = e_eq
@@ -262,7 +311,8 @@ class QpSolver:
 
     def _refactor(self) -> None:
         s = self.settings
-        m = self._P_s + self._rho * self._gram
+        m = self._rho * self._gram
+        self._P_s.add_to(m)
         m[np.diag_indices_from(m)] += s.sigma
         self._factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
 
@@ -353,7 +403,7 @@ class QpSolver:
             yu = e_all * yv / c
             zu = zv / e_all
             axu = np.concatenate([p.A_eq @ xu, xu]) if m_eq else xu
-            pxu = p.P @ xu
+            pxu = self._P.matvec(xu)
             atyu = p.A_eq.T @ yu[:m_eq] + yu[m_eq:] if m_eq else yu.copy()
             r_p = np.max(np.abs(axu - zu)) if m else 0.0
             r_d = np.max(np.abs(pxu + p.q + atyu))
@@ -547,7 +597,7 @@ class QpSolver:
             k_act = act_idx.size
             dim = n + m_eq + k_act
             kkt = np.zeros((dim, dim))
-            kkt[:n, :n] = self._P_s
+            self._P_s.add_to(kkt[:n, :n])
             kkt[np.diag_indices(n)] += s.polish_delta
             if m_eq:
                 kkt[n : n + m_eq, :n] = self._A_s
@@ -598,7 +648,7 @@ class QpSolver:
         if m_eq:
             r_p = max(r_p, float(np.max(np.abs(p.A_eq @ x - p.b_eq))))
         aty = p.A_eq.T @ y_full[:m_eq] + y_full[m_eq:] if m_eq else y_full[m_eq:]
-        px = p.P @ x
+        px = self._P.matvec(x)
         r_d = float(np.max(np.abs(px + p.q + aty)))
         if not (np.isfinite(r_p) and np.isfinite(r_d)):
             return None
@@ -610,7 +660,7 @@ class QpSolver:
         x = sol[:n]
         nu = sol[n : n + m_eq]
         mu = sol[n + m_eq :]
-        top = self._P_s @ x
+        top = self._P_s.matvec(x)
         if m_eq:
             top += self._A_s.T @ nu
         if act_idx.size:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dkpc import netsim
+from dkpc import netsim, qpsolve
 from dkpc.behavior import Trajectory, assemble
 from dkpc.control import (
     ControllerState,
@@ -336,6 +338,9 @@ def test_closed_loop_divergence_truncates(plant_setup):
     trace = run_closed_loop(plant, ctrl, Scenario(sim_steps=2000, activation_step=1990))
     assert trace.diverged_at is not None
     assert trace.steps == trace.diverged_at + 1
+    # the blown-up outputs overflow the stage cost: +inf, never NaN
+    assert not np.any(np.isnan(trace.stage_cost))
+    assert np.isposinf(trace.stage_cost).any()
 
 
 def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
@@ -350,6 +355,28 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
     t2 = run_closed_loop(LtiPlant(small_lti, x0=x0), c_slack, scen)
     assert np.max(np.abs(t1.u - t2.u)) <= 1e-4
     assert np.max(np.abs(t1.y - t2.y)) <= 1e-4
+
+
+def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch):
+    # the solver keeps the controllers' diagonal cost Hessian as a vector;
+    # the applied inputs must equal those of the dense path bit for bit
+    sys, hs, bank, cfg = lti_setup
+    cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)  # bounds become active
+    deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
+    x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
+    scen = Scenario(sim_steps=30, activation_step=6)
+    for make in (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg)):
+        ctrl = make()
+        diag = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        assert ctrl._solver._P_s.is_diagonal
+        assert np.any(np.abs(diag.u) == 0.1)
+        with monkeypatch.context() as mp:
+            mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
+            ctrl = make()
+            dense = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        assert not ctrl._solver._P_s.is_diagonal
+        assert np.array_equal(diag.u, dense.u)
+        assert np.array_equal(diag.y, dense.y)
 
 
 def test_trace_csv_columns(tmp_path, lti_setup):

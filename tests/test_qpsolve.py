@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dkpc import qpsolve
 from dkpc.qpsolve import (
     INFEASIBLE,
     MAX_ITERATIONS,
@@ -111,6 +112,77 @@ def test_redundant_consistent_equalities():
     assert np.max(np.abs(A @ sol.x - b)) <= 1e-7
     x_ref = projected_gradient_qp(P, q, A[[0, 2]], b[[0, 2]], prob.lower, prob.upper)
     assert np.max(np.abs(sol.x - x_ref)) <= 1e-5
+
+
+# -- diagonal cost Hessian ----------------------------------------------------------
+
+
+def random_diagonal_qp(rng):
+    """Random feasible QP with diagonal P (some entries zero) and active bounds."""
+    P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
+    p = rng.uniform(0.5, 3.0, len(q))
+    p[rng.random(len(q)) < 0.3] = 0.0
+    return np.diag(p), 3.0 * q, A, b, lo, hi
+
+
+def force_dense_hessian(mp):
+    """Make every new solver keep P dense, even when it is diagonal."""
+    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
+
+
+def diagonal_problems():
+    rng = np.random.default_rng(21)
+    return [QpProblem(*random_diagonal_qp(rng)) for _ in range(8)]
+
+
+def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
+    problems = diagonal_problems()
+    # the draw covers singular P, equality rows and active bounds
+    assert any(np.any(np.diagonal(p.P) == 0.0) for p in problems)
+    assert any(p.m_eq for p in problems)
+    n_active = 0
+    for prob in problems:
+        solver = QpSolver(prob, TIGHT)
+        assert solver._P_s.is_diagonal and solver._P_s.data.shape == (prob.n,)
+        sol = solver.solve()
+        assert sol.status == SOLVED
+        res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
+        assert max(res.values()) <= 1e-5, res
+        x_ref = projected_gradient_qp(prob.P, prob.q, prob.A_eq, prob.b_eq, prob.lower,
+                                      prob.upper)
+        assert abs(sol.objective - prob.objective(x_ref)) <= 1e-6 * (
+            1 + abs(prob.objective(x_ref))
+        )
+        if np.all(np.diagonal(prob.P) > 0.0):  # unique minimizer
+            assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
+        n_active += int(np.count_nonzero(sol.y_box))
+    assert n_active > 0
+
+
+def test_diagonal_hessian_matches_dense_path(monkeypatch):
+    for prob in diagonal_problems():
+        diag = QpSolver(prob, TIGHT)
+        with monkeypatch.context() as mp:
+            force_dense_hessian(mp)
+            dense = QpSolver(prob, TIGHT)
+        assert diag._P_s.is_diagonal and not dense._P_s.is_diagonal
+        sol, ref = diag.solve(), dense.solve()
+        assert sol.status == ref.status and sol.iterations == ref.iterations
+        assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
+        assert abs(sol.objective - ref.objective) <= 1e-12 * (1 + abs(ref.objective))
+
+
+def test_off_diagonal_pair_keeps_dense_hessian():
+    P = np.diag([2.0, 1.0, 3.0, 1.5])
+    P[0, 2] = P[2, 0] = 0.25
+    prob = QpProblem(P=P, q=[1.0, -2.0, 0.5, 4.0], A_eq=[[1.0, 1.0, 1.0, 1.0]], b_eq=[0.5],
+                     lower=[-1.0] * 4, upper=[1.0] * 4)
+    solver = QpSolver(prob, TIGHT)
+    assert not solver._P_s.is_diagonal
+    sol = solver.solve()
+    assert sol.status == SOLVED
+    res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
+    assert max(res.values()) <= 1e-5, res
 
 
 # -- statuses ---------------------------------------------------------------------
