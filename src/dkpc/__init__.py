@@ -31,7 +31,7 @@ from .control import (
     build_dkpc_qp,
     run_closed_loop,
 )
-from .lifting import IdentityBank, RbfBank, build_bank, lift, lift_trajectory
+from .lifting import IdentityBank, RbfBank, build_bank
 from .metrics import (
     FrontierPoint,
     RunMetrics,
@@ -104,8 +104,6 @@ __all__ = [
     "is_persistently_exciting",
     "itae",
     "kkt_residuals",
-    "lift",
-    "lift_trajectory",
     "load_network",
     "mixed_index",
     "pareto_frontier",

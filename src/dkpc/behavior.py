@@ -235,11 +235,13 @@ def verify_fundamental_lemma(
 class HankelSystem:
     """Stacked depth-L Hankel blocks defining the behavioral constraint.
 
-    Row partitions: the first ``T_ini`` block-rows of each block are the
-    past window, the last ``N`` block-rows the future window.
+    Row partitions: the first ``T_ini`` block-rows of the input and
+    output blocks are the past window, the last ``N`` block-rows the
+    future window.  The lifted block holds only the ``T_ini`` past
+    block-rows, the only ones a controller matches.
     """
 
-    z: np.ndarray  # (n_basis * L, n_cols)
+    z: np.ndarray  # (n_basis * T_ini, n_cols)
     u: np.ndarray  # (n_u * L, n_cols)
     y: np.ndarray  # (n_y * L, n_cols)
     t_ini: int
@@ -254,7 +256,7 @@ class HankelSystem:
             raise ValueError("t_ini and horizon must be >= 1")
         depth = self.depth
         expect = {
-            "z": (self.n_basis * depth, self.n_cols),
+            "z": (self.n_basis * self.t_ini, self.n_cols),
             "u": (self.n_u * depth, self.n_cols),
             "y": (self.n_y * depth, self.n_cols),
         }
@@ -289,11 +291,7 @@ class HankelSystem:
 
     @property
     def z_past(self) -> np.ndarray:
-        return self.z[: self.n_basis * self.t_ini]
-
-    @property
-    def z_future(self) -> np.ndarray:
-        return self.z[self.n_basis * self.t_ini :]
+        return self.z
 
 
 def assemble(
@@ -326,7 +324,7 @@ def assemble(
                 stacklevel=2,
             )
     return HankelSystem(
-        z=hankel(lifted, depth),
+        z=hankel(lifted[: data.length - horizon], t_ini),
         u=hankel(data.u, depth),
         y=hankel(data.y, depth),
         t_ini=t_ini,

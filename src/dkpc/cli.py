@@ -243,7 +243,10 @@ class ExperimentConfig:
             raise ConfigError("data.start must be 'equilibrium' or 'zero'")
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        """Hash of the experiment; where its artifacts are written is not part of it."""
+        experiment = self.to_dict()
+        del experiment["output_dir"]
+        canon = json.dumps(experiment, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def resolved_output_dir(self) -> Path:

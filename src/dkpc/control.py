@@ -1,11 +1,12 @@
 """Behavioral predictive controllers and the receding-horizon closed loop.
 
-Two controllers share one skeleton: both constrain the decision vector
-through data Hankel blocks and solve a strictly convex QP each step,
-applying only the first input of the optimal future sequence.  The
-lifted controller additionally pins the past window of the lifted
-coordinates; the benchmark controller instead carries a slack on the
-past output match.
+Two controllers share one skeleton and one QP assembly: both constrain
+the decision vector through data Hankel blocks and solve a strictly
+convex QP each step, applying only the first input of the optimal
+future sequence.  They differ only in the past rows: the lifted
+controller also pins the past window of the lifted coordinates; the
+benchmark controller instead may soften the past output match with a
+penalized slack.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class DkpcConfig:
 class DeepcConfig(DkpcConfig):
     """Benchmark controller tuning; adds the slack penalty weight.
 
-    ``lambda_sigma = inf`` pins the slack to zero, recovering the
-    hard-constraint behavioral controller.
+    ``lambda_sigma = inf`` drops the slack and makes the past-output
+    rows hard, recovering the hard-constraint behavioral controller.
     """
 
     lambda_sigma: float = 1e5
@@ -139,6 +140,13 @@ class ControllerState:
     def y_window(self) -> np.ndarray:
         return np.array(self.y_ini)
 
+    def past_window(self, bank=None) -> np.ndarray:
+        """Right-hand side of the past rows: inputs, outputs, then lifted outputs with a bank."""
+        parts = [self.u_window().ravel(), self.y_window().ravel()]
+        if bank is not None:
+            parts.append(bank.lift_trajectory(self.y_window()).ravel())
+        return np.concatenate(parts)
+
 
 def _quadratic_blocks(cfg: DkpcConfig, n_u: int, n_y: int):
     q_mat = _weight_matrix(cfg.Q, n_y, "Q")
@@ -154,19 +162,70 @@ def _quadratic_blocks(cfg: DkpcConfig, n_u: int, n_y: int):
     return q_mat, r_mat, refs, u_nom
 
 
-def _dkpc_b_eq(hs: HankelSystem, bank, cs: ControllerState) -> np.ndarray:
-    z_ini = bank.lift_trajectory(cs.y_window()).ravel()
-    future = np.zeros((hs.n_u + hs.n_y) * hs.horizon)
-    return np.concatenate([cs.u_window().ravel(), cs.y_window().ravel(), z_ini, future])
+def _behavioral_qp(
+    past: np.ndarray,
+    n_soft: int,
+    soft_weight: float,
+    u_future: np.ndarray,
+    y_future: np.ndarray,
+    cfg: DkpcConfig,
+    b_past: np.ndarray,
+) -> QpProblem:
+    """The behavioral QP that both controllers solve.
+
+    Decision vector x = (g, u_future, y_future, sigma).  The rows
+    ``past @ g = b_past`` pin the measured window; only the last
+    ``n_soft`` of them carry ``-sigma``, penalized by
+    ``soft_weight * |sigma|^2``.  The future Hankel rows couple g to the
+    future blocks, which carry the tracking cost and the bounds.
+    """
+    n_past, n_cols = past.shape
+    n_uf, n_yf = u_future.shape[0], y_future.shape[0]
+    n_u, n_y = n_uf // cfg.horizon, n_yf // cfg.horizon
+    q_mat, r_mat, refs, u_nom = _quadratic_blocks(cfg, n_u, n_y)
+    uf = slice(n_cols, n_cols + n_uf)
+    yf = slice(n_cols + n_uf, n_cols + n_uf + n_yf)
+    sig = slice(n_cols + n_uf + n_yf, n_cols + n_uf + n_yf + n_soft)
+    dim = sig.stop
+
+    a_eq = np.zeros((n_past + n_uf + n_yf, dim))
+    a_eq[:n_past, :n_cols] = past
+    a_eq[n_past - n_soft : n_past, sig] = -np.eye(n_soft)
+    a_eq[n_past : n_past + n_uf, :n_cols] = u_future
+    a_eq[n_past : n_past + n_uf, uf] = -np.eye(n_uf)
+    a_eq[n_past + n_uf :, :n_cols] = y_future
+    a_eq[n_past + n_uf :, yf] = -np.eye(n_yf)
+
+    p_mat = np.zeros((dim, dim))
+    p_mat[np.diag_indices(n_cols)] = 2.0 * cfg.lambda_g
+    for k in range(cfg.horizon):
+        sl_u = slice(uf.start + k * n_u, uf.start + (k + 1) * n_u)
+        sl_y = slice(yf.start + k * n_y, yf.start + (k + 1) * n_y)
+        p_mat[sl_u, sl_u] = 2.0 * r_mat
+        p_mat[sl_y, sl_y] = 2.0 * q_mat
+    p_mat[sig, sig] = 2.0 * soft_weight * np.eye(n_soft)
+
+    q_vec = np.zeros(dim)
+    q_vec[uf] = (-2.0 * (u_nom @ r_mat)).ravel()
+    q_vec[yf] = (-2.0 * (refs @ q_mat)).ravel()
+
+    lower = np.full(dim, -np.inf)
+    upper = np.full(dim, np.inf)
+    lower[uf] = np.tile(_bound_vector(cfg.u_min, n_u, -np.inf), cfg.horizon)
+    upper[uf] = np.tile(_bound_vector(cfg.u_max, n_u, np.inf), cfg.horizon)
+    lower[yf] = np.tile(_bound_vector(cfg.y_min, n_y, -np.inf), cfg.horizon)
+    upper[yf] = np.tile(_bound_vector(cfg.y_max, n_y, np.inf), cfg.horizon)
+
+    b_eq = np.concatenate([b_past, np.zeros(n_uf + n_yf)])
+    return QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
 
 
 def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) -> QpProblem:
     """Assemble the lifted behavioral QP.
 
-    Decision vector x = (g, u_future, y_future).  Equality rows pin the
-    past input/output/lifted windows to the buffers and couple the
-    future Hankel rows to the decision blocks; the future lifted rows
-    stay unconstrained, which keeps the program convex.
+    Decision vector x = (g, u_future, y_future).  The past input, output
+    and lifted windows are matched exactly; there are no future lifted
+    rows, which keeps the program convex.
     """
     if not cs.primed:
         raise ValueError("controller state not primed: need t_ini recorded pairs")
@@ -176,59 +235,8 @@ def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) 
         )
     if cs.t_ini != hs.t_ini:
         raise ValueError("controller state t_ini differs from Hankel partition")
-    n_u, n_y, n_b = hs.n_u, hs.n_y, hs.n_basis
-    t_ini, horizon, n_cols = hs.t_ini, hs.horizon, hs.n_cols
-    q_mat, r_mat, refs, u_nom = _quadratic_blocks(cfg, n_u, n_y)
-
-    n_uf = n_u * horizon
-    n_yf = n_y * horizon
-    dim = n_cols + n_uf + n_yf
-    m_eq = (n_u + n_y + n_b) * t_ini + n_uf + n_yf
-
-    a_eq = np.zeros((m_eq, dim))
-    row = 0
-    a_eq[row : row + n_u * t_ini, :n_cols] = hs.u_past
-    row += n_u * t_ini
-    a_eq[row : row + n_y * t_ini, :n_cols] = hs.y_past
-    row += n_y * t_ini
-    a_eq[row : row + n_b * t_ini, :n_cols] = hs.z_past
-    row += n_b * t_ini
-    a_eq[row : row + n_uf, :n_cols] = hs.u_future
-    a_eq[row : row + n_uf, n_cols : n_cols + n_uf] = -np.eye(n_uf)
-    row += n_uf
-    a_eq[row : row + n_yf, :n_cols] = hs.y_future
-    a_eq[row : row + n_yf, n_cols + n_uf :] = -np.eye(n_yf)
-
-    p_mat = np.zeros((dim, dim))
-    p_mat[np.diag_indices(n_cols)] = 2.0 * cfg.lambda_g
-    for k in range(horizon):
-        sl_u = slice(n_cols + k * n_u, n_cols + (k + 1) * n_u)
-        sl_y = slice(n_cols + n_uf + k * n_y, n_cols + n_uf + (k + 1) * n_y)
-        p_mat[sl_u, sl_u] = 2.0 * r_mat
-        p_mat[sl_y, sl_y] = 2.0 * q_mat
-
-    q_vec = np.zeros(dim)
-    q_vec[n_cols : n_cols + n_uf] = (-2.0 * (u_nom @ r_mat)).ravel()
-    q_vec[n_cols + n_uf :] = (-2.0 * (refs @ q_mat)).ravel()
-
-    lower = np.full(dim, -np.inf)
-    upper = np.full(dim, np.inf)
-    lower[n_cols : n_cols + n_uf] = np.tile(_bound_vector(cfg.u_min, n_u, -np.inf), horizon)
-    upper[n_cols : n_cols + n_uf] = np.tile(_bound_vector(cfg.u_max, n_u, np.inf), horizon)
-    lower[n_cols + n_uf :] = np.tile(_bound_vector(cfg.y_min, n_y, -np.inf), horizon)
-    upper[n_cols + n_uf :] = np.tile(_bound_vector(cfg.y_max, n_y, np.inf), horizon)
-
-    return QpProblem(
-        P=p_mat, q=q_vec, A_eq=a_eq, b_eq=_dkpc_b_eq(hs, bank, cs), lower=lower, upper=upper
-    )
-
-
-def _deepc_b_eq(t_ini: int, n_u: int, n_y: int, horizon: int, cs: ControllerState, pin_sigma: bool) -> np.ndarray:
-    future = np.zeros((n_u + n_y) * horizon)
-    parts = [cs.u_window().ravel(), cs.y_window().ravel(), future]
-    if pin_sigma:
-        parts.append(np.zeros(n_y * t_ini))
-    return np.concatenate(parts)
+    past = np.vstack([hs.u_past, hs.y_past, hs.z_past])
+    return _behavioral_qp(past, 0, 0.0, hs.u_future, hs.y_future, cfg, cs.past_window(bank))
 
 
 def build_deepc_qp(
@@ -242,8 +250,8 @@ def build_deepc_qp(
     """Assemble the benchmark behavioral QP from the Hankel partitions.
 
     Decision vector x = (g, u_future, y_future, sigma); the slack enters
-    only the past-output rows.  An infinite slack weight is realized by
-    pinning sigma to zero through extra equality rows.
+    only the past-output rows.  An infinite slack weight drops sigma and
+    makes the past-output rows hard.
     """
     if not cs.primed:
         raise ValueError("controller state not primed: need t_ini recorded pairs")
@@ -257,65 +265,9 @@ def build_deepc_qp(
         raise ValueError("future partitions inconsistent with horizon")
     if cs.t_ini != t_ini or cs.n_u != n_u or cs.n_y != n_y:
         raise ValueError("controller state dimensions do not match partitions")
-    q_mat, r_mat, refs, u_nom = _quadratic_blocks(cfg, n_u, n_y)
-
-    pin_sigma = math.isinf(cfg.lambda_sigma)
-    n_uf = n_u * horizon
-    n_yf = n_y * horizon
-    n_sig = n_y * t_ini
-    dim = n_cols + n_uf + n_yf + n_sig
-    m_eq = (n_u + n_y) * t_ini + n_uf + n_yf + (n_sig if pin_sigma else 0)
-
-    a_eq = np.zeros((m_eq, dim))
-    row = 0
-    a_eq[row : row + n_u * t_ini, :n_cols] = up
-    row += n_u * t_ini
-    a_eq[row : row + n_sig, :n_cols] = yp
-    a_eq[row : row + n_sig, n_cols + n_uf + n_yf :] = -np.eye(n_sig)
-    row += n_sig
-    a_eq[row : row + n_uf, :n_cols] = uf
-    a_eq[row : row + n_uf, n_cols : n_cols + n_uf] = -np.eye(n_uf)
-    row += n_uf
-    a_eq[row : row + n_yf, :n_cols] = yf
-    a_eq[row : row + n_yf, n_cols + n_uf : n_cols + n_uf + n_yf] = -np.eye(n_yf)
-    row += n_yf
-    if pin_sigma:
-        a_eq[row:, n_cols + n_uf + n_yf :] = np.eye(n_sig)
-
-    p_mat = np.zeros((dim, dim))
-    p_mat[np.diag_indices(n_cols)] = 2.0 * cfg.lambda_g
-    for k in range(horizon):
-        sl_u = slice(n_cols + k * n_u, n_cols + (k + 1) * n_u)
-        sl_y = slice(n_cols + n_uf + k * n_y, n_cols + n_uf + (k + 1) * n_y)
-        p_mat[sl_u, sl_u] = 2.0 * r_mat
-        p_mat[sl_y, sl_y] = 2.0 * q_mat
-    if not pin_sigma:
-        sig = slice(n_cols + n_uf + n_yf, dim)
-        p_mat[sig, sig] = 2.0 * cfg.lambda_sigma * np.eye(n_sig)
-
-    q_vec = np.zeros(dim)
-    q_vec[n_cols : n_cols + n_uf] = (-2.0 * (u_nom @ r_mat)).ravel()
-    q_vec[n_cols + n_uf : n_cols + n_uf + n_yf] = (-2.0 * (refs @ q_mat)).ravel()
-
-    lower = np.full(dim, -np.inf)
-    upper = np.full(dim, np.inf)
-    lower[n_cols : n_cols + n_uf] = np.tile(_bound_vector(cfg.u_min, n_u, -np.inf), horizon)
-    upper[n_cols : n_cols + n_uf] = np.tile(_bound_vector(cfg.u_max, n_u, np.inf), horizon)
-    lower[n_cols + n_uf : n_cols + n_uf + n_yf] = np.tile(
-        _bound_vector(cfg.y_min, n_y, -np.inf), horizon
-    )
-    upper[n_cols + n_uf : n_cols + n_uf + n_yf] = np.tile(
-        _bound_vector(cfg.y_max, n_y, np.inf), horizon
-    )
-
-    return QpProblem(
-        P=p_mat,
-        q=q_vec,
-        A_eq=a_eq,
-        b_eq=_deepc_b_eq(t_ini, n_u, n_y, horizon, cs, pin_sigma),
-        lower=lower,
-        upper=upper,
-    )
+    n_soft = 0 if math.isinf(cfg.lambda_sigma) else n_y * t_ini
+    past = np.vstack([up, yp])
+    return _behavioral_qp(past, n_soft, cfg.lambda_sigma, uf, yf, cfg, cs.past_window())
 
 
 @dataclass
@@ -382,7 +334,7 @@ class _BehavioralController:
     def _build_problem(self) -> QpProblem:
         raise NotImplementedError
 
-    def _b_eq(self) -> np.ndarray:
+    def _past_window(self) -> np.ndarray:
         raise NotImplementedError
 
     def solve_step(self, y_t: np.ndarray) -> StepResult:
@@ -401,7 +353,8 @@ class _BehavioralController:
         if self._solver is None:
             self._solver = QpSolver(self._build_problem(), self.settings)
         else:
-            self._solver.update(b_eq=self._b_eq())
+            future = np.zeros((self.n_u + self.n_y) * self.cfg.horizon)
+            self._solver.update(b_eq=np.concatenate([self._past_window(), future]))
         sol = self._solver.solve(
             warm_start=self.state.warm_start, warm_start_dual=self.state.warm_dual
         )
@@ -459,8 +412,8 @@ class DkpcController(_BehavioralController):
     def _build_problem(self) -> QpProblem:
         return build_dkpc_qp(self.hs, self.bank, self.cfg, self.state)
 
-    def _b_eq(self) -> np.ndarray:
-        return _dkpc_b_eq(self.hs, self.bank, self.state)
+    def _past_window(self) -> np.ndarray:
+        return self.state.past_window(self.bank)
 
 
 class DeepcController(_BehavioralController):
@@ -476,7 +429,6 @@ class DeepcController(_BehavioralController):
     ):
         cfg = cfg or DeepcConfig()
         super().__init__(hs, cfg, solver_settings)
-        self._pin_sigma = math.isinf(cfg.lambda_sigma)
 
     def _build_problem(self) -> QpProblem:
         return build_deepc_qp(
@@ -488,10 +440,8 @@ class DeepcController(_BehavioralController):
             self.state,
         )
 
-    def _b_eq(self) -> np.ndarray:
-        return _deepc_b_eq(
-            self.cfg.t_ini, self.n_u, self.n_y, self.cfg.horizon, self.state, self._pin_sigma
-        )
+    def _past_window(self) -> np.ndarray:
+        return self.state.past_window()
 
 
 class Plant(Protocol):

@@ -125,16 +125,6 @@ def build_bank(data_outputs: np.ndarray, n_basis: int, seed: int) -> RbfBank:
     return RbfBank(centers=centers, seed=seed)
 
 
-def lift(y: np.ndarray, bank) -> np.ndarray:
-    """Lift one output vector through the bank's observables."""
-    return bank.lift(y)
-
-
-def lift_trajectory(ys: np.ndarray, bank) -> np.ndarray:
-    """Lift an output sequence elementwise; preserves length and order."""
-    return bank.lift_trajectory(ys)
-
-
 def save_bank(bank: RbfBank, path: str | Path) -> None:
     payload = {
         "seed": int(bank.seed),

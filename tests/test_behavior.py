@@ -141,7 +141,7 @@ def test_assemble_shapes(plant_dataset):
     hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
     t_len = plant_dataset.length
     assert hs.n_cols == t_len - 15 + 1
-    assert hs.z.shape == (40 * 15, hs.n_cols)
+    assert hs.z.shape == (40 * 5, hs.n_cols)  # past block-rows only
     assert hs.u.shape == (10 * 15, hs.n_cols)
     assert hs.y.shape == (10 * 15, hs.n_cols)
 
@@ -153,7 +153,7 @@ def test_assemble_full_scale_arithmetic():
     bank = build_bank(data.y, 40, seed=0)
     hs = assemble(data, bank, 5, 10, pe_check=False)
     assert hs.n_cols == 986
-    assert hs.z.shape == (600, 986)
+    assert hs.z.shape == (200, 986)
     assert hs.u.shape == (150, 986)
 
 
@@ -162,7 +162,7 @@ def test_assemble_partition_consistency(lti_dataset):
     hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
     assert np.array_equal(np.vstack([hs.u_past, hs.u_future]), hs.u)
     assert np.array_equal(np.vstack([hs.y_past, hs.y_future]), hs.y)
-    assert np.array_equal(np.vstack([hs.z_past, hs.z_future]), hs.z)
+    assert np.array_equal(hs.z_past, hankel(lti_dataset.y, 12)[: 2 * 4])
     assert hs.u_past.shape == (8, hs.n_cols)
     assert hs.u_future.shape == (16, hs.n_cols)
 

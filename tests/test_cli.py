@@ -101,6 +101,14 @@ def test_config_set_overrides(tmp_path):
     assert cfg.data.seed == 9
 
 
+def test_config_hash_ignores_output_dir(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("output_dir: out\n")
+    cfg = load_config(path)
+    assert load_config(path, ["output_dir=elsewhere"]).config_hash() == cfg.config_hash()
+    assert load_config(path, ["controller.q=42.5"]).config_hash() != cfg.config_hash()
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     path = tmp_path / "c.yaml"
     path.write_text("output_dir: sub\n")

@@ -117,13 +117,42 @@ def test_deepc_qp_dimensions(full_scale_system):
     assert np.allclose(prob.P[sig, sig], 2e5 * np.eye(50))
 
 
-def test_deepc_sigma_pinned_by_infinite_weight(full_scale_system):
+def test_deepc_infinite_weight_hard_past_rows(full_scale_system):
+    # an infinite slack weight drops sigma: the past-output rows are hard
     hs, _ = full_scale_system
-    cs = primed_state(5, 10, 10)
+    cs = primed_state(5, 10, 10, u_val=0.25, y_val=0.01)
     cfg = DeepcConfig(lambda_sigma=np.inf)
     prob = build_deepc_qp(hs.u_past, hs.y_past, hs.u_future, hs.y_future, cfg, cs)
-    assert prob.m_eq == 300 + 50
-    assert np.allclose(prob.b_eq[-50:], 0.0)
+    n_cols = hs.n_cols
+    assert prob.n == n_cols + 200
+    assert prob.m_eq == 300
+    assert np.array_equal(prob.A_eq[:100, :n_cols], np.vstack([hs.u_past, hs.y_past]))
+    assert np.all(prob.A_eq[:100, n_cols:] == 0.0)
+    assert np.allclose(prob.b_eq[:50], 0.25)
+    assert np.allclose(prob.b_eq[50:100], 0.01)
+    assert np.all(np.isfinite(prob.P))
+
+
+def test_dkpc_qp_is_hard_deepc_qp_plus_lifted_rows(lti_dataset):
+    # with identity lifting Zp is a copy of Yp; the DKPC QP is the
+    # inf-weight DeePC QP with those rows inserted after the past rows
+    bank = IdentityBank(2)
+    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
+    common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=0.5)
+    cs = primed_state(4, 2, 2, u_val=0.3, y_val=-0.2)
+    dkpc = build_dkpc_qp(hs, bank, DkpcConfig(**common), cs)
+    deepc = build_deepc_qp(
+        hs.u_past, hs.y_past, hs.u_future, hs.y_future,
+        DeepcConfig(lambda_sigma=np.inf, **common), cs,
+    )
+    assert np.array_equal(hs.z_past, hs.y_past)
+    assert dkpc.n == deepc.n
+    for name in ("P", "q", "lower", "upper"):
+        assert np.array_equal(getattr(dkpc, name), getattr(deepc, name)), name
+    # rows: Up 0..8, Yp 8..16, then the future rows
+    a, b = deepc.A_eq, deepc.b_eq
+    assert np.array_equal(dkpc.A_eq, np.vstack([a[:16], a[8:16], a[16:]]))
+    assert np.array_equal(dkpc.b_eq, np.concatenate([b[:16], b[8:16], b[16:]]))
 
 
 def test_deepc_sigma_vanishes_on_exact_data(lti_setup):

@@ -5,8 +5,6 @@ from dkpc.lifting import (
     IdentityBank,
     RbfBank,
     build_bank,
-    lift,
-    lift_trajectory,
     load_bank,
     save_bank,
 )
@@ -56,26 +54,26 @@ def test_build_bank_rejects_bad_args():
 
 def test_lift_at_center_is_zero():
     bank = unit_center_bank()
-    z = lift(np.zeros(3), bank)
+    z = bank.lift(np.zeros(3))
     assert z[0] == 0.0
 
 
 def test_lift_unit_distance_is_zero():
     # log10(1) = 0
     bank = unit_center_bank()
-    z = lift(np.array([1.0, 0.0, 0.0]), bank)
+    z = bank.lift(np.array([1.0, 0.0, 0.0]))
     assert np.isclose(z[0], 0.0)
 
 
 def test_lift_distance_ten_is_hundred():
     bank = RbfBank(centers=np.zeros((1, 1)), seed=0)
-    z = lift(np.array([10.0]), bank)
+    z = bank.lift(np.array([10.0]))
     assert np.isclose(z[0], 100.0)
 
 
 def test_lift_vanishes_continuously_at_center():
     bank = RbfBank(centers=np.zeros((1, 1)), seed=0)
-    vals = [abs(lift(np.array([r]), bank)[0]) for r in (1e-3, 1e-6, 1e-9)]
+    vals = [abs(bank.lift(np.array([r]))[0]) for r in (1e-3, 1e-6, 1e-9)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-16
 
@@ -83,20 +81,20 @@ def test_lift_vanishes_continuously_at_center():
 def test_lift_sign_structure():
     bank = RbfBank(centers=np.zeros((1, 1)), seed=0)
     for r in (0.01, 0.3, 0.999):
-        assert lift(np.array([r]), bank)[0] < 0.0
+        assert bank.lift(np.array([r]))[0] < 0.0
     for r in (1.001, 5.0, 42.0):
-        assert lift(np.array([r]), bank)[0] > 0.0
+        assert bank.lift(np.array([r]))[0] > 0.0
 
 
 def test_lift_rejects_nonfinite():
     bank = unit_center_bank()
     with pytest.raises(ValueError):
-        lift(np.array([np.nan, 0.0, 0.0]), bank)
+        bank.lift(np.array([np.nan, 0.0, 0.0]))
 
 
 def test_lift_trajectory_empty():
     bank = unit_center_bank()
-    out = lift_trajectory(np.zeros((0, 3)), bank)
+    out = bank.lift_trajectory(np.zeros((0, 3)))
     assert out.shape == (0, 2)
 
 
@@ -104,16 +102,16 @@ def test_lift_trajectory_shape_and_consistency():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(1000, 10))
     bank = build_bank(data, 40, seed=2)
-    z = lift_trajectory(data, bank)
+    z = bank.lift_trajectory(data)
     assert z.shape == (1000, 40)
     for k in (0, 500, 999):
-        assert np.allclose(z[k], lift(data[k], bank), atol=1e-12)
+        assert np.allclose(z[k], bank.lift(data[k]), atol=1e-12)
 
 
 def test_lift_trajectory_constant_sequence():
     bank = unit_center_bank()
     ys = np.tile([0.5, 0.5, 0.0], (6, 1))
-    z = lift_trajectory(ys, bank)
+    z = bank.lift_trajectory(ys)
     assert np.allclose(z, z[0])
 
 
@@ -122,7 +120,7 @@ def test_lift_trajectory_reports_bad_index():
     ys = np.zeros((4, 3))
     ys[2, 1] = np.inf
     with pytest.raises(ValueError, match="step 2"):
-        lift_trajectory(ys, bank)
+        bank.lift_trajectory(ys)
 
 
 def test_bank_file_round_trip(tmp_path):
@@ -138,7 +136,7 @@ def test_bank_file_round_trip(tmp_path):
 def test_identity_bank_passthrough():
     bank = IdentityBank(4)
     y = np.array([1.0, -2.0, 0.0, 3.5])
-    assert np.array_equal(lift(y, bank), y)
+    assert np.array_equal(bank.lift(y), y)
     ys = np.tile(y, (5, 1))
-    assert np.array_equal(lift_trajectory(ys, bank), ys)
+    assert np.array_equal(bank.lift_trajectory(ys), ys)
     assert bank.n_basis == 4
