@@ -13,7 +13,10 @@ only on (P, A_eq, penalty), so a solver instance amortizes it across
 repeated solves where only q and b_eq change, which is the access
 pattern of a receding-horizon loop.  An active-set polish step refines
 converged iterates to near-machine KKT residuals; polish
-factorizations are cached per active set.
+factorizations are cached per active set.  With a diagonal, strictly
+positive P the polish eliminates the variables and factors only the
+m_eq x m_eq Schur complement on the equality rows (Cholesky); any other
+P factors the full active-set KKT matrix (LU).
 """
 
 from __future__ import annotations
@@ -206,6 +209,10 @@ class _Hessian:
     def is_diagonal(self) -> bool:
         return self.data.ndim == 1
 
+    @property
+    def is_positive_diagonal(self) -> bool:
+        return self.is_diagonal and bool(np.all(self.data > 0.0))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.data * x if self.is_diagonal else self.data @ x
 
@@ -238,7 +245,10 @@ class QpSolver:
 
     A diagonal P is detected once, here, and kept as a vector (scaled
     and unscaled) for every product the solver forms; the dense path
-    serves any other P.  Both give the same iterates bit for bit.
+    serves any other P.  Both give the same ADMM iterates bit for bit.
+    The polish path is also chosen here, from P alone: the Schur
+    complement for a diagonal P with every entry > 0, the full KKT LU
+    otherwise (see ``_polish_once``).
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
@@ -256,6 +266,12 @@ class QpSolver:
         self._factor = None
         self._polish_cache: dict[bytes, tuple] = {}
         self._refactor()
+        # a diagonal, strictly positive P_s polishes through the Schur
+        # complement on the equality rows: A_s D^-1 A_s' is formed once here
+        self._schur_diag = self._schur_gram = None
+        if s.polish and self._P_s.is_positive_diagonal:
+            self._schur_diag = self._P_s.data + s.polish_delta
+            self._schur_gram = (self._A_s / self._schur_diag) @ self._A_s.T
 
     # -- equilibration ---------------------------------------------------
 
@@ -582,62 +598,46 @@ class QpSolver:
 
         Scaling keeps the regularized KKT matrix well conditioned, which
         allows a tiny regularization and hence near-exact enforcement of
-        ill-conditioned behavioral equality rows.
+        ill-conditioned behavioral equality rows.  With a diagonal,
+        strictly positive P_s the system is solved through the Schur
+        complement on the equality rows (``_schur_solve``), one
+        m_eq x m_eq Cholesky per active set; with any other P through an
+        LU of the full (n + m_eq + k)^2 KKT matrix.  Either factor is
+        cached per active set.
         """
         p, s = self.problem, self.settings
         n, m_eq = p.n, p.m_eq
         c, d, e_eq = self._c, self._d, self._e_eq
-        act_idx = np.flatnonzero(pinned | low_act | up_act)
-        key = np.packbits(
-            np.concatenate([pinned | low_act | up_act, up_act]).astype(np.uint8)
-        ).tobytes()
+        act = pinned | low_act | up_act
+        key = np.packbits(np.concatenate([act, up_act]).astype(np.uint8)).tobytes()
 
         cached = self._polish_cache.get(key)
         if cached is None:
-            k_act = act_idx.size
-            dim = n + m_eq + k_act
-            kkt = np.zeros((dim, dim))
-            self._P_s.add_to(kkt[:n, :n])
-            kkt[np.diag_indices(n)] += s.polish_delta
-            if m_eq:
-                kkt[n : n + m_eq, :n] = self._A_s
-                kkt[:n, n : n + m_eq] = self._A_s.T
-            for row, col in enumerate(act_idx):
-                kkt[n + m_eq + row, col] = 1.0
-                kkt[col, n + m_eq + row] = 1.0
-            kkt[range(n, dim), range(n, dim)] -= s.polish_delta
+            act_idx = np.flatnonzero(act)
             try:
-                lu = scipy.linalg.lu_factor(kkt, check_finite=False)
+                if self._schur_gram is not None:
+                    factor = self._schur_factor(act_idx)
+                else:
+                    factor = scipy.linalg.lu_factor(self._kkt(act_idx), check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 return None
             if len(self._polish_cache) >= s.polish_cache_size:
                 self._polish_cache.pop(next(iter(self._polish_cache)))
-            cached = (lu, act_idx)
+            cached = (factor, act_idx)
             self._polish_cache[key] = cached
-        lu, act_idx = cached
+        factor, act_idx = cached
 
         lo, hi = p.lower, p.upper
-        bound_act = np.where(up_act[act_idx], hi[act_idx], lo[act_idx])
-        rhs = np.concatenate([-c * d * p.q, e_eq * p.b_eq, bound_act / d[act_idx]])
-        sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        r1 = -c * d * p.q
+        r2 = e_eq * p.b_eq
+        r3 = np.where(up_act[act_idx], hi[act_idx], lo[act_idx]) / d[act_idx]
+        if self._schur_gram is not None:
+            sol = self._schur_solve(factor, act_idx, r1, r2, r3)
+        else:
+            sol = scipy.linalg.lu_solve(factor, np.concatenate([r1, r2, r3]),
+                                        check_finite=False)
         if not np.all(np.isfinite(sol)):
             return None
-        # iterative refinement against the unregularized KKT system; keep
-        # going while the residual still drops (ill-conditioned behavioral
-        # rows need several passes)
-        tol = 1e-14 * (1.0 + np.max(np.abs(rhs)))
-        best_sol, best_rn = sol, np.inf
-        for _ in range(15):
-            resid = rhs - self._kkt_apply_scaled(sol, act_idx)
-            rn = float(np.max(np.abs(resid)))
-            if not np.isfinite(rn):
-                break
-            if rn < best_rn:
-                best_sol, best_rn = sol, rn
-            if rn < tol or rn > 0.7 * best_rn:
-                break
-            sol = sol + scipy.linalg.lu_solve(lu, resid, check_finite=False)
-        sol = best_sol
 
         x = d * sol[:n]
         y_full = np.zeros(m_eq + n)
@@ -654,22 +654,49 @@ class QpSolver:
             return None
         return x, y_full, px, r_p, r_d
 
-    def _kkt_apply_scaled(self, sol: np.ndarray, act_idx: np.ndarray) -> np.ndarray:
-        """Apply the unregularized polish KKT matrix (scaled space)."""
-        n, m_eq = self.problem.n, self.problem.m_eq
-        x = sol[:n]
-        nu = sol[n : n + m_eq]
-        mu = sol[n + m_eq :]
-        top = self._P_s.matvec(x)
+    def _kkt(self, act_idx: np.ndarray) -> np.ndarray:
+        """Regularized active-set KKT matrix for the LU path (scaled space)."""
+        n, m_eq, delta = self.problem.n, self.problem.m_eq, self.settings.polish_delta
+        dim = n + m_eq + act_idx.size
+        kkt = np.zeros((dim, dim))
+        self._P_s.add_to(kkt[:n, :n])
+        kkt[np.diag_indices(n)] += delta
         if m_eq:
-            top += self._A_s.T @ nu
-        if act_idx.size:
-            top[act_idx] += mu
-        parts = [top]
-        if m_eq:
-            parts.append(self._A_s @ x)
-        parts.append(x[act_idx])
-        return np.concatenate(parts)
+            kkt[n : n + m_eq, :n] = self._A_s
+            kkt[:n, n : n + m_eq] = self._A_s.T
+        for row, col in enumerate(act_idx):
+            kkt[n + m_eq + row, col] = 1.0
+            kkt[col, n + m_eq + row] = 1.0
+        kkt[range(n, dim), range(n, dim)] -= delta
+        return kkt
+
+    def _schur_factor(self, act_idx: np.ndarray):
+        """Cholesky factor of S_K = A_F D_F^-1 A_F' + delta I.
+
+        S_K is the once-formed ``A_s D^-1 A_s'`` downdated by the |K|
+        active columns, with D = P_s + delta.
+        """
+        a_act = self._A_s[:, act_idx]
+        S = self._schur_gram - (a_act / self._schur_diag[act_idx]) @ a_act.T
+        S[np.diag_indices_from(S)] += self.settings.polish_delta
+        return scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+
+    def _schur_solve(self, cho, act_idx, r1, r2, r3) -> np.ndarray:
+        """Solve the active-set KKT system by elimination; returns ``[x; nu; mu]``.
+
+        The active variables sit at their bounds (x_K = r3), the free
+        ones are x_F = D_F^-1 (r1_F - A_F' nu), nu solves
+        S_K nu = A_F D_F^-1 r1_F + A_K r3 - r2, and the bound
+        multipliers are mu_K = r1_K - P_K x_K - (A_s' nu)_K.
+        """
+        x = r1 / self._schur_diag
+        x[act_idx] = r3
+        nu = scipy.linalg.cho_solve(cho, self._A_s @ x - r2, check_finite=False)
+        at_nu = self._A_s.T @ nu
+        x = (r1 - at_nu) / self._schur_diag
+        x[act_idx] = r3
+        mu = r1[act_idx] - self._P_s.data[act_idx] * r3 - at_nu[act_idx]
+        return np.concatenate([x, nu, mu])
 
 
 def solve(

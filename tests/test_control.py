@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dkpc import netsim, qpsolve
 from dkpc.behavior import Trajectory, assemble
@@ -18,7 +19,7 @@ from dkpc.control import (
     run_closed_loop,
 )
 from dkpc.lifting import IdentityBank, build_bank
-from dkpc.qpsolve import solve
+from dkpc.qpsolve import SOLVED, solve
 
 
 def primed_state(t_ini, n_u, n_y, u_val=0.0, y_val=0.0):
@@ -386,9 +387,14 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
     assert np.max(np.abs(t1.y - t2.y)) <= 1e-4
 
 
+def force_lu_polish(mp):
+    mp.setattr(qpsolve._Hessian, "is_positive_diagonal", property(lambda self: False))
+
+
 def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch):
     # the solver keeps the controllers' diagonal cost Hessian as a vector;
-    # the applied inputs must equal those of the dense path bit for bit
+    # with the same (LU) polish the applied inputs equal those of the dense
+    # path bit for bit, and the default Schur polish agrees with the LU one
     sys, hs, bank, cfg = lti_setup
     cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)  # bounds become active
     deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
@@ -396,8 +402,13 @@ def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch)
     scen = Scenario(sim_steps=30, activation_step=6)
     for make in (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg)):
         ctrl = make()
-        diag = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert ctrl._solver._P_s.is_diagonal
+        schur = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        assert ctrl._solver._schur_gram is not None
+        with monkeypatch.context() as mp:
+            force_lu_polish(mp)
+            ctrl = make()
+            diag = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        assert ctrl._solver._P_s.is_diagonal and ctrl._solver._schur_gram is None
         assert np.any(np.abs(diag.u) == 0.1)
         with monkeypatch.context() as mp:
             mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
@@ -406,6 +417,31 @@ def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch)
         assert not ctrl._solver._P_s.is_diagonal
         assert np.array_equal(diag.u, dense.u)
         assert np.array_equal(diag.y, dense.y)
+        assert np.max(np.abs(schur.u - diag.u)) <= 1e-9
+        assert np.max(np.abs(schur.y - diag.y)) <= 1e-9
+
+
+def test_controllers_polish_without_lu(lti_setup, monkeypatch):
+    # both controllers' cost is diagonal and positive: every polish goes
+    # through the equality-row Schur complement, never the full KKT LU
+    sys, hs, bank, cfg = lti_setup
+    cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)
+    deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
+    x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
+    lu_calls, schur_calls = [], []
+    lu_factor, schur_solve = scipy.linalg.lu_factor, qpsolve.QpSolver._schur_solve
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda *a, **k: lu_calls.append(1) or lu_factor(*a, **k))
+    monkeypatch.setattr(qpsolve.QpSolver, "_schur_solve",
+                        lambda *a: schur_calls.append(1) or schur_solve(*a))
+    for ctrl in (DkpcController(hs, bank, cfg), DeepcController(hs, deepc_cfg)):
+        schur_calls.clear()
+        trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, Scenario(sim_steps=20,
+                                                                     activation_step=6))
+        assert all(st == SOLVED for st, on in zip(trace.status, trace.active) if on)
+        assert np.any(np.abs(trace.u) == 0.1)
+        assert len(schur_calls) >= np.count_nonzero(trace.active)
+    assert lu_calls == []
 
 
 def test_trace_csv_columns(tmp_path, lti_setup):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dkpc import qpsolve
 from dkpc.qpsolve import (
@@ -159,9 +160,17 @@ def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
     assert n_active > 0
 
 
+def force_lu_polish(mp):
+    """Make every new solver polish through the full KKT LU, even for a positive diagonal P."""
+    mp.setattr(qpsolve._Hessian, "is_positive_diagonal", property(lambda self: False))
+
+
 def test_diagonal_hessian_matches_dense_path(monkeypatch):
+    # with the same (LU) polish, the vector P gives the dense path's result
     for prob in diagonal_problems():
-        diag = QpSolver(prob, TIGHT)
+        with monkeypatch.context() as mp:
+            force_lu_polish(mp)
+            diag = QpSolver(prob, TIGHT)
         with monkeypatch.context() as mp:
             force_dense_hessian(mp)
             dense = QpSolver(prob, TIGHT)
@@ -170,6 +179,84 @@ def test_diagonal_hessian_matches_dense_path(monkeypatch):
         assert sol.status == ref.status and sol.iterations == ref.iterations
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
         assert abs(sol.objective - ref.objective) <= 1e-12 * (1 + abs(ref.objective))
+
+
+def test_diagonal_hessian_schur_polish_matches_lu_polish(monkeypatch):
+    n_schur = 0
+    for prob in diagonal_problems():
+        solver = QpSolver(prob, TIGHT)
+        with monkeypatch.context() as mp:
+            force_lu_polish(mp)
+            lu = QpSolver(prob, TIGHT)
+        assert lu._schur_gram is None
+        n_schur += solver._schur_gram is not None
+        sol, ref = solver.solve(), lu.solve()
+        assert sol.status == ref.status
+        assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
+    assert n_schur > 0
+
+
+def random_positive_diagonal_qp(rng):
+    """Random feasible QP: strictly positive diagonal P, a duplicated equality row, active bounds."""
+    P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
+    if len(b):  # identity lifting makes exact duplicates of output rows
+        A, b = np.vstack([A, A[:1]]), np.append(b, b[0])
+    return np.diag(rng.uniform(0.5, 3.0, len(q))), 3.0 * q, A, b, lo, hi
+
+
+def test_positive_diagonal_hessian_schur_polish(monkeypatch):
+    rng = np.random.default_rng(31)
+    problems = [QpProblem(*random_positive_diagonal_qp(rng)) for _ in range(8)]
+    assert sum(p.m_eq > 1 for p in problems) >= 4
+    n_active = 0
+    for prob in problems:
+        solver = QpSolver(prob, TIGHT)
+        assert solver._schur_gram is not None
+        sol = solver.solve()
+        assert sol.status == SOLVED and sol.polished
+        res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
+        assert max(res.values()) <= 1e-5, res
+        x_ref = projected_gradient_qp(prob.P, prob.q, prob.A_eq, prob.b_eq, prob.lower,
+                                      prob.upper)
+        assert abs(sol.objective - prob.objective(x_ref)) <= 1e-6 * (
+            1 + abs(prob.objective(x_ref))
+        )
+        assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
+        with monkeypatch.context() as mp:
+            force_lu_polish(mp)
+            ref = QpSolver(prob, TIGHT).solve()
+        assert sol.status == ref.status
+        assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
+        n_active += int(np.count_nonzero(sol.y_box))
+    assert n_active > 0
+
+
+def count_lu_factorizations(mp):
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+    mp.setattr(scipy.linalg, "lu_factor", lambda *a, **k: calls.append(1) or lu_factor(*a, **k))
+    return calls
+
+
+def test_polish_path_follows_hessian(monkeypatch):
+    # positive diagonal P: Schur polish, no LU; dense P or a zero diagonal entry: LU polish
+    A = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
+    dense = np.diag([2.0, 1.0, 3.0, 1.5])
+    dense[0, 2] = dense[2, 0] = 0.25
+    for p_mat, schur in ((np.diag([2.0, 1.0, 3.0, 1.5]), True), (dense, False),
+                         (np.diag([2.0, 0.0, 3.0, 1.5]), False)):
+        prob = QpProblem(P=p_mat, q=[4.0, -2.0, 0.5, 4.0], A_eq=A, b_eq=[0.5, 0.2],
+                         lower=[-1.0] * 4, upper=[1.0] * 4)
+        with monkeypatch.context() as mp:
+            calls = count_lu_factorizations(mp)
+            solver = QpSolver(prob, TIGHT)
+            sol = solver.solve()
+        assert sol.status == SOLVED and sol.polished
+        assert np.any(sol.y_box != 0.0)
+        assert (solver._schur_gram is not None) == schur
+        assert (len(calls) == 0) == schur
+        res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
+        assert max(res.values()) <= 1e-5, res
 
 
 def test_off_diagonal_pair_keeps_dense_hessian():
