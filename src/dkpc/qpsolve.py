@@ -13,10 +13,17 @@ only on (P, A_eq, penalty), so a solver instance amortizes it across
 repeated solves where only q and b_eq change, which is the access
 pattern of a receding-horizon loop.  An active-set polish step refines
 converged iterates to near-machine KKT residuals; polish
-factorizations are cached per active set.  With a diagonal, strictly
-positive P the polish eliminates the variables and factors only the
-m_eq x m_eq Schur complement on the equality rows (Cholesky); any other
-P factors the full active-set KKT matrix (LU).
+factorizations are cached per active set.
+
+Which systems are factored depends on P alone.  With a diagonal,
+strictly positive P every factor is m_eq x m_eq (Cholesky) and no
+n x n array is formed: the ADMM x-update goes through
+A D^-1 A' + I / rho_eq (matrix inversion lemma, one refinement step),
+and the polish eliminates the variables and factors the Schur
+complement on the equality rows.  Any other P factors the n x n ADMM
+matrix (Cholesky) and the full active-set KKT matrix (LU).  The ADMM
+factor is built on the first ADMM iteration: a solve that ends at the
+warm-start check or the direct polish needs none.
 """
 
 from __future__ import annotations
@@ -57,7 +64,9 @@ class QpProblem:
         n = q.shape[0]
         if P.shape != (n, n):
             raise ValueError(f"P has shape {P.shape}, expected ({n}, {n})")
-        if not np.allclose(P, P.T, atol=1e-10):
+        # exact symmetry, the common case, needs no float n x n temporaries;
+        # both tests accept and reject the same P (NaN and inf included)
+        if not (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
             raise ValueError("P must be symmetric within 1e-10")
         A_eq = np.asarray(self.A_eq, dtype=float)
         if A_eq.size == 0:
@@ -245,10 +254,10 @@ class QpSolver:
 
     A diagonal P is detected once, here, and kept as a vector (scaled
     and unscaled) for every product the solver forms; the dense path
-    serves any other P.  Both give the same ADMM iterates bit for bit.
-    The polish path is also chosen here, from P alone: the Schur
-    complement for a diagonal P with every entry > 0, the full KKT LU
-    otherwise (see ``_polish_once``).
+    serves any other P.  With the same linear systems both give the same
+    ADMM iterates bit for bit.  The systems (see the module docstring,
+    ``_x_update`` and ``_polish_once``) are also chosen here, from P
+    alone, but the ADMM one is factored on the first ADMM iteration.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
@@ -256,20 +265,17 @@ class QpSolver:
         self.settings = settings or QpSettings()
         self._scale(problem)
         s = self.settings
-        n = problem.n
-        if problem.m_eq:
-            self._gram = s.rho_eq_scale * (self._A_s.T @ self._A_s)
-            self._gram[np.diag_indices(n)] += self._s_box * self._s_box
-        else:
-            self._gram = np.diag(self._s_box * self._s_box)
         self._rho = s.rho
-        self._factor = None
+        # the splitting system is built for _factored_rho on the first ADMM
+        # iteration (``_refactor``); a solve that ends before it needs none
+        self._factored_rho: float | None = None
+        self._factor = self._split_diag = self._gram = None
         self._polish_cache: dict[bytes, tuple] = {}
-        self._refactor()
-        # a diagonal, strictly positive P_s polishes through the Schur
-        # complement on the equality rows: A_s D^-1 A_s' is formed once here
+        # a diagonal, strictly positive P_s solves both linear systems on the
+        # equality rows; A_s D^-1 A_s' for the polish is formed once here
+        self._positive_diagonal = self._P_s.is_positive_diagonal
         self._schur_diag = self._schur_gram = None
-        if s.polish and self._P_s.is_positive_diagonal:
+        if s.polish and self._positive_diagonal:
             self._schur_diag = self._P_s.data + s.polish_delta
             self._schur_gram = (self._A_s / self._schur_diag) @ self._A_s.T
 
@@ -291,11 +297,13 @@ class QpSolver:
         P_s = self._P
         A_s = p.A_eq.copy()
         c = 1.0
+        abs_a = np.empty_like(A_s)
         for _ in range(iters):
             col = np.maximum(P_s.col_norms(), s_box)
             if m_eq:
-                col = np.maximum(col, _inf_col_norms(A_s))
-                row_eq = np.max(np.abs(A_s), axis=1)
+                np.abs(A_s, out=abs_a)
+                col = np.maximum(col, np.max(abs_a, axis=0))
+                row_eq = np.max(abs_a, axis=1)
             else:
                 row_eq = np.zeros(0)
             dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
@@ -303,7 +311,8 @@ class QpSolver:
             ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
             P_s = P_s.scaled(dd)
             if m_eq:
-                A_s = (A_s * dd[None, :]) * de[:, None]
+                A_s *= dd
+                A_s *= de[:, None]
             s_box = s_box * ds * dd
             d *= dd
             e_eq *= de
@@ -326,16 +335,58 @@ class QpSolver:
     # -- scaled linear algebra -------------------------------------------
 
     def _refactor(self) -> None:
-        s = self.settings
+        """Factor the ADMM x-update system for the current rho.
+
+        The x-update solves M x = rhs with
+        M = P_s + sigma I + rho (rho_eq_scale A_s'A_s + diag(s_box^2)).
+        For a positive diagonal P_s that is D + rho_eq A_s'A_s with a
+        diagonal D, and only G = A_s D^-1 A_s' + I / rho_eq, m_eq x m_eq,
+        is factored (see ``_x_update``); any other P factors the n x n M.
+        """
+        s, m_eq = self.settings, self.problem.m_eq
+        self._factored_rho = self._rho
+        if self._positive_diagonal:
+            self._split_diag = self._P_s.data + s.sigma + self._rho * self._s_box**2
+            if m_eq:
+                b = self._A_s / np.sqrt(self._split_diag)
+                g = b @ b.T  # one triangle (syrk)
+                g[np.diag_indices(m_eq)] += 1.0 / (self._rho * s.rho_eq_scale)
+                self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
+            return
+        if self._gram is None:
+            self._gram = np.diag(self._s_box * self._s_box)
+            if m_eq:
+                self._gram += s.rho_eq_scale * (self._A_s.T @ self._A_s)
         m = self._rho * self._gram
         self._P_s.add_to(m)
         m[np.diag_indices_from(m)] += s.sigma
         self._factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
 
-    def _matvec_s(self, x: np.ndarray) -> np.ndarray:
-        if self.problem.m_eq:
-            return np.concatenate([self._A_s @ x, self._s_box * x])
-        return self._s_box * x
+    def _x_update(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve M x = rhs (see ``_refactor``); returns x and A_s x.
+
+        On the equality-row path, x = D^-1 (rhs - A_s' w) with
+        G w = A_s D^-1 rhs (matrix inversion lemma).  Its residual is
+        M x - rhs = A_s' t, t = rho_eq A_s x - w, up to the rounding of
+        the division, and A_s x is measured; one refinement step against
+        M then adds M^-1 A_s' t = D^-1 A_s' s / rho_eq with G s = t.  It
+        brings the residual down to that of the n x n Cholesky, which
+        the lemma alone misses by orders of magnitude.  A_s of the
+        correction is (t - s / rho_eq) / rho_eq by the same algebra.
+        """
+        if not self._positive_diagonal:
+            x = scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
+            return x, self._A_s @ x
+        A, D = self._A_s, self._split_diag
+        if not self.problem.m_eq:
+            return rhs / D, np.zeros(0)
+        rho_eq = self._rho * self.settings.rho_eq_scale
+        w = scipy.linalg.cho_solve(self._factor, A @ (rhs / D), check_finite=False)
+        x = (rhs - A.T @ w) / D
+        ax = A @ x
+        t = rho_eq * ax - w
+        s = scipy.linalg.cho_solve(self._factor, t, check_finite=False)
+        return x - (A.T @ s) / (rho_eq * D), ax - (t - s / rho_eq) / rho_eq
 
     def _rmatvec_s(self, w: np.ndarray) -> np.ndarray:
         m_eq = self.problem.m_eq
@@ -402,7 +453,9 @@ class QpSolver:
             y = c * yw / e_all
         else:
             y = np.zeros(m)
-        z = np.clip(self._matvec_s(x), lo_s, hi_s)
+        # the equality rows' bounds coincide, so their z is b_eq whatever A x is
+        z = lo_s.copy()
+        z[m_eq:] = np.clip(s_box * x, lo_s[m_eq:], hi_s[m_eq:])
 
         rho = np.empty(m)
         rho[:m_eq] = self._rho * s.rho_eq_scale
@@ -468,9 +521,11 @@ class QpSolver:
                     )
 
         for it in range(1, s.max_iter + 1):
+            if self._factored_rho != self._rho:
+                self._refactor()
             rhs = s.sigma * x - q_s + self._rmatvec_s(rho * z - y)
-            x_tilde = scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
-            z_tilde = self._matvec_s(x_tilde)
+            x_tilde, ax_tilde = self._x_update(rhs)
+            z_tilde = np.concatenate([ax_tilde, s_box * x_tilde])
             x = s.alpha * x_tilde + (1.0 - s.alpha) * x
             z_relaxed = s.alpha * z_tilde + (1.0 - s.alpha) * z
             z_new = np.clip(z_relaxed + y / rho, lo_s, hi_s)
@@ -517,7 +572,6 @@ class QpSolver:
                     factor = float(np.sqrt(num / den))
                     if factor > 5.0 or factor < 0.2:
                         self._rho = float(np.clip(self._rho * factor, _RHO_MIN, _RHO_MAX))
-                        self._refactor()
                         rho[:m_eq] = self._rho * s.rho_eq_scale
                         rho[m_eq:] = self._rho
 

@@ -19,7 +19,7 @@ from dkpc.control import (
     run_closed_loop,
 )
 from dkpc.lifting import IdentityBank, build_bank
-from dkpc.qpsolve import SOLVED, solve
+from dkpc.qpsolve import SOLVED, QpSettings, QpSolver, solve
 
 
 def primed_state(t_ini, n_u, n_y, u_val=0.0, y_val=0.0):
@@ -388,6 +388,7 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
 
 
 def force_lu_polish(mp):
+    """Make new solvers take the path of a general P: n x n ADMM system and full KKT LU polish."""
     mp.setattr(qpsolve._Hessian, "is_positive_diagonal", property(lambda self: False))
 
 
@@ -442,6 +443,57 @@ def test_controllers_polish_without_lu(lti_setup, monkeypatch):
         assert np.any(np.abs(trace.u) == 0.1)
         assert len(schur_calls) >= np.count_nonzero(trace.active)
     assert lu_calls == []
+
+
+def count_cho_factorizations(mp):
+    """Record the order of every matrix passed to ``scipy.linalg.cho_factor``."""
+    sizes = []
+    cho_factor = scipy.linalg.cho_factor
+    mp.setattr(scipy.linalg, "cho_factor",
+               lambda a, *args, **kw: sizes.append(len(a)) or cho_factor(a, *args, **kw))
+    return sizes
+
+
+def test_controllers_factor_only_equality_rows(lti_setup, monkeypatch):
+    # both controllers' cost is diagonal and positive: the ADMM system is
+    # m_eq x m_eq, and it is built only by a loop that enters ADMM
+    sys, hs, bank, cfg = lti_setup
+    cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)
+    deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
+    x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
+    scen = Scenario(sim_steps=20, activation_step=6)
+    sizes = count_cho_factorizations(monkeypatch)
+    for make in (lambda st: DkpcController(hs, bank, cfg, st),
+                 lambda st: DeepcController(hs, deepc_cfg, st)):
+        sizes.clear()
+        ctrl = make(QpSettings(polish=False))  # every step runs ADMM
+        trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        m_eq = ctrl._solver.problem.m_eq
+        assert all(st == SOLVED for st, on in zip(trace.status, trace.active) if on)
+        assert np.all(trace.iterations[trace.active] > 0)
+        assert sizes and max(sizes) == m_eq < ctrl._solver.problem.n
+        # with the polish, this loop never enters ADMM and builds no ADMM system
+        sizes.clear()
+        ctrl = make(None)
+        trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        assert np.all(trace.iterations == 0)
+        assert ctrl._solver._factored_rho is None and ctrl._solver._factor is None
+        assert sizes and max(sizes) <= m_eq
+
+
+def test_dense_or_zero_diagonal_cost_factors_full_system(lti_setup, monkeypatch):
+    _, hs, bank, cfg = lti_setup
+    cs = primed_state(cfg.t_ini, hs.n_u, hs.n_y, u_val=0.1, y_val=-0.05)
+    short = QpSettings(max_iter=50, polish=False)
+    for c in (dataclasses.replace(cfg, lambda_g=0.0),
+              dataclasses.replace(cfg, R=[[0.1, 0.02], [0.02, 0.1]])):
+        prob = build_dkpc_qp(hs, bank, c, cs)
+        with monkeypatch.context() as mp:
+            sizes = count_cho_factorizations(mp)
+            solver = QpSolver(prob, short)
+            assert sizes == []  # built by the first ADMM iteration
+            assert solver.solve().iterations > 0
+        assert sizes and sizes[0] == prob.n
 
 
 def test_trace_csv_columns(tmp_path, lti_setup):

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dkpc import qpsolve
+from dkpc.behavior import assemble
+from dkpc.control import ControllerState, DeepcConfig, DkpcConfig, build_deepc_qp, build_dkpc_qp
+from dkpc.lifting import build_bank
 from dkpc.qpsolve import (
     INFEASIBLE,
     MAX_ITERATIONS,
@@ -161,7 +166,11 @@ def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
 
 
 def force_lu_polish(mp):
-    """Make every new solver polish through the full KKT LU, even for a positive diagonal P."""
+    """Make every new solver take the path of a general P, even for a positive diagonal P.
+
+    That path factors the n x n ADMM system and polishes through the
+    full KKT LU.
+    """
     mp.setattr(qpsolve._Hessian, "is_positive_diagonal", property(lambda self: False))
 
 
@@ -238,6 +247,15 @@ def count_lu_factorizations(mp):
     return calls
 
 
+def count_cho_factorizations(mp):
+    """Record the order of every matrix passed to ``scipy.linalg.cho_factor``."""
+    sizes = []
+    cho_factor = scipy.linalg.cho_factor
+    mp.setattr(scipy.linalg, "cho_factor",
+               lambda a, *args, **kw: sizes.append(len(a)) or cho_factor(a, *args, **kw))
+    return sizes
+
+
 def test_polish_path_follows_hessian(monkeypatch):
     # positive diagonal P: Schur polish, no LU; dense P or a zero diagonal entry: LU polish
     A = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
@@ -257,6 +275,110 @@ def test_polish_path_follows_hessian(monkeypatch):
         assert (len(calls) == 0) == schur
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
         assert max(res.values()) <= 1e-5, res
+
+
+# -- ADMM on the equality rows ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def behavioral_qps(plant_dataset):
+    """The DKPC and DeePC QPs of one window of the 10-bus data."""
+    bank = build_bank(plant_dataset.y, 20, seed=2)
+    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6, pe_check=False)
+    cfg = DkpcConfig(t_ini=4, horizon=6, u_min=-1.0, u_max=1.0)
+    cs = ControllerState(4, hs.n_u, hs.n_y)
+    for k in range(4):
+        cs.record(plant_dataset.u[k], plant_dataset.y[k])
+    deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
+    return [
+        build_dkpc_qp(hs, bank, cfg, cs),
+        build_deepc_qp(hs.u_past, hs.y_past, hs.u_future, hs.y_future, deepc_cfg, cs),
+    ]
+
+
+def box_only_positive_diagonal_qp():
+    rng = np.random.default_rng(43)
+    _, q, _, _, lo, hi = random_box_qp(rng, n_max=12, m_max=0)
+    n = len(q)
+    return QpProblem(P=np.diag(rng.uniform(0.5, 3.0, n)), q=3.0 * q, A_eq=np.zeros((0, n)),
+                     b_eq=[], lower=lo, upper=hi)
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 10.0])
+def test_equality_row_admm_solve_as_accurate_as_cholesky(behavioral_qps, rho):
+    # the x-update M x = rhs through the m_eq x m_eq system and one
+    # refinement step is as accurate as a Cholesky solve of M itself
+    rng = np.random.default_rng(41)
+    problems = behavioral_qps + [box_only_positive_diagonal_qp()]
+    assert [p.m_eq > 0 for p in problems] == [True, True, False]
+    for prob in problems:
+        solver = QpSolver(prob)
+        solver._rho = rho
+        solver._refactor()
+        if prob.m_eq:
+            assert solver._factor[0].shape == (prob.m_eq, prob.m_eq)
+        else:
+            assert solver._factor is None
+        s, A = solver.settings, solver._A_s
+        M = rho * s.rho_eq_scale * (A.T @ A)
+        M[np.diag_indices(prob.n)] += solver._P_s.data + s.sigma + rho * solver._s_box**2
+        chol = scipy.linalg.cho_factor(M, lower=True)
+        # a generic right-hand side, and one dominated by the range of A_s'
+        for rhs in (rng.standard_normal(prob.n),
+                    1e3 * (A.T @ rng.standard_normal(prob.m_eq)) + rng.standard_normal(prob.n)):
+            x, ax = solver._x_update(rhs)
+            x_ref = scipy.linalg.cho_solve(chol, rhs)
+            assert np.max(np.abs(M @ x - rhs)) <= 2.0 * np.max(np.abs(M @ x_ref - rhs))
+            assert np.max(np.abs(ax - A @ x), initial=0.0) <= 1e-12 * (
+                1.0 + np.max(np.abs(ax), initial=0.0))
+
+
+def test_box_only_positive_diagonal_qp_factors_nothing(monkeypatch):
+    prob = box_only_positive_diagonal_qp()
+    no_polish = dataclasses.replace(TIGHT, polish=False)  # every solve runs ADMM
+    with monkeypatch.context() as mp:
+        sizes = count_cho_factorizations(mp)
+        solver = QpSolver(prob, no_polish)
+        sol = solver.solve()
+    assert sizes == []
+    assert sol.status == SOLVED and sol.iterations > 0
+    res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
+    assert max(res.values()) <= 1e-5, res
+    x_ref = projected_gradient_qp(prob.P, prob.q, prob.A_eq, prob.b_eq, prob.lower, prob.upper)
+    assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
+
+
+def test_infeasible_positive_diagonal_qp_detected(monkeypatch):
+    # both splitting systems certify infeasibility
+    P = np.diag([1.0, 2.0, 0.5])
+    box = dict(lower=[-1.0] * 3, upper=[1.0] * 3)
+    problems = [
+        QpProblem(P=P, q=[1.0, 0.0, -1.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[5.0], **box),
+        QpProblem(P=P, q=[0.0, 1.0, 0.0], A_eq=[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+                  b_eq=[0.0, 1.0], lower=[-np.inf] * 3, upper=[np.inf] * 3),
+    ]
+    for prob in problems:
+        solver = QpSolver(prob)
+        with monkeypatch.context() as mp:
+            force_lu_polish(mp)
+            full = QpSolver(prob)
+        assert solver.solve().status == full.solve().status == INFEASIBLE
+        assert solver._factor[0].shape == (prob.m_eq, prob.m_eq)
+        assert full._factor[0].shape == (prob.n, prob.n)
+
+
+def test_equality_row_admm_matches_full_admm(monkeypatch):
+    rng = np.random.default_rng(47)
+    no_polish = dataclasses.replace(TIGHT, polish=False)
+    for _ in range(8):
+        prob = QpProblem(*random_positive_diagonal_qp(rng))
+        sol = QpSolver(prob, no_polish).solve()
+        with monkeypatch.context() as mp:
+            force_lu_polish(mp)
+            ref = QpSolver(prob, no_polish).solve()
+        assert sol.status == ref.status == SOLVED
+        assert sol.iterations == ref.iterations
+        assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
 
 
 def test_off_diagonal_pair_keeps_dense_hessian():
