@@ -4,6 +4,10 @@ Provides the data trajectory container, depth-L block Hankel
 construction, persistency-of-excitation rank checks, a least-squares
 oracle for trajectory membership on known LTI systems, and assembly of
 the stacked lifted/input/output Hankel system used by the controllers.
+
+The persistency check first tries to certify full row rank from one
+Cholesky of the shifted rows x rows Gram matrix; data the certificate
+cannot clear is decided by the full SVD, as before.
 """
 
 from __future__ import annotations
@@ -14,6 +18,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import lapack
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+# which computation decided a PeReport
+PE_LENGTH = "length"  # too few Hankel columns for the required rank
+PE_CHOLESKY = "gram-cholesky"  # full row rank certified by a shifted Gram Cholesky
+PE_SVD = "svd"  # rank counted from the singular values
+# factor by which the certificate's Gram shift exceeds its rounding bound
+_PE_SAFETY = 16.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +86,12 @@ def hankel(seq: np.ndarray, depth: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeReport:
-    """Outcome of a persistency-of-excitation rank check."""
+    """Outcome of a persistency-of-excitation rank check.
+
+    ``decided_by`` names the computation that decided it: ``PE_LENGTH``
+    (too few Hankel columns), ``PE_CHOLESKY`` (the Gram certificate) or
+    ``PE_SVD`` (the singular values).
+    """
 
     is_pe: bool
     order: int
@@ -82,17 +100,77 @@ class PeReport:
     n_cols: int
     threshold: float
     reason: str = ""
+    decided_by: str = PE_SVD
 
     def __bool__(self) -> bool:
         return self.is_pe
+
+
+def _gram_certificate(h: np.ndarray, c: float) -> float | None:
+    """sigma_1 of ``h`` if a Cholesky proves sigma_min(h) > c * sigma_1(h), else None.
+
+    With r x n ``h`` (r <= n), G = fl(h h^T), t = trace(G) and
+    mu = (c^2 + delta) * t, a floating-point Cholesky of fl(G - mu I)
+    that runs to completion proves lambda_min(h h^T) > c^2 * t, and
+    t >= lambda_max(h h^T) = sigma_1^2, so every singular value of ``h``
+    exceeds c * sigma_1: rank r.  The rounding it must cover, with unit
+    roundoff u = eps/2 and gamma_k = k u / (1 - k u):
+
+    - the Gram product, |G - h h^T| <= gamma_n |h||h|^T, so
+      ||G - h h^T||_2 <= gamma_n ||h||_F^2 ~ gamma_n t;
+    - the shift of the diagonal, <= u t;
+    - the Cholesky: on completion fl(G - mu I) + E = R^T R with R
+      nonsingular and ||E||_2 <= gamma_{r+1} t (Rump, "Verification of
+      positive definiteness", BIT 46, 2006), so lambda_min(G - mu I) > -gamma_{r+1} t.
+
+    Together lambda_min(h h^T) > mu - (n + r + 2) u t (1 + O(r u)), so
+    delta = 16 (r + n + 2) eps, 32 times that bound, covers it.  The
+    certified gap, sigma_min - c sigma_1 >= (delta - bound) sigma_1 / 2,
+    is then some 15 (r + n) eps sigma_1, far beyond the SVD's own
+    rounding of sigma_min (a modest multiple of eps sigma_1), so both
+    computations decide alike.  Products below the normal range add up
+    to (r + n) tiny per entry; t >= (r + n)^2 tiny / eps keeps that
+    under eps t.  Any other case returns None: t non-finite or below
+    that floor (zero data included), (c^2 + delta) r >= 1 (where
+    lambda_min <= t / r <= mu for every matrix), a failed Cholesky or a
+    Lanczos run for sigma_1 that does not converge.  At most one r x r
+    array is alive: lambda_max is taken first, then G is shifted and
+    factored in place.
+    """
+    rows, cols = h.shape
+    eps = np.finfo(float).eps
+    shift = c * c + _PE_SAFETY * (rows + cols + 2) * eps
+    if shift * rows >= 1.0:
+        return None
+    g = h @ h.T
+    t = float(np.trace(g))
+    if not (np.isfinite(t) and t >= (rows + cols) ** 2 * np.finfo(float).tiny / eps):
+        return None
+    if rows == 1:
+        lam_max = t
+    else:
+        v0 = np.random.default_rng(0).standard_normal(rows)
+        try:
+            lam_max = float(eigsh(g, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+        except ArpackNoConvergence:
+            return None
+    g.flat[:: rows + 1] -= shift * t
+    # G is symmetric, so its transpose is the Fortran-ordered array LAPACK factors in place
+    _, info = lapack.dpotrf(g.T, lower=0, clean=0, overwrite_a=1)
+    return float(np.sqrt(lam_max)) if info == 0 else None
 
 
 def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = None) -> PeReport:
     """Check full row rank of the depth-``order`` input Hankel matrix.
 
     Rank is counted from singular values against the threshold
-    ``sigma_max * max(rows, cols) * eps`` (eps is the unit roundoff),
-    or ``sigma_max * rtol`` when ``rtol`` is given.
+    ``sigma_max * max(rows, cols) * eps`` (eps is the machine epsilon),
+    or ``sigma_max * rtol`` when ``rtol`` is given.  Full rank is first
+    sought as a certificate from one Cholesky of the shifted Gram matrix
+    (see ``_gram_certificate``), which costs a rows x rows product
+    instead of a full SVD; the SVD decides whenever the certificate
+    cannot, so both give the same report up to the rounding of
+    ``threshold`` (sigma_max then comes from a Lanczos estimate).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -112,14 +190,19 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
                 f"sequence too short: {n_cols} Hankel columns cannot reach "
                 f"row rank {required}"
             ),
+            decided_by=PE_LENGTH,
         )
     h = hankel(u, order)
-    sv = np.linalg.svd(h, compute_uv=False)
+    sv = None
+    sigma_1 = _gram_certificate(h, max(h.shape) * np.finfo(float).eps if rtol is None else rtol)
+    if sigma_1 is None:
+        sv = np.linalg.svd(h, compute_uv=False)
+        sigma_1 = sv[0]
     if rtol is None:
-        threshold = sv[0] * max(h.shape) * np.finfo(float).eps
+        threshold = sigma_1 * max(h.shape) * np.finfo(float).eps
     else:
-        threshold = sv[0] * rtol
-    rank = int(np.count_nonzero(sv > threshold))
+        threshold = sigma_1 * rtol
+    rank = required if sv is None else int(np.count_nonzero(sv > threshold))
     ok = rank == required
     return PeReport(
         is_pe=ok,
@@ -129,6 +212,7 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
         n_cols=n_cols,
         threshold=float(threshold),
         reason="" if ok else f"numerical rank {rank} < {required}",
+        decided_by=PE_CHOLESKY if sv is None else PE_SVD,
     )
 
 

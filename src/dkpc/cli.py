@@ -419,9 +419,12 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict[str, Path]:
     pe_order = cfg.lifting.n_basis + depth
     pe = behavior.is_persistently_exciting(traj.u, pe_order)
     if pe:
-        log.info("PE check (order %d): ok, rank %d/%d", pe_order, pe.rank, pe.required_rank)
+        log.info(
+            "PE check (order %d): ok, rank %d/%d (%s)",
+            pe_order, pe.rank, pe.required_rank, pe.decided_by,
+        )
     else:
-        log.warning("PE check (order %d) FAILED: %s", pe_order, pe.reason)
+        log.warning("PE check (order %d) FAILED: %s (%s)", pe_order, pe.reason, pe.decided_by)
 
     out = cfg.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,9 @@ The plant is the data source and closed-loop testbed; the controllers
 never see its equations.  Per-bus dynamics: a droop law ties frequency
 deviation to the filtered power mismatch, angles integrate frequency,
 and first-order low-pass filters smooth the power measurement and the
-external input.
+external input.  ``step``, ``simulate`` and ``NetworkPlant`` advance the
+state through one private kernel that holds the per-run constants
+(parameter arrays, filter gain), so a run or a plant computes them once.
 """
 
 from __future__ import annotations
@@ -179,6 +181,65 @@ def filter_gain(omega_pc: np.ndarray | float, dt: float, mode: str) -> np.ndarra
     raise ValueError(f"unknown filter mode {mode!r}")
 
 
+class _StepKernel:
+    """The plant step with its per-run constants computed once.
+
+    Holds the parameter arrays, the filter gain and the angle-integration
+    factor for one (params, net, cfg), so a run pays for them once
+    instead of on every sample.  ``advance`` works on bare state arrays
+    with the float operations, and their order, of the documented
+    update; it raises ValueError for a non-finite input and
+    SimulationDiverged for a non-finite state.
+    """
+
+    def __init__(
+        self,
+        params: InverterParams | Sequence[InverterParams],
+        net: NetworkGraph,
+        cfg: SimConfig,
+    ):
+        self.net = net
+        self.p_star, self.k_p, omega_pc, omega_b = _param_arrays(params, net.n_bus)
+        self.alpha = filter_gain(omega_pc, cfg.dt, cfg.filter_mode)
+        self.dt_omega_b = cfg.dt * omega_b
+        self.diverged = (
+            "non-finite state after step; check the filter discretization "
+            f"(mode={cfg.filter_mode}, dt*omega_pc up to {np.max(cfg.dt * omega_pc):.3g})"
+        )
+
+    def advance(self, x: tuple, u: np.ndarray) -> tuple:
+        """(theta, omega, p_filt, u_filt) one step after ``x`` under input ``u``."""
+        theta, omega, p_filt, u_filt = x
+        alpha = self.alpha
+        # overflow shows up as non-finite state and is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = power_injections(theta, self.net)
+            u_filt = u_filt + alpha * (u - u_filt)
+            p_filt = p_filt + alpha * (p - p_filt)
+            new = (
+                theta + self.dt_omega_b * omega,
+                self.k_p * (self.p_star + u_filt - p_filt),
+                p_filt,
+                u_filt,
+            )
+        if not np.all(np.isfinite(np.concatenate(new))):
+            # a non-finite input always reaches u_filt: alpha * inf is inf or nan
+            if not np.all(np.isfinite(u)):
+                raise ValueError("non-finite input vector")
+            raise SimulationDiverged(self.diverged)
+        return new
+
+    def step(self, state: SimState, u: np.ndarray) -> SimState:
+        """Validated one-step advance of ``state``."""
+        n = self.net.n_bus
+        if state.n_bus != n:
+            raise ValueError(f"network has {n} buses, state has {state.n_bus}")
+        u = np.asarray(u, dtype=float)
+        if u.shape != (n,):
+            raise ValueError(f"expected input of length {n}, got shape {u.shape}")
+        return SimState(*self.advance((state.theta, state.omega, state.p_filt, state.u_filt), u))
+
+
 def step(
     state: SimState,
     u: np.ndarray,
@@ -192,31 +253,7 @@ def step(
     external input and the power measurement, droop frequency update,
     then the angle integration using the pre-update frequency.
     """
-    n = state.n_bus
-    if net.n_bus != n:
-        raise ValueError(f"network has {net.n_bus} buses, state has {n}")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise ValueError(f"expected input of length {n}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite input vector")
-    p_star, k_p, omega_pc, omega_b = _param_arrays(params, n)
-
-    # overflow shows up as non-finite state and is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = power_injections(state.theta, net)
-        alpha = filter_gain(omega_pc, cfg.dt, cfg.filter_mode)
-        u_filt = state.u_filt + alpha * (u - state.u_filt)
-        p_filt = state.p_filt + alpha * (p - state.p_filt)
-        omega = k_p * (p_star + u_filt - p_filt)
-        theta = state.theta + cfg.dt * omega_b * state.omega
-        new = np.concatenate([theta, omega, p_filt, u_filt])
-    if not np.all(np.isfinite(new)):
-        raise SimulationDiverged(
-            "non-finite state after step; check the filter discretization "
-            f"(mode={cfg.filter_mode}, dt*omega_pc up to {np.max(cfg.dt * omega_pc):.3g})"
-        )
-    return SimState(theta=theta, omega=omega, p_filt=p_filt, u_filt=u_filt)
+    return _StepKernel(params, net, cfg).step(state, u)
 
 
 def simulate(
@@ -229,7 +266,9 @@ def simulate(
     """Run the plant over an input sequence; outputs are the frequencies.
 
     ``y[k]`` records the frequency deviations at step k before ``u[k]``
-    acts, so the returned (u, y) pair is causally aligned.
+    acts, so the returned (u, y) pair is causally aligned.  The result
+    is bit for bit that of calling ``step`` on every sample; the
+    parameter arrays and filter gain are computed once per run.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[0] < 1:
@@ -238,12 +277,15 @@ def simulate(
         raise ValueError(
             f"inputs have width {inputs.shape[1]}, expected {initial.n_bus}"
         )
-    state = initial
+    if net.n_bus != initial.n_bus:
+        raise ValueError(f"network has {net.n_bus} buses, state has {initial.n_bus}")
+    kernel = _StepKernel(params, net, cfg)
+    x = (initial.theta, initial.omega, initial.p_filt, initial.u_filt)
     ys = np.empty_like(inputs)
     for k in range(inputs.shape[0]):
-        ys[k] = state.omega
+        ys[k] = x[1]  # omega
         try:
-            state = step(state, inputs[k], params, net, cfg)
+            x = kernel.advance(x, inputs[k])
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"step {k}: {exc}") from exc
     return Trajectory(u=inputs, y=ys, dt=cfg.dt)
@@ -315,7 +357,11 @@ def disturbed_state(
 
 
 class NetworkPlant:
-    """Stateful closed-loop handle around the stepping engine."""
+    """Stateful closed-loop handle around the stepping engine.
+
+    ``net``, ``params`` and ``cfg`` are read once, at construction, into
+    the step kernel; reassigning them later does not change the plant.
+    """
 
     def __init__(
         self,
@@ -328,6 +374,7 @@ class NetworkPlant:
         self.params = params
         self.cfg = cfg
         self.state = initial if initial is not None else SimState.zeros(net.n_bus)
+        self._kernel = _StepKernel(params, net, cfg)
 
     @property
     def n_u(self) -> int:
@@ -341,7 +388,7 @@ class NetworkPlant:
         return self.state.omega.copy()
 
     def step(self, u: np.ndarray) -> None:
-        self.state = step(self.state, u, self.params, self.net, self.cfg)
+        self.state = self._kernel.step(self.state, u)
 
     def apply_disturbance(self, spec: DisturbanceSpec) -> None:
         self.state = disturbed_state(self.params, self.net, spec)

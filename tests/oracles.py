@@ -106,3 +106,53 @@ def random_box_qp(rng, n_max=30, m_max=10, definite=True):
     A = rng.standard_normal((m, n))
     b = A @ rng.uniform(lower, upper)
     return P, q, A, b, lower, upper
+
+
+def pe_rank_svd(u, order, rtol=None):
+    """Persistency-of-excitation verdict from the singular values of a loop-built Hankel.
+
+    The documented rule: the depth-``order`` block Hankel of the input
+    needs full row rank n_u * order, counting the singular values above
+    sigma_1 * max(rows, cols) * eps, or sigma_1 * rtol.  Returns the
+    report's fields as a dict, plus the singular values (None when the
+    sequence is too short to build a wide enough Hankel).
+    """
+    u = np.asarray(u, dtype=float)
+    u = u.reshape(u.shape[0], -1)
+    t_len, n_u = u.shape
+    required = n_u * order
+    n_cols = t_len - order + 1
+    if n_cols < required:
+        reason = f"sequence too short: {n_cols} Hankel columns cannot reach row rank {required}"
+        return dict(is_pe=False, rank=0, required_rank=required, n_cols=max(n_cols, 0),
+                    threshold=0.0, reason=reason, sv=None)
+    h = np.empty((required, n_cols))
+    for j in range(n_cols):
+        for k in range(order):
+            h[k * n_u:(k + 1) * n_u, j] = u[j + k]
+    sv = np.linalg.svd(h, compute_uv=False)
+    scale = max(h.shape) * np.finfo(float).eps if rtol is None else rtol
+    threshold = float(sv[0] * scale)
+    rank = int(np.sum(sv > threshold))
+    reason = "" if rank == required else f"numerical rank {rank} < {required}"
+    return dict(is_pe=rank == required, rank=rank, required_rank=required, n_cols=n_cols,
+                threshold=threshold, reason=reason, sv=sv)
+
+
+def droop_step(x, u, params, susceptance, dt, euler):
+    """One plant step written out from the parameter list, in the documented update order.
+
+    ``x`` is (theta, omega, p_filt, u_filt); the float operations are
+    those of the per-sample update, so a faithful simulator matches this
+    bit for bit.
+    """
+    theta, omega, p_filt, u_filt = x
+    p_star = np.array([p.p_star for p in params], dtype=float)
+    k_p = np.array([p.k_p for p in params], dtype=float)
+    omega_pc = np.array([p.omega_pc for p in params], dtype=float)
+    omega_b = np.array([p.omega_b for p in params], dtype=float)
+    alpha = omega_pc * dt if euler else 1.0 - np.exp(-omega_pc * dt)
+    p = np.sum(susceptance * np.sin(theta[:, None] - theta[None, :]), axis=1)
+    u_filt = u_filt + alpha * (u - u_filt)
+    p_filt = p_filt + alpha * (p - p_filt)
+    return theta + dt * omega_b * omega, k_p * (p_star + u_filt - p_filt), p_filt, u_filt

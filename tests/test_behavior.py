@@ -12,7 +12,10 @@ from dkpc.behavior import (
     trajectory_to_csv,
     verify_fundamental_lemma,
 )
+from dkpc import behavior
 from dkpc.lifting import IdentityBank, build_bank
+
+from oracles import pe_rank_svd
 
 
 # -- hankel -------------------------------------------------------------------
@@ -90,6 +93,73 @@ def test_pe_short_data_reports_reason():
     report = is_persistently_exciting(np.random.default_rng(0).normal(size=(20, 3)), 10)
     assert not report
     assert "short" in report.reason
+
+
+def _pe_cases():
+    """Input sequences whose Hankel conditioning runs from 1 to beyond 1e16."""
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-1.0, 1.0, size=(240, 3))
+    noise = rng.standard_normal(240)
+    cases = {"random": (base, 8), "single_row": (base[:, :1], 1), "wide": (base[:, :2], 40)}
+    for s in (1e-2, 1e-4, 1e-6, 1e-8, 1e-12, 1e-16):
+        scaled = base.copy()
+        scaled[:, 2] *= s
+        cases[f"scaled_{s:g}"] = (scaled, 8)
+    for e in (1e-3, 1e-6, 1e-10, 1e-14):
+        near = base.copy()
+        near[:, 2] = near[:, 1] + e * noise
+        cases[f"near_duplicate_{e:g}"] = (near, 8)
+    dup = base.copy()
+    dup[:, 2] = dup[:, 1]
+    cases["duplicate"] = (dup, 8)
+    cases["tiny"] = (1e-160 * base, 8)
+    cases["constant"] = (np.full((60, 1), 2.0), 2)
+    cases["zero"] = (np.zeros((60, 2)), 3)
+    cases["short"] = (base[:20], 10)
+    return cases
+
+
+PE_CASES = _pe_cases()
+
+
+@pytest.mark.parametrize("name", sorted(PE_CASES))
+def test_pe_report_matches_svd_reference(name):
+    u, order = PE_CASES[name]
+    eps = np.finfo(float).eps
+    for rtol in (None, 1e-12, 1e-3, 0.5):
+        report = is_persistently_exciting(u, order, rtol=rtol)
+        ref = pe_rank_svd(u, order, rtol=rtol)
+        got = (report.is_pe, report.rank, report.required_rank, report.n_cols, report.reason)
+        want = (ref["is_pe"], ref["rank"], ref["required_rank"], ref["n_cols"], ref["reason"])
+        assert got == want, (name, rtol)
+        assert report.threshold == pytest.approx(ref["threshold"], rel=1e-12, abs=0.0)
+        sv = ref["sv"]
+        if sv is None:
+            assert report.decided_by == behavior.PE_LENGTH
+            continue
+        # the certificate runs exactly when lambda_min(G) clears the shift
+        # (c^2 + delta) * trace(G) well; near the shift either path may decide
+        rows, cols = ref["required_rank"], ref["n_cols"]
+        c = max(rows, cols) * eps if rtol is None else rtol
+        shift = c * c + behavior._PE_SAFETY * (rows + cols + 2) * eps
+        trace = float(np.sum(sv**2))
+        rho = sv[-1] ** 2 / trace if trace > 0.0 else 0.0
+        normal = trace >= (rows + cols) ** 2 * np.finfo(float).tiny / eps
+        if normal and rho >= 2.0 * shift and shift * rows < 1.0:
+            assert report.decided_by == behavior.PE_CHOLESKY, (name, rtol)
+        elif not normal or rho <= c * c + 0.5 * (shift - c * c) or shift * rows >= 1.0:
+            assert report.decided_by == behavior.PE_SVD, (name, rtol)
+
+
+def test_pe_paths_cover_both_deciders():
+    paths = {
+        (name, rtol): is_persistently_exciting(u, order, rtol=rtol).decided_by
+        for name, (u, order) in PE_CASES.items()
+        for rtol in (None, 1e-3)
+    }
+    assert paths[("random", None)] == paths[("scaled_0.01", 1e-3)] == behavior.PE_CHOLESKY
+    assert paths[("tiny", None)] == paths[("near_duplicate_1e-10", None)] == behavior.PE_SVD
+    assert paths[("duplicate", None)] == paths[("zero", None)] == behavior.PE_SVD
 
 
 # -- LTI simulator and the fundamental lemma -----------------------------------

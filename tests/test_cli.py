@@ -131,7 +131,8 @@ def test_gen_data_outputs(fast_config, caplog):
     rows = read_rows(paths["dataset"])
     assert rows[0][:2] == ["k", "t"]
     assert len(rows) - 1 == 200
-    assert any("PE check" in rec.message for rec in caplog.records)
+    pe_lines = [rec.message for rec in caplog.records if "PE check" in rec.message]
+    assert len(pe_lines) == 1 and pe_lines[0].endswith("(gram-cholesky)")
 
 
 def test_gen_data_deterministic(fast_config):

@@ -23,7 +23,7 @@ from dkpc.netsim import (
     step,
 )
 
-from oracles import injections_scalar
+from oracles import droop_step, injections_scalar
 
 
 def two_bus(b=5.0):
@@ -229,6 +229,79 @@ def test_simulate_deterministic(plant_setup):
     b = simulate(eq, u, params, net, cfg)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.u, b.u)
+
+
+def _stepped(state, inputs, params, net, cfg):
+    """Reference run: the public ``step`` on every sample."""
+    ys = np.empty_like(inputs)
+    for k in range(inputs.shape[0]):
+        ys[k] = state.omega
+        state = step(state, inputs[k], params, net, cfg)
+    return ys, state
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SimConfig(dt=0.01), SimConfig(dt=0.002, filter_mode=netsim.FORWARD_EULER)],
+    ids=["exact", "euler"],
+)
+def test_simulate_equals_public_step_loop(plant_setup, cfg):
+    net, _, _ = plant_setup
+    params = [InverterParams(p_star=v, k_p=0.05 + 0.01 * i, omega_pc=250.0 + 20.0 * i)
+              for i, v in enumerate((1, 1, 1, 1, 1, -1, -1, -1, -1, -1))]
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-1, 1, size=(300, 10))
+    start = disturbed_state(params, net, DisturbanceSpec(seed=3))
+    ys, last = _stepped(start, u, params, net, cfg)
+    traj = simulate(start, u, params, net, cfg)
+    assert np.array_equal(traj.y, ys)
+    x = (start.theta, start.omega, start.p_filt, start.u_filt)
+    euler = cfg.filter_mode == netsim.FORWARD_EULER
+    for k in range(u.shape[0]):
+        assert np.array_equal(x[1], ys[k])
+        x = droop_step(x, u[k], params, net.susceptance, cfg.dt, euler)
+    plant = NetworkPlant(net, params, cfg, initial=start)
+    for k in range(u.shape[0]):
+        assert np.array_equal(plant.measure(), ys[k])
+        plant.step(u[k])
+    for name in ("theta", "omega", "p_filt", "u_filt"):
+        assert np.array_equal(getattr(plant.state, name), getattr(last, name))
+
+
+def test_simulate_diverges_at_the_step_of_the_public_loop():
+    net = two_bus()
+    params = InverterParams()
+    cfg = SimConfig(dt=0.01, filter_mode=netsim.FORWARD_EULER)
+    start = SimState(
+        theta=np.zeros(2), omega=np.zeros(2), p_filt=np.array([0.5, 0.0]), u_filt=np.zeros(2)
+    )
+    inputs = np.zeros((1500, 2))
+    state = start
+    for k in range(inputs.shape[0]):
+        try:
+            state = step(state, inputs[k], params, net, cfg)
+        except SimulationDiverged as exc:
+            diverged_at, message = k, str(exc)
+            break
+    else:
+        pytest.fail("the forward-Euler run did not diverge")
+    with pytest.raises(SimulationDiverged) as info:
+        simulate(start, inputs, params, net, cfg)
+    assert str(info.value) == f"step {diverged_at}: {message}"
+
+
+def test_non_finite_input_rejected(plant_setup):
+    net, params, cfg = plant_setup
+    u = np.zeros((20, 10))
+    u[7, 3] = np.nan
+    eq = equilibrium_state(params, net)
+    with pytest.raises(ValueError, match="non-finite input"):
+        simulate(eq, u, params, net, cfg)
+    with pytest.raises(ValueError, match="non-finite input"):
+        step(eq, u[7], params, net, cfg)
+    plant = NetworkPlant(net, params, cfg, initial=eq)
+    with pytest.raises(ValueError, match="non-finite input"):
+        plant.step(np.full(10, np.inf))
 
 
 # -- disturbance and plant handle ---------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkpc import control
+from dkpc import behavior, control, netsim
 from dkpc.behavior import assemble
 from dkpc.lifting import build_bank
 
@@ -65,3 +65,27 @@ def test_perfbench_hooks_see_both_controllers(perfbench, small_lti, lti_dataset)
     for cls in (control.DkpcController, control.DeepcController):
         assert "solve_step" not in vars(cls)
     assert (control.build_dkpc_qp, control.build_deepc_qp, control.run_closed_loop) == originals
+
+
+def test_perfbench_hooks_see_model_building(perfbench, plant_setup):
+    net, params, cfg = plant_setup
+    inputs = np.random.default_rng(4).uniform(-1.0, 1.0, size=(200, net.n_bus))
+    start = netsim.equilibrium_state(params, net)
+    originals = (netsim.simulate, behavior.assemble, behavior.is_persistently_exciting)
+    tracer = perfbench["tracing"].Tracer()
+    perfbench["run"].install_tracer(tracer)
+    try:
+        data = netsim.simulate(start, inputs, params, net, cfg)
+        bank = build_bank(data.y, 4, seed=0)
+        hs = behavior.assemble(data, bank, t_ini=2, horizon=3)
+        plant = netsim.NetworkPlant(net, params, cfg, initial=start)
+        plant.step(inputs[0])
+    finally:
+        tracer.restore()
+    assert hs.pe_report.decided_by == behavior.PE_CHOLESKY
+    for span in ("netsim.simulate", "behavior.assemble", "behavior.pe_check", "netsim.plant_step"):
+        assert tracer.counts[span] == 1, f"no {span} span"
+    spans = {span[0]: span for span in tracer.spans}
+    # the PE check is timed inside the assemble span that calls it
+    assert tracer.spans[spans["behavior.pe_check"][3]][0] == "behavior.assemble"
+    assert (netsim.simulate, behavior.assemble, behavior.is_persistently_exciting) == originals
