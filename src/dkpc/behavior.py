@@ -384,7 +384,6 @@ def assemble(
     t_ini: int,
     horizon: int,
     pe_check: bool = True,
-    pe_rtol: float | None = None,
 ) -> HankelSystem:
     """Build the stacked lifted/input/output Hankel system from data.
 
@@ -400,7 +399,7 @@ def assemble(
     lifted = bank.lift_trajectory(data.y)
     report = None
     if pe_check:
-        report = is_persistently_exciting(data.u, bank.n_basis + depth, rtol=pe_rtol)
+        report = is_persistently_exciting(data.u, bank.n_basis + depth)
         if not report:
             warnings.warn(
                 f"input data not persistently exciting of order {report.order}: "

@@ -326,7 +326,7 @@ def _inverter_params(cfg: ExperimentConfig, n_bus: int):
 
 
 def _sim_config(cfg: ExperimentConfig) -> netsim.SimConfig:
-    return netsim.SimConfig(dt=cfg.sim.dt, filter_mode=cfg.plant.filter_mode, seed=cfg.data.seed)
+    return netsim.SimConfig(dt=cfg.sim.dt, filter_mode=cfg.plant.filter_mode)
 
 
 def _controller_config(

@@ -387,9 +387,6 @@ class _BehavioralController:
             fallback=fallback,
         )
 
-    def last_solution(self) -> np.ndarray | None:
-        return self.state.warm_start
-
 
 class DkpcController(_BehavioralController):
     """Receding-horizon controller on the lifted behavioral model."""

@@ -121,7 +121,6 @@ class SimState:
 class SimConfig:
     dt: float = 0.01
     filter_mode: str = EXACT_EXPONENTIAL
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:

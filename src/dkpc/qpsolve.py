@@ -5,32 +5,34 @@ Solves
     minimize    0.5 x'Px + q'x
     subject to  A_eq x = b_eq,   lower <= x <= upper
 
-by operator splitting (ADMM with over-relaxation and adaptive penalty)
-on the stacked constraint [A_eq; I] x in [b_eq, b_eq] x [lower, upper],
-after Ruiz equilibration of the problem data.  Termination is always
-checked on unscaled residuals.  The linear-system factorization depends
-only on (P, A_eq, penalty), so a solver instance amortizes it across
-repeated solves where only q and b_eq change, which is the access
-pattern of a receding-horizon loop.  An active-set polish step refines
-converged iterates to near-machine KKT residuals; polish
-factorizations are cached per active set.
+Each solve first polishes directly: one active-set KKT solve, the set
+read off the warm-start dual.  It is accepted on the termination test
+of OSQP (Stellato et al., Math. Prog. Comp. 2020) with the zero
+point's tolerance scales, max(|b_eq|, |clip(0, lower, upper)|) and
+max|q|, which need no product with A_eq and never exceed a warm
+start's.  Otherwise the solver runs operator splitting (ADMM with
+over-relaxation and adaptive penalty) on the stacked constraint
+[A_eq; I] x in [b_eq, b_eq] x [lower, upper], after Ruiz equilibration,
+checks termination on unscaled residuals and polishes iterates that
+come close.  Factorizations depend only on (P, A_eq, penalty, active
+set), so a solver instance amortizes them across the solves of a
+receding-horizon loop, where only q, b_eq and the bounds change.
 
-Which systems are factored depends on P alone.  With a diagonal,
-strictly positive P every factor is m_eq x m_eq (Cholesky) and no
-n x n array is formed: the ADMM x-update goes through
+P takes one of two forms.  A diagonal, strictly positive P (both
+controllers' cost) is kept as a vector and every factor is
+m_eq x m_eq (Cholesky): the ADMM x-update goes through
 A D^-1 A' + I / rho_eq (matrix inversion lemma, one refinement step),
-and the polish eliminates the variables and factors the Schur
-complement on the equality rows.  Any other P factors the n x n ADMM
-matrix (Cholesky) and the full active-set KKT matrix (LU).  The ADMM
-factor is built on the first ADMM iteration: a solve that ends at the
-warm-start check or the direct polish needs none.
+and the polish factors the Schur complement on the equality rows.  Any
+other P stays dense and factors the n x n ADMM matrix (Cholesky) and
+the full active-set KKT matrix (LU).  The ADMM factor is built on the
+first ADMM iteration: a solve that ends at the direct polish needs none.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +43,15 @@ INFEASIBLE = "infeasible-detected"
 
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
+_RHO = 0.1  # initial box-row penalty; adapted between checks
+_RHO_EQ_SCALE = 1e3  # equality-row penalty over box-row penalty
+_SIGMA = 1e-6  # proximal term of the x-update
+_ALPHA = 1.6  # over-relaxation
+_SCALING_ITERS = 10  # Ruiz equilibration passes
+_EPS_INFEASIBLE = 1e-8
+_POLISH_DELTA = 1e-12  # KKT regularization of the polish
+_POLISH_TRIGGER = 1e3  # polish an ADMM iterate once r_p <= this * eps_pri
+_POLISH_CACHE_SIZE = 8  # active-set factorizations kept per solver
 
 
 @dataclass(frozen=True)
@@ -123,21 +134,22 @@ def _checked_vectors(n: int, m_eq: int, q, b_eq, lower, upper):
 
 @dataclass(frozen=True)
 class QpSettings:
+    """Tolerances, iteration budget, check period and whether to polish."""
+
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     max_iter: int = 20000
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    rho: float = 0.1
-    rho_eq_scale: float = 1e3
     check_every: int = 25
-    adaptive_rho: bool = True
-    scaling_iters: int = 10
-    eps_infeasible: float = 1e-8
     polish: bool = True
-    polish_delta: float = 1e-12
-    polish_trigger: float = 1e3
-    polish_cache_size: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("eps_abs", "eps_rel"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {val}")
+        for name in ("max_iter", "check_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -197,10 +209,10 @@ def _inf_col_norms(mat: np.ndarray) -> np.ndarray:
 class _Hessian:
     """The cost Hessian in the form the solver multiplies with.
 
-    A P with no off-diagonal nonzeros (the cost of both behavioral
+    A diagonal, strictly positive P (the cost of both behavioral
     controllers) is kept as its diagonal vector, so no product reads an
     n x n array.  Adding exact zeros leaves a sum unchanged, so every
-    result equals the dense one bit for bit.  Any other P stays dense.
+    product equals the dense one bit for bit.  Any other P stays dense.
     """
 
     def __init__(self, data: np.ndarray):
@@ -208,19 +220,16 @@ class _Hessian:
 
     @classmethod
     def of(cls, P: np.ndarray) -> "_Hessian":
-        """Diagonal form if P has no off-diagonal nonzeros; one pass, no n x n temporary."""
+        """Vector form for a diagonal, strictly positive P; no n x n temporary."""
         diag = np.diagonal(P)
-        if np.count_nonzero(P) == np.count_nonzero(diag):
+        # with every diagonal entry nonzero, n nonzeros leave none off the diagonal
+        if np.all(diag > 0.0) and np.count_nonzero(P) == diag.size:
             return cls(diag.copy())
         return cls(P)
 
     @property
     def is_diagonal(self) -> bool:
         return self.data.ndim == 1
-
-    @property
-    def is_positive_diagonal(self) -> bool:
-        return self.is_diagonal and bool(np.all(self.data > 0.0))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.data * x if self.is_diagonal else self.data @ x
@@ -234,13 +243,6 @@ class _Hessian:
             return _Hessian((self.data * dd) * dd)
         return _Hessian((self.data * dd[None, :]) * dd[:, None])
 
-    def add_to(self, mat: np.ndarray) -> None:
-        """``mat += P`` in place, for an n x n array or view ``mat``."""
-        if self.is_diagonal:
-            mat[np.diag_indices(mat.shape[0])] += self.data
-        else:
-            mat += self.data
-
 
 class QpSolver:
     """Reusable operator-splitting engine bound to one problem structure.
@@ -252,31 +254,29 @@ class QpSolver:
     is built, and are shared unchanged by every updated problem.
     Altering P or A_eq requires a new instance.
 
-    A diagonal P is detected once, here, and kept as a vector (scaled
-    and unscaled) for every product the solver forms; the dense path
-    serves any other P.  With the same linear systems both give the same
-    ADMM iterates bit for bit.  The systems (see the module docstring,
-    ``_x_update`` and ``_polish_once``) are also chosen here, from P
-    alone, but the ADMM one is factored on the first ADMM iteration.
+    A diagonal, strictly positive P is detected once, here, and kept as
+    a vector (scaled and unscaled) for every product the solver forms;
+    the dense form serves any other P.  The form chooses the linear
+    systems (see the module docstring, ``_x_update`` and
+    ``_polish_once``); the ADMM one is factored on the first ADMM
+    iteration.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
         self.problem = problem
         self.settings = settings or QpSettings()
         self._scale(problem)
-        s = self.settings
-        self._rho = s.rho
+        self._rho = _RHO
         # the splitting system is built for _factored_rho on the first ADMM
         # iteration (``_refactor``); a solve that ends before it needs none
         self._factored_rho: float | None = None
         self._factor = self._split_diag = self._gram = None
         self._polish_cache: dict[bytes, tuple] = {}
-        # a diagonal, strictly positive P_s solves both linear systems on the
-        # equality rows; A_s D^-1 A_s' for the polish is formed once here
-        self._positive_diagonal = self._P_s.is_positive_diagonal
+        # the vector P_s solves both linear systems on the equality rows;
+        # A_s D^-1 A_s' for the polish is formed once here
         self._schur_diag = self._schur_gram = None
-        if s.polish and self._positive_diagonal:
-            self._schur_diag = self._P_s.data + s.polish_delta
+        if self.settings.polish and self._P_s.is_diagonal:
+            self._schur_diag = self._P_s.data + _POLISH_DELTA
             self._schur_gram = (self._A_s / self._schur_diag) @ self._A_s.T
 
     # -- equilibration ---------------------------------------------------
@@ -289,7 +289,6 @@ class QpSolver:
         constraint stays diagonal with coefficients s = e_box * d.
         """
         n, m_eq = p.n, p.m_eq
-        iters = max(self.settings.scaling_iters, 0)
         d = np.ones(n)
         e_eq = np.ones(m_eq)
         s_box = np.ones(n)
@@ -298,7 +297,7 @@ class QpSolver:
         A_s = p.A_eq.copy()
         c = 1.0
         abs_a = np.empty_like(A_s)
-        for _ in range(iters):
+        for _ in range(_SCALING_ITERS):
             col = np.maximum(P_s.col_norms(), s_box)
             if m_eq:
                 np.abs(A_s, out=abs_a)
@@ -339,27 +338,27 @@ class QpSolver:
 
         The x-update solves M x = rhs with
         M = P_s + sigma I + rho (rho_eq_scale A_s'A_s + diag(s_box^2)).
-        For a positive diagonal P_s that is D + rho_eq A_s'A_s with a
-        diagonal D, and only G = A_s D^-1 A_s' + I / rho_eq, m_eq x m_eq,
-        is factored (see ``_x_update``); any other P factors the n x n M.
+        For the vector P_s that is D + rho_eq A_s'A_s with a diagonal D,
+        and only G = A_s D^-1 A_s' + I / rho_eq, m_eq x m_eq, is factored
+        (see ``_x_update``); a dense P factors the n x n M.
         """
-        s, m_eq = self.settings, self.problem.m_eq
+        m_eq = self.problem.m_eq
         self._factored_rho = self._rho
-        if self._positive_diagonal:
-            self._split_diag = self._P_s.data + s.sigma + self._rho * self._s_box**2
+        if self._P_s.is_diagonal:
+            self._split_diag = self._P_s.data + _SIGMA + self._rho * self._s_box**2
             if m_eq:
                 b = self._A_s / np.sqrt(self._split_diag)
                 g = b @ b.T  # one triangle (syrk)
-                g[np.diag_indices(m_eq)] += 1.0 / (self._rho * s.rho_eq_scale)
+                g[np.diag_indices(m_eq)] += 1.0 / (self._rho * _RHO_EQ_SCALE)
                 self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
             return
         if self._gram is None:
             self._gram = np.diag(self._s_box * self._s_box)
             if m_eq:
-                self._gram += s.rho_eq_scale * (self._A_s.T @ self._A_s)
+                self._gram += _RHO_EQ_SCALE * (self._A_s.T @ self._A_s)
         m = self._rho * self._gram
-        self._P_s.add_to(m)
-        m[np.diag_indices_from(m)] += s.sigma
+        m += self._P_s.data
+        m[np.diag_indices_from(m)] += _SIGMA
         self._factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
 
     def _x_update(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,13 +373,13 @@ class QpSolver:
         the lemma alone misses by orders of magnitude.  A_s of the
         correction is (t - s / rho_eq) / rho_eq by the same algebra.
         """
-        if not self._positive_diagonal:
+        if not self._P_s.is_diagonal:
             x = scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
             return x, self._A_s @ x
         A, D = self._A_s, self._split_diag
         if not self.problem.m_eq:
             return rhs / D, np.zeros(0)
-        rho_eq = self._rho * self.settings.rho_eq_scale
+        rho_eq = self._rho * _RHO_EQ_SCALE
         w = scipy.linalg.cho_solve(self._factor, A @ (rhs / D), check_finite=False)
         x = (rhs - A.T @ w) / D
         ax = A @ x
@@ -433,10 +432,6 @@ class QpSolver:
         n, m_eq = p.n, p.m_eq
         m = m_eq + n
         c, d, e_eq, e_box, s_box = self._c, self._d, self._e_eq, self._e_box, self._s_box
-
-        q_s = c * d * p.q
-        lo_s = np.concatenate([e_eq * p.b_eq, e_box * p.lower])
-        hi_s = np.concatenate([e_eq * p.b_eq, e_box * p.upper])
         e_all = np.concatenate([e_eq, e_box])
 
         if warm_start is not None:
@@ -453,18 +448,6 @@ class QpSolver:
             y = c * yw / e_all
         else:
             y = np.zeros(m)
-        # the equality rows' bounds coincide, so their z is b_eq whatever A x is
-        z = lo_s.copy()
-        z[m_eq:] = np.clip(s_box * x, lo_s[m_eq:], hi_s[m_eq:])
-
-        rho = np.empty(m)
-        rho[:m_eq] = self._rho * s.rho_eq_scale
-        rho[m_eq:] = self._rho
-
-        best: Optional[tuple[float, np.ndarray, np.ndarray, np.ndarray, float, float]] = None
-        y_prev_check = y.copy()
-        last_polish_iter = -(10**9)
-        iters_done = 0
 
         def unscaled_residuals(xv, yv, zv):
             """Residuals, tolerance scales and P x in original problem units."""
@@ -498,20 +481,17 @@ class QpSolver:
                 polished=polished,
             )
 
-        # A warm start that already satisfies the KKT conditions returns
-        # immediately, so a warm solve never needs more iterations than cold.
-        r_p, r_d, sc_p, sc_d, px = unscaled_residuals(x, y, z)
-        eps_pri = s.eps_abs + s.eps_rel * sc_p
-        eps_dua = s.eps_abs + s.eps_rel * sc_d
-        if r_p <= eps_pri and r_d <= eps_dua:
-            return finish(SOLVED, x, y, px, r_p, r_d, 0)
-
         # direct attempt: the active-set KKT solve handles (consistent)
         # rank-deficient behavioral equality rows that stall the splitting
         # iteration, and its cached factorization makes repeated
-        # receding-horizon solves cheap
+        # receding-horizon solves cheap.  It is judged with the zero
+        # point's tolerance scales, which never exceed a warm start's.
+        last_polish_iter = 0
         if s.polish:
-            last_polish_iter = 0
+            sc_p = max(np.max(np.abs(p.b_eq), initial=0.0),
+                       np.max(np.abs(np.clip(0.0, p.lower, p.upper)), initial=0.0))
+            eps_pri = s.eps_abs + s.eps_rel * sc_p
+            eps_dua = s.eps_abs + s.eps_rel * np.max(np.abs(p.q), initial=0.0)
             pol = self._polish(e_all * y / c)
             if pol is not None:
                 xp, yp, pxp, rp_p, rd_p = pol
@@ -520,18 +500,29 @@ class QpSolver:
                         SOLVED, xp, yp, pxp, rp_p, rd_p, 0, polished=True, scaled=False
                     )
 
+        q_s = c * d * p.q
+        lo_s = np.concatenate([e_eq * p.b_eq, e_box * p.lower])
+        hi_s = np.concatenate([e_eq * p.b_eq, e_box * p.upper])
+        # the equality rows' bounds coincide, so their z is b_eq whatever A x is
+        z = lo_s.copy()
+        z[m_eq:] = np.clip(s_box * x, lo_s[m_eq:], hi_s[m_eq:])
+        rho = np.empty(m)
+        rho[:m_eq] = self._rho * _RHO_EQ_SCALE
+        rho[m_eq:] = self._rho
+        best = None  # (score, x, y, P x, r_p, r_d) of the best checked iterate
+        y_prev_check = y.copy()
+
         for it in range(1, s.max_iter + 1):
             if self._factored_rho != self._rho:
                 self._refactor()
-            rhs = s.sigma * x - q_s + self._rmatvec_s(rho * z - y)
+            rhs = _SIGMA * x - q_s + self._rmatvec_s(rho * z - y)
             x_tilde, ax_tilde = self._x_update(rhs)
             z_tilde = np.concatenate([ax_tilde, s_box * x_tilde])
-            x = s.alpha * x_tilde + (1.0 - s.alpha) * x
-            z_relaxed = s.alpha * z_tilde + (1.0 - s.alpha) * z
+            x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
+            z_relaxed = _ALPHA * z_tilde + (1.0 - _ALPHA) * z
             z_new = np.clip(z_relaxed + y / rho, lo_s, hi_s)
             y = y + rho * (z_relaxed - z_new)
             z = z_new
-            iters_done = it
 
             if it % s.check_every != 0 and it != s.max_iter:
                 continue
@@ -547,7 +538,7 @@ class QpSolver:
             # primal proximity alone triggers a polish attempt: with nearly
             # dependent equality rows the ADMM dual can stall while the
             # direct KKT solve still reaches the optimum
-            near = r_p <= s.polish_trigger * eps_pri
+            near = r_p <= _POLISH_TRIGGER * eps_pri
             if s.polish and (converged or (near and it - last_polish_iter >= 2 * s.check_every)):
                 last_polish_iter = it
                 pol = self._polish(e_all * y / c)
@@ -565,28 +556,26 @@ class QpSolver:
                 return finish(INFEASIBLE, x, y, px, r_p, r_d, it)
             y_prev_check = y.copy()
 
-            if s.adaptive_rho and it != s.max_iter:
+            if it != s.max_iter:
                 num = r_p / max(sc_p, 1e-12)
                 den = r_d / max(sc_d, 1e-12)
                 if den > 0 and num > 0:
                     factor = float(np.sqrt(num / den))
                     if factor > 5.0 or factor < 0.2:
                         self._rho = float(np.clip(self._rho * factor, _RHO_MIN, _RHO_MAX))
-                        rho[:m_eq] = self._rho * s.rho_eq_scale
+                        rho[:m_eq] = self._rho * _RHO_EQ_SCALE
                         rho[m_eq:] = self._rho
 
-        if best is not None:
-            _, xb, yb, px, r_p, r_d = best
-        else:
-            xb, yb = x, y
-        return finish(MAX_ITERATIONS, xb, yb, px, r_p, r_d, iters_done)
+        # max_iter >= 1 and the last iteration is always checked, so best is set
+        _, xb, yb, px, r_p, r_d = best
+        return finish(MAX_ITERATIONS, xb, yb, px, r_p, r_d, s.max_iter)
 
     # -- infeasibility certificate ----------------------------------------
 
     def _primal_infeasible(self, dy: np.ndarray) -> bool:
         """Primal-infeasibility certificate test on an unscaled dual step."""
         p = self.problem
-        eps = self.settings.eps_infeasible
+        eps = _EPS_INFEASIBLE
         norm = np.max(np.abs(dy)) if dy.size else 0.0
         if norm <= eps:
             return False
@@ -652,14 +641,14 @@ class QpSolver:
 
         Scaling keeps the regularized KKT matrix well conditioned, which
         allows a tiny regularization and hence near-exact enforcement of
-        ill-conditioned behavioral equality rows.  With a diagonal,
-        strictly positive P_s the system is solved through the Schur
-        complement on the equality rows (``_schur_solve``), one
-        m_eq x m_eq Cholesky per active set; with any other P through an
-        LU of the full (n + m_eq + k)^2 KKT matrix.  Either factor is
+        ill-conditioned behavioral equality rows.  With the vector P_s
+        the system is solved through the Schur complement on the
+        equality rows (``_schur_solve``), one m_eq x m_eq Cholesky per
+        active set; with a dense P through an LU of the full
+        (n + m_eq + k)^2 KKT matrix.  Either factor is
         cached per active set.
         """
-        p, s = self.problem, self.settings
+        p = self.problem
         n, m_eq = p.n, p.m_eq
         c, d, e_eq = self._c, self._d, self._e_eq
         act = pinned | low_act | up_act
@@ -675,7 +664,7 @@ class QpSolver:
                     factor = scipy.linalg.lu_factor(self._kkt(act_idx), check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 return None
-            if len(self._polish_cache) >= s.polish_cache_size:
+            if len(self._polish_cache) >= _POLISH_CACHE_SIZE:
                 self._polish_cache.pop(next(iter(self._polish_cache)))
             cached = (factor, act_idx)
             self._polish_cache[key] = cached
@@ -710,10 +699,10 @@ class QpSolver:
 
     def _kkt(self, act_idx: np.ndarray) -> np.ndarray:
         """Regularized active-set KKT matrix for the LU path (scaled space)."""
-        n, m_eq, delta = self.problem.n, self.problem.m_eq, self.settings.polish_delta
+        n, m_eq, delta = self.problem.n, self.problem.m_eq, _POLISH_DELTA
         dim = n + m_eq + act_idx.size
         kkt = np.zeros((dim, dim))
-        self._P_s.add_to(kkt[:n, :n])
+        kkt[:n, :n] = self._P_s.data
         kkt[np.diag_indices(n)] += delta
         if m_eq:
             kkt[n : n + m_eq, :n] = self._A_s
@@ -732,7 +721,7 @@ class QpSolver:
         """
         a_act = self._A_s[:, act_idx]
         S = self._schur_gram - (a_act / self._schur_diag[act_idx]) @ a_act.T
-        S[np.diag_indices_from(S)] += self.settings.polish_delta
+        S[np.diag_indices_from(S)] += _POLISH_DELTA
         return scipy.linalg.cho_factor(S, lower=True, check_finite=False)
 
     def _schur_solve(self, cho, act_idx, r1, r2, r3) -> np.ndarray:

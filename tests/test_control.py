@@ -387,15 +387,15 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
     assert np.max(np.abs(t1.y - t2.y)) <= 1e-4
 
 
-def force_lu_polish(mp):
-    """Make new solvers take the path of a general P: n x n ADMM system and full KKT LU polish."""
-    mp.setattr(qpsolve._Hessian, "is_positive_diagonal", property(lambda self: False))
+def force_dense_hessian(mp):
+    """Make new solvers keep P dense: n x n ADMM system and full KKT LU polish."""
+    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
 
 
 def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch):
-    # the solver keeps the controllers' diagonal cost Hessian as a vector;
-    # with the same (LU) polish the applied inputs equal those of the dense
-    # path bit for bit, and the default Schur polish agrees with the LU one
+    # the solver keeps the controllers' diagonal cost Hessian as a vector
+    # and polishes through the Schur complement; the applied inputs agree
+    # with those of the dense path and its LU polish
     sys, hs, bank, cfg = lti_setup
     cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)  # bounds become active
     deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
@@ -404,22 +404,15 @@ def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch)
     for make in (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg)):
         ctrl = make()
         schur = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert ctrl._solver._schur_gram is not None
+        assert ctrl._solver._P_s.is_diagonal and ctrl._solver._schur_gram is not None
         with monkeypatch.context() as mp:
-            force_lu_polish(mp)
-            ctrl = make()
-            diag = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert ctrl._solver._P_s.is_diagonal and ctrl._solver._schur_gram is None
-        assert np.any(np.abs(diag.u) == 0.1)
-        with monkeypatch.context() as mp:
-            mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
+            force_dense_hessian(mp)
             ctrl = make()
             dense = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert not ctrl._solver._P_s.is_diagonal
-        assert np.array_equal(diag.u, dense.u)
-        assert np.array_equal(diag.y, dense.y)
-        assert np.max(np.abs(schur.u - diag.u)) <= 1e-9
-        assert np.max(np.abs(schur.y - diag.y)) <= 1e-9
+        assert not ctrl._solver._P_s.is_diagonal and ctrl._solver._schur_gram is None
+        assert np.any(np.abs(dense.u) == 0.1)
+        assert np.max(np.abs(schur.u - dense.u)) <= 1e-9
+        assert np.max(np.abs(schur.y - dense.y)) <= 1e-9
 
 
 def test_controllers_polish_without_lu(lti_setup, monkeypatch):

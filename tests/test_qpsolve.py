@@ -132,7 +132,11 @@ def random_diagonal_qp(rng):
 
 
 def force_dense_hessian(mp):
-    """Make every new solver keep P dense, even when it is diagonal."""
+    """Make every new solver keep P dense, even when it is diagonal and positive.
+
+    That is the path of a general P: it factors the n x n ADMM system
+    and polishes through the full KKT LU.
+    """
     mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
 
 
@@ -149,7 +153,10 @@ def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
     n_active = 0
     for prob in problems:
         solver = QpSolver(prob, TIGHT)
-        assert solver._P_s.is_diagonal and solver._P_s.data.shape == (prob.n,)
+        # the vector form only for a strictly positive diagonal
+        positive = bool(np.all(np.diagonal(prob.P) > 0.0))
+        assert solver._P_s.is_diagonal == positive
+        assert solver._P_s.data.shape == ((prob.n,) if positive else (prob.n, prob.n))
         sol = solver.solve()
         assert sol.status == SOLVED
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
@@ -165,37 +172,12 @@ def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
     assert n_active > 0
 
 
-def force_lu_polish(mp):
-    """Make every new solver take the path of a general P, even for a positive diagonal P.
-
-    That path factors the n x n ADMM system and polishes through the
-    full KKT LU.
-    """
-    mp.setattr(qpsolve._Hessian, "is_positive_diagonal", property(lambda self: False))
-
-
-def test_diagonal_hessian_matches_dense_path(monkeypatch):
-    # with the same (LU) polish, the vector P gives the dense path's result
-    for prob in diagonal_problems():
-        with monkeypatch.context() as mp:
-            force_lu_polish(mp)
-            diag = QpSolver(prob, TIGHT)
-        with monkeypatch.context() as mp:
-            force_dense_hessian(mp)
-            dense = QpSolver(prob, TIGHT)
-        assert diag._P_s.is_diagonal and not dense._P_s.is_diagonal
-        sol, ref = diag.solve(), dense.solve()
-        assert sol.status == ref.status and sol.iterations == ref.iterations
-        assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
-        assert abs(sol.objective - ref.objective) <= 1e-12 * (1 + abs(ref.objective))
-
-
 def test_diagonal_hessian_schur_polish_matches_lu_polish(monkeypatch):
     n_schur = 0
     for prob in diagonal_problems():
         solver = QpSolver(prob, TIGHT)
         with monkeypatch.context() as mp:
-            force_lu_polish(mp)
+            force_dense_hessian(mp)
             lu = QpSolver(prob, TIGHT)
         assert lu._schur_gram is None
         n_schur += solver._schur_gram is not None
@@ -232,7 +214,7 @@ def test_positive_diagonal_hessian_schur_polish(monkeypatch):
         )
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
         with monkeypatch.context() as mp:
-            force_lu_polish(mp)
+            force_dense_hessian(mp)
             ref = QpSolver(prob, TIGHT).solve()
         assert sol.status == ref.status
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
@@ -271,7 +253,7 @@ def test_polish_path_follows_hessian(monkeypatch):
             sol = solver.solve()
         assert sol.status == SOLVED and sol.polished
         assert np.any(sol.y_box != 0.0)
-        assert (solver._schur_gram is not None) == schur
+        assert solver._P_s.is_diagonal == (solver._schur_gram is not None) == schur
         assert (len(calls) == 0) == schur
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
         assert max(res.values()) <= 1e-5, res
@@ -319,9 +301,9 @@ def test_equality_row_admm_solve_as_accurate_as_cholesky(behavioral_qps, rho):
             assert solver._factor[0].shape == (prob.m_eq, prob.m_eq)
         else:
             assert solver._factor is None
-        s, A = solver.settings, solver._A_s
-        M = rho * s.rho_eq_scale * (A.T @ A)
-        M[np.diag_indices(prob.n)] += solver._P_s.data + s.sigma + rho * solver._s_box**2
+        A = solver._A_s
+        M = rho * qpsolve._RHO_EQ_SCALE * (A.T @ A)
+        M[np.diag_indices(prob.n)] += solver._P_s.data + qpsolve._SIGMA + rho * solver._s_box**2
         chol = scipy.linalg.cho_factor(M, lower=True)
         # a generic right-hand side, and one dominated by the range of A_s'
         for rhs in (rng.standard_normal(prob.n),
@@ -360,7 +342,7 @@ def test_infeasible_positive_diagonal_qp_detected(monkeypatch):
     for prob in problems:
         solver = QpSolver(prob)
         with monkeypatch.context() as mp:
-            force_lu_polish(mp)
+            force_dense_hessian(mp)
             full = QpSolver(prob)
         assert solver.solve().status == full.solve().status == INFEASIBLE
         assert solver._factor[0].shape == (prob.m_eq, prob.m_eq)
@@ -374,7 +356,7 @@ def test_equality_row_admm_matches_full_admm(monkeypatch):
         prob = QpProblem(*random_positive_diagonal_qp(rng))
         sol = QpSolver(prob, no_polish).solve()
         with monkeypatch.context() as mp:
-            force_lu_polish(mp)
+            force_dense_hessian(mp)
             ref = QpSolver(prob, no_polish).solve()
         assert sol.status == ref.status == SOLVED
         assert sol.iterations == ref.iterations
@@ -449,6 +431,23 @@ def test_warm_start_no_worse_than_cold():
     )
     assert warm.iterations <= cold.iterations
     assert np.max(np.abs(warm.x - cold.x)) <= 1e-6
+
+
+def test_optimal_warm_start_without_polish():
+    # ADMM started at an optimal primal-dual pair stops at its first check, at the start
+    rng = np.random.default_rng(11)
+    no_polish = QpSettings(polish=False)
+    for _ in range(5):
+        P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
+        prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
+        opt = solve(prob, TIGHT)
+        assert opt.status == SOLVED and opt.polished
+        warm = QpSolver(prob, no_polish).solve(
+            warm_start=opt.x, warm_start_dual=np.concatenate([opt.y_eq, opt.y_box])
+        )
+        assert warm.status == SOLVED and not warm.polished
+        assert 0 < warm.iterations <= no_polish.check_every
+        assert np.max(np.abs(warm.x - opt.x)) <= 1e-9
 
 
 def test_update_reuses_factorization():
@@ -557,6 +556,16 @@ def test_solution_reports_residuals_within_tolerance():
 
 
 # -- validation ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [
+    dict(eps_abs=-1e-6), dict(eps_abs=np.nan), dict(eps_abs=np.inf),
+    dict(eps_rel=-1e-6), dict(eps_rel=np.nan), dict(eps_rel=np.inf),
+    dict(max_iter=0), dict(check_every=0),
+])
+def test_settings_validation(bad):
+    with pytest.raises(ValueError):
+        QpSettings(**bad)
 
 
 def test_problem_validation():
