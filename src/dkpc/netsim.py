@@ -112,6 +112,13 @@ class SimState:
         return self.theta.shape[0]
 
     @classmethod
+    def _from_checked(cls, theta, omega, p_filt, u_filt) -> "SimState":
+        """A state from finite float vectors of one length, taken as they are."""
+        state = object.__new__(cls)
+        state.__dict__.update(theta=theta, omega=omega, p_filt=p_filt, u_filt=u_filt)
+        return state
+
+    @classmethod
     def zeros(cls, n_bus: int) -> "SimState":
         z = np.zeros(n_bus)
         return cls(theta=z.copy(), omega=z.copy(), p_filt=z.copy(), u_filt=z.copy())
@@ -236,7 +243,8 @@ class _StepKernel:
         u = np.asarray(u, dtype=float)
         if u.shape != (n,):
             raise ValueError(f"expected input of length {n}, got shape {u.shape}")
-        return SimState(*self.advance((state.theta, state.omega, state.p_filt, state.u_filt), u))
+        new = self.advance((state.theta, state.omega, state.p_filt, state.u_filt), u)
+        return SimState._from_checked(*new)  # advance checked what SimState would
 
 
 def step(

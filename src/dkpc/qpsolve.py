@@ -10,7 +10,9 @@ read off the warm-start dual.  It is accepted on the termination test
 of OSQP (Stellato et al., Math. Prog. Comp. 2020) with the zero
 point's tolerance scales, max(|b_eq|, |clip(0, lower, upper)|) and
 max|q|, which need no product with A_eq and never exceed a warm
-start's.  Otherwise the solver runs operator splitting (ADMM with
+start's, and on a guard against nearly singular active sets that reads
+only what the KKT point fixes (see ``QpSolver._polish``), not the
+incoming dual.  Otherwise the solver runs operator splitting (ADMM with
 over-relaxation and adaptive penalty) on the stacked constraint
 [A_eq; I] x in [b_eq, b_eq] x [lower, upper], after Ruiz equilibration,
 checks termination on unscaled residuals and polishes iterates that
@@ -606,6 +608,15 @@ class QpSolver:
         multipliers come out with the wrong sign are dropped.  Returns
         ``(x, y_full, P x, r_primal, r_dual)`` only when the final point
         is a clean KKT point, else None.
+
+        A round ends the polish with None when a constraint force,
+        max|A_eq' y_eq| or max|y_box|, exceeds 1e7 (1 + max|q| + max|P x|):
+        at a KKT point the two sum to -(P x + q), so forces far beyond
+        that cancel, the mark of a nearly singular active set.  The guard
+        reads neither y_eq, which is not unique along dependent equality
+        rows (DKPC's reach 1e9 at a clean point), nor ``y_unscaled``,
+        which only seeds the active set, so cold and warm solves are
+        judged alike.
         """
         p = self.problem
         m_eq = p.m_eq
@@ -614,15 +625,12 @@ class QpSolver:
         low_act = (y_box < 0.0) & ~pinned & np.isfinite(p.lower)
         up_act = (y_box > 0.0) & ~pinned & np.isfinite(p.upper)
 
-        dual_cap = 1e7 * (1.0 + np.max(np.abs(p.q)) + np.max(np.abs(y_unscaled)))
         for _ in range(8):
             result = self._polish_once(pinned, low_act, up_act)
             if result is None:
                 return None
             x, y_full, _, r_p, r_d = result
             mu = y_full[m_eq:]
-            if np.max(np.abs(y_full), initial=0.0) > dual_cap:
-                return None  # nearly singular active-set system
             scale = 1e-8 * (1.0 + np.max(np.abs(mu), initial=0.0))
             wrong_low = low_act & (mu > scale)
             wrong_up = up_act & (mu < -scale)
@@ -646,7 +654,9 @@ class QpSolver:
         equality rows (``_schur_solve``), one m_eq x m_eq Cholesky per
         active set; with a dense P through an LU of the full
         (n + m_eq + k)^2 KKT matrix.  Either factor is
-        cached per active set.
+        cached per active set.  Returns None for a failed factorization,
+        a non-finite point or constraint forces that trip the guard
+        described in ``_polish``.
         """
         p = self.problem
         n, m_eq = p.n, p.m_eq
@@ -690,10 +700,16 @@ class QpSolver:
         r_p = float(np.max(viol, initial=0.0))
         if m_eq:
             r_p = max(r_p, float(np.max(np.abs(p.A_eq @ x - p.b_eq))))
-        aty = p.A_eq.T @ y_full[:m_eq] + y_full[m_eq:] if m_eq else y_full[m_eq:]
+        y_box = y_full[m_eq:]
+        at_y_eq = p.A_eq.T @ y_full[:m_eq]
         px = self._P.matvec(x)
-        r_d = float(np.max(np.abs(px + p.q + aty)))
+        r_d = float(np.max(np.abs(px + p.q + (at_y_eq + y_box))))
         if not (np.isfinite(r_p) and np.isfinite(r_d)):
+            return None
+        # forces far beyond -(P x + q), their KKT sum, cancel (see ``_polish``)
+        force = max(np.max(np.abs(at_y_eq), initial=0.0), np.max(np.abs(y_box), initial=0.0))
+        scale = 1.0 + np.max(np.abs(p.q), initial=0.0) + np.max(np.abs(px), initial=0.0)
+        if force > 1e7 * scale:
             return None
         return x, y_full, px, r_p, r_d
 

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-Deliberately simple and slow: scalar loops, first-order iterations and
+Deliberately simple: scalar loops, first-order iterations and
 brute-force filters, sharing no code path with the implementations they
-verify.
+verify.  The QP oracle runs a whole set of problems as one stack.
 """
 
 import math
@@ -23,57 +23,93 @@ def injections_scalar(theta, susceptance):
     return np.array(out)
 
 
-def _fista_box(P, q, lower, upper, x0=None, max_iter=60000, tol=1e-14):
-    """Accelerated projected gradient for a box-constrained QP, started at x0 (default 0)."""
-    n = q.shape[0]
-    lip = float(np.max(np.linalg.eigvalsh(P)))
-    step = 1.0 / max(lip, 1e-12)
-    x = np.clip(np.zeros(n) if x0 is None else x0, lower, upper)
-    z = x.copy()
+def _fista_box(P, q, lower, upper, x0, max_iter=60000, tol=1e-14):
+    """Accelerated projected gradient for a stack of box-constrained QPs, started at x0.
+
+    ``P`` is (k, n, n), the vectors (k, n).  Each problem takes its own
+    step 1 / lambda_max(P) and stops at its own tolerance; the ones still
+    iterating are kept in compacted arrays.
+    """
+    lip = np.linalg.eigvalsh(P)[:, -1]
+    step = 1.0 / np.maximum(lip, 1e-12)
+    out = np.clip(x0, lower, upper)
+    idx = np.arange(q.shape[0])  # problems still iterating
+    x, z = out.copy(), out.copy()
     t = 1.0
     for _ in range(max_iter):
-        x_new = np.clip(z - step * (P @ z + q), lower, upper)
+        grad = np.matmul(P, z[:, :, None])[:, :, 0] + q
+        x_new = np.clip(z - step[:, None] * grad, lower, upper)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        if np.max(np.abs(x_new - x)) < tol:
-            return x_new
+        diff = x_new - x
+        z = x_new + ((t - 1.0) / t_new) * diff
+        done = np.max(np.abs(diff), axis=1) < tol
+        if done.any():
+            out[idx[done]] = x_new[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, P, q, step = idx[keep], P[keep], q[keep], step[keep]
+            lower, upper, x_new, z = lower[keep], upper[keep], x_new[keep], z[keep]
         x, t = x_new, t_new
-    return x
+    out[idx] = x
+    return out
+
+
+def projected_gradient_qps(problems, outer_tol=1e-9, max_outer=80):
+    """Reference solves of many QPs: projected gradient with augmented-Lagrangian equalities.
+
+    ``problems`` holds ``(P, q, A_eq, b_eq, lower, upper)`` tuples; returns
+    one minimizer per problem.  Equality constraints are handled by
+    multiplier updates on a quadratic penalty, each inner solve
+    warm-started from the previous round's minimizer.  A problem without
+    equality rows ends after its first round, plain accelerated projected
+    gradient from zero.  The problems run as one zero-padded stack: a
+    padded variable is boxed to [0, 0], a padded row is 0 = 0, and each
+    problem keeps its own penalty, multipliers and stopping point.
+    """
+    rows = []
+    for P_i, q_i, A_i, b_i, lo_i, hi_i in problems:
+        q_i = np.asarray(q_i, dtype=float).ravel()
+        rows.append((P_i, q_i, np.asarray(A_i, dtype=float).reshape(-1, q_i.shape[0]), b_i,
+                     lo_i, hi_i))
+    k = len(rows)
+    n = max(r[1].shape[0] for r in rows)
+    m = max(r[2].shape[0] for r in rows)
+    P, A = np.zeros((k, n, n)), np.zeros((k, m, n))
+    q, b, lower, upper = np.zeros((k, n)), np.zeros((k, m)), np.zeros((k, n)), np.zeros((k, n))
+    for i, (P_i, q_i, A_i, b_i, lo_i, hi_i) in enumerate(rows):
+        n_i, m_i = A_i.shape[1], A_i.shape[0]
+        P[i, :n_i, :n_i] = P_i
+        A[i, :m_i, :n_i] = A_i
+        q[i, :n_i], b[i, :m_i], lower[i, :n_i], upper[i, :n_i] = q_i, np.ravel(b_i), lo_i, hi_i
+    mu = 10.0 * (1.0 + np.max(np.abs(P), axis=(1, 2)))
+    nu = np.zeros((k, m))
+    x = np.zeros((k, n))
+    prev = np.full(k, np.inf)
+    At = A.transpose(0, 2, 1)
+    gram = np.matmul(At, A)
+    live = np.arange(k)  # problems still in their outer rounds
+    for _ in range(max_outer):
+        mu_l = mu[live]
+        P_aug = P[live] + mu_l[:, None, None] * gram[live]
+        shift = nu[live] - mu_l[:, None] * b[live]
+        q_aug = q[live] + np.matmul(At[live], shift[:, :, None])[:, :, 0]
+        x[live] = _fista_box(P_aug, q_aug, lower[live], upper[live], x[live])
+        residual = np.matmul(A[live], x[live][:, :, None])[:, :, 0] - b[live]
+        gap = np.max(np.abs(residual), axis=1, initial=0.0)
+        go = ~(gap < outer_tol)
+        live, residual, gap = live[go], residual[go], gap[go]
+        if live.size == 0:
+            break
+        nu[live] += mu[live][:, None] * residual
+        mu[live] *= np.where(gap > 0.5 * prev[live], 4.0, 1.0)  # multipliers alone are too slow
+        prev[live] = gap
+    return [x[i, : r[1].shape[0]] for i, r in enumerate(rows)]
 
 
 def projected_gradient_qp(P, q, A_eq, b_eq, lower, upper, outer_tol=1e-9, max_outer=80):
-    """Reference QP solve: projected gradient with augmented-Lagrangian equalities.
-
-    For box-only problems this is plain accelerated projected gradient;
-    equality constraints are handled by multiplier updates on a fixed
-    quadratic penalty, each inner solve warm-started from the previous
-    round's minimizer.
-    """
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
-    A = np.asarray(A_eq, dtype=float).reshape(-1, q.shape[0])
-    b = np.asarray(b_eq, dtype=float).ravel()
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if A.shape[0] == 0:
-        return _fista_box(P, q, lower, upper)
-    mu = 10.0 * (1.0 + float(np.max(np.abs(P))))
-    nu = np.zeros(A.shape[0])
-    x = np.zeros(q.shape[0])
-    prev = np.inf
-    for _ in range(max_outer):
-        P_aug = P + mu * (A.T @ A)
-        q_aug = q + A.T @ (nu - mu * b)
-        x = _fista_box(P_aug, q_aug, lower, upper, x0=x)
-        residual = A @ x - b
-        gap = float(np.max(np.abs(residual)))
-        if gap < outer_tol:
-            break
-        nu = nu + mu * residual
-        if gap > 0.5 * prev:  # multipliers alone converge too slowly
-            mu *= 4.0
-        prev = gap
-    return x
+    """Reference solve of one QP (see ``projected_gradient_qps``)."""
+    return projected_gradient_qps([(P, q, A_eq, b_eq, lower, upper)], outer_tol, max_outer)[0]
 
 
 def dominance_filter(points):

@@ -35,7 +35,7 @@ from dkpc.metrics import (
 )
 from dkpc.qpsolve import QpProblem, QpSettings, kkt_residuals, solve
 
-from oracles import dominance_filter, projected_gradient_qp, random_box_qp
+from oracles import dominance_filter, projected_gradient_qps, random_box_qp
 
 
 def passline(number, name, detail=""):
@@ -99,17 +99,23 @@ def test_criterion_2_qp_solver_correctness():
     rng = np.random.default_rng(7)
     worst_kkt = 0.0
     worst_gap = 0.0
+    draws, solutions = [], []
     for k in range(100):
         definite = k % 7 != 3  # mix in singular PSD cost matrices
         m_max = 10 if definite else 0
-        P, q, A, b, lo, hi = random_box_qp(rng, n_max=30, m_max=m_max, definite=definite)
+        draws.append(random_box_qp(rng, n_max=30, m_max=m_max, definite=definite))
+        P, q, A, b, lo, hi = draws[-1]
         prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
         sol = solve(prob, tight)
         assert sol.status == "solved", f"problem {k}: {sol.status}"
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
         worst_kkt = max(worst_kkt, max(res.values()))
         assert max(res.values()) <= 1e-5, f"problem {k}: {res}"
-        x_ref = projected_gradient_qp(P, q, A, b, lo, hi)
+        solutions.append((prob, sol, definite))
+    # the oracle runs the 100 problems as one stack
+    for k, ((prob, sol, definite), x_ref) in enumerate(
+        zip(solutions, projected_gradient_qps(draws))
+    ):
         gap = abs(prob.objective(sol.x) - prob.objective(x_ref))
         scale = 1.0 + abs(prob.objective(x_ref))
         worst_gap = max(worst_gap, gap / scale)

@@ -438,6 +438,32 @@ def test_controllers_polish_without_lu(lti_setup, monkeypatch):
     assert lu_calls == []
 
 
+def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
+    # the lifted rows are dependent, so DKPC's equality multipliers are
+    # large and not unique; the polish guard reads the forces A_eq'y_eq
+    # and y_box, which the KKT point fixes, so a cold step needs no ADMM
+    net, params, sim_cfg = plant_setup
+    bank = build_bank(plant_dataset.y, 10, seed=5)
+    hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
+    ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=5, horizon=10))
+    eq = netsim.equilibrium_state(params, net)
+    plant = netsim.NetworkPlant(net, params, sim_cfg, initial=eq)
+    scen = Scenario(sim_steps=41, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))
+    trace = run_closed_loop(plant, ctrl, scen)
+    assert trace.status[40] == SOLVED and trace.iterations[40] == 0
+    solver = ctrl._solver
+    assert solver._factored_rho is None
+    cold = solver.solve()
+    assert np.max(np.abs(cold.y_eq)) > 1e7 * (1.0 + np.max(np.abs(solver.problem.q)))
+    n_factors = len(solver._polish_cache)
+    # the incoming dual only seeds the active set: its size does not decide
+    warm = solver.solve(warm_start_dual=np.concatenate([1e9 * cold.y_eq, cold.y_box]))
+    for sol in (cold, warm):
+        assert sol.status == SOLVED and sol.polished and sol.iterations == 0
+    assert np.array_equal(warm.x, cold.x)
+    assert len(solver._polish_cache) == n_factors and solver._factored_rho is None
+
+
 def count_cho_factorizations(mp):
     """Record the order of every matrix passed to ``scipy.linalg.cho_factor``."""
     sizes = []

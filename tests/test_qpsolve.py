@@ -19,7 +19,7 @@ from dkpc.qpsolve import (
     solve,
 )
 
-from oracles import projected_gradient_qp, random_box_qp
+from oracles import projected_gradient_qp, projected_gradient_qps, random_box_qp
 
 TIGHT = QpSettings(eps_abs=1e-9, eps_rel=0.0, max_iter=100000)
 
@@ -82,11 +82,10 @@ def test_random_qps_satisfy_kkt():
 
 def test_random_qps_match_projected_gradient_oracle():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        P, q, A, b, lo, hi = random_box_qp(rng, n_max=15, m_max=5)
-        prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
+    draws = [random_box_qp(rng, n_max=15, m_max=5) for _ in range(10)]
+    for draw, x_ref in zip(draws, projected_gradient_qps(draws)):
+        prob = QpProblem(*draw)
         sol = solve(prob, TIGHT)
-        x_ref = projected_gradient_qp(P, q, A, b, lo, hi)
         assert abs(prob.objective(sol.x) - prob.objective(x_ref)) <= 1e-6 * (
             1 + abs(prob.objective(x_ref))
         )
@@ -361,6 +360,18 @@ def test_equality_row_admm_matches_full_admm(monkeypatch):
         assert sol.status == ref.status == SOLVED
         assert sol.iterations == ref.iterations
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
+
+
+def test_polish_guard_rejects_conflicting_active_set():
+    # both upper bounds active contradict x1 + x2 = 1.5: the KKT solve
+    # balances the bound forces against an equality force of order 1 / delta
+    prob = QpProblem(P=np.eye(2), q=[-2.0, -2.0], A_eq=[[1.0, 1.0]], b_eq=[1.5],
+                     lower=[0.0, 0.0], upper=[1.0, 1.0])
+    both_up = np.array([0.0, 1.0, 1.0])
+    assert QpSolver(prob)._polish(both_up) is None
+    sol = QpSolver(prob).solve(warm_start_dual=both_up)
+    assert sol.status == SOLVED and sol.iterations > 0
+    assert np.max(np.abs(sol.x - [0.75, 0.75])) <= 1e-6
 
 
 def test_off_diagonal_pair_keeps_dense_hessian():
