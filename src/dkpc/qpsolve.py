@@ -24,10 +24,16 @@ P takes one of two forms.  A diagonal, strictly positive P (both
 controllers' cost) is kept as a vector and every factor is
 m_eq x m_eq (Cholesky): the ADMM x-update goes through
 A D^-1 A' + I / rho_eq (matrix inversion lemma, one refinement step),
-and the polish factors the Schur complement on the equality rows.  Any
-other P stays dense and factors the n x n ADMM matrix (Cholesky) and
-the full active-set KKT matrix (LU).  The ADMM factor is built on the
-first ADMM iteration: a solve that ends at the direct polish needs none.
+and the polish factors the Schur complement on the equality rows, a
+downdate of A D^-1 A'.  For active columns with one nonzero each, in
+rows of their own (the controllers' input bounds), the downdate is a
+diagonal one; each active set keeps A x0 of its solve, which only q
+and the bounds change.  Both are exact: the numbers are those of the
+general gather, product and solve, bit for bit.  Any other P stays
+dense and factors the n x n ADMM matrix (Cholesky) and the full
+active-set KKT matrix (LU), refined against the unregularized one.  The
+ADMM factor is built on the first ADMM iteration: a solve that ends at
+the direct polish needs none.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ _ALPHA = 1.6  # over-relaxation
 _SCALING_ITERS = 10  # Ruiz equilibration passes
 _EPS_INFEASIBLE = 1e-8
 _POLISH_DELTA = 1e-12  # KKT regularization of the polish
+_POLISH_REFINE_STEPS = 3  # LU polish: refinement steps against the unregularized KKT
 _POLISH_TRIGGER = 1e3  # polish an ADMM iterate once r_p <= this * eps_pri
 _POLISH_CACHE_SIZE = 8  # active-set factorizations kept per solver
 
@@ -77,10 +84,16 @@ class QpProblem:
         n = q.shape[0]
         if P.shape != (n, n):
             raise ValueError(f"P has shape {P.shape}, expected ({n}, {n})")
-        # exact symmetry, the common case, needs no float n x n temporaries;
-        # both tests accept and reject the same P (NaN and inf included)
-        if not (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
+        # a P whose nonzeros all lie on a NaN-free diagonal (both
+        # controllers' cost) is symmetric without an n x n transpose
+        # compare; exact symmetry, the next common case, needs no float
+        # n x n temporaries.  All three tests accept and reject the same
+        # P, NaN and inf included (NaN counts as a nonzero).
+        diag = np.diagonal(P)
+        diagonal = np.count_nonzero(P) == np.count_nonzero(diag) and not np.isnan(diag).any()
+        if not (diagonal or np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
             raise ValueError("P must be symmetric within 1e-10")
+        object.__setattr__(self, "_diagonal", diagonal)  # read by the solver's _Hessian
         A_eq = np.asarray(self.A_eq, dtype=float)
         if A_eq.size == 0:
             A_eq = A_eq.reshape(0, n)
@@ -221,11 +234,14 @@ class _Hessian:
         self.data = data  # (n,) diagonal or (n, n) dense
 
     @classmethod
-    def of(cls, P: np.ndarray) -> "_Hessian":
-        """Vector form for a diagonal, strictly positive P; no n x n temporary."""
+    def of(cls, P: np.ndarray, diagonal: bool) -> "_Hessian":
+        """Vector form for a strictly positive P that is ``diagonal``.
+
+        ``diagonal`` says that P has no nonzero off its diagonal, as
+        ``QpProblem`` counted once at build.
+        """
         diag = np.diagonal(P)
-        # with every diagonal entry nonzero, n nonzeros leave none off the diagonal
-        if np.all(diag > 0.0) and np.count_nonzero(P) == diag.size:
+        if diagonal and np.all(diag > 0.0):
             return cls(diag.copy())
         return cls(P)
 
@@ -273,7 +289,7 @@ class QpSolver:
         # iteration (``_refactor``); a solve that ends before it needs none
         self._factored_rho: float | None = None
         self._factor = self._split_diag = self._gram = None
-        self._polish_cache: dict[bytes, tuple] = {}
+        self._polish_cache: dict[bytes, list] = {}
         # the vector P_s solves both linear systems on the equality rows;
         # A_s D^-1 A_s' for the polish is formed once here
         self._schur_diag = self._schur_gram = None
@@ -289,20 +305,23 @@ class QpSolver:
         Produces variable scales d, row scales e (equality rows and box
         rows separately) and a cost scale c; the box block of the
         constraint stays diagonal with coefficients s = e_box * d.
+
+        The passes scale |A_eq| and restore the signs once at the end:
+        the scales are positive and rounding to nearest is symmetric in
+        sign, so every entry, signed zeros included, equals that of
+        scaling A_eq itself.
         """
         n, m_eq = p.n, p.m_eq
         d = np.ones(n)
         e_eq = np.ones(m_eq)
         s_box = np.ones(n)
-        self._P = _Hessian.of(p.P)
+        self._P = _Hessian.of(p.P, p._diagonal)
         P_s = self._P
-        A_s = p.A_eq.copy()
+        abs_a = np.abs(p.A_eq, order="C")
         c = 1.0
-        abs_a = np.empty_like(A_s)
         for _ in range(_SCALING_ITERS):
             col = np.maximum(P_s.col_norms(), s_box)
             if m_eq:
-                np.abs(A_s, out=abs_a)
                 col = np.maximum(col, np.max(abs_a, axis=0))
                 row_eq = np.max(abs_a, axis=1)
             else:
@@ -312,8 +331,8 @@ class QpSolver:
             ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
             P_s = P_s.scaled(dd)
             if m_eq:
-                A_s *= dd
-                A_s *= de[:, None]
+                abs_a *= dd
+                abs_a *= de[:, None]
             s_box = s_box * ds * dd
             d *= dd
             e_eq *= de
@@ -331,7 +350,7 @@ class QpSolver:
         self._e_box = s_box / d
         self._c = c
         self._P_s = P_s
-        self._A_s = A_s
+        self._A_s = np.copysign(abs_a, p.A_eq, out=abs_a)
 
     # -- scaled linear algebra -------------------------------------------
 
@@ -424,6 +443,9 @@ class QpSolver:
         for name, val in zip(("q", "b_eq", "lower", "upper"), vecs):
             object.__setattr__(updated, name, val)
         self.problem = updated
+        if not (q is None and lower is None and upper is None):
+            for entry in self._polish_cache.values():
+                entry[2] = None  # A_s x0 reads q and the bounds (``_schur_solve``)
 
     def solve(
         self,
@@ -653,10 +675,10 @@ class QpSolver:
         the system is solved through the Schur complement on the
         equality rows (``_schur_solve``), one m_eq x m_eq Cholesky per
         active set; with a dense P through an LU of the full
-        (n + m_eq + k)^2 KKT matrix.  Either factor is
-        cached per active set.  Returns None for a failed factorization,
-        a non-finite point or constraint forces that trip the guard
-        described in ``_polish``.
+        (n + m_eq + k)^2 KKT matrix.  Either factor is cached per
+        active set, the Schur path's with its A_s x0.  Returns None for a
+        failed factorization, a non-finite point or constraint forces
+        that trip the guard described in ``_polish``.
         """
         p = self.problem
         n, m_eq = p.n, p.m_eq
@@ -676,19 +698,18 @@ class QpSolver:
                 return None
             if len(self._polish_cache) >= _POLISH_CACHE_SIZE:
                 self._polish_cache.pop(next(iter(self._polish_cache)))
-            cached = (factor, act_idx)
+            cached = [factor, act_idx, None]  # and A_s x0 of the Schur path
             self._polish_cache[key] = cached
-        factor, act_idx = cached
+        factor, act_idx = cached[:2]
 
         lo, hi = p.lower, p.upper
         r1 = -c * d * p.q
         r2 = e_eq * p.b_eq
         r3 = np.where(up_act[act_idx], hi[act_idx], lo[act_idx]) / d[act_idx]
         if self._schur_gram is not None:
-            sol = self._schur_solve(factor, act_idx, r1, r2, r3)
+            sol = self._schur_solve(cached, r1, r2, r3)
         else:
-            sol = scipy.linalg.lu_solve(factor, np.concatenate([r1, r2, r3]),
-                                        check_finite=False)
+            sol = self._lu_solve(factor, act_idx, np.concatenate([r1, r2, r3]))
         if not np.all(np.isfinite(sol)):
             return None
 
@@ -729,28 +750,77 @@ class QpSolver:
         kkt[range(n, dim), range(n, dim)] -= delta
         return kkt
 
+    def _lu_solve(self, lu, act_idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the regularized KKT system, refined against the unregularized one.
+
+        The regularization moves A_s x off its target by delta nu.  With
+        a singular P and dependent equality rows (DKPC with lambda_g = 0)
+        nu reaches 1e8 and that shift fails the primal tolerance.  A
+        refinement step adds the regularized solve of the unregularized
+        residual; it is kept while it lowers that residual.
+        """
+        n, m_eq = self.problem.n, self.problem.m_eq
+
+        def residual(sol):
+            x = sol[:n]
+            top = self._P_s.matvec(x) + self._A_s.T @ sol[n : n + m_eq]
+            top[act_idx] += sol[n + m_eq :]
+            return rhs - np.concatenate([top, self._A_s @ x, x[act_idx]])
+
+        sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        res = residual(sol)
+        for _ in range(_POLISH_REFINE_STEPS):
+            step = sol + scipy.linalg.lu_solve(lu, res, check_finite=False)
+            res_step = residual(step)
+            # a NaN residual compares False and ends the refinement
+            if not np.max(np.abs(res_step)) < np.max(np.abs(res)):
+                break
+            sol, res = step, res_step
+        return sol
+
     def _schur_factor(self, act_idx: np.ndarray):
         """Cholesky factor of S_K = A_F D_F^-1 A_F' + delta I.
 
         S_K is the once-formed ``A_s D^-1 A_s'`` downdated by the |K|
-        active columns, with D = P_s + delta.
+        active columns, with D = P_s + delta.  When each active column
+        holds one finite nonzero a, no two in one row (the u_f bounds of
+        both controllers), every entry of the GEMM downdate is one
+        product (a / D) a or exact zeros, so lowering |K| diagonal
+        entries gives the same S_K bit for bit.  Any other set keeps the
+        GEMM: splitting it would change its summation order.
         """
         a_act = self._A_s[:, act_idx]
-        S = self._schur_gram - (a_act / self._schur_diag[act_idx]) @ a_act.T
+        rows, cols = np.nonzero(a_act)
+        unit = rows.size == act_idx.size == np.unique(rows).size == np.unique(cols).size
+        if unit:
+            a = a_act[rows, cols]
+            w = a / self._schur_diag[act_idx[cols]]
+            unit = bool(np.all(np.isfinite(w)))
+        if unit:
+            S = self._schur_gram.copy()
+            S[rows, rows] -= w * a
+        else:
+            S = self._schur_gram - (a_act / self._schur_diag[act_idx]) @ a_act.T
         S[np.diag_indices_from(S)] += _POLISH_DELTA
-        return scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+        return scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
 
-    def _schur_solve(self, cho, act_idx, r1, r2, r3) -> np.ndarray:
+    def _schur_solve(self, entry, r1, r2, r3) -> np.ndarray:
         """Solve the active-set KKT system by elimination; returns ``[x; nu; mu]``.
 
         The active variables sit at their bounds (x_K = r3), the free
         ones are x_F = D_F^-1 (r1_F - A_F' nu), nu solves
-        S_K nu = A_F D_F^-1 r1_F + A_K r3 - r2, and the bound
-        multipliers are mu_K = r1_K - P_K x_K - (A_s' nu)_K.
+        S_K nu = A_s x0 - r2 with x0 = D^-1 r1 and x0_K = r3, and the
+        bound multipliers are mu_K = r1_K - P_K x_K - (A_s' nu)_K.
+        ``entry`` is the polish-cache list ``[factor of S_K, K, A_s x0]``:
+        A_s x0 reads only q, the bounds and K, so it is formed once and
+        kept until ``update`` passes q or a bound.
         """
-        x = r1 / self._schur_diag
-        x[act_idx] = r3
-        nu = scipy.linalg.cho_solve(cho, self._A_s @ x - r2, check_finite=False)
+        cho, act_idx, ax0 = entry
+        if ax0 is None:
+            x = r1 / self._schur_diag
+            x[act_idx] = r3
+            ax0 = entry[2] = self._A_s @ x
+        nu = scipy.linalg.cho_solve(cho, ax0 - r2, check_finite=False)
         at_nu = self._A_s.T @ nu
         x = (r1 - at_nu) / self._schur_diag
         x[act_idx] = r3

@@ -191,6 +191,9 @@ def test_config_validation():
 def rollout_error(sys, ctrl, hs, plant):
     state0 = plant.x.copy()
     res = ctrl.solve_step(plant.measure())
+    # a fallback step predicts NaN, which max(0.0, nan) would pass over
+    assert res.status == SOLVED, res.status
+    assert np.all(np.isfinite(res.predicted_y))
     n_uf = sys.n_u * ctrl.cfg.horizon
     u_f = ctrl.state.warm_start[hs.n_cols : hs.n_cols + n_uf].reshape(ctrl.cfg.horizon, sys.n_u)
     probe = LtiPlant(sys, x0=state0)
@@ -389,7 +392,7 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
 
 def force_dense_hessian(mp):
     """Make new solvers keep P dense: n x n ADMM system and full KKT LU polish."""
-    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
+    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P, diagonal: cls(P)))
 
 
 def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch):
@@ -514,6 +517,17 @@ def test_dense_or_zero_diagonal_cost_factors_full_system(lti_setup, monkeypatch)
             assert solver.solve().iterations > 0
         assert sizes and sizes[0] == prob.n
 
+
+def test_zero_regularizer_closed_loop_solves_at_direct_polish(lti_setup):
+    # lambda_g = 0 leaves P singular on g and the lifted rows dependent:
+    # the LU polish must refine away its regularization shift delta * nu
+    sys, hs, bank, cfg = lti_setup
+    ctrl = DkpcController(hs, bank, dataclasses.replace(cfg, lambda_g=0.0))
+    x0 = np.random.default_rng(7).standard_normal(3)
+    trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, Scenario(sim_steps=20, activation_step=6))
+    assert all(st == SOLVED for st, on in zip(trace.status, trace.active) if on)
+    assert np.all(trace.iterations == 0)
+    assert ctrl._solver._schur_gram is None  # the LU path
 
 def test_trace_csv_columns(tmp_path, lti_setup):
     sys, hs, bank, cfg = lti_setup

@@ -136,7 +136,7 @@ def force_dense_hessian(mp):
     That is the path of a general P: it factors the n x n ADMM system
     and polishes through the full KKT LU.
     """
-    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P: cls(P)))
+    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P, diagonal: cls(P)))
 
 
 def diagonal_problems():
@@ -387,6 +387,193 @@ def test_off_diagonal_pair_keeps_dense_hessian():
     assert max(res.values()) <= 1e-5, res
 
 
+# -- Schur polish: unit-column downdate, cached A_s x0 -------------------------------
+
+
+def same_bits(a, b):
+    """Equal arrays bit for bit, signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def capture_cho_inputs(mp):
+    """Record a copy of every matrix passed to ``scipy.linalg.cho_factor``."""
+    mats = []
+    cho_factor = scipy.linalg.cho_factor
+    mp.setattr(scipy.linalg, "cho_factor",
+               lambda a, *args, **kw: mats.append(np.array(a)) or cho_factor(a, *args, **kw))
+    return mats
+
+
+def gemm_schur_matrix(solver, act_idx):
+    """S_K by the gather-and-GEMM downdate, the polish's general formula."""
+    a_act = solver._A_s[:, act_idx]
+    S = solver._schur_gram - (a_act / solver._schur_diag[act_idx]) @ a_act.T
+    S[np.diag_indices_from(S)] += qpsolve._POLISH_DELTA
+    return S
+
+
+def unit_and_dense_columns_qp(rng, scale=2.0):
+    """Positive diagonal P, eight dense columns and three unit columns (8, 9, 10)."""
+    m = 3
+    A = np.hstack([rng.standard_normal((m, 8)), np.diag(rng.uniform(0.5, 2.0, m))])
+    n = A.shape[1]
+    lo, hi = np.full(n, -0.5), np.full(n, 0.5)
+    b = A @ rng.uniform(lo, hi)
+    return QpProblem(P=np.diag(rng.uniform(0.5, 3.0, n)), q=scale * rng.standard_normal(n),
+                     A_eq=A, b_eq=b, lower=lo, upper=hi)
+
+
+def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
+    # columns with one nonzero in rows of their own lower the diagonal of
+    # A_s D^-1 A_s' exactly as the GEMM does; other sets take the GEMM
+    col_rows = np.array([[0.0, 1.0, 2.0, 0.5, 1.0, 0.3, -1.0],
+                         [-1.5, 2.0, 0.0, 0.0, 1.0, 0.7, 0.4],
+                         [0.0, 0.0, 0.0, 0.0, 1.0, -0.2, 1.1]])
+    # column 0 sits in row 1, columns 2 and 3 share row 0; 1, 4, 5, 6 are dense
+    small = QpProblem(P=np.diag([1.0, 2.0, 0.5, 3.0, 1.5, 2.5, 0.8]), q=np.ones(7),
+                      A_eq=col_rows, b_eq=np.zeros(3), lower=-np.ones(7), upper=np.ones(7))
+    cases = [(small, {"unit, rows out of column order": [0, 2], "shared row": [2, 3],
+                      "mixed": [0, 2, 4], "dense": [1, 4], "empty": []})]
+    for prob in behavioral_qps:
+        u_cols = np.flatnonzero(np.isfinite(prob.lower))  # the u_f bounds
+        assert np.all(np.count_nonzero(prob.A_eq[:, u_cols], axis=0) == 1)
+        cases.append((prob, {"every u_f": u_cols, "some u_f": u_cols[::3],
+                             "u_f and g": np.r_[0, 5, u_cols[:4]], "g": [0, 5], "empty": []}))
+    for prob, sets in cases:
+        solver = QpSolver(prob)
+        for name, act_idx in sets.items():
+            act_idx = np.asarray(act_idx, dtype=np.intp)
+            with monkeypatch.context() as mp:
+                mats = capture_cho_inputs(mp)
+                solver._schur_factor(act_idx)
+            assert len(mats) == 1
+            assert same_bits(mats[0], gemm_schur_matrix(solver, act_idx)), name
+
+
+def test_mixed_active_set_polish_meets_kkt(monkeypatch):
+    # active sets that mix unit and dense columns keep the GEMM downdate
+    n_mixed = 0
+    for seed in range(5):
+        prob = unit_and_dense_columns_qp(np.random.default_rng(seed))
+        with monkeypatch.context() as mp:
+            mats = capture_cho_inputs(mp)
+            factored = []
+            schur_factor = QpSolver._schur_factor
+            mp.setattr(QpSolver, "_schur_factor",
+                       lambda self, act: factored.append(act) or schur_factor(self, act))
+            solver = QpSolver(prob, TIGHT)
+            sol = solver.solve()
+        assert sol.status == SOLVED and sol.polished and sol.iterations == 0
+        res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
+        assert max(res.values()) <= 1e-5, res
+        x_ref = projected_gradient_qp(prob.P, prob.q, prob.A_eq, prob.b_eq, prob.lower,
+                                      prob.upper)
+        assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
+        assert len(mats) == len(factored) > 0
+        for S, act_idx in zip(mats, factored):
+            assert same_bits(S, gemm_schur_matrix(solver, act_idx))
+        active = np.flatnonzero(sol.y_box)
+        n_mixed += bool(np.any(active < 8) and np.any(active >= 8))
+    assert n_mixed > 0
+
+
+def test_box_only_positive_diagonal_qp_polishes():
+    # no equality rows: S_K is 0 x 0 for every active set
+    prob = box_only_positive_diagonal_qp()
+    sol = QpSolver(prob, TIGHT).solve()
+    assert sol.status == SOLVED and sol.polished and sol.iterations == 0
+    assert np.any(sol.y_box != 0.0)
+    res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
+    assert max(res.values()) <= 1e-9, res
+
+
+def test_update_then_polish_matches_fresh_solver_bit_for_bit():
+    # a reused solver keeps A_s x0 across b_eq updates and drops it for
+    # q and the bounds; either way it returns a fresh solver's x and y
+    # (small changes keep the warm dual's active set optimal, so the one
+    # polish round reuses the cached factor and, for b_eq, A_s x0)
+    rng = np.random.default_rng(53)
+    prob = unit_and_dense_columns_qp(rng)
+    updates = [dict(b_eq=prob.b_eq + 1e-3 * rng.standard_normal(prob.m_eq)),
+               dict(q=1.01 * prob.q), dict(lower=prob.lower - 0.01, upper=prob.upper + 0.01)]
+    for kwargs in updates:
+        solver = QpSolver(prob, TIGHT)
+        first = solver.solve()
+        assert first.polished and np.any(first.y_box != 0.0)
+        assert all(entry[2] is not None for entry in solver._polish_cache.values())
+        warm, dual = first.x, np.concatenate([first.y_eq, first.y_box])
+        solver.update(**kwargs)
+        kept = all(entry[2] is not None for entry in solver._polish_cache.values())
+        assert kept == (set(kwargs) == {"b_eq"})
+        n_factors = len(solver._polish_cache)
+        reused = solver.solve(warm_start=warm, warm_start_dual=dual)
+        assert len(solver._polish_cache) == n_factors  # no new factorization
+        fresh = QpSolver(prob, TIGHT)  # the cost scale reads q: update, do not rebuild
+        fresh.update(**kwargs)
+        ref = fresh.solve(warm_start=warm, warm_start_dual=dual)
+        assert reused.status == ref.status == SOLVED and reused.iterations == 0
+        for got, want in ((reused.x, ref.x), (reused.y_eq, ref.y_eq), (reused.y_box, ref.y_box)):
+            assert same_bits(got, want), kwargs
+
+
+# -- equilibration -------------------------------------------------------------------
+
+
+def signed_ruiz_reference(prob):
+    """The Ruiz loop as it scaled the signed A_eq; returns d, e_eq, s_box, c, P_s, A_s."""
+    d, e_eq, s_box = np.ones(prob.n), np.ones(prob.m_eq), np.ones(prob.n)
+    P_s = qpsolve._Hessian.of(prob.P, prob._diagonal)
+    A_s = prob.A_eq.copy()
+    c = 1.0
+    abs_a = np.empty_like(A_s)
+    for _ in range(qpsolve._SCALING_ITERS):
+        col = np.maximum(P_s.col_norms(), s_box)
+        if prob.m_eq:
+            np.abs(A_s, out=abs_a)
+            col = np.maximum(col, np.max(abs_a, axis=0))
+            row_eq = np.max(abs_a, axis=1)
+        else:
+            row_eq = np.zeros(0)
+        dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
+        de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
+        ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
+        P_s = P_s.scaled(dd)
+        if prob.m_eq:
+            A_s *= dd
+            A_s *= de[:, None]
+        s_box = s_box * ds * dd
+        d *= dd
+        e_eq *= de
+        pc = P_s.col_norms()
+        denom = max(float(np.mean(pc)) if pc.size else 0.0,
+                    float(np.max(np.abs(c * d * prob.q))) if prob.n else 0.0)
+        if denom > 1e-8:
+            P_s.data *= 1.0 / denom
+            c *= 1.0 / denom
+    return d, e_eq, s_box, c, P_s.data, A_s
+
+
+def test_ruiz_on_absolute_values_matches_signed_loop(behavioral_qps):
+    rng = np.random.default_rng(59)
+    signed_zeros = np.array([[-0.0, 1.0, -2.5, 0.0], [3.0, -0.0, 0.0, -1e-3]])
+    problems = behavioral_qps + [
+        QpProblem(*random_box_qp(rng, n_max=12, m_max=4)),  # dense P
+        QpProblem(P=np.diag([1.0, 2.0, 0.5, 4.0]), q=[1.0, -1.0, 0.0, 2.0],
+                  A_eq=signed_zeros, b_eq=[0.0, 0.0], lower=[-1.0] * 4, upper=[1.0] * 4),
+        box_only_positive_diagonal_qp(),
+    ]
+    assert np.signbit(problems[3].A_eq[0, 0]) and not np.signbit(problems[3].A_eq[0, 3])
+    for prob in problems:
+        solver = QpSolver(prob)
+        got = (solver._d, solver._e_eq, solver._s_box, solver._c, solver._P_s.data,
+               solver._A_s)
+        for name, a, b in zip(("d", "e_eq", "s_box", "c", "P_s", "A_s"), got,
+                              signed_ruiz_reference(prob)):
+            assert same_bits(a, b), name
+    assert np.signbit(QpSolver(problems[3])._A_s[0, 0])
+
+
 # -- statuses ---------------------------------------------------------------------
 
 
@@ -589,3 +776,33 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         QpProblem(P=np.eye(2), q=[0.0, 0.0], A_eq=[[1.0]], b_eq=[0.0],
                   lower=[-1, -1], upper=[1, 1])
+
+
+def _nan_off_diagonal(pair):
+    P = np.eye(3)
+    P[0, 2] = np.nan
+    if pair:
+        P[2, 0] = np.nan
+    return P
+
+
+@pytest.mark.parametrize("P, accepted", [
+    (np.diag([1.0, np.nan, 2.0]), False),  # NaN on the diagonal
+    (np.diag([1.0, np.inf, 2.0]), True),  # inf on the diagonal
+    (_nan_off_diagonal(pair=False), False),  # NaN off the diagonal
+    (_nan_off_diagonal(pair=True), False),
+    (np.diag([1.0, 0.0, -np.inf]), True),
+    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]]), True),
+    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), False),
+], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal", "nan-off-diagonal-pair",
+        "zero-and-inf-diagonal", "symmetric-pair", "one-sided"])
+def test_problem_symmetry_rule(P, accepted):
+    # the diagonal shortcut accepts and rejects exactly what the transpose compare does
+    assert (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)) == accepted
+    kwargs = dict(q=np.zeros(3), A_eq=np.zeros((0, 3)), b_eq=[], lower=-np.ones(3),
+                  upper=np.ones(3))
+    if accepted:
+        QpProblem(P=P, **kwargs)
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            QpProblem(P=P, **kwargs)
