@@ -27,19 +27,6 @@ FALLBACK_HOLD = "hold"
 FALLBACK_ZERO = "zero"
 
 
-def _weight_matrix(w, dim: int, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 0:
-        mat = float(w) * np.eye(dim)
-    elif w.ndim == 2 and w.shape == (dim, dim):
-        mat = w
-    else:
-        raise ValueError(f"{name} must be a scalar or a ({dim}, {dim}) matrix")
-    if not np.allclose(mat, mat.T, atol=1e-10):
-        raise ValueError(f"{name} must be symmetric")
-    return mat
-
-
 def _bound_vector(b, dim: int, default: float) -> np.ndarray:
     if b is None:
         return np.full(dim, default)
@@ -67,15 +54,21 @@ def _profile(value, horizon: int, dim: int, name: str) -> np.ndarray:
 class DkpcConfig:
     """Tuning of the lifted behavioral controller.
 
-    Defaults: horizon 10, output weight 300 I, input weight 0.01 I,
-    coefficient regularization 500, inputs boxed to [-1, 1], outputs
-    unconstrained, regulation to zero with zero nominal input.
+    The weights are scalars: every output carries ``Q`` >= 0 and every
+    input ``R`` > 0, so the QP's cost Hessian is diagonal.  Defaults:
+    horizon 10, Q = 300, R = 0.01, coefficient regularization 500,
+    inputs boxed to [-1, 1], outputs unconstrained, regulation to zero
+    with zero nominal input.  ``y_min``/``y_max`` bound the predicted
+    outputs from the second future sample on: the first is the current
+    output, which the current input cannot move (the plant is strictly
+    proper), so bounding it would make the QP infeasible whenever the
+    measurement already violates a bound.
     """
 
     t_ini: int = 5
     horizon: int = 10
-    Q: float | np.ndarray = 300.0
-    R: float | np.ndarray = 0.01
+    Q: float = 300.0
+    R: float = 0.01
     lambda_g: float = 500.0
     u_min: float | np.ndarray | None = -1.0
     u_max: float | np.ndarray | None = 1.0
@@ -90,6 +83,12 @@ class DkpcConfig:
             raise ValueError("t_ini and horizon must be >= 1")
         if self.lambda_g < 0.0:
             raise ValueError("lambda_g must be nonnegative")
+        if np.ndim(self.Q) or np.ndim(self.R):
+            raise ValueError("Q and R must be scalars")
+        if not (math.isfinite(self.Q) and self.Q >= 0.0):
+            raise ValueError(f"Q must be finite and >= 0, got {self.Q}")
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ValueError(f"R must be finite and > 0, got {self.R}")
         if self.fallback not in (FALLBACK_HOLD, FALLBACK_ZERO):
             raise ValueError(f"unknown fallback {self.fallback!r}")
 
@@ -148,18 +147,10 @@ class ControllerState:
         return np.concatenate(parts)
 
 
-def _quadratic_blocks(cfg: DkpcConfig, n_u: int, n_y: int):
-    q_mat = _weight_matrix(cfg.Q, n_y, "Q")
-    r_mat = _weight_matrix(cfg.R, n_u, "R")
-    eig_q = np.linalg.eigvalsh(q_mat)
-    eig_r = np.linalg.eigvalsh(r_mat)
-    if eig_q.min() < -1e-10:
-        raise ValueError("Q must be positive semidefinite")
-    if eig_r.min() <= 0.0:
-        raise ValueError("R must be positive definite")
+def _targets(cfg: DkpcConfig, n_u: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference and nominal input profiles, (horizon, n_y) and (horizon, n_u)."""
     refs = _profile(cfg.reference, cfg.horizon, n_y, "reference")
-    u_nom = _profile(cfg.u_nominal, cfg.horizon, n_u, "u_nominal")
-    return q_mat, r_mat, refs, u_nom
+    return refs, _profile(cfg.u_nominal, cfg.horizon, n_u, "u_nominal")
 
 
 def _behavioral_qp(
@@ -177,12 +168,13 @@ def _behavioral_qp(
     ``past @ g = b_past`` pin the measured window; only the last
     ``n_soft`` of them carry ``-sigma``, penalized by
     ``soft_weight * |sigma|^2``.  The future Hankel rows couple g to the
-    future blocks, which carry the tracking cost and the bounds.
+    future blocks, which carry the tracking cost and the bounds.  The
+    cost is diagonal, so P is passed as its (n,) diagonal.
     """
     n_past, n_cols = past.shape
     n_uf, n_yf = u_future.shape[0], y_future.shape[0]
     n_u, n_y = n_uf // cfg.horizon, n_yf // cfg.horizon
-    q_mat, r_mat, refs, u_nom = _quadratic_blocks(cfg, n_u, n_y)
+    refs, u_nom = _targets(cfg, n_u, n_y)
     uf = slice(n_cols, n_cols + n_uf)
     yf = slice(n_cols + n_uf, n_cols + n_uf + n_yf)
     sig = slice(n_cols + n_uf + n_yf, n_cols + n_uf + n_yf + n_soft)
@@ -196,28 +188,27 @@ def _behavioral_qp(
     a_eq[n_past + n_uf :, :n_cols] = y_future
     a_eq[n_past + n_uf :, yf] = -np.eye(n_yf)
 
-    p_mat = np.zeros((dim, dim))
-    p_mat[np.diag_indices(n_cols)] = 2.0 * cfg.lambda_g
-    for k in range(cfg.horizon):
-        sl_u = slice(uf.start + k * n_u, uf.start + (k + 1) * n_u)
-        sl_y = slice(yf.start + k * n_y, yf.start + (k + 1) * n_y)
-        p_mat[sl_u, sl_u] = 2.0 * r_mat
-        p_mat[sl_y, sl_y] = 2.0 * q_mat
-    p_mat[sig, sig] = 2.0 * soft_weight * np.eye(n_soft)
+    p_vec = np.empty(dim)
+    p_vec[:n_cols] = 2.0 * cfg.lambda_g
+    p_vec[uf] = 2.0 * cfg.R
+    p_vec[yf] = 2.0 * cfg.Q
+    p_vec[sig] = 2.0 * soft_weight
 
     q_vec = np.zeros(dim)
-    q_vec[uf] = (-2.0 * (u_nom @ r_mat)).ravel()
-    q_vec[yf] = (-2.0 * (refs @ q_mat)).ravel()
+    q_vec[uf] = (-2.0 * (u_nom * cfg.R)).ravel()
+    q_vec[yf] = (-2.0 * (refs * cfg.Q)).ravel()
 
     lower = np.full(dim, -np.inf)
     upper = np.full(dim, np.inf)
     lower[uf] = np.tile(_bound_vector(cfg.u_min, n_u, -np.inf), cfg.horizon)
     upper[uf] = np.tile(_bound_vector(cfg.u_max, n_u, np.inf), cfg.horizon)
-    lower[yf] = np.tile(_bound_vector(cfg.y_min, n_y, -np.inf), cfg.horizon)
-    upper[yf] = np.tile(_bound_vector(cfg.y_max, n_y, np.inf), cfg.horizon)
+    # the first y_f block is the current output, fixed by the past window
+    y_later = slice(yf.start + n_y, yf.stop)
+    lower[y_later] = np.tile(_bound_vector(cfg.y_min, n_y, -np.inf), cfg.horizon - 1)
+    upper[y_later] = np.tile(_bound_vector(cfg.y_max, n_y, np.inf), cfg.horizon - 1)
 
     b_eq = np.concatenate([b_past, np.zeros(n_uf + n_yf)])
-    return QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
+    return QpProblem(P=p_vec, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
 
 
 def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) -> QpProblem:
@@ -298,9 +289,7 @@ class _BehavioralController:
         self.settings = solver_settings or QpSettings()
         self.state = ControllerState(cfg.t_ini, hs.n_u, hs.n_y)
         self._solver: QpSolver | None = None
-        self._q_mat, self._r_mat, self._refs, self._u_nom = _quadratic_blocks(
-            cfg, hs.n_u, hs.n_y
-        )
+        self._refs, self._u_nom = _targets(cfg, hs.n_u, hs.n_y)
         self._u_lo = _bound_vector(cfg.u_min, hs.n_u, -np.inf)
         self._u_hi = _bound_vector(cfg.u_max, hs.n_u, np.inf)
 
@@ -325,7 +314,7 @@ class _BehavioralController:
         eu = np.asarray(u, dtype=float) - self._u_nom[0]
         # a diverging plant overflows the products; report that as +inf
         with np.errstate(over="ignore", invalid="ignore"):
-            cost = float(ey @ self._q_mat @ ey + eu @ self._r_mat @ eu)
+            cost = float((ey * self.cfg.Q) @ ey + (eu * self.cfg.R) @ eu)
         if not math.isfinite(cost) and np.all(np.isfinite(ey)) and np.all(np.isfinite(eu)):
             return math.inf
         return cost

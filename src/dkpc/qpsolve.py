@@ -7,30 +7,32 @@ Solves
 
 Each solve first polishes directly: one active-set KKT solve, the set
 read off the warm-start dual.  It is accepted on the termination test
-of OSQP (Stellato et al., Math. Prog. Comp. 2020) with the zero
-point's tolerance scales, max(|b_eq|, |clip(0, lower, upper)|) and
-max|q|, which need no product with A_eq and never exceed a warm
-start's, and on a guard against nearly singular active sets that reads
-only what the KKT point fixes (see ``QpSolver._polish``), not the
-incoming dual.  Otherwise the solver runs operator splitting (ADMM with
-over-relaxation and adaptive penalty) on the stacked constraint
-[A_eq; I] x in [b_eq, b_eq] x [lower, upper], after Ruiz equilibration,
-checks termination on unscaled residuals and polishes iterates that
-come close.  Factorizations depend only on (P, A_eq, penalty, active
-set), so a solver instance amortizes them across the solves of a
-receding-horizon loop, where only q, b_eq and the bounds change.
+of OSQP (Stellato et al., Math. Prog. Comp. 2020): the primal residual
+against the zero point's scale, max(|b_eq|, |clip(0, lower, upper)|),
+which needs no product with A_eq, and the dual residual against
+max(|q|, |P x|) at the polished point, and on a guard against nearly
+singular active sets that reads only what the KKT point fixes (see
+``QpSolver._polish``), not the incoming dual.  Otherwise the solver
+runs operator splitting (ADMM with over-relaxation and adaptive
+penalty) on the stacked constraint [A_eq; I] x in [b_eq, b_eq] x
+[lower, upper], after Ruiz equilibration, checks termination on
+unscaled residuals and polishes iterates that come close.
+Factorizations depend only on (P, A_eq, penalty, active set), so a
+solver instance amortizes them across the solves of a receding-horizon
+loop, where only q, b_eq and the bounds change.
 
-P takes one of two forms.  A diagonal, strictly positive P (both
-controllers' cost) is kept as a vector and every factor is
-m_eq x m_eq (Cholesky): the ADMM x-update goes through
-A D^-1 A' + I / rho_eq (matrix inversion lemma, one refinement step),
-and the polish factors the Schur complement on the equality rows, a
-downdate of A D^-1 A'.  For active columns with one nonzero each, in
-rows of their own (the controllers' input bounds), the downdate is a
-diagonal one; each active set keeps A x0 of its solve, which only q
-and the bounds change.  Both are exact: the numbers are those of the
-general gather, product and solve, bit for bit.  Any other P stays
-dense and factors the n x n ADMM matrix (Cholesky) and the full
+P is given as its (n,) diagonal or as an (n, n) matrix, and its shape
+picks the path.  An (n,) P with every entry > 0 (both controllers'
+cost) stays a vector and every factor is m_eq x m_eq (Cholesky): the
+ADMM x-update goes through A D^-1 A' + I / rho_eq (matrix inversion
+lemma, one refinement step), and the polish factors the Schur
+complement on the equality rows, a downdate of A D^-1 A'.  For active
+columns with one nonzero each, in rows of their own (the controllers'
+input bounds), the downdate is a diagonal one; each active set keeps
+A x0 of its solve, which only q and the bounds change.  Both are exact:
+the numbers are those of the general gather, product and solve, bit
+for bit.  Any other (n,) P is expanded once to its n x n matrix, and
+an n x n P factors the n x n ADMM matrix (Cholesky) and the full
 active-set KKT matrix (LU), refined against the unregularized one.  The
 ADMM factor is built on the first ADMM iteration: a solve that ends at
 the direct polish needs none.
@@ -67,8 +69,10 @@ _POLISH_CACHE_SIZE = 8  # active-set factorizations kept per solver
 class QpProblem:
     """Dense convex QP data.
 
-    ``lower``/``upper`` may contain +-inf for absent bounds; ``A_eq``
-    may be empty (shape (0, n)) for box-only problems.
+    ``P`` is the (n,) diagonal of a diagonal cost Hessian or the
+    symmetric (n, n) matrix.  ``lower``/``upper`` may contain +-inf for
+    absent bounds; ``A_eq`` may be empty (shape (0, n)) for box-only
+    problems.
     """
 
     P: np.ndarray
@@ -79,21 +83,16 @@ class QpProblem:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        P = np.atleast_2d(np.asarray(self.P, dtype=float))
+        P = np.asarray(self.P, dtype=float)
         q = np.asarray(self.q, dtype=float).ravel()
         n = q.shape[0]
-        if P.shape != (n, n):
-            raise ValueError(f"P has shape {P.shape}, expected ({n}, {n})")
-        # a P whose nonzeros all lie on a NaN-free diagonal (both
-        # controllers' cost) is symmetric without an n x n transpose
-        # compare; exact symmetry, the next common case, needs no float
-        # n x n temporaries.  All three tests accept and reject the same
-        # P, NaN and inf included (NaN counts as a nonzero).
-        diag = np.diagonal(P)
-        diagonal = np.count_nonzero(P) == np.count_nonzero(diag) and not np.isnan(diag).any()
-        if not (diagonal or np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
+        if P.shape == (n,):
+            if np.isnan(P).any():
+                raise ValueError("P must not be NaN")
+        elif P.shape != (n, n):
+            raise ValueError(f"P has shape {P.shape}, expected ({n},) or ({n}, {n})")
+        elif not (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
             raise ValueError("P must be symmetric within 1e-10")
-        object.__setattr__(self, "_diagonal", diagonal)  # read by the solver's _Hessian
         A_eq = np.asarray(self.A_eq, dtype=float)
         if A_eq.size == 0:
             A_eq = A_eq.reshape(0, n)
@@ -118,10 +117,15 @@ class QpProblem:
         return self.A_eq.shape[0]
 
     def objective(self, x: np.ndarray, Px: np.ndarray | None = None) -> float:
-        """Cost at ``x``; pass ``Px = P @ x`` when it is already known."""
+        """Cost at ``x``; pass ``Px``, P times x, when it is already known."""
         if Px is None:
-            Px = self.P @ x
+            Px = _p_matvec(self.P, x)
         return float(0.5 * x @ Px + self.q @ x)
+
+
+def _p_matvec(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P x for P given as its (n,) diagonal or as an (n, n) matrix."""
+    return P * x if P.ndim == 1 else P @ x
 
 
 def _checked_vectors(n: int, m_eq: int, q, b_eq, lower, upper):
@@ -189,7 +193,7 @@ def kkt_residuals(
     on an infinite upper bound (or negative on an infinite lower bound)
     counts as residual of its own magnitude.
     """
-    stat = problem.P @ x + problem.q + y_box
+    stat = _p_matvec(problem.P, x) + problem.q + y_box
     if problem.m_eq:
         stat += problem.A_eq.T @ y_eq
     eq_res = problem.A_eq @ x - problem.b_eq if problem.m_eq else np.zeros(0)
@@ -215,51 +219,9 @@ def kkt_residuals(
     }
 
 
-def _inf_col_norms(mat: np.ndarray) -> np.ndarray:
-    if mat.size == 0:
-        return np.zeros(mat.shape[1])
-    return np.max(np.abs(mat), axis=0)
-
-
-class _Hessian:
-    """The cost Hessian in the form the solver multiplies with.
-
-    A diagonal, strictly positive P (the cost of both behavioral
-    controllers) is kept as its diagonal vector, so no product reads an
-    n x n array.  Adding exact zeros leaves a sum unchanged, so every
-    product equals the dense one bit for bit.  Any other P stays dense.
-    """
-
-    def __init__(self, data: np.ndarray):
-        self.data = data  # (n,) diagonal or (n, n) dense
-
-    @classmethod
-    def of(cls, P: np.ndarray, diagonal: bool) -> "_Hessian":
-        """Vector form for a strictly positive P that is ``diagonal``.
-
-        ``diagonal`` says that P has no nonzero off its diagonal, as
-        ``QpProblem`` counted once at build.
-        """
-        diag = np.diagonal(P)
-        if diagonal and np.all(diag > 0.0):
-            return cls(diag.copy())
-        return cls(P)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.data.ndim == 1
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.data * x if self.is_diagonal else self.data @ x
-
-    def col_norms(self) -> np.ndarray:
-        return np.abs(self.data) if self.is_diagonal else _inf_col_norms(self.data)
-
-    def scaled(self, dd: np.ndarray) -> "_Hessian":
-        """diag(dd) P diag(dd), as a new array."""
-        if self.is_diagonal:
-            return _Hessian((self.data * dd) * dd)
-        return _Hessian((self.data * dd[None, :]) * dd[:, None])
+def _col_norms(P: np.ndarray) -> np.ndarray:
+    """Column infinity norms of P, diagonal or dense."""
+    return np.abs(P) if P.ndim == 1 else np.max(np.abs(P), axis=0, initial=0.0)
 
 
 class QpSolver:
@@ -272,12 +234,12 @@ class QpSolver:
     is built, and are shared unchanged by every updated problem.
     Altering P or A_eq requires a new instance.
 
-    A diagonal, strictly positive P is detected once, here, and kept as
-    a vector (scaled and unscaled) for every product the solver forms;
-    the dense form serves any other P.  The form chooses the linear
-    systems (see the module docstring, ``_x_update`` and
-    ``_polish_once``); the ADMM one is factored on the first ADMM
-    iteration.
+    An (n,) P with every entry > 0 stays a vector (scaled and
+    unscaled) for every product the solver forms; any other (n,) P is
+    expanded here, once, to the dense form that serves an (n, n) P.
+    The form chooses the linear systems (see the module docstring,
+    ``_x_update`` and ``_polish_once``); the ADMM one is factored on
+    the first ADMM iteration.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
@@ -293,8 +255,8 @@ class QpSolver:
         # the vector P_s solves both linear systems on the equality rows;
         # A_s D^-1 A_s' for the polish is formed once here
         self._schur_diag = self._schur_gram = None
-        if self.settings.polish and self._P_s.is_diagonal:
-            self._schur_diag = self._P_s.data + _POLISH_DELTA
+        if self.settings.polish and self._P_s.ndim == 1:
+            self._schur_diag = self._P_s + _POLISH_DELTA
             self._schur_gram = (self._A_s / self._schur_diag) @ self._A_s.T
 
     # -- equilibration ---------------------------------------------------
@@ -315,12 +277,12 @@ class QpSolver:
         d = np.ones(n)
         e_eq = np.ones(m_eq)
         s_box = np.ones(n)
-        self._P = _Hessian.of(p.P, p._diagonal)
+        self._P = p.P if p.P.ndim == 2 or np.all(p.P > 0.0) else np.diag(p.P)
         P_s = self._P
         abs_a = np.abs(p.A_eq, order="C")
         c = 1.0
         for _ in range(_SCALING_ITERS):
-            col = np.maximum(P_s.col_norms(), s_box)
+            col = np.maximum(_col_norms(P_s), s_box)
             if m_eq:
                 col = np.maximum(col, np.max(abs_a, axis=0))
                 row_eq = np.max(abs_a, axis=1)
@@ -329,7 +291,7 @@ class QpSolver:
             dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
             de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
             ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
-            P_s = P_s.scaled(dd)
+            P_s = (P_s * dd) * (dd if P_s.ndim == 1 else dd[:, None])
             if m_eq:
                 abs_a *= dd
                 abs_a *= de[:, None]
@@ -337,12 +299,12 @@ class QpSolver:
             d *= dd
             e_eq *= de
             # cost normalization
-            pc = P_s.col_norms()
+            pc = _col_norms(P_s)
             denom = max(float(np.mean(pc)) if pc.size else 0.0,
                         float(np.max(np.abs(c * d * p.q))) if n else 0.0)
             if denom > 1e-8:
                 gamma = 1.0 / denom
-                P_s.data *= gamma
+                P_s *= gamma
                 c *= gamma
         self._d = d
         self._e_eq = e_eq
@@ -365,8 +327,8 @@ class QpSolver:
         """
         m_eq = self.problem.m_eq
         self._factored_rho = self._rho
-        if self._P_s.is_diagonal:
-            self._split_diag = self._P_s.data + _SIGMA + self._rho * self._s_box**2
+        if self._P_s.ndim == 1:
+            self._split_diag = self._P_s + _SIGMA + self._rho * self._s_box**2
             if m_eq:
                 b = self._A_s / np.sqrt(self._split_diag)
                 g = b @ b.T  # one triangle (syrk)
@@ -378,7 +340,7 @@ class QpSolver:
             if m_eq:
                 self._gram += _RHO_EQ_SCALE * (self._A_s.T @ self._A_s)
         m = self._rho * self._gram
-        m += self._P_s.data
+        m += self._P_s
         m[np.diag_indices_from(m)] += _SIGMA
         self._factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
 
@@ -394,7 +356,7 @@ class QpSolver:
         the lemma alone misses by orders of magnitude.  A_s of the
         correction is (t - s / rho_eq) / rho_eq by the same algebra.
         """
-        if not self._P_s.is_diagonal:
+        if self._P_s.ndim == 2:
             x = scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
             return x, self._A_s @ x
         A, D = self._A_s, self._split_diag
@@ -479,7 +441,7 @@ class QpSolver:
             yu = e_all * yv / c
             zu = zv / e_all
             axu = np.concatenate([p.A_eq @ xu, xu]) if m_eq else xu
-            pxu = self._P.matvec(xu)
+            pxu = _p_matvec(self._P, xu)
             atyu = p.A_eq.T @ yu[:m_eq] + yu[m_eq:] if m_eq else yu.copy()
             r_p = np.max(np.abs(axu - zu)) if m else 0.0
             r_d = np.max(np.abs(pxu + p.q + atyu))
@@ -508,18 +470,19 @@ class QpSolver:
         # direct attempt: the active-set KKT solve handles (consistent)
         # rank-deficient behavioral equality rows that stall the splitting
         # iteration, and its cached factorization makes repeated
-        # receding-horizon solves cheap.  It is judged with the zero
-        # point's tolerance scales, which never exceed a warm start's.
+        # receding-horizon solves cheap.  Its primal test takes the zero
+        # point's scales, which need no product with A_eq; its dual test
+        # scales by |q| and |P x| at the point it returns.
         last_polish_iter = 0
         if s.polish:
             sc_p = max(np.max(np.abs(p.b_eq), initial=0.0),
                        np.max(np.abs(np.clip(0.0, p.lower, p.upper)), initial=0.0))
             eps_pri = s.eps_abs + s.eps_rel * sc_p
-            eps_dua = s.eps_abs + s.eps_rel * np.max(np.abs(p.q), initial=0.0)
             pol = self._polish(e_all * y / c)
             if pol is not None:
                 xp, yp, pxp, rp_p, rd_p = pol
-                if rp_p <= eps_pri and rd_p <= eps_dua:
+                sc_d = max(np.max(np.abs(p.q), initial=0.0), np.max(np.abs(pxp), initial=0.0))
+                if rp_p <= eps_pri and rd_p <= s.eps_abs + s.eps_rel * sc_d:
                     return finish(
                         SOLVED, xp, yp, pxp, rp_p, rd_p, 0, polished=True, scaled=False
                     )
@@ -723,7 +686,7 @@ class QpSolver:
             r_p = max(r_p, float(np.max(np.abs(p.A_eq @ x - p.b_eq))))
         y_box = y_full[m_eq:]
         at_y_eq = p.A_eq.T @ y_full[:m_eq]
-        px = self._P.matvec(x)
+        px = _p_matvec(self._P, x)
         r_d = float(np.max(np.abs(px + p.q + (at_y_eq + y_box))))
         if not (np.isfinite(r_p) and np.isfinite(r_d)):
             return None
@@ -739,7 +702,7 @@ class QpSolver:
         n, m_eq, delta = self.problem.n, self.problem.m_eq, _POLISH_DELTA
         dim = n + m_eq + act_idx.size
         kkt = np.zeros((dim, dim))
-        kkt[:n, :n] = self._P_s.data
+        kkt[:n, :n] = self._P_s
         kkt[np.diag_indices(n)] += delta
         if m_eq:
             kkt[n : n + m_eq, :n] = self._A_s
@@ -763,7 +726,7 @@ class QpSolver:
 
         def residual(sol):
             x = sol[:n]
-            top = self._P_s.matvec(x) + self._A_s.T @ sol[n : n + m_eq]
+            top = self._P_s @ x + self._A_s.T @ sol[n : n + m_eq]
             top[act_idx] += sol[n + m_eq :]
             return rhs - np.concatenate([top, self._A_s @ x, x[act_idx]])
 
@@ -824,7 +787,7 @@ class QpSolver:
         at_nu = self._A_s.T @ nu
         x = (r1 - at_nu) / self._schur_diag
         x[act_idx] = r3
-        mu = r1[act_idx] - self._P_s.data[act_idx] * r3 - at_nu[act_idx]
+        mu = r1[act_idx] - self._P_s[act_idx] * r3 - at_nu[act_idx]
         return np.concatenate([x, nu, mu])
 
 

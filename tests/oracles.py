@@ -58,7 +58,8 @@ def _fista_box(P, q, lower, upper, x0, max_iter=60000, tol=1e-14):
 def projected_gradient_qps(problems, outer_tol=1e-9, max_outer=80):
     """Reference solves of many QPs: projected gradient with augmented-Lagrangian equalities.
 
-    ``problems`` holds ``(P, q, A_eq, b_eq, lower, upper)`` tuples; returns
+    ``problems`` holds ``(P, q, A_eq, b_eq, lower, upper)`` tuples, P
+    either the n x n matrix or the (n,) diagonal of a diagonal one; returns
     one minimizer per problem.  Equality constraints are handled by
     multiplier updates on a quadratic penalty, each inner solve
     warm-started from the previous round's minimizer.  A problem without
@@ -79,7 +80,7 @@ def projected_gradient_qps(problems, outer_tol=1e-9, max_outer=80):
     q, b, lower, upper = np.zeros((k, n)), np.zeros((k, m)), np.zeros((k, n)), np.zeros((k, n))
     for i, (P_i, q_i, A_i, b_i, lo_i, hi_i) in enumerate(rows):
         n_i, m_i = A_i.shape[1], A_i.shape[0]
-        P[i, :n_i, :n_i] = P_i
+        P[i, :n_i, :n_i] = np.diag(P_i) if np.ndim(P_i) == 1 else P_i
         A[i, :m_i, :n_i] = A_i
         q[i, :n_i], b[i, :m_i], lower[i, :n_i], upper[i, :n_i] = q_i, np.ravel(b_i), lo_i, hi_i
     mu = 10.0 * (1.0 + np.max(np.abs(P), axis=(1, 2)))

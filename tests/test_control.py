@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dkpc import netsim, qpsolve
+from dkpc import control, netsim, qpsolve
 from dkpc.behavior import Trajectory, assemble
 from dkpc.control import (
     ControllerState,
@@ -76,6 +77,38 @@ def test_dkpc_qp_structure(full_scale_system):
     assert np.all(prob.upper[n_cols : n_cols + 100] == 1.0)
 
 
+def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti):
+    # the cost is diagonal, so neither QP nor solver holds an n x n array;
+    # with 20 equality rows and n near 1500, n^2 floats (18 MB) exceed
+    # everything else the build allocates together
+    rng = np.random.default_rng(2)
+    data = small_lti.simulate(rng.uniform(-1.0, 1.0, size=(1500, 2)), x0=np.zeros(3))
+    bank = build_bank(data.y, 2, seed=3)
+    hs = assemble(data, bank, t_ini=2, horizon=2, pe_check=False)
+    cfg = DkpcConfig(t_ini=2, horizon=2, Q=10.0, R=0.1, lambda_g=1.0)
+    deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
+    cs = primed_state(2, 2, 2, u_val=0.1, y_val=-0.05)
+    for build in (lambda: build_dkpc_qp(hs, bank, cfg, cs),
+                  lambda: build_deepc_qp(hs.u_past, hs.y_past, hs.u_future, hs.y_future,
+                                         deepc_cfg, cs)):
+        tracemalloc.start()
+        try:
+            prob = build()
+            QpSolver(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.n > 1400 and peak < 8 * prob.n**2
+        assert prob.P.shape == (prob.n,)
+
+
+@pytest.mark.parametrize("bad", [dict(Q=-1.0), dict(Q=np.inf), dict(R=0.0), dict(R=np.nan),
+                                 dict(Q=10.0 * np.eye(2)), dict(R=[[0.1, 0.0], [0.0, 0.1]])])
+def test_weights_must_be_finite_scalars(bad):
+    with pytest.raises(ValueError):
+        DkpcConfig(**bad)
+
+
 def test_dkpc_qp_requires_primed_state(full_scale_system):
     hs, bank = full_scale_system
     with pytest.raises(ValueError, match="primed"):
@@ -115,7 +148,8 @@ def test_deepc_qp_dimensions(full_scale_system):
     assert np.array_equal(prob.A_eq[50:100, sig], -np.eye(50))
     assert np.allclose(prob.A_eq[:50, sig], 0.0)
     assert np.allclose(prob.A_eq[100:, sig], 0.0)
-    assert np.allclose(prob.P[sig, sig], 2e5 * np.eye(50))
+    assert prob.P.shape == (prob.n,)
+    assert np.all(prob.P[sig] == 2e5)
 
 
 def test_deepc_infinite_weight_hard_past_rows(full_scale_system):
@@ -391,8 +425,8 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
 
 
 def force_dense_hessian(mp):
-    """Make new solvers keep P dense: n x n ADMM system and full KKT LU polish."""
-    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P, diagonal: cls(P)))
+    """Make the controllers pass P as its n x n matrix: n x n ADMM system and full KKT LU polish."""
+    mp.setattr(control, "QpProblem", lambda P, **kw: qpsolve.QpProblem(P=np.diag(P), **kw))
 
 
 def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch):
@@ -407,12 +441,12 @@ def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch)
     for make in (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg)):
         ctrl = make()
         schur = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert ctrl._solver._P_s.is_diagonal and ctrl._solver._schur_gram is not None
+        assert ctrl._solver._P_s.ndim == 1 and ctrl._solver._schur_gram is not None
         with monkeypatch.context() as mp:
             force_dense_hessian(mp)
             ctrl = make()
             dense = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert not ctrl._solver._P_s.is_diagonal and ctrl._solver._schur_gram is None
+        assert ctrl._solver._P_s.ndim == 2 and ctrl._solver._schur_gram is None
         assert np.any(np.abs(dense.u) == 0.1)
         assert np.max(np.abs(schur.u - dense.u)) <= 1e-9
         assert np.max(np.abs(schur.y - dense.y)) <= 1e-9
@@ -507,15 +541,56 @@ def test_dense_or_zero_diagonal_cost_factors_full_system(lti_setup, monkeypatch)
     _, hs, bank, cfg = lti_setup
     cs = primed_state(cfg.t_ini, hs.n_u, hs.n_y, u_val=0.1, y_val=-0.05)
     short = QpSettings(max_iter=50, polish=False)
-    for c in (dataclasses.replace(cfg, lambda_g=0.0),
-              dataclasses.replace(cfg, R=[[0.1, 0.02], [0.02, 0.1]])):
-        prob = build_dkpc_qp(hs, bank, c, cs)
-        with monkeypatch.context() as mp:
-            sizes = count_cho_factorizations(mp)
-            solver = QpSolver(prob, short)
-            assert sizes == []  # built by the first ADMM iteration
-            assert solver.solve().iterations > 0
-        assert sizes and sizes[0] == prob.n
+    # lambda_g = 0: an (n,) P with zero entries, expanded to n x n by the solver
+    prob = build_dkpc_qp(hs, bank, dataclasses.replace(cfg, lambda_g=0.0), cs)
+    assert prob.P.shape == (prob.n,)
+    sizes = count_cho_factorizations(monkeypatch)
+    solver = QpSolver(prob, short)
+    assert sizes == []  # built by the first ADMM iteration
+    assert solver.solve().iterations > 0
+    assert sizes and sizes[0] == prob.n
+
+
+def test_output_bounds_hold_from_the_second_predicted_sample(lti_setup):
+    # the first y_f block is the current output, which u_t cannot move;
+    # bounding it made the QP infeasible while the measurement broke the
+    # bound.  The later blocks carry it, and the loop enters the band.
+    sys, hs, bank, cfg = lti_setup
+    cfg = dataclasses.replace(cfg, y_min=-0.005, y_max=0.005)
+    deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
+    x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
+    scen = Scenario(sim_steps=25, activation_step=6)
+    for ctrl in (DkpcController(hs, bank, cfg), DeepcController(hs, deepc_cfg)):
+        trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        act = trace.active
+        assert np.max(np.abs(trace.y[scen.activation_step])) > 0.1
+        assert all(st == SOLVED for st, on in zip(trace.status, act) if on)
+        assert np.all(trace.iterations == 0)
+        assert np.max(np.abs(trace.predicted_y[act][:, 1:])) <= 0.005 + 1e-6
+        assert np.max(np.abs(trace.y[scen.activation_step + 3 :])) <= 0.005 + 1e-6
+
+
+def test_twenty_bus_closed_loop_ends_every_step_at_direct_polish():
+    # scale tripwire: at 20 buses max|P x| reaches about 1e2 with q = 0, so
+    # polished points whose dual residual passes eps_rel |P x| but not
+    # eps_abs sent warm steps to ADMM; 10-bus runs never show it
+    n_bus = 20
+    net = netsim.default_network(n_bus)
+    params = [netsim.InverterParams(p_star=1.0 if i < n_bus // 2 else -1.0)
+              for i in range(n_bus)]
+    sim_cfg = netsim.SimConfig(dt=0.01)
+    eq = netsim.equilibrium_state(params, net)
+    inputs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(2000, n_bus))
+    data = netsim.simulate(eq, inputs, params, net, sim_cfg)
+    bank = build_bank(data.y, 40, seed=5)
+    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    ctrl = DkpcController(hs, bank, DkpcConfig())
+    plant = netsim.NetworkPlant(net, params, sim_cfg, initial=eq)
+    scen = Scenario(sim_steps=50, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))
+    trace = run_closed_loop(plant, ctrl, scen)
+    assert np.count_nonzero(trace.active) == 10
+    assert all(st == SOLVED for st, on in zip(trace.status, trace.active) if on)
+    assert np.all(trace.iterations == 0)
 
 
 def test_zero_regularizer_closed_loop_solves_at_direct_polish(lti_setup):

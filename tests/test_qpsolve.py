@@ -123,20 +123,20 @@ def test_redundant_consistent_equalities():
 
 
 def random_diagonal_qp(rng):
-    """Random feasible QP with diagonal P (some entries zero) and active bounds."""
+    """Random feasible QP with an (n,) diagonal P (some entries zero) and active bounds."""
     P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
     p = rng.uniform(0.5, 3.0, len(q))
     p[rng.random(len(q)) < 0.3] = 0.0
-    return np.diag(p), 3.0 * q, A, b, lo, hi
+    return p, 3.0 * q, A, b, lo, hi
 
 
-def force_dense_hessian(mp):
-    """Make every new solver keep P dense, even when it is diagonal and positive.
+def as_dense(prob):
+    """The same QP with its (n,) diagonal P given as the n x n matrix.
 
     That is the path of a general P: it factors the n x n ADMM system
     and polishes through the full KKT LU.
     """
-    mp.setattr(qpsolve._Hessian, "of", classmethod(lambda cls, P, diagonal: cls(P)))
+    return dataclasses.replace(prob, P=np.diag(prob.P))
 
 
 def diagonal_problems():
@@ -147,15 +147,15 @@ def diagonal_problems():
 def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
     problems = diagonal_problems()
     # the draw covers singular P, equality rows and active bounds
-    assert any(np.any(np.diagonal(p.P) == 0.0) for p in problems)
+    assert all(p.P.shape == (p.n,) for p in problems)
+    assert any(np.any(p.P == 0.0) for p in problems)
     assert any(p.m_eq for p in problems)
     n_active = 0
     for prob in problems:
         solver = QpSolver(prob, TIGHT)
         # the vector form only for a strictly positive diagonal
-        positive = bool(np.all(np.diagonal(prob.P) > 0.0))
-        assert solver._P_s.is_diagonal == positive
-        assert solver._P_s.data.shape == ((prob.n,) if positive else (prob.n, prob.n))
+        positive = bool(np.all(prob.P > 0.0))
+        assert solver._P_s.shape == ((prob.n,) if positive else (prob.n, prob.n))
         sol = solver.solve()
         assert sol.status == SOLVED
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
@@ -165,19 +165,17 @@ def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
         assert abs(sol.objective - prob.objective(x_ref)) <= 1e-6 * (
             1 + abs(prob.objective(x_ref))
         )
-        if np.all(np.diagonal(prob.P) > 0.0):  # unique minimizer
+        if positive:  # unique minimizer
             assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
         n_active += int(np.count_nonzero(sol.y_box))
     assert n_active > 0
 
 
-def test_diagonal_hessian_schur_polish_matches_lu_polish(monkeypatch):
+def test_diagonal_hessian_schur_polish_matches_lu_polish():
     n_schur = 0
     for prob in diagonal_problems():
         solver = QpSolver(prob, TIGHT)
-        with monkeypatch.context() as mp:
-            force_dense_hessian(mp)
-            lu = QpSolver(prob, TIGHT)
+        lu = QpSolver(as_dense(prob), TIGHT)
         assert lu._schur_gram is None
         n_schur += solver._schur_gram is not None
         sol, ref = solver.solve(), lu.solve()
@@ -191,10 +189,10 @@ def random_positive_diagonal_qp(rng):
     P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
     if len(b):  # identity lifting makes exact duplicates of output rows
         A, b = np.vstack([A, A[:1]]), np.append(b, b[0])
-    return np.diag(rng.uniform(0.5, 3.0, len(q))), 3.0 * q, A, b, lo, hi
+    return rng.uniform(0.5, 3.0, len(q)), 3.0 * q, A, b, lo, hi
 
 
-def test_positive_diagonal_hessian_schur_polish(monkeypatch):
+def test_positive_diagonal_hessian_schur_polish():
     rng = np.random.default_rng(31)
     problems = [QpProblem(*random_positive_diagonal_qp(rng)) for _ in range(8)]
     assert sum(p.m_eq > 1 for p in problems) >= 4
@@ -212,9 +210,7 @@ def test_positive_diagonal_hessian_schur_polish(monkeypatch):
             1 + abs(prob.objective(x_ref))
         )
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
-        with monkeypatch.context() as mp:
-            force_dense_hessian(mp)
-            ref = QpSolver(prob, TIGHT).solve()
+        ref = QpSolver(as_dense(prob), TIGHT).solve()
         assert sol.status == ref.status
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
         n_active += int(np.count_nonzero(sol.y_box))
@@ -238,12 +234,15 @@ def count_cho_factorizations(mp):
 
 
 def test_polish_path_follows_hessian(monkeypatch):
-    # positive diagonal P: Schur polish, no LU; dense P or a zero diagonal entry: LU polish
+    # P's shape picks the path: an (n,) P > 0 polishes through the Schur
+    # complement, no LU; an n x n P, even a diagonal one, or an (n,) P
+    # with a zero entry polishes through the LU
     A = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
     dense = np.diag([2.0, 1.0, 3.0, 1.5])
     dense[0, 2] = dense[2, 0] = 0.25
-    for p_mat, schur in ((np.diag([2.0, 1.0, 3.0, 1.5]), True), (dense, False),
-                         (np.diag([2.0, 0.0, 3.0, 1.5]), False)):
+    for p_mat, schur in ((np.array([2.0, 1.0, 3.0, 1.5]), True), (dense, False),
+                         (np.diag([2.0, 1.0, 3.0, 1.5]), False),
+                         (np.array([2.0, 0.0, 3.0, 1.5]), False)):
         prob = QpProblem(P=p_mat, q=[4.0, -2.0, 0.5, 4.0], A_eq=A, b_eq=[0.5, 0.2],
                          lower=[-1.0] * 4, upper=[1.0] * 4)
         with monkeypatch.context() as mp:
@@ -252,7 +251,7 @@ def test_polish_path_follows_hessian(monkeypatch):
             sol = solver.solve()
         assert sol.status == SOLVED and sol.polished
         assert np.any(sol.y_box != 0.0)
-        assert solver._P_s.is_diagonal == (solver._schur_gram is not None) == schur
+        assert (solver._P_s.ndim == 1) == (solver._schur_gram is not None) == schur
         assert (len(calls) == 0) == schur
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
         assert max(res.values()) <= 1e-5, res
@@ -281,7 +280,7 @@ def box_only_positive_diagonal_qp():
     rng = np.random.default_rng(43)
     _, q, _, _, lo, hi = random_box_qp(rng, n_max=12, m_max=0)
     n = len(q)
-    return QpProblem(P=np.diag(rng.uniform(0.5, 3.0, n)), q=3.0 * q, A_eq=np.zeros((0, n)),
+    return QpProblem(P=rng.uniform(0.5, 3.0, n), q=3.0 * q, A_eq=np.zeros((0, n)),
                      b_eq=[], lower=lo, upper=hi)
 
 
@@ -302,7 +301,7 @@ def test_equality_row_admm_solve_as_accurate_as_cholesky(behavioral_qps, rho):
             assert solver._factor is None
         A = solver._A_s
         M = rho * qpsolve._RHO_EQ_SCALE * (A.T @ A)
-        M[np.diag_indices(prob.n)] += solver._P_s.data + qpsolve._SIGMA + rho * solver._s_box**2
+        M[np.diag_indices(prob.n)] += solver._P_s + qpsolve._SIGMA + rho * solver._s_box**2
         chol = scipy.linalg.cho_factor(M, lower=True)
         # a generic right-hand side, and one dominated by the range of A_s'
         for rhs in (rng.standard_normal(prob.n),
@@ -329,9 +328,9 @@ def test_box_only_positive_diagonal_qp_factors_nothing(monkeypatch):
     assert np.max(np.abs(sol.x - x_ref)) <= 1e-4
 
 
-def test_infeasible_positive_diagonal_qp_detected(monkeypatch):
+def test_infeasible_positive_diagonal_qp_detected():
     # both splitting systems certify infeasibility
-    P = np.diag([1.0, 2.0, 0.5])
+    P = np.array([1.0, 2.0, 0.5])
     box = dict(lower=[-1.0] * 3, upper=[1.0] * 3)
     problems = [
         QpProblem(P=P, q=[1.0, 0.0, -1.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[5.0], **box),
@@ -340,23 +339,19 @@ def test_infeasible_positive_diagonal_qp_detected(monkeypatch):
     ]
     for prob in problems:
         solver = QpSolver(prob)
-        with monkeypatch.context() as mp:
-            force_dense_hessian(mp)
-            full = QpSolver(prob)
+        full = QpSolver(as_dense(prob))
         assert solver.solve().status == full.solve().status == INFEASIBLE
         assert solver._factor[0].shape == (prob.m_eq, prob.m_eq)
         assert full._factor[0].shape == (prob.n, prob.n)
 
 
-def test_equality_row_admm_matches_full_admm(monkeypatch):
+def test_equality_row_admm_matches_full_admm():
     rng = np.random.default_rng(47)
     no_polish = dataclasses.replace(TIGHT, polish=False)
     for _ in range(8):
         prob = QpProblem(*random_positive_diagonal_qp(rng))
         sol = QpSolver(prob, no_polish).solve()
-        with monkeypatch.context() as mp:
-            force_dense_hessian(mp)
-            ref = QpSolver(prob, no_polish).solve()
+        ref = QpSolver(as_dense(prob), no_polish).solve()
         assert sol.status == ref.status == SOLVED
         assert sol.iterations == ref.iterations
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
@@ -374,13 +369,29 @@ def test_polish_guard_rejects_conflicting_active_set():
     assert np.max(np.abs(sol.x - [0.75, 0.75])) <= 1e-6
 
 
+def test_direct_polish_dual_test_scales_by_polished_p_x():
+    # q = 0 and |P x| near 1e9: the polished point's dual residual, about
+    # 1e-12 |P x|, exceeds eps_abs yet lies far inside eps_rel max|P x|,
+    # so the direct polish is accepted without ADMM
+    rng = np.random.default_rng(0)
+    n, m = 40, 12
+    A = rng.standard_normal((m, n))
+    prob = QpProblem(P=10.0 ** rng.uniform(8.0, 10.0, n), q=np.zeros(n), A_eq=A,
+                     b_eq=A @ rng.uniform(-1.0, 1.0, n), lower=np.full(n, -np.inf),
+                     upper=np.full(n, np.inf))
+    settings = QpSettings()
+    sol = QpSolver(prob, settings).solve()
+    assert sol.status == SOLVED and sol.polished and sol.iterations == 0
+    assert settings.eps_abs < sol.dual_residual <= settings.eps_rel * np.max(np.abs(prob.P * sol.x))
+
+
 def test_off_diagonal_pair_keeps_dense_hessian():
     P = np.diag([2.0, 1.0, 3.0, 1.5])
     P[0, 2] = P[2, 0] = 0.25
     prob = QpProblem(P=P, q=[1.0, -2.0, 0.5, 4.0], A_eq=[[1.0, 1.0, 1.0, 1.0]], b_eq=[0.5],
                      lower=[-1.0] * 4, upper=[1.0] * 4)
     solver = QpSolver(prob, TIGHT)
-    assert not solver._P_s.is_diagonal
+    assert solver._P_s.ndim == 2
     sol = solver.solve()
     assert sol.status == SOLVED
     res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
@@ -420,7 +431,7 @@ def unit_and_dense_columns_qp(rng, scale=2.0):
     n = A.shape[1]
     lo, hi = np.full(n, -0.5), np.full(n, 0.5)
     b = A @ rng.uniform(lo, hi)
-    return QpProblem(P=np.diag(rng.uniform(0.5, 3.0, n)), q=scale * rng.standard_normal(n),
+    return QpProblem(P=rng.uniform(0.5, 3.0, n), q=scale * rng.standard_normal(n),
                      A_eq=A, b_eq=b, lower=lo, upper=hi)
 
 
@@ -431,7 +442,7 @@ def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
                          [-1.5, 2.0, 0.0, 0.0, 1.0, 0.7, 0.4],
                          [0.0, 0.0, 0.0, 0.0, 1.0, -0.2, 1.1]])
     # column 0 sits in row 1, columns 2 and 3 share row 0; 1, 4, 5, 6 are dense
-    small = QpProblem(P=np.diag([1.0, 2.0, 0.5, 3.0, 1.5, 2.5, 0.8]), q=np.ones(7),
+    small = QpProblem(P=np.array([1.0, 2.0, 0.5, 3.0, 1.5, 2.5, 0.8]), q=np.ones(7),
                       A_eq=col_rows, b_eq=np.zeros(3), lower=-np.ones(7), upper=np.ones(7))
     cases = [(small, {"unit, rows out of column order": [0, 2], "shared row": [2, 3],
                       "mixed": [0, 2, 4], "dense": [1, 4], "empty": []})]
@@ -520,15 +531,22 @@ def test_update_then_polish_matches_fresh_solver_bit_for_bit():
 # -- equilibration -------------------------------------------------------------------
 
 
+def col_norms(P):
+    """Column infinity norms of an (n,) diagonal or an n x n P."""
+    if P.ndim == 1:
+        return np.abs(P)
+    return np.max(np.abs(P), axis=0) if P.size else np.zeros(P.shape[1])
+
+
 def signed_ruiz_reference(prob):
     """The Ruiz loop as it scaled the signed A_eq; returns d, e_eq, s_box, c, P_s, A_s."""
     d, e_eq, s_box = np.ones(prob.n), np.ones(prob.m_eq), np.ones(prob.n)
-    P_s = qpsolve._Hessian.of(prob.P, prob._diagonal)
+    P_s = prob.P if prob.P.ndim == 2 or np.all(prob.P > 0.0) else np.diag(prob.P)
     A_s = prob.A_eq.copy()
     c = 1.0
     abs_a = np.empty_like(A_s)
     for _ in range(qpsolve._SCALING_ITERS):
-        col = np.maximum(P_s.col_norms(), s_box)
+        col = np.maximum(col_norms(P_s), s_box)
         if prob.m_eq:
             np.abs(A_s, out=abs_a)
             col = np.maximum(col, np.max(abs_a, axis=0))
@@ -538,20 +556,23 @@ def signed_ruiz_reference(prob):
         dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
         de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
         ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
-        P_s = P_s.scaled(dd)
+        if P_s.ndim == 1:
+            P_s = (P_s * dd) * dd
+        else:
+            P_s = (P_s * dd[None, :]) * dd[:, None]
         if prob.m_eq:
             A_s *= dd
             A_s *= de[:, None]
         s_box = s_box * ds * dd
         d *= dd
         e_eq *= de
-        pc = P_s.col_norms()
+        pc = col_norms(P_s)
         denom = max(float(np.mean(pc)) if pc.size else 0.0,
                     float(np.max(np.abs(c * d * prob.q))) if prob.n else 0.0)
         if denom > 1e-8:
-            P_s.data *= 1.0 / denom
+            P_s *= 1.0 / denom
             c *= 1.0 / denom
-    return d, e_eq, s_box, c, P_s.data, A_s
+    return d, e_eq, s_box, c, P_s, A_s
 
 
 def test_ruiz_on_absolute_values_matches_signed_loop(behavioral_qps):
@@ -559,15 +580,14 @@ def test_ruiz_on_absolute_values_matches_signed_loop(behavioral_qps):
     signed_zeros = np.array([[-0.0, 1.0, -2.5, 0.0], [3.0, -0.0, 0.0, -1e-3]])
     problems = behavioral_qps + [
         QpProblem(*random_box_qp(rng, n_max=12, m_max=4)),  # dense P
-        QpProblem(P=np.diag([1.0, 2.0, 0.5, 4.0]), q=[1.0, -1.0, 0.0, 2.0],
+        QpProblem(P=np.array([1.0, 2.0, 0.5, 4.0]), q=[1.0, -1.0, 0.0, 2.0],
                   A_eq=signed_zeros, b_eq=[0.0, 0.0], lower=[-1.0] * 4, upper=[1.0] * 4),
         box_only_positive_diagonal_qp(),
     ]
     assert np.signbit(problems[3].A_eq[0, 0]) and not np.signbit(problems[3].A_eq[0, 3])
     for prob in problems:
         solver = QpSolver(prob)
-        got = (solver._d, solver._e_eq, solver._s_box, solver._c, solver._P_s.data,
-               solver._A_s)
+        got = (solver._d, solver._e_eq, solver._s_box, solver._c, solver._P_s, solver._A_s)
         for name, a, b in zip(("d", "e_eq", "s_box", "c", "P_s", "A_s"), got,
                               signed_ruiz_reference(prob)):
             assert same_bits(a, b), name
@@ -776,6 +796,10 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         QpProblem(P=np.eye(2), q=[0.0, 0.0], A_eq=[[1.0]], b_eq=[0.0],
                   lower=[-1, -1], upper=[1, 1])
+    for P in ([1.0, 1.0, 1.0], np.ones((2, 3))):  # neither (n,) nor (n, n)
+        with pytest.raises(ValueError, match="shape"):
+            QpProblem(P=P, q=[0.0, 0.0], A_eq=np.zeros((0, 2)), b_eq=[],
+                      lower=[-1, -1], upper=[1, 1])
 
 
 def _nan_off_diagonal(pair):
@@ -794,15 +818,20 @@ def _nan_off_diagonal(pair):
     (np.diag([1.0, 0.0, -np.inf]), True),
     (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]]), True),
     (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), False),
+    (np.array([1.0, np.nan, 2.0]), False),
+    (np.array([1.0, np.inf, 2.0]), True),
+    (np.array([1.0, 0.0, -np.inf]), True),
 ], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal", "nan-off-diagonal-pair",
-        "zero-and-inf-diagonal", "symmetric-pair", "one-sided"])
+        "zero-and-inf-diagonal", "symmetric-pair", "one-sided", "nan-vector", "inf-vector",
+        "zero-and-inf-vector"])
 def test_problem_symmetry_rule(P, accepted):
-    # the diagonal shortcut accepts and rejects exactly what the transpose compare does
+    # an n x n P passes exactly when the transpose compare does, and an
+    # (n,) P exactly when its n x n matrix would
     assert (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)) == accepted
     kwargs = dict(q=np.zeros(3), A_eq=np.zeros((0, 3)), b_eq=[], lower=-np.ones(3),
                   upper=np.ones(3))
     if accepted:
         QpProblem(P=P, **kwargs)
     else:
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match="symmetric" if P.ndim == 2 else "NaN"):
             QpProblem(P=P, **kwargs)
