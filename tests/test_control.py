@@ -77,10 +77,12 @@ def test_dkpc_qp_structure(full_scale_system):
     assert np.all(prob.upper[n_cols : n_cols + 100] == 1.0)
 
 
-def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti):
+def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_system):
     # the cost is diagonal, so neither QP nor solver holds an n x n array;
     # with 20 equality rows and n near 1500, n^2 floats (18 MB) exceed
-    # everything else the build allocates together
+    # everything else the build allocates together.  A polish-cache entry
+    # of the default DKPC QP holds the factor of the rows below the split,
+    # (m_eq - s)^2 floats, plus A_s x0 and the set: not m_eq^2.
     rng = np.random.default_rng(2)
     data = small_lti.simulate(rng.uniform(-1.0, 1.0, size=(1500, 2)), x0=np.zeros(3))
     bank = build_bank(data.y, 2, seed=3)
@@ -100,6 +102,21 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti):
             tracemalloc.stop()
         assert prob.n > 1400 and peak < 8 * prob.n**2
         assert prob.P.shape == (prob.n,)
+    hs, bank = full_scale_system
+    prob = build_dkpc_qp(hs, bank, DkpcConfig(), primed_state(5, 10, 10, u_val=0.25, y_val=0.01))
+    solver = QpSolver(prob)
+    m_eq, split = prob.m_eq, int(np.flatnonzero(prob.A_eq[:, hs.n_cols])[-1])  # first u_f row
+    assert (m_eq, split) == (500, 300)  # the u_f and y_f rows follow the 300 past rows
+    tracemalloc.start()
+    try:
+        sol = solver.solve()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == SOLVED and sol.polished and len(solver._polish_cache) == 1
+    kept -= sol.x.nbytes + sol.y_eq.nbytes + sol.y_box.nbytes
+    assert kept <= 8 * ((m_eq - split) ** 2 + 2 * m_eq)
+    assert solver._split == split
 
 
 @pytest.mark.parametrize("bad", [dict(Q=-1.0), dict(Q=np.inf), dict(R=0.0), dict(R=np.nan),

@@ -435,31 +435,110 @@ def unit_and_dense_columns_qp(rng, scale=2.0):
                      A_eq=A, b_eq=b, lower=lo, upper=hi)
 
 
+def assembled_schur_factor(solver, factor):
+    """The m_eq x m_eq lower factor L of ``_schur_factor``'s ``(split, factor)``."""
+    split, (c, _) = factor
+    m = solver.problem.m_eq
+    L = np.zeros((m, m))
+    if split:
+        l11, l21t = solver._lead
+        L[:split, :split] = np.tril(l11)
+        L[split:, :split] = l21t.T
+    L[split:, split:] = np.tril(c)
+    return L
+
+
 def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
-    # columns with one nonzero in rows of their own lower the diagonal of
-    # A_s D^-1 A_s' exactly as the GEMM does; other sets take the GEMM
+    # unit columns in rows of their own, none above the split row, lower
+    # only the diagonal of the trailing block: L L' equals the GEMM S_K
+    # to rounding, and only the trailing block is factored.  Every other
+    # set hands the GEMM S_K itself to the full Cholesky (split 0).
     col_rows = np.array([[0.0, 1.0, 2.0, 0.5, 1.0, 0.3, -1.0],
                          [-1.5, 2.0, 0.0, 0.0, 1.0, 0.7, 0.4],
                          [0.0, 0.0, 0.0, 0.0, 1.0, -0.2, 1.1]])
     # column 0 sits in row 1, columns 2 and 3 share row 0; 1, 4, 5, 6 are dense
     small = QpProblem(P=np.array([1.0, 2.0, 0.5, 3.0, 1.5, 2.5, 0.8]), q=np.ones(7),
                       A_eq=col_rows, b_eq=np.zeros(3), lower=-np.ones(7), upper=np.ones(7))
-    cases = [(small, {"unit, rows out of column order": [0, 2], "shared row": [2, 3],
-                      "mixed": [0, 2, 4], "dense": [1, 4], "empty": []})]
+    cases = [(small, 0, {"unit, rows out of column order": [0, 2], "empty": []},
+              {"shared row": [2, 3], "mixed": [0, 2, 4], "dense": [1, 4]})]
     for prob in behavioral_qps:
         u_cols = np.flatnonzero(np.isfinite(prob.lower))  # the u_f bounds
         assert np.all(np.count_nonzero(prob.A_eq[:, u_cols], axis=0) == 1)
-        cases.append((prob, {"every u_f": u_cols, "some u_f": u_cols[::3],
-                             "u_f and g": np.r_[0, 5, u_cols[:4]], "g": [0, 5], "empty": []}))
-    for prob, sets in cases:
+        split = int(np.flatnonzero(prob.A_eq[:, u_cols[0]])[0])  # the first u_f row
+        # unbounded unit columns: y_f below the split row, DeePC's sigma above it
+        free_unit = np.flatnonzero((np.count_nonzero(prob.A_eq, axis=0) == 1)
+                                   & ~np.isfinite(prob.lower))
+        rows = np.argmax(prob.A_eq[:, free_unit] != 0.0, axis=0)
+        y_cols, above = free_unit[rows >= split], free_unit[rows < split]
+        unit_sets = {"every u_f": u_cols, "some u_f": u_cols[::3],
+                     "u_f and y_f": np.r_[u_cols[:4], y_cols[5:9]], "empty": []}
+        gemm_sets = {"u_f and g": np.r_[0, 5, u_cols[:4]], "g": [0, 5]}
+        if above.size:
+            gemm_sets["u_f and a unit column above the split"] = np.r_[above[:2], u_cols[:4]]
+        cases.append((prob, split, unit_sets, gemm_sets))
+    assert sum("u_f and a unit column above the split" in c[3] for c in cases) == 1  # DeePC
+    for prob, split, unit_sets, gemm_sets in cases:
         solver = QpSolver(prob)
-        for name, act_idx in sets.items():
+        assert solver._split == split
+        for name, act_idx in [*unit_sets.items(), *gemm_sets.items()]:
             act_idx = np.asarray(act_idx, dtype=np.intp)
             with monkeypatch.context() as mp:
                 mats = capture_cho_inputs(mp)
-                solver._schur_factor(act_idx)
+                factor = solver._schur_factor(act_idx)
             assert len(mats) == 1
-            assert same_bits(mats[0], gemm_schur_matrix(solver, act_idx)), name
+            S = gemm_schur_matrix(solver, act_idx)
+            if name in unit_sets:
+                assert factor[0] == split
+                assert mats[0].shape == (prob.m_eq - split,) * 2, name
+                L = assembled_schur_factor(solver, factor)
+                assert np.max(np.abs(L @ L.T - S)) <= 1e-12 * np.max(np.abs(S)), name
+            else:
+                assert factor[0] == 0
+                assert same_bits(mats[0], S), name
+
+
+def test_bounded_unit_column_above_split_polishes_through_full_factor(behavioral_qps,
+                                                                       monkeypatch):
+    # bounding a DeePC slack after the first polish puts a unit column
+    # above the split row into the active set: that set takes the full
+    # m_eq x m_eq factor, and the solve still ends at the direct polish
+    prob = behavioral_qps[1]
+    solver = QpSolver(prob)
+    first = solver.solve()
+    assert first.status == SOLVED and first.polished and solver._split > 0
+    unit = np.flatnonzero(np.count_nonzero(prob.A_eq, axis=0) == 1)
+    sig = unit[np.argmax(prob.A_eq[:, unit] != 0.0, axis=0) < solver._split]
+    i = sig[np.argmax(np.abs(first.x[sig]))]
+    lower, upper = prob.lower.copy(), prob.upper.copy()
+    if first.x[i] > 0.0:  # half the slack, on its side
+        upper[i] = 0.5 * first.x[i]
+    else:
+        lower[i] = 0.5 * first.x[i]
+    solver.update(lower=lower, upper=upper)
+    with monkeypatch.context() as mp:
+        sizes = count_cho_factorizations(mp)
+        sol = solver.solve(warm_start=first.x,
+                           warm_start_dual=np.concatenate([first.y_eq, first.y_box]))
+    assert sol.status == SOLVED and sol.polished and sol.iterations == 0
+    assert sol.y_box[i] != 0.0
+    assert sizes == [prob.m_eq] and sol.factorizations == 1
+    res = kkt_residuals(solver.problem, sol.x, sol.y_eq, sol.y_box)
+    assert max(res.values()) <= 1e-5, res
+
+
+def test_solution_counts_polish_factorizations():
+    # a cold solve factors at least one active set; re-solving the
+    # unchanged problem finds every set it needs in the polish cache
+    rng = np.random.default_rng(53)
+    prob = unit_and_dense_columns_qp(rng)
+    solver = QpSolver(prob, TIGHT)
+    cold = solver.solve()
+    assert cold.polished and cold.factorizations >= 1
+    assert cold.factorizations == len(solver._polish_cache)
+    again = solver.solve(warm_start=cold.x, warm_start_dual=np.concatenate([cold.y_eq,
+                                                                            cold.y_box]))
+    assert again.polished and again.factorizations == 0
+    assert same_bits(again.x, cold.x)
 
 
 def test_mixed_active_set_polish_meets_kkt(monkeypatch):
