@@ -371,24 +371,16 @@ class SweepCombo:
 
 
 def sweep_plan(cfg: ExperimentConfig) -> list[SweepCombo]:
-    """Full cross product of the grids: one combo per row of the sweep CSV."""
+    """Full cross product of the grids, in the row order of the sweep CSV.
+
+    DeePC combos come first, then DKPC, each over the sorted grids.
+    """
     s = cfg.sweep
     if not (s.q and s.r and s.lambda_g and s.lambda_sigma):
         raise ConfigError("sweep grids must be nonempty")
-    plan = [
-        SweepCombo("dkpc", q, r, lg)
-        for q in s.q
-        for r in s.r
-        for lg in s.lambda_g
-    ]
-    plan += [
-        SweepCombo("deepc", q, r, lg, ls)
-        for q in s.q
-        for r in s.r
-        for lg in s.lambda_g
-        for ls in s.lambda_sigma
-    ]
-    return plan
+    grid = [(q, r, lg) for q in sorted(s.q) for r in sorted(s.r) for lg in sorted(s.lambda_g)]
+    plan = [SweepCombo("deepc", *g, ls) for g in grid for ls in sorted(s.lambda_sigma)]
+    return plan + [SweepCombo("dkpc", *g) for g in grid]
 
 
 # -- commands ----------------------------------------------------------------
@@ -564,17 +556,6 @@ def cmd_sweep(cfg: ExperimentConfig, workers: int = 1) -> Path:
     finally:
         _SWEEP_CTX = None
     rows = list(zip((m for m, _ in results), (s for _, s in results)))
-    order = sorted(
-        range(len(plan)),
-        key=lambda i: (
-            plan[i].kind,
-            plan[i].q,
-            plan[i].r,
-            plan[i].lambda_g,
-            plan[i].lambda_sigma if plan[i].lambda_sigma is not None else -1.0,
-        ),
-    )
-    rows = [rows[i] for i in order]
     out = cfg.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     path = out / SWEEP_FILE

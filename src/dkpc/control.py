@@ -23,9 +23,6 @@ from .behavior import HankelSystem, LtiSystem
 from .netsim import DisturbanceSpec, SimulationDiverged
 from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolver
 
-FALLBACK_HOLD = "hold"
-FALLBACK_ZERO = "zero"
-
 
 def _bound_vector(b, dim: int, default: float) -> np.ndarray:
     if b is None:
@@ -76,21 +73,18 @@ class DkpcConfig:
     y_max: float | np.ndarray | None = None
     reference: float | np.ndarray = 0.0
     u_nominal: float | np.ndarray = 0.0
-    fallback: str = FALLBACK_HOLD
 
     def __post_init__(self) -> None:
         if self.t_ini < 1 or self.horizon < 1:
             raise ValueError("t_ini and horizon must be >= 1")
-        if self.lambda_g < 0.0:
-            raise ValueError("lambda_g must be nonnegative")
+        if not (math.isfinite(self.lambda_g) and self.lambda_g >= 0.0):
+            raise ValueError(f"lambda_g must be finite and >= 0, got {self.lambda_g}")
         if np.ndim(self.Q) or np.ndim(self.R):
             raise ValueError("Q and R must be scalars")
         if not (math.isfinite(self.Q) and self.Q >= 0.0):
             raise ValueError(f"Q must be finite and >= 0, got {self.Q}")
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise ValueError(f"R must be finite and > 0, got {self.R}")
-        if self.fallback not in (FALLBACK_HOLD, FALLBACK_ZERO):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -154,26 +148,41 @@ def _targets(cfg: DkpcConfig, n_u: int, n_y: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _behavioral_qp(
-    past: np.ndarray,
+    hs: HankelSystem,
+    bank,
     n_soft: int,
     soft_weight: float,
-    u_future: np.ndarray,
-    y_future: np.ndarray,
     cfg: DkpcConfig,
-    b_past: np.ndarray,
+    cs: ControllerState,
 ) -> QpProblem:
     """The behavioral QP that both controllers solve.
 
-    Decision vector x = (g, u_future, y_future, sigma).  The rows
-    ``past @ g = b_past`` pin the measured window; only the last
-    ``n_soft`` of them carry ``-sigma``, penalized by
-    ``soft_weight * |sigma|^2``.  The future Hankel rows couple g to the
-    future blocks, which carry the tracking cost and the bounds.  The
-    cost is diagonal, so P is passed as its (n,) diagonal.
+    Decision vector x = (g, u_future, y_future, sigma).  The past rows
+    ``[Up; Yp]``, followed by ``Zp`` when a ``bank`` is given, pin the
+    measured window ``cs.past_window(bank)``; only the last ``n_soft``
+    of them carry ``-sigma``, penalized by ``soft_weight * |sigma|^2``.
+    The future Hankel rows couple g to the future blocks, which carry
+    the tracking cost and the bounds.  The cost is diagonal, so P is
+    passed as its (n,) diagonal.
+
+    Raises ValueError unless ``cs`` is primed and both ``cs`` and
+    ``cfg`` have the ``t_ini`` (and ``cfg`` the horizon, ``cs`` the
+    ``n_u``/``n_y``) of ``hs``.
     """
+    if not cs.primed:
+        raise ValueError("controller state not primed: need t_ini recorded pairs")
+    if (cfg.t_ini, cfg.horizon) != (hs.t_ini, hs.horizon):
+        raise ValueError(
+            f"config t_ini/horizon {cfg.t_ini}/{cfg.horizon} differ from the Hankel "
+            f"partition's {hs.t_ini}/{hs.horizon}"
+        )
+    if (cs.t_ini, cs.n_u, cs.n_y) != (hs.t_ini, hs.n_u, hs.n_y):
+        raise ValueError("controller state t_ini/n_u/n_y differ from the Hankel partition")
+    blocks = [hs.u_past, hs.y_past] if bank is None else [hs.u_past, hs.y_past, hs.z_past]
+    past = np.vstack(blocks)
     n_past, n_cols = past.shape
-    n_uf, n_yf = u_future.shape[0], y_future.shape[0]
-    n_u, n_y = n_uf // cfg.horizon, n_yf // cfg.horizon
+    n_u, n_y = hs.n_u, hs.n_y
+    n_uf, n_yf = n_u * cfg.horizon, n_y * cfg.horizon
     refs, u_nom = _targets(cfg, n_u, n_y)
     uf = slice(n_cols, n_cols + n_uf)
     yf = slice(n_cols + n_uf, n_cols + n_uf + n_yf)
@@ -183,9 +192,9 @@ def _behavioral_qp(
     a_eq = np.zeros((n_past + n_uf + n_yf, dim))
     a_eq[:n_past, :n_cols] = past
     a_eq[n_past - n_soft : n_past, sig] = -np.eye(n_soft)
-    a_eq[n_past : n_past + n_uf, :n_cols] = u_future
+    a_eq[n_past : n_past + n_uf, :n_cols] = hs.u_future
     a_eq[n_past : n_past + n_uf, uf] = -np.eye(n_uf)
-    a_eq[n_past + n_uf :, :n_cols] = y_future
+    a_eq[n_past + n_uf :, :n_cols] = hs.y_future
     a_eq[n_past + n_uf :, yf] = -np.eye(n_yf)
 
     p_vec = np.empty(dim)
@@ -207,58 +216,36 @@ def _behavioral_qp(
     lower[y_later] = np.tile(_bound_vector(cfg.y_min, n_y, -np.inf), cfg.horizon - 1)
     upper[y_later] = np.tile(_bound_vector(cfg.y_max, n_y, np.inf), cfg.horizon - 1)
 
-    b_eq = np.concatenate([b_past, np.zeros(n_uf + n_yf)])
+    b_eq = np.concatenate([cs.past_window(bank), np.zeros(n_uf + n_yf)])
     return QpProblem(P=p_vec, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
 
 
 def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) -> QpProblem:
-    """Assemble the lifted behavioral QP.
+    """Assemble the lifted behavioral QP (see ``_behavioral_qp``).
 
     Decision vector x = (g, u_future, y_future).  The past input, output
     and lifted windows are matched exactly; there are no future lifted
-    rows, which keeps the program convex.
+    rows, which keeps the program convex.  Raises ValueError for a bank
+    whose observables differ from the Hankel Z block, and for the state
+    and config mismatches of ``_behavioral_qp``.
     """
-    if not cs.primed:
-        raise ValueError("controller state not primed: need t_ini recorded pairs")
     if bank.n_basis != hs.n_basis:
         raise ValueError(
             f"bank has {bank.n_basis} observables but Hankel Z block expects {hs.n_basis}"
         )
-    if cs.t_ini != hs.t_ini:
-        raise ValueError("controller state t_ini differs from Hankel partition")
-    past = np.vstack([hs.u_past, hs.y_past, hs.z_past])
-    return _behavioral_qp(past, 0, 0.0, hs.u_future, hs.y_future, cfg, cs.past_window(bank))
+    return _behavioral_qp(hs, bank, 0, 0.0, cfg, cs)
 
 
-def build_deepc_qp(
-    up: np.ndarray,
-    yp: np.ndarray,
-    uf: np.ndarray,
-    yf: np.ndarray,
-    cfg: DeepcConfig,
-    cs: ControllerState,
-) -> QpProblem:
-    """Assemble the benchmark behavioral QP from the Hankel partitions.
+def build_deepc_qp(hs: HankelSystem, cfg: DeepcConfig, cs: ControllerState) -> QpProblem:
+    """Assemble the benchmark behavioral QP (see ``_behavioral_qp``).
 
     Decision vector x = (g, u_future, y_future, sigma); the slack enters
     only the past-output rows.  An infinite slack weight drops sigma and
-    makes the past-output rows hard.
+    makes the past-output rows hard.  Raises ValueError for the state
+    and config mismatches of ``_behavioral_qp``.
     """
-    if not cs.primed:
-        raise ValueError("controller state not primed: need t_ini recorded pairs")
-    t_ini, horizon = cfg.t_ini, cfg.horizon
-    if up.shape[0] % t_ini or yp.shape[0] % t_ini:
-        raise ValueError("past partitions inconsistent with t_ini")
-    n_u = up.shape[0] // t_ini
-    n_y = yp.shape[0] // t_ini
-    n_cols = up.shape[1]
-    if uf.shape != (n_u * horizon, n_cols) or yf.shape != (n_y * horizon, n_cols):
-        raise ValueError("future partitions inconsistent with horizon")
-    if cs.t_ini != t_ini or cs.n_u != n_u or cs.n_y != n_y:
-        raise ValueError("controller state dimensions do not match partitions")
-    n_soft = 0 if math.isinf(cfg.lambda_sigma) else n_y * t_ini
-    past = np.vstack([up, yp])
-    return _behavioral_qp(past, n_soft, cfg.lambda_sigma, uf, yf, cfg, cs.past_window())
+    n_soft = 0 if math.isinf(cfg.lambda_sigma) else hs.n_y * hs.t_ini
+    return _behavioral_qp(hs, None, n_soft, cfg.lambda_sigma, cfg, cs)
 
 
 @dataclass
@@ -269,13 +256,18 @@ class StepResult:
     primal_residual: float
     dual_residual: float
     predicted_y: np.ndarray  # (horizon, n_y)
-    fallback: bool
+
+    @property
+    def fallback(self) -> bool:
+        """The solve failed, so the last applied input was held."""
+        return self.status != SOLVED
 
 
 class _BehavioralController:
     """Shared receding-horizon mechanics of the two controllers."""
 
     kind = "behavioral"
+    bank = None  # the lifting bank whose window enters the past rows, if any
 
     def __init__(self, hs: HankelSystem, cfg: DkpcConfig, solver_settings: QpSettings | None):
         if hs.pe_report is not None and not hs.pe_report:
@@ -319,11 +311,8 @@ class _BehavioralController:
             return math.inf
         return cost
 
-    # subclass hooks
+    # subclass hook
     def _build_problem(self) -> QpProblem:
-        raise NotImplementedError
-
-    def _past_window(self) -> np.ndarray:
         raise NotImplementedError
 
     def solve_step(self, y_t: np.ndarray) -> StepResult:
@@ -343,7 +332,7 @@ class _BehavioralController:
             self._solver = QpSolver(self._build_problem(), self.settings)
         else:
             future = np.zeros((self.n_u + self.n_y) * self.cfg.horizon)
-            self._solver.update(b_eq=np.concatenate([self._past_window(), future]))
+            self._solver.update(b_eq=np.concatenate([self.state.past_window(self.bank), future]))
         sol = self._solver.solve(
             warm_start=self.state.warm_start, warm_start_dual=self.state.warm_dual
         )
@@ -352,12 +341,8 @@ class _BehavioralController:
 
         n_cols = self.hs.n_cols
         n_uf = self.n_u * self.cfg.horizon
-        fallback = sol.status != SOLVED
-        if fallback:
-            if self.cfg.fallback == FALLBACK_HOLD:
-                u_t = self.state.u_ini[-1].copy()
-            else:
-                u_t = np.zeros(self.n_u)
+        if sol.status != SOLVED:  # hold the last applied input
+            u_t = self.state.u_ini[-1].copy()
             predicted = np.full((self.cfg.horizon, self.n_y), np.nan)
         else:
             u_future = sol.x[n_cols : n_cols + n_uf]
@@ -373,7 +358,6 @@ class _BehavioralController:
             primal_residual=sol.primal_residual,
             dual_residual=sol.dual_residual,
             predicted_y=predicted,
-            fallback=fallback,
         )
 
 
@@ -398,9 +382,6 @@ class DkpcController(_BehavioralController):
     def _build_problem(self) -> QpProblem:
         return build_dkpc_qp(self.hs, self.bank, self.cfg, self.state)
 
-    def _past_window(self) -> np.ndarray:
-        return self.state.past_window(self.bank)
-
 
 class DeepcController(_BehavioralController):
     """Benchmark behavioral controller with initialization slack."""
@@ -417,17 +398,7 @@ class DeepcController(_BehavioralController):
         super().__init__(hs, cfg, solver_settings)
 
     def _build_problem(self) -> QpProblem:
-        return build_deepc_qp(
-            self.hs.u_past,
-            self.hs.y_past,
-            self.hs.u_future,
-            self.hs.y_future,
-            self.cfg,
-            self.state,
-        )
-
-    def _past_window(self) -> np.ndarray:
-        return self.state.past_window()
+        return build_deepc_qp(self.hs, self.cfg, self.state)
 
 
 class Plant(Protocol):
@@ -498,13 +469,18 @@ class ClosedLoopTrace:
     primal_residual: np.ndarray
     dual_residual: np.ndarray
     stage_cost: np.ndarray  # +inf where the cost overflowed (diverging plant), never NaN
-    fallback: np.ndarray
     activation_step: int
     diverged_at: int | None = None
 
     @property
     def steps(self) -> int:
         return self.t.shape[0]
+
+    @property
+    def fallback(self) -> np.ndarray:
+        """Active steps whose solve failed and held the last applied input."""
+        return np.array([on and st != SOLVED for on, st in zip(self.active, self.status)],
+                        dtype=bool)
 
     def to_csv(self, path: str | Path, comment: str | None = None) -> None:
         """Write ``k,t,active,u_1..u_n,y_1..y_n,cost,status,iters`` rows."""
@@ -565,7 +541,6 @@ def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: S
     primal = np.zeros(steps)
     dual = np.zeros(steps)
     cost = np.zeros(steps)
-    fallback = np.zeros(steps, dtype=bool)
     diverged_at: int | None = None
 
     recorded = 0
@@ -580,7 +555,6 @@ def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: S
             iterations[k] = res.iterations
             primal[k] = res.primal_residual
             dual[k] = res.dual_residual
-            fallback[k] = res.fallback
         else:
             u_k = np.zeros(n_u)
             controller.record(u_k, y_k)
@@ -608,7 +582,6 @@ def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: S
         primal_residual=primal[sl],
         dual_residual=dual[sl],
         stage_cost=cost[sl],
-        fallback=fallback[sl],
         activation_step=scenario.activation_step,
         diverged_at=diverged_at,
     )

@@ -17,9 +17,6 @@ import numpy as np
 DKPC = "DKPC"
 DEEPC = "DeePC"
 
-ERROR_SUM_ABS = "sum-abs"
-ERROR_EUCLIDEAN = "euclidean"
-
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -42,22 +39,16 @@ class FrontierPoint:
     config_tag: tuple
 
 
-def itae(errors: np.ndarray, dt: float, aggregation: str = ERROR_SUM_ABS) -> float:
+def itae(errors: np.ndarray, dt: float) -> float:
     """Integrated time-weighted absolute error, sum_k t_k |e_k|, t_k = k dt.
 
     The first sample is weighted by dt.  Multi-channel errors reduce to
-    a scalar per step by the sum of absolute channel errors (default) or
-    the Euclidean norm.
+    a scalar per step by the sum of absolute channel errors.
     """
     errors = np.atleast_2d(np.asarray(errors, dtype=float))
     if errors.shape[0] == 0:
         raise ValueError("empty error trace")
-    if aggregation == ERROR_SUM_ABS:
-        per_step = np.sum(np.abs(errors), axis=1)
-    elif aggregation == ERROR_EUCLIDEAN:
-        per_step = np.linalg.norm(errors, axis=1)
-    else:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
+    per_step = np.sum(np.abs(errors), axis=1)
     t = dt * np.arange(1, errors.shape[0] + 1)
     return float(np.sum(t * per_step))
 

@@ -17,9 +17,11 @@ runs operator splitting (ADMM with over-relaxation and adaptive
 penalty) on the stacked constraint [A_eq; I] x in [b_eq, b_eq] x
 [lower, upper], after Ruiz equilibration, checks termination on
 unscaled residuals and polishes iterates that come close.
-Factorizations depend only on (P, A_eq, penalty, active set), so a
-solver instance amortizes them across the solves of a receding-horizon
-loop, where only q, b_eq and the bounds change.
+Factorizations depend only on (P, A_eq, bounds, penalty, active set),
+so a solver instance amortizes them across the solves of a
+receding-horizon loop, where only q and b_eq change (``update``); the
+bounds are fixed when the solver is built.  ADMM checks termination
+every ``_CHECK_EVERY`` iterations.
 
 P is given as its (n,) diagonal or as an (n, n) matrix, and its shape
 picks the path.  An (n,) P with every entry > 0 (both controllers'
@@ -29,14 +31,15 @@ cost) stays a vector and every factor is at most m_eq x m_eq
 the Schur complement on the equality rows, a downdate of A D^-1 A'.
 Active columns with one nonzero each, in rows of their own (the
 controllers' input bounds), lower only diagonal entries at or below a
-split row s, the first row such a bounded column touches.  The leading
+split row s, the first row such a bounded column touches; with the
+bounds fixed, no active unit column lies above s.  The leading
 s rows are factored once per solver, in the natural row order, and
 each of these active sets factors only the trailing (m_eq - s)^2
 block, solving by block substitution.  That rounds differently from
 one full Cholesky: over a 10-bus seed panel DeePC's inputs moved by
 about 1e-15 and DKPC's by up to 1.1e-3.  Any other set keeps a
 gather-and-GEMM downdate and a full Cholesky.  Each active set keeps
-A x0 of its solve, which only q and the bounds change.  Any other (n,)
+A x0 of its solve, which only q changes.  Any other (n,)
 P is expanded once to its n x n matrix, and an n x n P factors the
 n x n ADMM matrix (Cholesky) and the full active-set KKT matrix (LU),
 refined against the unregularized one.  The ADMM factor is built on
@@ -69,6 +72,7 @@ _POLISH_DELTA = 1e-12  # KKT regularization of the polish
 _POLISH_REFINE_STEPS = 3  # LU polish: refinement steps against the unregularized KKT
 _POLISH_TRIGGER = 1e3  # polish an ADMM iterate once r_p <= this * eps_pri
 _POLISH_CACHE_SIZE = 8  # active-set factorizations kept per solver
+_CHECK_EVERY = 25  # ADMM iterations between termination checks
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,11 @@ class QpProblem:
     """Dense convex QP data.
 
     ``P`` is the (n,) diagonal of a diagonal cost Hessian or the
-    symmetric (n, n) matrix.  ``lower``/``upper`` may contain +-inf for
-    absent bounds; ``A_eq`` may be empty (shape (0, n)) for box-only
-    problems.
+    symmetric (n, n) matrix.  ``A_eq``, ``q`` and ``b_eq`` must be
+    finite; ``A_eq`` may be empty (shape (0, n)) for box-only problems.
+    ``lower``/``upper`` may contain -inf/+inf for absent bounds, but no
+    NaN and no lower bound of +inf or upper bound of -inf, which no
+    point satisfies.
     """
 
     P: np.ndarray
@@ -105,9 +111,16 @@ class QpProblem:
         A_eq = np.atleast_2d(A_eq)
         if A_eq.shape[1] != n:
             raise ValueError(f"A_eq has {A_eq.shape[1]} columns, expected {n}")
-        q, b_eq, lower, upper = _checked_vectors(
-            n, A_eq.shape[0], q, self.b_eq, self.lower, self.upper
-        )
+        if not np.isfinite(A_eq).all():
+            raise ValueError("A_eq must be finite")
+        q, b_eq = _checked_vectors(n, A_eq.shape[0], q, self.b_eq)
+        lower, upper = _vector("lower", self.lower, n), _vector("upper", self.upper, n)
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("bounds must not be NaN")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("a bound is pinned at infinity (lower +inf or upper -inf)")
+        if np.any(lower > upper):
+            raise ValueError("lower bound exceeds upper bound")
         for name, val in (
             ("P", P), ("q", q), ("A_eq", A_eq), ("b_eq", b_eq),
             ("lower", lower), ("upper", upper),
@@ -134,47 +147,37 @@ def _p_matvec(P: np.ndarray, x: np.ndarray) -> np.ndarray:
     return P * x if P.ndim == 1 else P @ x
 
 
-def _checked_vectors(n: int, m_eq: int, q, b_eq, lower, upper):
-    """Coerce and check the vectors of a QP with n variables and m_eq equality rows.
+def _vector(name: str, val, size: int) -> np.ndarray:
+    """``val`` as a float vector of length ``size``."""
+    vec = np.asarray(val, dtype=float).ravel()
+    if vec.shape[0] != size:
+        raise ValueError(f"{name} has length {vec.shape[0]}, expected {size}")
+    return vec
 
-    ``q`` and ``b_eq`` must be finite; the bounds may hold +-inf but no
-    NaN, and ``lower <= upper``.  Returns the four float vectors.
-    """
-    vecs = []
-    for name, val, size in (("q", q, n), ("b_eq", b_eq, m_eq), ("lower", lower, n),
-                            ("upper", upper, n)):
-        vec = np.asarray(val, dtype=float).ravel()
-        if vec.shape[0] != size:
-            raise ValueError(f"{name} has length {vec.shape[0]}, expected {size}")
-        vecs.append(vec)
-    q, b_eq, lower, upper = vecs
+
+def _checked_vectors(n: int, m_eq: int, q, b_eq) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce ``q`` (length n) and ``b_eq`` (length m_eq); both must be finite."""
+    q, b_eq = _vector("q", q, n), _vector("b_eq", b_eq, m_eq)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(b_eq))):
         raise ValueError("q and b_eq must be finite")
-    if np.isnan(lower).any() or np.isnan(upper).any():
-        raise ValueError("bounds must not be NaN")
-    if np.any(lower > upper):
-        raise ValueError("lower bound exceeds upper bound")
-    return q, b_eq, lower, upper
+    return q, b_eq
 
 
 @dataclass(frozen=True)
 class QpSettings:
-    """Tolerances, iteration budget, check period and whether to polish."""
+    """Tolerances and iteration budget; the polish always runs."""
 
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     max_iter: int = 20000
-    check_every: int = 25
-    polish: bool = True
 
     def __post_init__(self) -> None:
         for name in ("eps_abs", "eps_rel"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative, got {val}")
-        for name in ("max_iter", "check_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -235,11 +238,11 @@ class QpSolver:
     """Reusable operator-splitting engine bound to one problem structure.
 
     ``update`` swaps the vectors that change between receding-horizon
-    steps (q, b_eq, bounds) without touching the cached factorization,
-    the equilibration or the polish cache.  It validates the new
-    vectors only: P and A_eq are checked once, when the ``QpProblem``
-    is built, and are shared unchanged by every updated problem.
-    Altering P or A_eq requires a new instance.
+    steps (q, b_eq) without touching the cached factorization, the
+    equilibration or the polish cache.  It validates the new vectors
+    only: P, A_eq and the bounds are checked once, when the
+    ``QpProblem`` is built, and are shared unchanged by every updated
+    problem.  Altering P, A_eq or a bound requires a new instance.
 
     An (n,) P with every entry > 0 stays a vector (scaled and
     unscaled) for every product the solver forms; any other (n,) P is
@@ -265,7 +268,7 @@ class QpSolver:
         # (``_schur_split``) are formed once here
         self._schur_diag = self._schur_gram = self._lead = self._trail = None
         self._split = 0
-        if self.settings.polish and self._P_s.ndim == 1:
+        if self._P_s.ndim == 1:
             self._schur_diag = self._P_s + _POLISH_DELTA
             self._schur_gram = (self._A_s / self._schur_diag) @ self._A_s.T
             self._schur_split(problem)
@@ -389,36 +392,24 @@ class QpSolver:
 
     # -- public API ------------------------------------------------------
 
-    def update(
-        self,
-        q: np.ndarray | None = None,
-        b_eq: np.ndarray | None = None,
-        lower: np.ndarray | None = None,
-        upper: np.ndarray | None = None,
-    ) -> None:
-        """Replace cost/right-hand-side vectors; keeps the factorization.
+    def update(self, q: np.ndarray | None = None, b_eq: np.ndarray | None = None) -> None:
+        """Replace the cost and right-hand-side vectors; keeps the factorization.
 
-        Checks only the vectors (length, finiteness, ``lower <= upper``)
-        and raises ValueError without changing the problem if one fails.
-        The new ``problem`` shares the ``P`` and ``A_eq`` arrays of the
+        Checks only the vectors (length, finiteness) and raises
+        ValueError without changing the problem if one fails.  The new
+        ``problem`` shares the ``P``, ``A_eq`` and bound arrays of the
         old one; they are not re-validated.
         """
         p = self.problem
-        vecs = _checked_vectors(
-            p.n,
-            p.m_eq,
-            p.q if q is None else q,
-            p.b_eq if b_eq is None else b_eq,
-            p.lower if lower is None else lower,
-            p.upper if upper is None else upper,
-        )
+        vecs = _checked_vectors(p.n, p.m_eq, p.q if q is None else q,
+                                p.b_eq if b_eq is None else b_eq)
         updated = copy.copy(p)
-        for name, val in zip(("q", "b_eq", "lower", "upper"), vecs):
+        for name, val in zip(("q", "b_eq"), vecs):
             object.__setattr__(updated, name, val)
         self.problem = updated
-        if not (q is None and lower is None and upper is None):
+        if q is not None:
             for entry in self._polish_cache.values():
-                entry[2] = None  # A_s x0 reads q and the bounds (``_schur_solve``)
+                entry[2] = None  # A_s x0 reads q (``_schur_solve``)
 
     def solve(
         self,
@@ -487,18 +478,15 @@ class QpSolver:
         # point's scales, which need no product with A_eq; its dual test
         # scales by |q| and |P x| at the point it returns.
         last_polish_iter = 0
-        if s.polish:
-            sc_p = max(np.max(np.abs(p.b_eq), initial=0.0),
-                       np.max(np.abs(np.clip(0.0, p.lower, p.upper)), initial=0.0))
-            eps_pri = s.eps_abs + s.eps_rel * sc_p
-            pol = self._polish(e_all * y / c)
-            if pol is not None:
-                xp, yp, pxp, rp_p, rd_p = pol
-                sc_d = max(np.max(np.abs(p.q), initial=0.0), np.max(np.abs(pxp), initial=0.0))
-                if rp_p <= eps_pri and rd_p <= s.eps_abs + s.eps_rel * sc_d:
-                    return finish(
-                        SOLVED, xp, yp, pxp, rp_p, rd_p, 0, polished=True, scaled=False
-                    )
+        sc_p = max(np.max(np.abs(p.b_eq), initial=0.0),
+                   np.max(np.abs(np.clip(0.0, p.lower, p.upper)), initial=0.0))
+        eps_pri = s.eps_abs + s.eps_rel * sc_p
+        pol = self._polish(e_all * y / c)
+        if pol is not None:
+            xp, yp, pxp, rp_p, rd_p = pol
+            sc_d = max(np.max(np.abs(p.q), initial=0.0), np.max(np.abs(pxp), initial=0.0))
+            if rp_p <= eps_pri and rd_p <= s.eps_abs + s.eps_rel * sc_d:
+                return finish(SOLVED, xp, yp, pxp, rp_p, rd_p, 0, polished=True, scaled=False)
 
         q_s = c * d * p.q
         lo_s = np.concatenate([e_eq * p.b_eq, e_box * p.lower])
@@ -524,7 +512,7 @@ class QpSolver:
             y = y + rho * (z_relaxed - z_new)
             z = z_new
 
-            if it % s.check_every != 0 and it != s.max_iter:
+            if it % _CHECK_EVERY != 0 and it != s.max_iter:
                 continue
 
             r_p, r_d, sc_p, sc_d, px = unscaled_residuals(x, y, z)
@@ -539,7 +527,7 @@ class QpSolver:
             # dependent equality rows the ADMM dual can stall while the
             # direct KKT solve still reaches the optimum
             near = r_p <= _POLISH_TRIGGER * eps_pri
-            if s.polish and (converged or (near and it - last_polish_iter >= 2 * s.check_every)):
+            if converged or (near and it - last_polish_iter >= 2 * _CHECK_EVERY):
                 last_polish_iter = it
                 pol = self._polish(e_all * y / c)
                 if pol is not None:
@@ -759,18 +747,27 @@ class QpSolver:
     def _schur_split(self, p: QpProblem) -> None:
         """Split S_0 = A_s D^-1 A_s' + delta I at row s and factor its leading block.
 
-        s is the first row that a unit column (one nonzero in A_eq) with
-        a finite bound touches: the first ``u_f`` row of both
-        controllers, 0 if there is none.  Every active set of such
-        columns changes S_0 only in diagonal entries at or below s, so
+        Records each unit column's row (one nonzero a in A_eq; -1 for
+        any other column) and its downdate (a / D) a.  s is the first
+        row that a unit column with a finite bound touches: the first
+        ``u_f`` row of both controllers, 0 if there is none.  The bounds
+        are fixed for the solver's life, so every active set of unit
+        columns changes S_0 only in diagonal entries at or below s, and
         with G = A_s D^-1 A_s' split there, L11 = chol(G11 + delta I),
         L21 = G21 L11^-T and C0 = G22 - L21 L21' are formed once, in the
         natural row order; ``_schur_factor`` then factors only the
         trailing block.
         """
-        bounded = self._A_s[:, np.isfinite(p.lower) | np.isfinite(p.upper)]
-        unit = bounded[:, np.count_nonzero(bounded, axis=0) == 1]
-        s = self._split = int(np.argmax(unit != 0.0, axis=0).min()) if unit.size else 0
+        nonzero = self._A_s != 0.0
+        cols = np.flatnonzero(nonzero.sum(axis=0, dtype=np.int32) == 1)
+        rows = np.argmax(nonzero[:, cols], axis=0) if cols.size else cols
+        a = self._A_s[rows, cols]
+        self._unit_row = np.full(p.n, -1)
+        self._unit_row[cols] = rows
+        self._unit_down = np.zeros(p.n)
+        self._unit_down[cols] = (a / self._schur_diag[cols]) * a
+        bounded = np.isfinite(p.lower[cols]) | np.isfinite(p.upper[cols])
+        s = self._split = int(rows[bounded].min()) if bounded.any() else 0
         gram = self._schur_gram
         if s == 0:
             self._trail = gram
@@ -786,29 +783,26 @@ class QpSolver:
         """Factor S_K = A_F D_F^-1 A_F' + delta I; returns ``(split, Cholesky factor)``.
 
         S_K is S_0 downdated by the |K| active columns, with D = P_s +
-        delta.  When each active column holds one finite nonzero a, no
-        two in one row and none above the split row s (the u_f bounds of
-        both controllers), the downdate lowers only diagonal entries of
-        the trailing block: S_K = L L' with the once-formed L11, L21 and
-        L22 = chol(C0 - diag((a / D) a) + delta I), an (m_eq - s)^2
-        factor.  Any other set (dense or shared-row columns, or a unit
-        column above s, bounded by ``update``) keeps the gather-and-GEMM
-        downdate of G and a full Cholesky, split 0.  For s = 0 the
-        diagonal path gives that GEMM's S_K bit for bit.
+        delta.  When each active column is a unit column (one nonzero
+        a), no two in one row and none above the split row s (the u_f
+        bounds of both controllers), the downdate lowers only diagonal
+        entries of the trailing block: S_K = L L' with the once-formed
+        L11, L21 and L22 = chol(C0 - diag((a / D) a) + delta I), an
+        (m_eq - s)^2 factor; rows and downdates are looked up in the
+        tables of ``_schur_split``.  Every active column carries a bound
+        fixed at construction, so a unit column of K never lies above s;
+        any other set (dense or shared-row columns) keeps the
+        gather-and-GEMM downdate of G and a full Cholesky, split 0.  For
+        s = 0 the diagonal path gives that GEMM's S_K bit for bit.
         """
-        a_act = self._A_s[:, act_idx]
-        rows, cols = np.nonzero(a_act)
-        unit = rows.size == act_idx.size == np.unique(rows).size == np.unique(cols).size
-        if unit:
-            a = a_act[rows, cols]
-            w = a / self._schur_diag[act_idx[cols]]
-            unit = bool(np.all(np.isfinite(w)) and np.all(rows >= self._split))
-        if unit:
-            split = self._split
+        split = self._split
+        rows = self._unit_row[act_idx]  # -1 for a column that is not a unit column
+        if np.all(rows >= split) and np.count_nonzero(np.bincount(rows)) == rows.size:
             S = self._trail.copy()
-            S[rows - split, rows - split] -= w * a
+            S[rows - split, rows - split] -= self._unit_down[act_idx]
         else:
             split = 0
+            a_act = self._A_s[:, act_idx]
             S = self._schur_gram - (a_act / self._schur_diag[act_idx]) @ a_act.T
         S[np.diag_indices_from(S)] += _POLISH_DELTA
         return split, scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
@@ -823,9 +817,9 @@ class QpSolver:
         ``entry`` is the polish-cache list ``[(split, factor), K, A_s x0]``.
         With a split s > 0, S_K nu = b is solved by block substitution:
         z1 = L11^-1 b1, nu2 = L22^-T L22^-1 (b2 - L21 z1) and
-        nu1 = L11^-T (z1 - L21' nu2).  A_s x0 reads only q, the bounds
-        and K, so it is formed once and kept until ``update`` passes q
-        or a bound.
+        nu1 = L11^-T (z1 - L21' nu2).  A_s x0 reads only q, the fixed
+        bounds and K, so it is formed once and kept until ``update``
+        passes q.
         """
         (split, cho), act_idx, ax0 = entry
         if ax0 is None:

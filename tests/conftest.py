@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dkpc import behavior, netsim
+from dkpc import behavior, netsim, qpsolve
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +33,9 @@ def plant_dataset(plant_setup):
     rng = np.random.default_rng(1)
     inputs = rng.uniform(-1.0, 1.0, size=(400, net.n_bus))
     return netsim.simulate(eq, inputs, params, net, cfg)
+
+
+@pytest.fixture
+def admm_only(monkeypatch):
+    """Every polish attempt fails, so each solve runs ADMM to its own end."""
+    monkeypatch.setattr(qpsolve.QpSolver, "_polish", lambda self, y_unscaled: None)

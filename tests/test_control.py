@@ -91,8 +91,7 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_syst
     deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
     cs = primed_state(2, 2, 2, u_val=0.1, y_val=-0.05)
     for build in (lambda: build_dkpc_qp(hs, bank, cfg, cs),
-                  lambda: build_deepc_qp(hs.u_past, hs.y_past, hs.u_future, hs.y_future,
-                                         deepc_cfg, cs)):
+                  lambda: build_deepc_qp(hs, deepc_cfg, cs)):
         tracemalloc.start()
         try:
             prob = build()
@@ -132,6 +131,29 @@ def test_dkpc_qp_requires_primed_state(full_scale_system):
         build_dkpc_qp(hs, bank, DkpcConfig(), ControllerState(5, 10, 10))
 
 
+@pytest.mark.parametrize("controller", ["dkpc", "deepc"])
+@pytest.mark.parametrize("bad", [dict(cfg_t_ini=3), dict(cfg_horizon=4), dict(state_t_ini=3),
+                                 dict(state_n_y=3)])
+def test_builders_check_config_and_state_against_hankel(lti_setup, controller, bad):
+    # both builders hold the config's and the state's windows to the
+    # Hankel partition (t_ini 4, horizon 8, 2 inputs, 2 outputs); a DKPC
+    # config with horizon 4 once built a QP with misplaced output bounds
+    _, hs, bank, cfg = lti_setup
+    cfg = dataclasses.replace(cfg, t_ini=bad.get("cfg_t_ini", 4),
+                              horizon=bad.get("cfg_horizon", 8), y_min=-1.0, y_max=1.0)
+    cs = primed_state(bad.get("state_t_ini", 4), 2, bad.get("state_n_y", 2))
+    if controller == "dkpc":
+        build = lambda c, st: build_dkpc_qp(hs, bank, c, st)  # noqa: E731
+    else:
+        build = lambda c, st: build_deepc_qp(  # noqa: E731
+            hs, DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(c)), st)
+    with pytest.raises(ValueError, match="Hankel partition"):
+        build(cfg, cs)
+    good = dataclasses.replace(cfg, t_ini=4, horizon=8)
+    prob = build(good, primed_state(4, 2, 2))
+    assert np.count_nonzero(np.isfinite(prob.upper)) == 2 * 8 + 2 * 7  # u_f, later y_f
+
+
 def test_dkpc_qp_bank_mismatch(full_scale_system):
     hs, _ = full_scale_system
     wrong = IdentityBank(10)  # 10 observables where the Z block expects 40
@@ -156,7 +178,7 @@ def test_deepc_qp_dimensions(full_scale_system):
     hs, _ = full_scale_system
     cs = primed_state(5, 10, 10)
     cfg = DeepcConfig(lambda_sigma=1e5)
-    prob = build_deepc_qp(hs.u_past, hs.y_past, hs.u_future, hs.y_future, cfg, cs)
+    prob = build_deepc_qp(hs, cfg, cs)
     n_cols = hs.n_cols
     assert prob.n == n_cols + 100 + 100 + 50  # sigma is n_y * t_ini = 50
     assert prob.m_eq == 100 + 200
@@ -174,7 +196,7 @@ def test_deepc_infinite_weight_hard_past_rows(full_scale_system):
     hs, _ = full_scale_system
     cs = primed_state(5, 10, 10, u_val=0.25, y_val=0.01)
     cfg = DeepcConfig(lambda_sigma=np.inf)
-    prob = build_deepc_qp(hs.u_past, hs.y_past, hs.u_future, hs.y_future, cfg, cs)
+    prob = build_deepc_qp(hs, cfg, cs)
     n_cols = hs.n_cols
     assert prob.n == n_cols + 200
     assert prob.m_eq == 300
@@ -193,10 +215,7 @@ def test_dkpc_qp_is_hard_deepc_qp_plus_lifted_rows(lti_dataset):
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=0.5)
     cs = primed_state(4, 2, 2, u_val=0.3, y_val=-0.2)
     dkpc = build_dkpc_qp(hs, bank, DkpcConfig(**common), cs)
-    deepc = build_deepc_qp(
-        hs.u_past, hs.y_past, hs.u_future, hs.y_future,
-        DeepcConfig(lambda_sigma=np.inf, **common), cs,
-    )
+    deepc = build_deepc_qp(hs, DeepcConfig(lambda_sigma=np.inf, **common), cs)
     assert np.array_equal(hs.z_past, hs.y_past)
     assert dkpc.n == deepc.n
     for name in ("P", "q", "lower", "upper"):
@@ -232,8 +251,9 @@ def test_config_validation():
         DkpcConfig(t_ini=0)
     with pytest.raises(ValueError):
         DeepcConfig(lambda_sigma=0.0)
-    with pytest.raises(ValueError):
-        DkpcConfig(fallback="panic")
+    for lambda_g in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda_g"):
+            DkpcConfig(lambda_g=lambda_g)
 
 
 # -- predictive exactness --------------------------------------------------------
@@ -329,26 +349,18 @@ def test_solve_step_respects_bounds(lti_setup):
         plant.step(res.u)
 
 
-def test_solver_failure_falls_back_to_hold(lti_setup):
-    from dkpc.qpsolve import QpSettings
-
+def test_solver_failure_falls_back_to_hold(lti_setup, admm_only):
     sys, hs, bank, _ = lti_setup
-    starved = QpSettings(eps_abs=1e-14, eps_rel=0.0, max_iter=2, check_every=2, polish=False)
+    starved = QpSettings(eps_abs=1e-14, eps_rel=0.0, max_iter=2)
     cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0)
     ctrl = DkpcController(hs, bank, cfg, solver_settings=starved)
     held = np.array([0.3, -0.3])
     for _ in range(4):
         ctrl.record(held, np.array([0.1, 0.1]))
     res = ctrl.solve_step(np.array([0.1, 0.1]))
-    assert res.fallback
+    assert res.status != SOLVED and res.fallback
     assert np.array_equal(res.u, held)
-
-    cfg_zero = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, fallback="zero")
-    ctrl = DkpcController(hs, bank, cfg_zero, solver_settings=starved)
-    for _ in range(4):
-        ctrl.record(held, np.array([0.1, 0.1]))
-    res = ctrl.solve_step(np.array([0.1, 0.1]))
-    assert res.fallback and np.array_equal(res.u, np.zeros(2))
+    assert np.all(np.isnan(res.predicted_y))
 
 
 def test_controller_rejects_non_pe_data():
@@ -527,7 +539,7 @@ def count_cho_factorizations(mp):
     return sizes
 
 
-def test_controllers_factor_only_equality_rows(lti_setup, monkeypatch):
+def test_controllers_factor_only_equality_rows(lti_setup, monkeypatch, request):
     # both controllers' cost is diagonal and positive: the ADMM system is
     # m_eq x m_eq, and it is built only by a loop that enters ADMM
     sys, hs, bank, cfg = lti_setup
@@ -536,28 +548,33 @@ def test_controllers_factor_only_equality_rows(lti_setup, monkeypatch):
     x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
     scen = Scenario(sim_steps=20, activation_step=6)
     sizes = count_cho_factorizations(monkeypatch)
-    for make in (lambda st: DkpcController(hs, bank, cfg, st),
-                 lambda st: DeepcController(hs, deepc_cfg, st)):
+    makes = (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg))
+    # with the polish, this loop never enters ADMM and builds no ADMM system
+    m_eqs = []
+    for make in makes:
         sizes.clear()
-        ctrl = make(QpSettings(polish=False))  # every step runs ADMM
+        ctrl = make()
         trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        m_eq = ctrl._solver.problem.m_eq
-        assert all(st == SOLVED for st, on in zip(trace.status, trace.active) if on)
-        assert np.all(trace.iterations[trace.active] > 0)
-        assert sizes and max(sizes) == m_eq < ctrl._solver.problem.n
-        # with the polish, this loop never enters ADMM and builds no ADMM system
-        sizes.clear()
-        ctrl = make(None)
-        trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        m_eqs.append(ctrl._solver.problem.m_eq)
         assert np.all(trace.iterations == 0)
         assert ctrl._solver._factored_rho is None and ctrl._solver._factor is None
-        assert sizes and max(sizes) <= m_eq
+        assert sizes and max(sizes) <= m_eqs[-1]
+    request.getfixturevalue("admm_only")  # every step runs ADMM
+    for make, m_eq in zip(makes, m_eqs):
+        sizes.clear()
+        ctrl = make()
+        trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+        assert all(st == SOLVED for st, on in zip(trace.status, trace.active) if on)
+        assert np.all(trace.iterations[trace.active] > 0)
+        # the leading Schur block at set-up, then the ADMM systems
+        assert sizes[0] == ctrl._solver._split < m_eq
+        assert max(sizes[1:]) == m_eq < ctrl._solver.problem.n
 
 
-def test_dense_or_zero_diagonal_cost_factors_full_system(lti_setup, monkeypatch):
+def test_dense_or_zero_diagonal_cost_factors_full_system(lti_setup, monkeypatch, admm_only):
     _, hs, bank, cfg = lti_setup
     cs = primed_state(cfg.t_ini, hs.n_u, hs.n_y, u_val=0.1, y_val=-0.05)
-    short = QpSettings(max_iter=50, polish=False)
+    short = QpSettings(max_iter=50)
     # lambda_g = 0: an (n,) P with zero entries, expanded to n x n by the solver
     prob = build_dkpc_qp(hs, bank, dataclasses.replace(cfg, lambda_g=0.0), cs)
     assert prob.P.shape == (prob.n,)

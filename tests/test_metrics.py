@@ -38,10 +38,9 @@ def test_itae_second_sample_weighted():
 
 
 def test_itae_multichannel_sum_abs():
-    # default channel reduction is the sum of absolute errors
+    # channels reduce by the sum of absolute errors
     e = np.array([[1.0, -1.0]])
     assert np.isclose(itae(e, 1.0), 2.0)
-    assert np.isclose(itae(e, 1.0, aggregation="euclidean"), np.sqrt(2.0))
 
 
 def test_itae_linear_in_error_scale():

@@ -272,7 +272,7 @@ def behavioral_qps(plant_dataset):
     deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
     return [
         build_dkpc_qp(hs, bank, cfg, cs),
-        build_deepc_qp(hs.u_past, hs.y_past, hs.u_future, hs.y_future, deepc_cfg, cs),
+        build_deepc_qp(hs, deepc_cfg, cs),
     ]
 
 
@@ -313,12 +313,11 @@ def test_equality_row_admm_solve_as_accurate_as_cholesky(behavioral_qps, rho):
                 1.0 + np.max(np.abs(ax), initial=0.0))
 
 
-def test_box_only_positive_diagonal_qp_factors_nothing(monkeypatch):
+def test_box_only_positive_diagonal_qp_factors_nothing(monkeypatch, admm_only):
     prob = box_only_positive_diagonal_qp()
-    no_polish = dataclasses.replace(TIGHT, polish=False)  # every solve runs ADMM
     with monkeypatch.context() as mp:
         sizes = count_cho_factorizations(mp)
-        solver = QpSolver(prob, no_polish)
+        solver = QpSolver(prob, TIGHT)
         sol = solver.solve()
     assert sizes == []
     assert sol.status == SOLVED and sol.iterations > 0
@@ -345,13 +344,12 @@ def test_infeasible_positive_diagonal_qp_detected():
         assert full._factor[0].shape == (prob.n, prob.n)
 
 
-def test_equality_row_admm_matches_full_admm():
+def test_equality_row_admm_matches_full_admm(admm_only):
     rng = np.random.default_rng(47)
-    no_polish = dataclasses.replace(TIGHT, polish=False)
     for _ in range(8):
         prob = QpProblem(*random_positive_diagonal_qp(rng))
-        sol = QpSolver(prob, no_polish).solve()
-        ref = QpSolver(as_dense(prob), no_polish).solve()
+        sol = QpSolver(prob, TIGHT).solve()
+        ref = QpSolver(as_dense(prob), TIGHT).solve()
         assert sol.status == ref.status == SOLVED
         assert sol.iterations == ref.iterations
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-9
@@ -497,32 +495,40 @@ def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
                 assert same_bits(mats[0], S), name
 
 
-def test_bounded_unit_column_above_split_polishes_through_full_factor(behavioral_qps,
-                                                                       monkeypatch):
-    # bounding a DeePC slack after the first polish puts a unit column
-    # above the split row into the active set: that set takes the full
-    # m_eq x m_eq factor, and the solve still ends at the direct polish
+def test_bounded_slack_moves_split_to_its_row(behavioral_qps, monkeypatch):
+    # a DeePC slack bounded at construction, at half its free value, is a
+    # bounded unit column above the u_f rows: the split moves up to its
+    # row, the active set with it takes the trailing-block factor, and
+    # the solve ends at the direct polish
     prob = behavioral_qps[1]
-    solver = QpSolver(prob)
-    first = solver.solve()
-    assert first.status == SOLVED and first.polished and solver._split > 0
+    first = QpSolver(prob).solve()
+    assert first.status == SOLVED and first.polished
+    u_split = QpSolver(prob)._split  # the first u_f row
     unit = np.flatnonzero(np.count_nonzero(prob.A_eq, axis=0) == 1)
-    sig = unit[np.argmax(prob.A_eq[:, unit] != 0.0, axis=0) < solver._split]
-    i = sig[np.argmax(np.abs(first.x[sig]))]
+    rows = np.argmax(prob.A_eq[:, unit] != 0.0, axis=0)
+    sig, sig_rows = unit[rows < u_split], rows[rows < u_split]
+    k = np.argmax(np.abs(first.x[sig]))
+    i = sig[k]
     lower, upper = prob.lower.copy(), prob.upper.copy()
     if first.x[i] > 0.0:  # half the slack, on its side
         upper[i] = 0.5 * first.x[i]
     else:
         lower[i] = 0.5 * first.x[i]
-    solver.update(lower=lower, upper=upper)
+    boxed = dataclasses.replace(prob, lower=lower, upper=upper)
     with monkeypatch.context() as mp:
         sizes = count_cho_factorizations(mp)
+        solver = QpSolver(boxed)
+        split = solver._split
         sol = solver.solve(warm_start=first.x,
                            warm_start_dual=np.concatenate([first.y_eq, first.y_box]))
+    assert split == sig_rows[k] < u_split
     assert sol.status == SOLVED and sol.polished and sol.iterations == 0
     assert sol.y_box[i] != 0.0
-    assert sizes == [prob.m_eq] and sol.factorizations == 1
-    res = kkt_residuals(solver.problem, sol.x, sol.y_eq, sol.y_box)
+    # the leading block once, then a trailing block per polish round: the
+    # warm dual knows nothing of the bound, so the first round's point
+    # violates it and the second round adds it to the set
+    assert sizes == [split] + [prob.m_eq - split] * 2 and sol.factorizations == 2
+    res = kkt_residuals(boxed, sol.x, sol.y_eq, sol.y_box)
     assert max(res.values()) <= 1e-5, res
 
 
@@ -580,13 +586,13 @@ def test_box_only_positive_diagonal_qp_polishes():
 
 def test_update_then_polish_matches_fresh_solver_bit_for_bit():
     # a reused solver keeps A_s x0 across b_eq updates and drops it for
-    # q and the bounds; either way it returns a fresh solver's x and y
-    # (small changes keep the warm dual's active set optimal, so the one
-    # polish round reuses the cached factor and, for b_eq, A_s x0)
+    # q; either way it returns a fresh solver's x and y (small changes
+    # keep the warm dual's active set optimal, so the one polish round
+    # reuses the cached factor and, for b_eq, A_s x0)
     rng = np.random.default_rng(53)
     prob = unit_and_dense_columns_qp(rng)
     updates = [dict(b_eq=prob.b_eq + 1e-3 * rng.standard_normal(prob.m_eq)),
-               dict(q=1.01 * prob.q), dict(lower=prob.lower - 0.01, upper=prob.upper + 0.01)]
+               dict(q=1.01 * prob.q)]
     for kwargs in updates:
         solver = QpSolver(prob, TIGHT)
         first = solver.solve()
@@ -692,11 +698,11 @@ def test_infeasible_equality_vs_box_detected():
     assert solve(prob).status == INFEASIBLE
 
 
-def test_max_iterations_returns_best_iterate():
+def test_max_iterations_returns_best_iterate(admm_only):
     rng = np.random.default_rng(3)
     P, q, A, b, lo, hi = random_box_qp(rng)
     prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
-    starved = QpSettings(eps_abs=1e-14, eps_rel=0.0, max_iter=6, check_every=3, polish=False)
+    starved = QpSettings(eps_abs=1e-14, eps_rel=0.0, max_iter=6)
     sol = solve(prob, starved)
     assert sol.status == MAX_ITERATIONS
     assert sol.iterations == 6
@@ -730,20 +736,23 @@ def test_warm_start_no_worse_than_cold():
     assert np.max(np.abs(warm.x - cold.x)) <= 1e-6
 
 
-def test_optimal_warm_start_without_polish():
+def test_optimal_warm_start_without_polish(request):
     # ADMM started at an optimal primal-dual pair stops at its first check, at the start
     rng = np.random.default_rng(11)
-    no_polish = QpSettings(polish=False)
+    optima = []
     for _ in range(5):
         P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
         prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
         opt = solve(prob, TIGHT)
         assert opt.status == SOLVED and opt.polished
-        warm = QpSolver(prob, no_polish).solve(
+        optima.append((prob, opt))
+    request.getfixturevalue("admm_only")  # the polished optima are in hand
+    for prob, opt in optima:
+        warm = QpSolver(prob).solve(
             warm_start=opt.x, warm_start_dual=np.concatenate([opt.y_eq, opt.y_box])
         )
         assert warm.status == SOLVED and not warm.polished
-        assert 0 < warm.iterations <= no_polish.check_every
+        assert 0 < warm.iterations <= qpsolve._CHECK_EVERY
         assert np.max(np.abs(warm.x - opt.x)) <= 1e-9
 
 
@@ -762,35 +771,19 @@ def test_update_reuses_factorization():
     assert np.max(np.abs(reused.x - fresh.x)) <= 1e-6
 
 
-def test_update_bounds_matches_fresh_solve():
-    rng = np.random.default_rng(13)
-    P, q, A, b, lo, hi = random_box_qp(rng, n_max=12, m_max=4)
-    prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
-    solver = QpSolver(prob, TIGHT)
-    solver.solve()
-    # shrink the box around a point that keeps the equalities feasible
-    x_feas = rng.uniform(0.5 * lo, 0.5 * hi)
-    lo2, hi2 = 0.5 * lo, 0.5 * hi
-    b2 = A @ x_feas
-    solver.update(b_eq=b2, lower=lo2, upper=hi2)
-    reused = solver.solve()
-    fresh = solve(QpProblem(P=P, q=q, A_eq=A, b_eq=b2, lower=lo2, upper=hi2), TIGHT)
-    assert reused.status == fresh.status == SOLVED
-    assert np.max(np.abs(reused.x - fresh.x)) <= 1e-6
-
-
 def test_update_shares_matrices():
     rng = np.random.default_rng(14)
     P, q, A, b, lo, hi = random_box_qp(rng, n_max=8, m_max=3)
     solver = QpSolver(QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi))
     before = solver.problem
-    solver.update(q=-q, lower=lo - 1.0)
+    solver.update(q=-q)
     after = solver.problem
     assert after is not before
-    assert after.P is before.P and after.A_eq is before.A_eq
-    assert np.array_equal(after.q, -q) and np.array_equal(after.lower, lo - 1.0)
+    for name in ("P", "A_eq", "lower", "upper"):
+        assert getattr(after, name) is getattr(before, name), name
+    assert np.array_equal(after.q, -q)
     # the solver's own problem keeps its vectors
-    assert np.array_equal(before.q, q) and np.array_equal(before.lower, lo)
+    assert np.array_equal(before.q, q)
 
 
 def test_update_rejects_bad_vectors():
@@ -801,34 +794,35 @@ def test_update_rejects_bad_vectors():
     bad = [
         dict(q=np.zeros(2)),
         dict(b_eq=np.zeros(2)),
-        dict(lower=-np.ones(4)),
-        dict(upper=np.ones(2)),
-        dict(lower=[2.0, -1.0, -1.0]),  # lower > upper
-        dict(lower=[-1.0] * 3, upper=[1.0, -2.0, 1.0]),
         dict(q=[0.0, np.nan, 0.0]),
         dict(b_eq=[np.nan]),
-        dict(lower=[np.nan, -1.0, -1.0]),
-        dict(upper=[1.0, 1.0, np.nan]),
         dict(q=[np.inf, 0.0, 0.0]),
         dict(b_eq=[-np.inf]),
+        dict(q=[1.0, 0.0, 0.0], b_eq=[np.nan]),  # one bad vector spoils the pair
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
             solver.update(**kwargs)
         # a failed update leaves the problem as it was
         assert solver.problem is prob
-    # infinite bounds stay allowed
-    solver.update(lower=[-np.inf] * 3, upper=[np.inf, 1.0, np.inf])
+    solver.update(q=[1.0, 0.0, 0.0], b_eq=[0.25])
     assert solver.solve().status == SOLVED
 
 
 def test_problem_rejects_non_finite_vectors():
     base = dict(P=np.eye(2), q=[0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[0.0],
                 lower=[-1.0, -1.0], upper=[1.0, 1.0])
-    for name, val in (("q", [np.nan, 0.0]), ("q", [0.0, -np.inf]), ("b_eq", [np.nan]),
-                      ("b_eq", [np.inf]), ("lower", [np.nan, 0.0]), ("upper", [0.0, np.nan])):
+    for bad in (dict(q=[np.nan, 0.0]), dict(q=[0.0, -np.inf]), dict(b_eq=[np.nan]),
+                dict(b_eq=[np.inf]), dict(lower=[np.nan, 0.0]), dict(upper=[0.0, np.nan]),
+                dict(A_eq=[[np.nan, 1.0]]), dict(A_eq=[[1.0, np.inf]]),
+                dict(A_eq=[[-np.inf, 1.0]]),
+                # a bound pinned at infinity, on its own side, admits no point
+                dict(lower=[np.inf, -1.0], upper=[np.inf, 1.0]),
+                dict(lower=[-1.0, -np.inf], upper=[1.0, -np.inf])):
         with pytest.raises(ValueError):
-            QpProblem(**{**base, name: val})
+            QpProblem(**{**base, **bad})
+    # infinite bounds on their own side stay allowed: they bound nothing
+    QpProblem(**{**base, "lower": [-np.inf, -1.0], "upper": [1.0, np.inf]})
 
 
 def test_solution_objective_matches_problem():
@@ -858,7 +852,7 @@ def test_solution_reports_residuals_within_tolerance():
 @pytest.mark.parametrize("bad", [
     dict(eps_abs=-1e-6), dict(eps_abs=np.nan), dict(eps_abs=np.inf),
     dict(eps_rel=-1e-6), dict(eps_rel=np.nan), dict(eps_rel=np.inf),
-    dict(max_iter=0), dict(check_every=0),
+    dict(max_iter=0),
 ])
 def test_settings_validation(bad):
     with pytest.raises(ValueError):
