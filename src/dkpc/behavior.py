@@ -12,14 +12,14 @@ cannot clear is decided by the full SVD, as before.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+from ._csvio import read_csv, write_csv
 
 # which computation decided a PeReport
 PE_LENGTH = "length"  # too few Hankel columns for the required rank
@@ -98,7 +98,6 @@ class PeReport:
     rank: int
     required_rank: int
     n_cols: int
-    threshold: float
     reason: str = ""
     decided_by: str = PE_SVD
 
@@ -106,8 +105,8 @@ class PeReport:
         return self.is_pe
 
 
-def _gram_certificate(h: np.ndarray, c: float) -> float | None:
-    """sigma_1 of ``h`` if a Cholesky proves sigma_min(h) > c * sigma_1(h), else None.
+def _gram_certificate(h: np.ndarray, c: float) -> bool:
+    """Whether a Cholesky proves sigma_min(h) > c * sigma_1(h), so rank(h) = rows.
 
     With r x n ``h`` (r <= n), G = fl(h h^T), t = trace(G) and
     mu = (c^2 + delta) * t, a floating-point Cholesky of fl(G - mu I)
@@ -130,34 +129,24 @@ def _gram_certificate(h: np.ndarray, c: float) -> float | None:
     rounding of sigma_min (a modest multiple of eps sigma_1), so both
     computations decide alike.  Products below the normal range add up
     to (r + n) tiny per entry; t >= (r + n)^2 tiny / eps keeps that
-    under eps t.  Any other case returns None: t non-finite or below
+    under eps t.  Any other case returns False: t non-finite or below
     that floor (zero data included), (c^2 + delta) r >= 1 (where
-    lambda_min <= t / r <= mu for every matrix), a failed Cholesky or a
-    Lanczos run for sigma_1 that does not converge.  At most one r x r
-    array is alive: lambda_max is taken first, then G is shifted and
-    factored in place.
+    lambda_min <= t / r <= mu for every matrix) or a failed Cholesky.
+    The one r x r array, G, is shifted and factored in place.
     """
     rows, cols = h.shape
     eps = np.finfo(float).eps
     shift = c * c + _PE_SAFETY * (rows + cols + 2) * eps
     if shift * rows >= 1.0:
-        return None
+        return False
     g = h @ h.T
     t = float(np.trace(g))
     if not (np.isfinite(t) and t >= (rows + cols) ** 2 * np.finfo(float).tiny / eps):
-        return None
-    if rows == 1:
-        lam_max = t
-    else:
-        v0 = np.random.default_rng(0).standard_normal(rows)
-        try:
-            lam_max = float(eigsh(g, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-        except ArpackNoConvergence:
-            return None
+        return False
     g.flat[:: rows + 1] -= shift * t
     # G is symmetric, so its transpose is the Fortran-ordered array LAPACK factors in place
     _, info = lapack.dpotrf(g.T, lower=0, clean=0, overwrite_a=1)
-    return float(np.sqrt(lam_max)) if info == 0 else None
+    return info == 0
 
 
 def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = None) -> PeReport:
@@ -169,8 +158,7 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
     sought as a certificate from one Cholesky of the shifted Gram matrix
     (see ``_gram_certificate``), which costs a rows x rows product
     instead of a full SVD; the SVD decides whenever the certificate
-    cannot, so both give the same report up to the rounding of
-    ``threshold`` (sigma_max then comes from a Lanczos estimate).
+    cannot, so both give the same report.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -185,7 +173,6 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
             rank=0,
             required_rank=required,
             n_cols=max(n_cols, 0),
-            threshold=0.0,
             reason=(
                 f"sequence too short: {n_cols} Hankel columns cannot reach "
                 f"row rank {required}"
@@ -193,16 +180,13 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
             decided_by=PE_LENGTH,
         )
     h = hankel(u, order)
-    sv = None
-    sigma_1 = _gram_certificate(h, max(h.shape) * np.finfo(float).eps if rtol is None else rtol)
-    if sigma_1 is None:
-        sv = np.linalg.svd(h, compute_uv=False)
-        sigma_1 = sv[0]
-    if rtol is None:
-        threshold = sigma_1 * max(h.shape) * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    if _gram_certificate(h, max(h.shape) * eps if rtol is None else rtol):
+        rank, decided_by = required, PE_CHOLESKY
     else:
-        threshold = sigma_1 * rtol
-    rank = required if sv is None else int(np.count_nonzero(sv > threshold))
+        sv = np.linalg.svd(h, compute_uv=False)
+        threshold = sv[0] * max(h.shape) * eps if rtol is None else sv[0] * rtol
+        rank, decided_by = int(np.count_nonzero(sv > threshold)), PE_SVD
     ok = rank == required
     return PeReport(
         is_pe=ok,
@@ -210,9 +194,8 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
         rank=rank,
         required_rank=required,
         n_cols=n_cols,
-        threshold=float(threshold),
         reason="" if ok else f"numerical rank {rank} < {required}",
-        decided_by=PE_CHOLESKY if sv is None else PE_SVD,
+        decided_by=decided_by,
     )
 
 
@@ -421,38 +404,29 @@ def assemble(
 
 def trajectory_to_csv(traj: Trajectory, path: str | Path, comment: str | None = None) -> None:
     """Write a trajectory as CSV with header ``k,t,u_1..u_n,y_1..y_n``."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        header = (
-            ["k", "t"]
-            + [f"u_{i + 1}" for i in range(traj.n_u)]
-            + [f"y_{i + 1}" for i in range(traj.n_y)]
-        )
-        writer.writerow(header)
-        for k in range(traj.length):
-            row = [k, repr(float(k * traj.dt))]
-            row += [repr(float(v)) for v in traj.u[k]]
-            row += [repr(float(v)) for v in traj.y[k]]
-            writer.writerow(row)
+    header = (
+        ["k", "t"]
+        + [f"u_{i + 1}" for i in range(traj.n_u)]
+        + [f"y_{i + 1}" for i in range(traj.n_y)]
+    )
+    rows = (
+        [k, repr(float(k * traj.dt))]
+        + [repr(float(v)) for v in traj.u[k]]
+        + [repr(float(v)) for v in traj.y[k]]
+        for k in range(traj.length)
+    )
+    write_csv(path, header, rows, comment)
 
 
 def trajectory_from_csv(path: str | Path) -> Trajectory:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
+    """Read a ``trajectory_to_csv`` file; dt is the spacing of its first two times."""
+    header, rows = read_csv(path)
     n_u = sum(1 for name in header if name.startswith("u_"))
     n_y = sum(1 for name in header if name.startswith("y_"))
-    us, ys, times = [], [], []
-    for row in reader:
-        times.append(float(row[1]))
-        us.append([float(v) for v in row[2 : 2 + n_u]])
-        ys.append([float(v) for v in row[2 + n_u : 2 + n_u + n_y]])
-    if not us:
+    if not rows:
         raise ValueError(f"no trajectory rows in {path}")
+    times = [float(row[1]) for row in rows]
+    us = [[float(v) for v in row[2 : 2 + n_u]] for row in rows]
+    ys = [[float(v) for v in row[2 + n_u : 2 + n_u + n_y]] for row in rows]
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     return Trajectory(u=np.asarray(us), y=np.asarray(ys), dt=dt)

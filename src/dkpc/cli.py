@@ -18,9 +18,9 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -58,14 +58,28 @@ class ConfigError(ValueError):
     """Raised for invalid or inconsistent experiment configuration."""
 
 
-def _from_mapping(cls, data: dict | None, where: str):
+def _from_mapping(default, data: dict | None, where: str = ""):
+    """``default`` with the keys of ``data`` applied through ``replace``.
+
+    Keys of a dataclass-valued field recurse into that field's default
+    instance, so a partial ``sim.disturbance`` keeps the other defaults
+    (seed 7 included).  ``where`` is the dotted path, empty at the top.
+    """
+    if data is not None and not isinstance(data, dict):
+        raise ConfigError(f"{where or 'config root'} must be a mapping, got {type(data).__name__}")
     data = dict(data or {})
-    fields = cls.__dataclass_fields__
+    fields = default.__dataclass_fields__
     unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        place = f"keys in {where}" if where else "top-level config keys"
+        raise ConfigError(f"unknown {place}: {sorted(unknown)}")
     coerced = {}
     for name, value in data.items():
+        key = f"{where}.{name}" if where else name
+        current = getattr(default, name)
+        if is_dataclass(current):
+            coerced[name] = _from_mapping(current, value, key)
+            continue
         # YAML 1.1 reads unsigned exponents like 1.0e5 as strings; coerce
         # numeric fields so config files and --set overrides behave alike
         kind = fields[name].type
@@ -79,8 +93,8 @@ def _from_mapping(cls, data: dict | None, where: str):
             else:
                 coerced[name] = value
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {where}.{name}: {value!r}") from exc
-    return cls(**coerced)
+            raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    return replace(default, **coerced)
 
 
 @dataclass(frozen=True)
@@ -104,29 +118,15 @@ class PlantSection:
 
 
 @dataclass(frozen=True)
-class DisturbanceSection:
-    theta_jitter: float = 0.12
-    omega_jitter: float = 0.02
-    p_filt_jitter: float = 0.1
-    around_equilibrium: bool = True
-    seed: int = 7
-
-    def to_spec(self) -> netsim.DisturbanceSpec:
-        return netsim.DisturbanceSpec(
-            theta_jitter=self.theta_jitter,
-            omega_jitter=self.omega_jitter,
-            p_filt_jitter=self.p_filt_jitter,
-            around_equilibrium=self.around_equilibrium,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
 class SimSection:
+    """Closed-loop timing and the initial disturbance (seed 7 unless configured)."""
+
     dt: float = 0.01
     sim_steps: int = 150
     activation_step: int = 40
-    disturbance: DisturbanceSection = field(default_factory=DisturbanceSection)
+    disturbance: netsim.DisturbanceSpec = field(
+        default_factory=lambda: netsim.DisturbanceSpec(seed=7)
+    )
 
 
 @dataclass(frozen=True)
@@ -189,32 +189,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data or {})
-        sections = {
-            "plant": PlantSection,
-            "data": DataSection,
-            "lifting": LiftingSection,
-            "controller": ControllerSection,
-            "sweep": SweepSection,
-            "report": ReportSection,
-        }
-        kwargs: dict[str, Any] = {}
-        for key, section_cls in sections.items():
-            if key in data:
-                kwargs[key] = _from_mapping(section_cls, data.pop(key), key)
-        if "sim" in data:
-            sim_data = dict(data.pop("sim") or {})
-            dist = sim_data.pop("disturbance", None)
-            sim = _from_mapping(SimSection, sim_data, "sim")
-            if dist is not None:
-                sim = replace(sim, disturbance=_from_mapping(DisturbanceSection, dist, "sim.disturbance"))
-            kwargs["sim"] = sim
-        known = {"network", "n_bus", "output_dir"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        kwargs.update(data)
-        cfg = cls(**kwargs)
+        """The defaults with ``data``'s keys applied, validated."""
+        cfg = _from_mapping(cls(), data)
         cfg.validate()
         return cfg
 
@@ -224,6 +200,14 @@ class ExperimentConfig:
         return out
 
     def validate(self) -> None:
+        """Raise ConfigError, naming the key, for a value the run would reject.
+
+        Beyond the cross-field checks it builds what the commands build
+        from the config (``SimConfig``, the scenario, the shared
+        ``InverterParams`` fields, the controller config and every sweep
+        config) and rejects negative seeds, so a bad value fails here,
+        before any data is simulated or read.
+        """
         c = self.controller
         if c.kind not in ("dkpc", "deepc"):
             raise ConfigError(f"controller.kind must be 'dkpc' or 'deepc', got {c.kind!r}")
@@ -231,8 +215,6 @@ class ExperimentConfig:
             raise ConfigError("lambda_sigma is only meaningful for the deepc controller")
         if c.kind == "deepc" and c.lambda_sigma is None:
             raise ConfigError("deepc controller requires lambda_sigma")
-        if c.t_ini < 1 or c.horizon < 1:
-            raise ConfigError("t_ini and horizon must be >= 1")
         if self.sim.activation_step < c.t_ini:
             raise ConfigError("activation_step must be >= t_ini to prime the buffers")
         if self.data.length < 1 or self.lifting.n_basis < 1:
@@ -241,6 +223,29 @@ class ExperimentConfig:
             raise ConfigError("data.input_low must not exceed data.input_high")
         if self.data.start not in ("equilibrium", "zero"):
             raise ConfigError("data.start must be 'equilibrium' or 'zero'")
+        seeds = {
+            "data.seed": self.data.seed,
+            "lifting.seed": self.lifting.seed,
+            "sim.disturbance.seed": self.sim.disturbance.seed,
+        }
+        for key, seed in seeds.items():
+            if seed < 0:
+                raise ConfigError(f"{key} must be >= 0, got {seed}")
+        p = self.plant
+        builds = {  # each section's values in the library objects that check them
+            "sim": lambda: (netsim.SimConfig(dt=self.sim.dt), _scenario(self)),
+            "plant": lambda: (
+                netsim.SimConfig(filter_mode=p.filter_mode),
+                netsim.InverterParams(k_p=p.k_p, omega_pc=p.omega_pc, omega_b=p.omega_b),
+            ),
+            "controller": lambda: _controller_config(c, c.q, c.r, c.lambda_g, c.lambda_sigma),
+            "sweep": lambda: sweep_plan(self),
+        }
+        for where, build in builds.items():
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
 
     def config_hash(self) -> str:
         """Hash of the experiment; where its artifacts are written is not part of it."""
@@ -248,6 +253,10 @@ class ExperimentConfig:
         del experiment["output_dir"]
         canon = json.dumps(experiment, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+    def hash_comment(self) -> str:
+        """The ``config_hash=...`` comment line every artifact carries."""
+        return f"config_hash={self.config_hash()}"
 
     def resolved_output_dir(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -301,12 +310,16 @@ def apply_reduced(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _load_network(cfg: ExperimentConfig) -> netsim.NetworkGraph:
+    """The default network or the configured file; ConfigError for a missing or bad file."""
     if cfg.network == "default":
         return netsim.default_network(cfg.n_bus)
     path = Path(cfg.network)
     if not path.exists():
         raise ConfigError(f"network file not found: {path}")
-    return netsim.load_network(path)
+    try:
+        return netsim.load_network(path)
+    except ValueError as exc:
+        raise ConfigError(f"network: {exc}") from exc
 
 
 def _inverter_params(cfg: ExperimentConfig, n_bus: int):
@@ -329,14 +342,25 @@ def _sim_config(cfg: ExperimentConfig) -> netsim.SimConfig:
     return netsim.SimConfig(dt=cfg.sim.dt, filter_mode=cfg.plant.filter_mode)
 
 
+def _scenario(cfg: ExperimentConfig) -> Scenario:
+    return Scenario(
+        sim_steps=cfg.sim.sim_steps,
+        activation_step=cfg.sim.activation_step,
+        disturbance=cfg.sim.disturbance,
+    )
+
+
 def _controller_config(
-    kind: str,
     section: ControllerSection,
     q: float,
     r: float,
     lambda_g: float,
-    lambda_sigma: float | None,
+    lambda_sigma: float | None = None,
 ) -> DkpcConfig:
+    """The section's windows and input box with these weights.
+
+    A ``DeepcConfig`` when ``lambda_sigma`` is given, else a ``DkpcConfig``.
+    """
     common = dict(
         t_ini=section.t_ini,
         horizon=section.horizon,
@@ -346,41 +370,31 @@ def _controller_config(
         u_min=section.u_min,
         u_max=section.u_max,
     )
-    if kind == "dkpc":
+    if lambda_sigma is None:
         return DkpcConfig(**common)
     return DeepcConfig(lambda_sigma=lambda_sigma, **common)
 
 
-@dataclass(frozen=True)
-class SweepCombo:
-    kind: str  # "dkpc" | "deepc"
-    q: float
-    r: float
-    lambda_g: float
-    lambda_sigma: float | None = None
-
-    @property
-    def tag(self) -> tuple:
-        if self.lambda_sigma is None:
-            return (self.q, self.r, self.lambda_g)
-        return (self.q, self.r, self.lambda_g, self.lambda_sigma)
-
-    @property
-    def controller_kind(self) -> str:
-        return metrics.DKPC if self.kind == "dkpc" else metrics.DEEPC
+def _config_tag(cfg: DkpcConfig) -> tuple:
+    """The metrics tag of a run: ``(Q, R, lambda_g)``, plus ``lambda_sigma`` for DeePC."""
+    tag = (cfg.Q, cfg.R, cfg.lambda_g)
+    return tag + (cfg.lambda_sigma,) if isinstance(cfg, DeepcConfig) else tag
 
 
-def sweep_plan(cfg: ExperimentConfig) -> list[SweepCombo]:
-    """Full cross product of the grids, in the row order of the sweep CSV.
+def sweep_plan(cfg: ExperimentConfig) -> list[DkpcConfig]:
+    """Controller configs of the full grid cross product, in sweep CSV row order.
 
-    DeePC combos come first, then DKPC, each over the sorted grids.
+    The ``DeepcConfig``s come first, then the ``DkpcConfig``s, each over
+    the sorted grids.  Raises ValueError for a grid value a controller
+    config rejects.
     """
     s = cfg.sweep
     if not (s.q and s.r and s.lambda_g and s.lambda_sigma):
         raise ConfigError("sweep grids must be nonempty")
     grid = [(q, r, lg) for q in sorted(s.q) for r in sorted(s.r) for lg in sorted(s.lambda_g)]
-    plan = [SweepCombo("deepc", *g, ls) for g in grid for ls in sorted(s.lambda_sigma)]
-    return plan + [SweepCombo("dkpc", *g) for g in grid]
+    c = cfg.controller
+    plan = [_controller_config(c, *g, ls) for g in grid for ls in sorted(s.lambda_sigma)]
+    return plan + [_controller_config(c, *g) for g in grid]
 
 
 # -- commands ----------------------------------------------------------------
@@ -420,9 +434,8 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict[str, Path]:
 
     out = cfg.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
-    comment = f"config_hash={cfg.config_hash()}"
     dataset = out / DATASET_FILE
-    behavior.trajectory_to_csv(traj, dataset, comment=comment)
+    behavior.trajectory_to_csv(traj, dataset, comment=cfg.hash_comment())
     bank_path = out / BANK_FILE
     lifting.save_bank(bank, bank_path)
     log.info("wrote %s and %s", dataset, bank_path)
@@ -443,6 +456,8 @@ class _RunContext:
 
 
 def _load_run_context(cfg: ExperimentConfig) -> _RunContext:
+    """Network, dataset, bank and Hankel system; the network is read first."""
+    net = _load_network(cfg)
     out = cfg.resolved_output_dir()
     dataset = out / DATASET_FILE
     bank_path = out / BANK_FILE
@@ -453,12 +468,6 @@ def _load_run_context(cfg: ExperimentConfig) -> _RunContext:
     traj = behavior.trajectory_from_csv(dataset)
     bank = lifting.load_bank(bank_path)
     hs = behavior.assemble(traj, bank, cfg.controller.t_ini, cfg.controller.horizon)
-    scenario = Scenario(
-        sim_steps=cfg.sim.sim_steps,
-        activation_step=cfg.sim.activation_step,
-        disturbance=cfg.sim.disturbance.to_spec(),
-    )
-    net = _load_network(cfg)
     return _RunContext(
         cfg=cfg,
         net=net,
@@ -466,41 +475,34 @@ def _load_run_context(cfg: ExperimentConfig) -> _RunContext:
         sim_cfg=_sim_config(cfg),
         hs=hs,
         bank=bank,
-        scenario=scenario,
+        scenario=_scenario(cfg),
     )
 
 
-def _execute(ctx: _RunContext, combo: SweepCombo) -> tuple[ClosedLoopTrace | None, metrics.RunMetrics, str]:
-    """One closed-loop run; failures are captured, not raised."""
-    controller_cfg = _controller_config(
-        combo.kind, ctx.cfg.controller, combo.q, combo.r, combo.lambda_g, combo.lambda_sigma
-    )
-    if combo.kind == "dkpc":
-        controller = DkpcController(ctx.hs, ctx.bank, controller_cfg)
-    else:
+def _execute(
+    ctx: _RunContext, controller_cfg: DkpcConfig
+) -> tuple[ClosedLoopTrace | None, metrics.RunMetrics, str]:
+    """One closed-loop run, DeePC for a ``DeepcConfig``; failures are captured, not raised."""
+    if isinstance(controller_cfg, DeepcConfig):
         controller = DeepcController(ctx.hs, controller_cfg)
+    else:
+        controller = DkpcController(ctx.hs, ctx.bank, controller_cfg)
+    tag = _config_tag(controller_cfg)
+    failed = metrics.RunMetrics(math.nan, math.nan, tag, controller.kind)
     plant = netsim.NetworkPlant(ctx.net, ctx.params, ctx.sim_cfg)
     try:
         trace = run_closed_loop(plant, controller, ctx.scenario)
     except Exception as exc:  # run failures become rows, the sweep continues
-        bad = metrics.RunMetrics(
-            epsilon=math.nan, j_u=math.nan, config_tag=combo.tag,
-            controller_kind=combo.controller_kind,
-        )
-        return None, bad, f"error:{type(exc).__name__}"
+        return None, failed, f"error:{type(exc).__name__}"
     window = trace.active
     if not np.any(window):
-        bad = metrics.RunMetrics(
-            epsilon=math.nan, j_u=math.nan, config_tag=combo.tag,
-            controller_kind=combo.controller_kind,
-        )
-        return trace, bad, "error:no-active-steps"
-    errors = trace.y[window]  # regulation to zero reference
+        return trace, failed, "error:no-active-steps"
+    errors = trace.y[window]  # regulation to zero
     run_metrics = metrics.RunMetrics(
         epsilon=metrics.itae(errors, trace.dt),
         j_u=metrics.control_effort(trace.u[window]),
-        config_tag=combo.tag,
-        controller_kind=combo.controller_kind,
+        config_tag=tag,
+        controller_kind=controller.kind,
     )
     status = "ok"
     if trace.diverged_at is not None:
@@ -514,27 +516,28 @@ def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
     """Single closed-loop run with the configured controller; writes trace + metrics."""
     ctx = _load_run_context(cfg)
     c = cfg.controller
-    combo = SweepCombo(c.kind, c.q, c.r, c.lambda_g, c.lambda_sigma)
-    trace, run_metrics, status = _execute(ctx, combo)
+    trace, run_metrics, status = _execute(
+        ctx, _controller_config(c, c.q, c.r, c.lambda_g, c.lambda_sigma)
+    )
     if trace is None:
         raise RuntimeError(f"closed-loop run failed: {status}")
     out = cfg.resolved_output_dir()
-    comment = f"config_hash={cfg.config_hash()}"
+    comment = cfg.hash_comment()
     trace_path = out / TRACE_FILE
     trace.to_csv(trace_path, comment=comment)
     metrics_path = out / METRICS_FILE
     metrics.write_sweep_csv([(run_metrics, status)], metrics_path, comment=comment)
     log.info("run %s finished: %s (epsilon=%g, J_u=%g)",
-             combo.controller_kind, status, run_metrics.epsilon, run_metrics.j_u)
+             run_metrics.controller_kind, status, run_metrics.epsilon, run_metrics.j_u)
     return {"trace": trace_path, "metrics": metrics_path}
 
 
 _SWEEP_CTX: _RunContext | None = None
 
 
-def _sweep_worker(combo: SweepCombo) -> tuple[metrics.RunMetrics, str]:
+def _sweep_worker(controller_cfg: DkpcConfig) -> tuple[metrics.RunMetrics, str]:
     assert _SWEEP_CTX is not None
-    _, run_metrics, status = _execute(_SWEEP_CTX, combo)
+    _, run_metrics, status = _execute(_SWEEP_CTX, controller_cfg)
     return run_metrics, status
 
 
@@ -543,23 +546,22 @@ def cmd_sweep(cfg: ExperimentConfig, workers: int = 1) -> Path:
     global _SWEEP_CTX
     plan = sweep_plan(cfg)
     ctx = _load_run_context(cfg)
-    log.info("sweep: %d runs (%d dkpc, %d deepc)",
-             len(plan), sum(c.kind == "dkpc" for c in plan),
-             sum(c.kind == "deepc" for c in plan))
+    n_deepc = sum(isinstance(c, DeepcConfig) for c in plan)
+    log.info("sweep: %d runs (%d dkpc, %d deepc)", len(plan), len(plan) - n_deepc, n_deepc)
     _SWEEP_CTX = ctx
     try:
         if workers > 1 and sys.platform.startswith("linux"):
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 results = pool.map(_sweep_worker, plan)
         else:
-            results = [_sweep_worker(combo) for combo in plan]
+            results = [_sweep_worker(c) for c in plan]
     finally:
         _SWEEP_CTX = None
     rows = list(zip((m for m, _ in results), (s for _, s in results)))
     out = cfg.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     path = out / SWEEP_FILE
-    metrics.write_sweep_csv(rows, path, comment=f"config_hash={cfg.config_hash()}")
+    metrics.write_sweep_csv(rows, path, comment=cfg.hash_comment())
     log.info("wrote %s (%d rows)", path, len(rows))
     return path
 
@@ -574,7 +576,7 @@ def cmd_report(cfg: ExperimentConfig, sweep_csv: Path | None = None) -> dict[str
     usable = [m for m, status in rows if status.startswith("ok") and math.isfinite(m.epsilon)]
     dkpc_rows = [m for m in usable if m.controller_kind == metrics.DKPC]
     deepc_rows = [m for m in usable if m.controller_kind == metrics.DEEPC]
-    comment = f"config_hash={cfg.config_hash()}"
+    comment = cfg.hash_comment()
 
     frontiers = {}
     if dkpc_rows:

@@ -19,6 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
+from ._csvio import write_csv
 from .behavior import HankelSystem, LtiSystem
 from .netsim import DisturbanceSpec, SimulationDiverged
 from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolver
@@ -35,18 +36,6 @@ def _bound_vector(b, dim: int, default: float) -> np.ndarray:
     raise ValueError(f"bound must be a scalar or length-{dim} vector")
 
 
-def _profile(value, horizon: int, dim: int, name: str) -> np.ndarray:
-    """Normalize a reference/nominal spec to an (horizon, dim) array."""
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 0:
-        return np.full((horizon, dim), float(v))
-    if v.shape == (dim,):
-        return np.tile(v, (horizon, 1))
-    if v.shape == (horizon, dim):
-        return v.copy()
-    raise ValueError(f"{name} must be scalar, ({dim},), or ({horizon}, {dim})")
-
-
 @dataclass(frozen=True)
 class DkpcConfig:
     """Tuning of the lifted behavioral controller.
@@ -54,8 +43,9 @@ class DkpcConfig:
     The weights are scalars: every output carries ``Q`` >= 0 and every
     input ``R`` > 0, so the QP's cost Hessian is diagonal.  Defaults:
     horizon 10, Q = 300, R = 0.01, coefficient regularization 500,
-    inputs boxed to [-1, 1], outputs unconstrained, regulation to zero
-    with zero nominal input.  ``y_min``/``y_max`` bound the predicted
+    inputs boxed to [-1, 1], outputs unconstrained.  The controller
+    regulates to zero: the cost is Q |y|^2 + R |u|^2 over the horizon,
+    with no reference or nominal input.  ``y_min``/``y_max`` bound the predicted
     outputs from the second future sample on: the first is the current
     output, which the current input cannot move (the plant is strictly
     proper), so bounding it would make the QP infeasible whenever the
@@ -71,8 +61,6 @@ class DkpcConfig:
     u_max: float | np.ndarray | None = 1.0
     y_min: float | np.ndarray | None = None
     y_max: float | np.ndarray | None = None
-    reference: float | np.ndarray = 0.0
-    u_nominal: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         if self.t_ini < 1 or self.horizon < 1:
@@ -141,12 +129,6 @@ class ControllerState:
         return np.concatenate(parts)
 
 
-def _targets(cfg: DkpcConfig, n_u: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference and nominal input profiles, (horizon, n_y) and (horizon, n_u)."""
-    refs = _profile(cfg.reference, cfg.horizon, n_y, "reference")
-    return refs, _profile(cfg.u_nominal, cfg.horizon, n_u, "u_nominal")
-
-
 def _behavioral_qp(
     hs: HankelSystem,
     bank,
@@ -162,8 +144,9 @@ def _behavioral_qp(
     measured window ``cs.past_window(bank)``; only the last ``n_soft``
     of them carry ``-sigma``, penalized by ``soft_weight * |sigma|^2``.
     The future Hankel rows couple g to the future blocks, which carry
-    the tracking cost and the bounds.  The cost is diagonal, so P is
-    passed as its (n,) diagonal.
+    the regulation cost and the bounds.  The cost is diagonal and has
+    no linear term (regulation to zero), so P is passed as its (n,)
+    diagonal and q is zero.
 
     Raises ValueError unless ``cs`` is primed and both ``cs`` and
     ``cfg`` have the ``t_ini`` (and ``cfg`` the horizon, ``cs`` the
@@ -183,7 +166,6 @@ def _behavioral_qp(
     n_past, n_cols = past.shape
     n_u, n_y = hs.n_u, hs.n_y
     n_uf, n_yf = n_u * cfg.horizon, n_y * cfg.horizon
-    refs, u_nom = _targets(cfg, n_u, n_y)
     uf = slice(n_cols, n_cols + n_uf)
     yf = slice(n_cols + n_uf, n_cols + n_uf + n_yf)
     sig = slice(n_cols + n_uf + n_yf, n_cols + n_uf + n_yf + n_soft)
@@ -203,10 +185,6 @@ def _behavioral_qp(
     p_vec[yf] = 2.0 * cfg.Q
     p_vec[sig] = 2.0 * soft_weight
 
-    q_vec = np.zeros(dim)
-    q_vec[uf] = (-2.0 * (u_nom * cfg.R)).ravel()
-    q_vec[yf] = (-2.0 * (refs * cfg.Q)).ravel()
-
     lower = np.full(dim, -np.inf)
     upper = np.full(dim, np.inf)
     lower[uf] = np.tile(_bound_vector(cfg.u_min, n_u, -np.inf), cfg.horizon)
@@ -217,7 +195,7 @@ def _behavioral_qp(
     upper[y_later] = np.tile(_bound_vector(cfg.y_max, n_y, np.inf), cfg.horizon - 1)
 
     b_eq = np.concatenate([cs.past_window(bank), np.zeros(n_uf + n_yf)])
-    return QpProblem(P=p_vec, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
+    return QpProblem(P=p_vec, q=np.zeros(dim), A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
 
 
 def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) -> QpProblem:
@@ -281,7 +259,6 @@ class _BehavioralController:
         self.settings = solver_settings or QpSettings()
         self.state = ControllerState(cfg.t_ini, hs.n_u, hs.n_y)
         self._solver: QpSolver | None = None
-        self._refs, self._u_nom = _targets(cfg, hs.n_u, hs.n_y)
         self._u_lo = _bound_vector(cfg.u_min, hs.n_u, -np.inf)
         self._u_hi = _bound_vector(cfg.u_max, hs.n_u, np.inf)
 
@@ -301,13 +278,13 @@ class _BehavioralController:
         self.state.record(u, y)
 
     def stage_cost(self, u: np.ndarray, y: np.ndarray) -> float:
-        """Tracking cost of one step; +inf when it overflows on finite u and y."""
-        ey = np.asarray(y, dtype=float) - self._refs[0]
-        eu = np.asarray(u, dtype=float) - self._u_nom[0]
+        """Regulation cost Q |y|^2 + R |u|^2 of one step; +inf if it overflows on finite data."""
+        y = np.asarray(y, dtype=float)
+        u = np.asarray(u, dtype=float)
         # a diverging plant overflows the products; report that as +inf
         with np.errstate(over="ignore", invalid="ignore"):
-            cost = float((ey * self.cfg.Q) @ ey + (eu * self.cfg.R) @ eu)
-        if not math.isfinite(cost) and np.all(np.isfinite(ey)) and np.all(np.isfinite(eu)):
+            cost = float((y * self.cfg.Q) @ y + (u * self.cfg.R) @ u)
+        if not math.isfinite(cost) and np.all(np.isfinite(y)) and np.all(np.isfinite(u)):
             return math.inf
         return cost
 
@@ -484,27 +461,20 @@ class ClosedLoopTrace:
 
     def to_csv(self, path: str | Path, comment: str | None = None) -> None:
         """Write ``k,t,active,u_1..u_n,y_1..y_n,cost,status,iters`` rows."""
-        import csv as _csv
-
-        path = Path(path)
-        n_u = self.u.shape[1]
-        n_y = self.y.shape[1]
-        with path.open("w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            writer = _csv.writer(fh)
-            writer.writerow(
-                ["k", "t", "active"]
-                + [f"u_{i + 1}" for i in range(n_u)]
-                + [f"y_{i + 1}" for i in range(n_y)]
-                + ["cost", "status", "iters"]
-            )
-            for k in range(self.steps):
-                row = [k, repr(float(self.t[k])), int(self.active[k])]
-                row += [repr(float(v)) for v in self.u[k]]
-                row += [repr(float(v)) for v in self.y[k]]
-                row += [repr(float(self.stage_cost[k])), self.status[k], int(self.iterations[k])]
-                writer.writerow(row)
+        header = (
+            ["k", "t", "active"]
+            + [f"u_{i + 1}" for i in range(self.u.shape[1])]
+            + [f"y_{i + 1}" for i in range(self.y.shape[1])]
+            + ["cost", "status", "iters"]
+        )
+        rows = (
+            [k, repr(float(self.t[k])), int(self.active[k])]
+            + [repr(float(v)) for v in self.u[k]]
+            + [repr(float(v)) for v in self.y[k]]
+            + [repr(float(self.stage_cost[k])), self.status[k], int(self.iterations[k])]
+            for k in range(self.steps)
+        )
+        write_csv(path, header, rows, comment)
 
 
 def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: Scenario) -> ClosedLoopTrace:

@@ -49,15 +49,14 @@ class RbfBank:
         return self.centers.shape[1]
 
     def lift(self, y: np.ndarray) -> np.ndarray:
+        """Observables of one (n_y,) output: one row of ``lift_trajectory``."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_y,):
             raise ValueError(f"expected output of length {self.n_y}, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("non-finite output vector")
-        r = np.linalg.norm(self.centers - y[None, :], axis=1)
-        return _rbf_values(r)
+        return self.lift_trajectory(y[None, :])[0]
 
     def lift_trajectory(self, ys: np.ndarray) -> np.ndarray:
+        """Observables of a (T, n_y) output sequence, (T, n_basis); raises on non-finite rows."""
         ys = np.asarray(ys, dtype=float)
         if ys.size == 0:
             return np.zeros((0, self.n_basis))

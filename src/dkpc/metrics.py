@@ -7,12 +7,13 @@ non-dominated frontier compare tunings and controllers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ._csvio import read_csv, write_csv
 
 DKPC = "DKPC"
 DEEPC = "DeePC"
@@ -172,29 +173,25 @@ def write_sweep_csv(
     comment: str | None = None,
 ) -> None:
     """Write sweep rows ``controller,q,r,lambda_g,lambda_sigma,epsilon,j_u,status``."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["controller", "q", "r", "lambda_g", "lambda_sigma", "epsilon", "j_u", "status"]
-        )
-        for metrics_row, run_status in rows:
-            writer.writerow(
-                [metrics_row.controller_kind]
-                + _tag_fields(metrics_row.config_tag)
-                + [repr(float(metrics_row.epsilon)), repr(float(metrics_row.j_u)), run_status]
-            )
+    write_csv(
+        path,
+        ["controller", "q", "r", "lambda_g", "lambda_sigma", "epsilon", "j_u", "status"],
+        (
+            [m.controller_kind]
+            + _tag_fields(m.config_tag)
+            + [repr(float(m.epsilon)), repr(float(m.j_u)), run_status]
+            for m, run_status in rows
+        ),
+        comment,
+    )
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple[RunMetrics, str]]:
-    path = Path(path)
+    """Rows of a ``write_sweep_csv`` file; raises ValueError naming a malformed row."""
+    header, records = read_csv(path)
     rows: list[tuple[RunMetrics, str]] = []
-    with path.open(newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    for idx, rec in enumerate(reader):
+    for idx, record in enumerate(records):
+        rec = dict(zip(header, record))
         try:
             tag = (float(rec["q"]), float(rec["r"]), float(rec["lambda_g"]))
             if rec["lambda_sigma"]:
@@ -220,38 +217,36 @@ def write_frontier_csv(
     path: str | Path,
     comment: str | None = None,
 ) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["controller", "j_u", "epsilon", "q", "r", "lambda_g", "lambda_sigma"])
-        for kind in sorted(frontiers):
-            for fp in frontiers[kind]:
-                writer.writerow(
-                    [kind, repr(float(fp.j_u)), repr(float(fp.epsilon))] + _tag_fields(fp.config_tag)
-                )
+    """Write ``controller,j_u,epsilon,q,r,lambda_g,lambda_sigma`` rows, controllers sorted."""
+    write_csv(
+        path,
+        ["controller", "j_u", "epsilon", "q", "r", "lambda_g", "lambda_sigma"],
+        (
+            [kind, repr(float(fp.j_u)), repr(float(fp.epsilon))] + _tag_fields(fp.config_tag)
+            for kind in sorted(frontiers)
+            for fp in frontiers[kind]
+        ),
+        comment,
+    )
 
 
 def write_winners_csv(
     winners: Sequence[AlphaWinner], path: str | Path, comment: str | None = None
 ) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "dkpc_index", "dkpc_tag", "deepc_index", "deepc_tag", "winner"]
-        )
-        for w in winners:
-            writer.writerow(
-                [
-                    repr(float(w.alpha)),
-                    repr(float(w.dkpc_index)),
-                    "/".join(repr(float(v)) for v in w.dkpc_tag),
-                    repr(float(w.deepc_index)),
-                    "/".join(repr(float(v)) for v in w.deepc_tag),
-                    w.winner,
-                ]
-            )
+    """Write ``alpha,dkpc_index,dkpc_tag,deepc_index,deepc_tag,winner``; tags joined by ``/``."""
+    write_csv(
+        path,
+        ["alpha", "dkpc_index", "dkpc_tag", "deepc_index", "deepc_tag", "winner"],
+        (
+            [
+                repr(float(w.alpha)),
+                repr(float(w.dkpc_index)),
+                "/".join(repr(float(v)) for v in w.dkpc_tag),
+                repr(float(w.deepc_index)),
+                "/".join(repr(float(v)) for v in w.deepc_tag),
+                w.winner,
+            ]
+            for w in winners
+        ),
+        comment,
+    )

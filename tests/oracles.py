@@ -162,7 +162,7 @@ def pe_rank_svd(u, order, rtol=None):
     if n_cols < required:
         reason = f"sequence too short: {n_cols} Hankel columns cannot reach row rank {required}"
         return dict(is_pe=False, rank=0, required_rank=required, n_cols=max(n_cols, 0),
-                    threshold=0.0, reason=reason, sv=None)
+                    reason=reason, sv=None)
     h = np.empty((required, n_cols))
     for j in range(n_cols):
         for k in range(order):
@@ -173,7 +173,7 @@ def pe_rank_svd(u, order, rtol=None):
     rank = int(np.sum(sv > threshold))
     reason = "" if rank == required else f"numerical rank {rank} < {required}"
     return dict(is_pe=rank == required, rank=rank, required_rank=required, n_cols=n_cols,
-                threshold=threshold, reason=reason, sv=sv)
+                reason=reason, sv=sv)
 
 
 def droop_step(x, u, params, susceptance, dt, euler):

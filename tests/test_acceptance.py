@@ -210,9 +210,8 @@ def test_criterion_5_sweep_cardinality(reduced_sweeps):
     """Paper grids enumerate 64 + 192 runs; reduced mode the documented 8 + 16."""
     cfg, path, first, _ = reduced_sweeps
     full_plan = cli.sweep_plan(cli.ExperimentConfig())
-    n_dkpc = sum(c.kind == "dkpc" for c in full_plan)
-    n_deepc = sum(c.kind == "deepc" for c in full_plan)
-    assert (n_dkpc, n_deepc) == (64, 192)
+    n_deepc = sum(isinstance(c, DeepcConfig) for c in full_plan)
+    assert (len(full_plan) - n_deepc, n_deepc) == (64, 192)
     rows = read_csv_rows(path)[1:]
     red_dkpc = sum(r[0] == DKPC for r in rows)
     red_deepc = sum(r[0] == DEEPC for r in rows)

@@ -1,9 +1,11 @@
 import csv
+import re
 
 import pytest
 import yaml
 
-from dkpc import cli
+from dkpc import behavior, cli, netsim
+from dkpc.control import DeepcConfig
 from dkpc.cli import (
     ConfigError,
     ExperimentConfig,
@@ -196,16 +198,18 @@ def test_sweep_plan_full_counts(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("output_dir: out\n")
     plan = sweep_plan(load_config(path))
-    assert sum(c.kind == "dkpc" for c in plan) == 64
-    assert sum(c.kind == "deepc" for c in plan) == 192
+    n_deepc = sum(isinstance(c, DeepcConfig) for c in plan)
+    assert (len(plan) - n_deepc, n_deepc) == (64, 192)
+    # sweep.csv row order: every DeePC config, then every DKPC config
+    assert all(isinstance(c, DeepcConfig) for c in plan[:n_deepc])
 
 
 def test_sweep_plan_reduced_counts(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("output_dir: out\n")
     plan = sweep_plan(apply_reduced(load_config(path)))
-    assert sum(c.kind == "dkpc" for c in plan) == 8
-    assert sum(c.kind == "deepc" for c in plan) == 16
+    n_deepc = sum(isinstance(c, DeepcConfig) for c in plan)
+    assert (len(plan) - n_deepc, n_deepc) == (8, 16)
 
 
 def test_sweep_singleton_grids(tmp_path):
@@ -227,6 +231,21 @@ def test_sweep_singleton_grids(tmp_path):
     kinds = {r[0] for r in rows[1:]}
     assert kinds == {DKPC, DEEPC}
     assert all(r[-1].startswith("ok") for r in rows[1:])
+
+
+def test_sweep_csv_identical_across_worker_counts(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"output_dir": str(tmp_path / "out")}))
+    cfg = load_config(
+        path,
+        FAST_OVERRIDES
+        + ["sweep.q=[300.0]", "sweep.r=[0.01]", "sweep.lambda_g=[500.0]",
+           "sweep.lambda_sigma=[1.0e4, 1.0e5]"],
+    )
+    cmd_gen_data(cfg)
+    serial = cmd_sweep(cfg, workers=1).read_bytes()
+    assert len(read_rows(cmd_sweep(cfg, workers=2))) - 1 == 3
+    assert cfg.resolved_output_dir().joinpath(cli.SWEEP_FILE).read_bytes() == serial
 
 
 def test_sweep_rejects_empty_grid(tmp_path):
@@ -290,3 +309,56 @@ def test_main_gen_data_and_exit_codes(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("controller: {kind: nonsense}\n")
     assert cli.main(["gen-data", "-c", str(bad)]) == 2
+
+
+@pytest.fixture(scope="module")
+def generated_config(tmp_path_factory):
+    """A fast config with one-value sweep grids whose dataset and bank exist."""
+    root = tmp_path_factory.mktemp("generated")
+    path = root / "exp.yaml"
+    path.write_text(yaml.safe_dump({"output_dir": str(root / "out")}))
+    grids = ["sweep.q=[300.0]", "sweep.r=[0.01]", "sweep.lambda_g=[500.0]",
+             "sweep.lambda_sigma=[1.0e5]"]
+    cmd_gen_data(load_config(path, FAST_OVERRIDES + grids))
+    return path, FAST_OVERRIDES + grids
+
+
+INCOMPLETE_NETWORK = "network=<file with an incomplete triple>"
+
+# each override, and the section and key its error must name
+BAD_VALUES = [
+    ("sim.dt=0", r"sim: dt must"),
+    ("plant.k_p=0", r"plant: .*k_p must"),
+    ("plant.omega_pc=0", r"plant: .*omega_pc must"),
+    ("controller.r=0", r"controller: R must"),
+    ("controller.lambda_g=-1", r"controller: lambda_g must"),
+    ("sim.sim_steps=0", r"sim: sim_steps must"),
+    ("sweep.r=[-1.0]", r"sweep: R must"),
+    ("sim.disturbance.seed=-1", r"sim\.disturbance\.seed must"),
+    (INCOMPLETE_NETWORK, r"network: malformed network file"),
+]
+
+
+@pytest.mark.parametrize("override, named", BAD_VALUES, ids=[o for o, _ in BAD_VALUES])
+def test_bad_value_exits_2_before_data_is_read(
+    generated_config, override, named, tmp_path, monkeypatch, caplog
+):
+    path, overrides = generated_config
+    if override == INCOMPLETE_NETWORK:
+        network = tmp_path / "net.txt"
+        network.write_text("3\n1 2 10.0\n2 3\n")
+        override = f"network={network}"
+
+    def data_touched(*args, **kwargs):
+        raise AssertionError("the command simulated or read data")
+
+    monkeypatch.setattr(netsim, "simulate", data_touched)
+    monkeypatch.setattr(behavior, "trajectory_from_csv", data_touched)
+    for command in ("gen-data", "run", "sweep"):
+        caplog.clear()
+        argv = [command, "-c", str(path)]
+        for item in overrides + [override]:
+            argv += ["--set", item]
+        assert cli.main(argv) == 2, command
+        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+        assert len(errors) == 1 and re.search(named, errors[0]), (command, errors)

@@ -310,7 +310,7 @@ def test_solve_step_equilibrium_returns_nominal(lti_dataset):
     for _ in range(4):
         ctrl.record(np.zeros(2), np.zeros(2))
     res = ctrl.solve_step(np.zeros(2))
-    assert np.max(np.abs(res.u)) <= 1e-6  # u_nominal = 0
+    assert np.max(np.abs(res.u)) <= 1e-6  # regulation to zero
 
 
 def test_solve_step_unprimed_raises(lti_setup):
