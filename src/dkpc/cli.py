@@ -58,12 +58,42 @@ class ConfigError(ValueError):
     """Raised for invalid or inconsistent experiment configuration."""
 
 
+def _number(value):
+    """A YAML number, or a string that reads as one (YAML 1.1 reads 1.0e5 as a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value) if isinstance(value, str) else value
+
+
+def _coerce(kind: str, value):
+    """``value`` as a field annotated ``kind``, with no silent conversion.
+
+    Int fields take integral numbers, bool fields YAML booleans, str
+    fields scalars, tuple fields lists of numbers, float fields numbers
+    and ``p_star`` either; None only where the annotation allows it.
+    """
+    if (value is None and "None" in kind) or (kind == "bool" and isinstance(value, bool)):
+        return value
+    if kind == "str" and isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return str(value)
+    if "tuple" in kind and isinstance(value, (list, tuple)):
+        return tuple(float(_number(v)) for v in value)
+    number = _number(value)
+    if kind == "int" and float(number).is_integer():
+        return int(number)
+    if kind.startswith("float"):
+        return number if "tuple" in kind else float(number)
+    raise TypeError(f"expected {kind}, got {value!r}")
+
+
 def _from_mapping(default, data: dict | None, where: str = ""):
     """``default`` with the keys of ``data`` applied through ``replace``.
 
     Keys of a dataclass-valued field recurse into that field's default
     instance, so a partial ``sim.disturbance`` keeps the other defaults
-    (seed 7 included).  ``where`` is the dotted path, empty at the top.
+    (seed 7 included).  Every other value is read by its field's
+    declared type (``_coerce``).  ``where`` is the dotted path, empty at
+    the top.
     """
     if data is not None and not isinstance(data, dict):
         raise ConfigError(f"{where or 'config root'} must be a mapping, got {type(data).__name__}")
@@ -80,18 +110,8 @@ def _from_mapping(default, data: dict | None, where: str = ""):
         if is_dataclass(current):
             coerced[name] = _from_mapping(current, value, key)
             continue
-        # YAML 1.1 reads unsigned exponents like 1.0e5 as strings; coerce
-        # numeric fields so config files and --set overrides behave alike
-        kind = fields[name].type
         try:
-            if value is None:
-                coerced[name] = None
-            elif kind in ("float", "float | None"):
-                coerced[name] = float(value)
-            elif kind == "int":
-                coerced[name] = int(value)
-            else:
-                coerced[name] = value
+            coerced[name] = _coerce(fields[name].type, value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return replace(default, **coerced)
@@ -662,10 +682,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        overrides = list(args.overrides)
-        if args.output_dir:
-            overrides.append(f"output_dir={args.output_dir}")
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, args.overrides)
+        if args.output_dir:  # a path as given, not a YAML value
+            cfg = replace(cfg, output_dir=args.output_dir)
         if args.reduced:
             cfg = apply_reduced(cfg)
         if args.command == "gen-data":

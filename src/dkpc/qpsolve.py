@@ -24,27 +24,27 @@ bounds are fixed when the solver is built.  ADMM checks termination
 every ``_CHECK_EVERY`` iterations.
 
 P is given as its (n,) diagonal or as an (n, n) matrix, and its shape
-picks the path.  An (n,) P with every entry > 0 (both controllers'
-cost) stays a vector and every factor is at most m_eq x m_eq
-(Cholesky): the ADMM x-update goes through A D^-1 A' + I / rho_eq
-(matrix inversion lemma, one refinement step), and the polish factors
-the Schur complement on the equality rows, a downdate of A D^-1 A'.
-Active columns with one nonzero each, in rows of their own (the
-controllers' input bounds), lower only diagonal entries at or below a
-split row s, the first row such a bounded column touches; with the
-bounds fixed, no active unit column lies above s.  The leading
-s rows are factored once per solver, in the natural row order, and
-each of these active sets factors only the trailing (m_eq - s)^2
-block, solving by block substitution.  That rounds differently from
-one full Cholesky: over a 10-bus seed panel DeePC's inputs moved by
-about 1e-15 and DKPC's by up to 1.1e-3.  Any other set keeps a
-gather-and-GEMM downdate and a full Cholesky.  Each active set keeps
-A x0 of its solve, which only q changes.  Any other (n,)
-P is expanded once to its n x n matrix, and an n x n P factors the
-n x n ADMM matrix (Cholesky) and the full active-set KKT matrix (LU),
-refined against the unregularized one.  The ADMM factor is built on
-the first ADMM iteration: a solve that ends at the direct polish needs
-none.
+picks the path; each path serves every problem shape, m_eq = 0
+included.  Both polishes fix the active variables at their bounds,
+solve for the free ones and the equality multipliers, and read the
+bound multipliers off the stationarity rows.  An (n,) P > 0 (both
+controllers' cost) stays a vector, and every factor is a Cholesky of
+order m_eq or less: the ADMM x-update goes through
+A D^-1 A' + I / rho_eq (matrix inversion lemma, one refinement step),
+the polish through the Schur complement on the equality rows, a
+downdate of S_0 = A D^-1 A' + delta I (``QpSolver._schur_split``).
+S_0 stays a general product: a symmetric rank update moved DKPC's
+per-row sweep effort by 2.9e-3.  DKPC's inputs hang on the polish's
+rounding (reordering the rows of one Schur Cholesky moved them by up
+to 1.8e-3 on regulate, DeePC's by about 1e-15), so rows are never
+permuted.  Any other (n,) P is expanded once to its n x n matrix, and
+an n x n P factors by LU the quasi-definite KKT matrix (``_kkt``) of
+each system: the ADMM x-update's, (n + m_eq)^2, and the free
+variables' one per active set, (n_F + m_eq)^2, which the polish
+refines against the unregularized matrix.  On DKPC's rank-deficient
+data the two polishes return different valid points (ROADMAP item 2).
+The ADMM factor is built on the first ADMM iteration: a solve that
+ends at the direct polish needs none.
 """
 
 from __future__ import annotations
@@ -203,28 +203,23 @@ def kkt_residuals(
     on an infinite upper bound (or negative on an infinite lower bound)
     counts as residual of its own magnitude.
     """
-    stat = _p_matvec(problem.P, x) + problem.q + y_box
-    if problem.m_eq:
-        stat += problem.A_eq.T @ y_eq
-    eq_res = problem.A_eq @ x - problem.b_eq if problem.m_eq else np.zeros(0)
+    stat = _p_matvec(problem.P, x) + problem.q + y_box + problem.A_eq.T @ y_eq
+    eq_res = problem.A_eq @ x - problem.b_eq
     box_viol = np.maximum(problem.lower - x, 0.0) + np.maximum(x - problem.upper, 0.0)
     up = np.maximum(y_box, 0.0)
     lo = np.maximum(-y_box, 0.0)
     fin_up = np.isfinite(problem.upper)
     fin_lo = np.isfinite(problem.lower)
-    comp = 0.0
-    if np.any(fin_up):
-        comp = max(comp, np.max(up[fin_up] * np.abs(problem.upper - x)[fin_up]))
-    if np.any(fin_lo):
-        comp = max(comp, np.max(lo[fin_lo] * np.abs(x - problem.lower)[fin_lo]))
-    if np.any(~fin_up):
-        comp = max(comp, np.max(up[~fin_up]))
-    if np.any(~fin_lo):
-        comp = max(comp, np.max(lo[~fin_lo]))
+    comp = max(
+        np.max(up[fin_up] * np.abs(problem.upper - x)[fin_up], initial=0.0),
+        np.max(lo[fin_lo] * np.abs(x - problem.lower)[fin_lo], initial=0.0),
+        np.max(up[~fin_up], initial=0.0),
+        np.max(lo[~fin_lo], initial=0.0),
+    )
     return {
         "stationarity": float(np.max(np.abs(stat))),
-        "primal_eq": float(np.max(np.abs(eq_res))) if eq_res.size else 0.0,
-        "primal_box": float(np.max(box_viol)) if box_viol.size else 0.0,
+        "primal_eq": float(np.max(np.abs(eq_res), initial=0.0)),
+        "primal_box": float(np.max(box_viol, initial=0.0)),
         "complementarity": float(comp),
     }
 
@@ -247,9 +242,6 @@ class QpSolver:
     An (n,) P with every entry > 0 stays a vector (scaled and
     unscaled) for every product the solver forms; any other (n,) P is
     expanded here, once, to the dense form that serves an (n, n) P.
-    The form chooses the linear systems (see the module docstring,
-    ``_x_update`` and ``_polish_once``); the ADMM one is factored on
-    the first ADMM iteration.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
@@ -260,7 +252,7 @@ class QpSolver:
         # the splitting system is built for _factored_rho on the first ADMM
         # iteration (``_refactor``); a solve that ends before it needs none
         self._factored_rho: float | None = None
-        self._factor = self._split_diag = self._gram = None
+        self._factor = self._split_diag = None
         self._polish_cache: dict[bytes, list] = {}
         self._misses = 0  # polish-cache misses of the current solve
         # the vector P_s solves both linear systems on the equality rows;
@@ -296,26 +288,22 @@ class QpSolver:
         abs_a = np.abs(p.A_eq, order="C")
         c = 1.0
         for _ in range(_SCALING_ITERS):
-            col = np.maximum(_col_norms(P_s), s_box)
-            if m_eq:
-                col = np.maximum(col, np.max(abs_a, axis=0))
-                row_eq = np.max(abs_a, axis=1)
-            else:
-                row_eq = np.zeros(0)
+            col = np.maximum(np.maximum(_col_norms(P_s), s_box),
+                             np.max(abs_a, axis=0, initial=0.0))
+            row_eq = np.max(abs_a, axis=1, initial=0.0)
             dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
             de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
             ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
             P_s = (P_s * dd) * (dd if P_s.ndim == 1 else dd[:, None])
-            if m_eq:
-                abs_a *= dd
-                abs_a *= de[:, None]
+            abs_a *= dd
+            abs_a *= de[:, None]
             s_box = s_box * ds * dd
             d *= dd
             e_eq *= de
             # cost normalization
             pc = _col_norms(P_s)
             denom = max(float(np.mean(pc)) if pc.size else 0.0,
-                        float(np.max(np.abs(c * d * p.q))) if n else 0.0)
+                        float(np.max(np.abs(c * d * p.q), initial=0.0)))
             if denom > 1e-8:
                 gamma = 1.0 / denom
                 P_s *= gamma
@@ -337,58 +325,49 @@ class QpSolver:
         M = P_s + sigma I + rho (rho_eq_scale A_s'A_s + diag(s_box^2)).
         For the vector P_s that is D + rho_eq A_s'A_s with a diagonal D,
         and only G = A_s D^-1 A_s' + I / rho_eq, m_eq x m_eq, is factored
-        (see ``_x_update``); a dense P factors the n x n M.
+        (Cholesky; see ``_x_update``).  A dense P_s factors the
+        quasi-definite KKT form of M, (n + m_eq)^2, by LU (``_kkt``).
         """
-        m_eq = self.problem.m_eq
         self._factored_rho = self._rho
-        if self._P_s.ndim == 1:
-            self._split_diag = self._P_s + _SIGMA + self._rho * self._s_box**2
-            if m_eq:
-                b = self._A_s / np.sqrt(self._split_diag)
-                g = b @ b.T  # one triangle (syrk)
-                g[np.diag_indices(m_eq)] += 1.0 / (self._rho * _RHO_EQ_SCALE)
-                self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
+        rho_eq = self._rho * _RHO_EQ_SCALE
+        if self._P_s.ndim == 2:
+            kkt = _kkt(self._P_s, _SIGMA + self._rho * self._s_box**2, self._A_s, 1.0 / rho_eq)
+            self._factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             return
-        if self._gram is None:
-            self._gram = np.diag(self._s_box * self._s_box)
-            if m_eq:
-                self._gram += _RHO_EQ_SCALE * (self._A_s.T @ self._A_s)
-        m = self._rho * self._gram
-        m += self._P_s
-        m[np.diag_indices_from(m)] += _SIGMA
-        self._factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+        self._split_diag = self._P_s + _SIGMA + self._rho * self._s_box**2
+        b = self._A_s / np.sqrt(self._split_diag)
+        g = b @ b.T  # one triangle (syrk)
+        g[np.diag_indices_from(g)] += 1.0 / rho_eq
+        self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
 
     def _x_update(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve M x = rhs (see ``_refactor``); returns x and A_s x.
 
-        On the equality-row path, x = D^-1 (rhs - A_s' w) with
+        A dense P_s solves [[P_s + sigma I + rho diag(s_box^2), A_s'],
+        [A_s, -I / rho_eq]] [x; nu] = [rhs; 0], so A_s x = nu / rho_eq.
+        The vector P_s takes x = D^-1 (rhs - A_s' w) with
         G w = A_s D^-1 rhs (matrix inversion lemma).  Its residual is
         M x - rhs = A_s' t, t = rho_eq A_s x - w, up to the rounding of
         the division, and A_s x is measured; one refinement step against
         M then adds M^-1 A_s' t = D^-1 A_s' s / rho_eq with G s = t.  It
-        brings the residual down to that of the n x n Cholesky, which
-        the lemma alone misses by orders of magnitude.  A_s of the
+        brings the residual down to that of a Cholesky of M, which the
+        lemma alone misses by orders of magnitude.  A_s of the
         correction is (t - s / rho_eq) / rho_eq by the same algebra.
         """
-        if self._P_s.ndim == 2:
-            x = scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
-            return x, self._A_s @ x
-        A, D = self._A_s, self._split_diag
-        if not self.problem.m_eq:
-            return rhs / D, np.zeros(0)
         rho_eq = self._rho * _RHO_EQ_SCALE
+        if self._P_s.ndim == 2:
+            n = self.problem.n
+            sol = scipy.linalg.lu_solve(
+                self._factor, np.concatenate([rhs, np.zeros(self.problem.m_eq)]),
+                check_finite=False)
+            return sol[:n], sol[n:] / rho_eq
+        A, D = self._A_s, self._split_diag
         w = scipy.linalg.cho_solve(self._factor, A @ (rhs / D), check_finite=False)
         x = (rhs - A.T @ w) / D
         ax = A @ x
         t = rho_eq * ax - w
         s = scipy.linalg.cho_solve(self._factor, t, check_finite=False)
         return x - (A.T @ s) / (rho_eq * D), ax - (t - s / rho_eq) / rho_eq
-
-    def _rmatvec_s(self, w: np.ndarray) -> np.ndarray:
-        m_eq = self.problem.m_eq
-        if m_eq:
-            return self._A_s.T @ w[:m_eq] + self._s_box * w[m_eq:]
-        return self._s_box * w
 
     # -- public API ------------------------------------------------------
 
@@ -443,12 +422,12 @@ class QpSolver:
             xu = d * xv
             yu = e_all * yv / c
             zu = zv / e_all
-            axu = np.concatenate([p.A_eq @ xu, xu]) if m_eq else xu
+            axu = np.concatenate([p.A_eq @ xu, xu])
             pxu = _p_matvec(self._P, xu)
-            atyu = p.A_eq.T @ yu[:m_eq] + yu[m_eq:] if m_eq else yu.copy()
-            r_p = np.max(np.abs(axu - zu)) if m else 0.0
+            atyu = p.A_eq.T @ yu[:m_eq] + yu[m_eq:]
+            r_p = np.max(np.abs(axu - zu))
             r_d = np.max(np.abs(pxu + p.q + atyu))
-            sc_p = max(np.max(np.abs(axu)), np.max(np.abs(zu))) if m else 0.0
+            sc_p = max(np.max(np.abs(axu)), np.max(np.abs(zu)))
             sc_d = max(np.max(np.abs(pxu)), np.max(np.abs(atyu)), np.max(np.abs(p.q)))
             return r_p, r_d, sc_p, sc_d, pxu
 
@@ -503,7 +482,8 @@ class QpSolver:
         for it in range(1, s.max_iter + 1):
             if self._factored_rho != self._rho:
                 self._refactor()
-            rhs = _SIGMA * x - q_s + self._rmatvec_s(rho * z - y)
+            w = rho * z - y
+            rhs = _SIGMA * x - q_s + (self._A_s.T @ w[:m_eq] + s_box * w[m_eq:])
             x_tilde, ax_tilde = self._x_update(rhs)
             z_tilde = np.concatenate([ax_tilde, s_box * x_tilde])
             x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
@@ -564,11 +544,11 @@ class QpSolver:
         """Primal-infeasibility certificate test on an unscaled dual step."""
         p = self.problem
         eps = _EPS_INFEASIBLE
-        norm = np.max(np.abs(dy)) if dy.size else 0.0
+        norm = np.max(np.abs(dy))
         if norm <= eps:
             return False
         v = dy / norm
-        at_v = p.A_eq.T @ v[: p.m_eq] + v[p.m_eq :] if p.m_eq else v.copy()
+        at_v = p.A_eq.T @ v[: p.m_eq] + v[p.m_eq :]
         if np.max(np.abs(at_v)) > eps:
             return False
         lo = np.concatenate([p.b_eq, p.lower])
@@ -633,17 +613,16 @@ class QpSolver:
     def _polish_once(self, pinned, low_act, up_act):
         """One active-set KKT solve in the equilibrated space.
 
-        Scaling keeps the regularized KKT matrix well conditioned, which
-        allows a tiny regularization and hence near-exact enforcement of
-        ill-conditioned behavioral equality rows.  With the vector P_s
-        the system is solved through the Schur complement on the
-        equality rows (``_schur_solve``), one Cholesky of its trailing
-        block, or of all of it, per active set (``_schur_factor``); with
-        a dense P through an LU of the full (n + m_eq + k)^2 KKT matrix.
-        Either factor is cached per active set, the Schur path's with
-        its A_s x0; each miss counts in ``QpSolution.factorizations``.
-        Returns None for a failed factorization, a non-finite point or
-        constraint forces that trip the guard described in ``_polish``.
+        The active variables x_K sit at their bounds; the free ones and
+        the equality multipliers nu solve the regularized KKT system of
+        the free columns and the equality rows.  Scaling keeps it well
+        conditioned, so a tiny regularization enforces ill-conditioned
+        behavioral rows almost exactly.  The vector P_s solves it by
+        ``_schur_solve``, a dense P by ``_lu_solve``; either factor is
+        cached per active set, each miss counted in
+        ``QpSolution.factorizations``.  Both read mu_K off the
+        stationarity rows.  Returns None for a failed factorization, a
+        non-finite point or forces that trip the guard of ``_polish``.
         """
         p = self.problem
         n, m_eq = p.n, p.m_eq
@@ -659,38 +638,38 @@ class QpSolver:
                 if self._schur_gram is not None:
                     factor = self._schur_factor(act_idx)
                 else:
-                    factor = scipy.linalg.lu_factor(self._kkt(act_idx), check_finite=False)
+                    free = np.flatnonzero(~act)
+                    kkt = _kkt(self._P_s[np.ix_(free, free)], _POLISH_DELTA,
+                               self._A_s[:, free], _POLISH_DELTA)
+                    factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 return None
             if len(self._polish_cache) >= _POLISH_CACHE_SIZE:
                 self._polish_cache.pop(next(iter(self._polish_cache)))
             cached = [factor, act_idx, None]  # and A_s x0 of the Schur path
             self._polish_cache[key] = cached
-        factor, act_idx = cached[:2]
+        act_idx = cached[1]
 
         lo, hi = p.lower, p.upper
         r1 = -c * d * p.q
         r2 = e_eq * p.b_eq
         r3 = np.where(up_act[act_idx], hi[act_idx], lo[act_idx]) / d[act_idx]
-        if self._schur_gram is not None:
-            sol = self._schur_solve(cached, r1, r2, r3)
-        else:
-            sol = self._lu_solve(factor, act_idx, np.concatenate([r1, r2, r3]))
-        if not np.all(np.isfinite(sol)):
-            return None
+        solve_kkt = self._schur_solve if self._schur_gram is not None else self._lu_solve
+        x, nu, at_nu = solve_kkt(cached, r1, r2, r3)
+        mu = (r1 - _p_matvec(self._P_s, x) - at_nu)[act_idx]
 
-        x = d * sol[:n]
+        x = d * x
         y_full = np.zeros(m_eq + n)
-        y_full[:m_eq] = e_eq * sol[n : n + m_eq] / c
-        y_full[m_eq + act_idx] = sol[n + m_eq :] / (c * d[act_idx])
+        y_full[:m_eq] = e_eq * nu / c
+        y_full[m_eq + act_idx] = mu / (c * d[act_idx])
         viol = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
         r_p = float(np.max(viol, initial=0.0))
-        if m_eq:
-            r_p = max(r_p, float(np.max(np.abs(p.A_eq @ x - p.b_eq))))
+        r_p = max(r_p, float(np.max(np.abs(p.A_eq @ x - p.b_eq), initial=0.0)))
         y_box = y_full[m_eq:]
         at_y_eq = p.A_eq.T @ y_full[:m_eq]
         px = _p_matvec(self._P, x)
         r_d = float(np.max(np.abs(px + p.q + (at_y_eq + y_box))))
+        # a non-finite x makes r_p, and a non-finite y r_d, non-finite
         if not (np.isfinite(r_p) and np.isfinite(r_d)):
             return None
         # forces far beyond -(P x + q), their KKT sum, cancel (see ``_polish``)
@@ -700,49 +679,40 @@ class QpSolver:
             return None
         return x, y_full, px, r_p, r_d
 
-    def _kkt(self, act_idx: np.ndarray) -> np.ndarray:
-        """Regularized active-set KKT matrix for the LU path (scaled space)."""
-        n, m_eq, delta = self.problem.n, self.problem.m_eq, _POLISH_DELTA
-        dim = n + m_eq + act_idx.size
-        kkt = np.zeros((dim, dim))
-        kkt[:n, :n] = self._P_s
-        kkt[np.diag_indices(n)] += delta
-        if m_eq:
-            kkt[n : n + m_eq, :n] = self._A_s
-            kkt[:n, n : n + m_eq] = self._A_s.T
-        for row, col in enumerate(act_idx):
-            kkt[n + m_eq + row, col] = 1.0
-            kkt[col, n + m_eq + row] = 1.0
-        kkt[range(n, dim), range(n, dim)] -= delta
-        return kkt
+    def _lu_solve(self, entry, r1, r2, r3):
+        """Solve for x_F and nu by LU, x_K = r3; returns ``(x, nu, A_s' nu)``.
 
-    def _lu_solve(self, lu, act_idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve the regularized KKT system, refined against the unregularized one.
-
-        The regularization moves A_s x off its target by delta nu.  With
-        a singular P and dependent equality rows (DKPC with lambda_g = 0)
-        nu reaches 1e8 and that shift fails the primal tolerance.  A
-        refinement step adds the regularized solve of the unregularized
-        residual; it is kept while it lowers that residual.
+        ``entry`` is the polish-cache list ``[LU factor, K, None]``.  The
+        regularization moves A_s x off its target by delta nu.  With a
+        singular P and dependent equality rows (DKPC with lambda_g = 0)
+        nu reaches 1e8 and that shift fails the primal tolerance.  Each
+        step solves the regularized system for the unregularized
+        residual, and a refinement step is kept while it lowers it.
         """
-        n, m_eq = self.problem.n, self.problem.m_eq
+        lu, act_idx, _ = entry
+        free = np.ones(self.problem.n, dtype=bool)
+        free[act_idx] = False
+        n_f = self.problem.n - act_idx.size
+        x = np.zeros(self.problem.n)
+        x[act_idx] = r3
 
-        def residual(sol):
-            x = sol[:n]
-            top = self._P_s @ x + self._A_s.T @ sol[n : n + m_eq]
-            top[act_idx] += sol[n + m_eq :]
-            return rhs - np.concatenate([top, self._A_s @ x, x[act_idx]])
+        def residual(sol):  # writes x_F = sol[:n_f] into x
+            x[free] = sol[:n_f]
+            stat = r1 - self._P_s @ x - self._A_s.T @ sol[n_f:]
+            return np.concatenate([stat[free], r2 - self._A_s @ x])
 
-        sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        sol = scipy.linalg.lu_solve(lu, residual(np.zeros(n_f + self.problem.m_eq)),
+                                    check_finite=False)
         res = residual(sol)
         for _ in range(_POLISH_REFINE_STEPS):
             step = sol + scipy.linalg.lu_solve(lu, res, check_finite=False)
             res_step = residual(step)
             # a NaN residual compares False and ends the refinement
-            if not np.max(np.abs(res_step)) < np.max(np.abs(res)):
+            if not np.max(np.abs(res_step), initial=0.0) < np.max(np.abs(res), initial=0.0):
                 break
             sol, res = step, res_step
-        return sol
+        x[free] = sol[:n_f]
+        return x, sol[n_f:], self._A_s.T @ sol[n_f:]
 
     def _schur_split(self, p: QpProblem) -> None:
         """Split S_0 = A_s D^-1 A_s' + delta I at row s and factor its leading block.
@@ -807,13 +777,12 @@ class QpSolver:
         S[np.diag_indices_from(S)] += _POLISH_DELTA
         return split, scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
 
-    def _schur_solve(self, entry, r1, r2, r3) -> np.ndarray:
-        """Solve the active-set KKT system by elimination; returns ``[x; nu; mu]``.
+    def _schur_solve(self, entry, r1, r2, r3):
+        """Solve the Schur path's KKT system by elimination; returns ``(x, nu, A_s' nu)``.
 
         The active variables sit at their bounds (x_K = r3), the free
-        ones are x_F = D_F^-1 (r1_F - A_F' nu), nu solves
-        S_K nu = A_s x0 - r2 with x0 = D^-1 r1 and x0_K = r3, and the
-        bound multipliers are mu_K = r1_K - P_K x_K - (A_s' nu)_K.
+        ones are x_F = D_F^-1 (r1_F - A_F' nu), and nu solves
+        S_K nu = A_s x0 - r2 with x0 = D^-1 r1 and x0_K = r3.
         ``entry`` is the polish-cache list ``[(split, factor), K, A_s x0]``.
         With a split s > 0, S_K nu = b is solved by block substitution:
         z1 = L11^-1 b1, nu2 = L22^-T L22^-1 (b2 - L21 z1) and
@@ -838,8 +807,16 @@ class QpSolver:
         at_nu = self._A_s.T @ nu
         x = (r1 - at_nu) / self._schur_diag
         x[act_idx] = r3
-        mu = r1[act_idx] - self._P_s[act_idx] * r3 - at_nu[act_idx]
-        return np.concatenate([x, nu, mu])
+        return x, nu, at_nu
+
+
+def _kkt(P: np.ndarray, shift, A: np.ndarray, reg: float) -> np.ndarray:
+    """The quasi-definite matrix [[P + diag(shift), A'], [A, -reg I]] that LU factors."""
+    n, m = P.shape[0], A.shape[0]
+    kkt = np.block([[P, A.T], [A, np.zeros((m, m))]])
+    kkt[range(n), range(n)] += shift
+    kkt[range(n, n + m), range(n, n + m)] = -reg
+    return kkt
 
 
 def solve(

@@ -28,27 +28,31 @@ def _fista_box(P, q, lower, upper, x0, max_iter=60000, tol=1e-14):
 
     ``P`` is (k, n, n), the vectors (k, n).  Each problem takes its own
     step 1 / lambda_max(P) and stops at its own tolerance; the ones still
-    iterating are kept in compacted arrays.
+    iterating are kept in compacted arrays.  A problem whose step turns
+    against its momentum, (z - x_new)'(x_new - x) > 0, restarts it with
+    t = 1 (gradient restart, O'Donoghue and Candes, Found. Comput. Math.
+    2015); without it, ill-conditioned problems oscillate to the cap.
     """
     lip = np.linalg.eigvalsh(P)[:, -1]
     step = 1.0 / np.maximum(lip, 1e-12)
     out = np.clip(x0, lower, upper)
     idx = np.arange(q.shape[0])  # problems still iterating
     x, z = out.copy(), out.copy()
-    t = 1.0
+    t = np.ones(q.shape[0])
     for _ in range(max_iter):
         grad = np.matmul(P, z[:, :, None])[:, :, 0] + q
         x_new = np.clip(z - step[:, None] * grad, lower, upper)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         diff = x_new - x
-        z = x_new + ((t - 1.0) / t_new) * diff
+        t = np.where(np.sum((z - x_new) * diff, axis=1) > 0.0, 1.0, t)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new)[:, None] * diff
         done = np.max(np.abs(diff), axis=1) < tol
         if done.any():
             out[idx[done]] = x_new[done]
             keep = ~done
             if not keep.any():
                 return out
-            idx, P, q, step = idx[keep], P[keep], q[keep], step[keep]
+            idx, P, q, step, t_new = idx[keep], P[keep], q[keep], step[keep], t_new[keep]
             lower, upper, x_new, z = lower[keep], upper[keep], x_new[keep], z[keep]
         x, t = x_new, t_new
     out[idx] = x

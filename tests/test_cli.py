@@ -311,6 +311,17 @@ def test_main_gen_data_and_exit_codes(tmp_path):
     assert cli.main(["gen-data", "-c", str(bad)]) == 2
 
 
+def test_main_output_dir_taken_as_given(tmp_path, monkeypatch):
+    # -o names a directory, not a YAML value: 123 is not read as an int
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text("{}\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+    argv = ["gen-data", "-c", str(cfg_path), "-o", "123"]
+    assert cli.main(argv + [arg for item in FAST_OVERRIDES for arg in ("--set", item)]) == 0
+    assert (tmp_path / "123" / "dataset.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def generated_config(tmp_path_factory):
     """A fast config with one-value sweep grids whose dataset and bank exist."""
@@ -336,6 +347,16 @@ BAD_VALUES = [
     ("sweep.r=[-1.0]", r"sweep: R must"),
     ("sim.disturbance.seed=-1", r"sim\.disturbance\.seed must"),
     (INCOMPLETE_NETWORK, r"network: malformed network file"),
+    # values read by their field's type: no traceback, no silent conversion
+    ("network=5", r"network file not found: 5"),
+    ("sweep.q=3", r"bad value for sweep\.q: 3"),
+    ("sweep.q=[a]", r"bad value for sweep\.q"),
+    ("plant.p_star=abc", r"bad value for plant\.p_star"),
+    ("data.seed=1.9", r"bad value for data\.seed"),
+    ("sim.activation_step=40.7", r"bad value for sim\.activation_step"),
+    ("report.alphas=1.5", r"bad value for report\.alphas"),
+    ("sim.disturbance.around_equilibrium=maybe",
+     r"bad value for sim\.disturbance\.around_equilibrium"),
 ]
 
 

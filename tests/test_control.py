@@ -454,7 +454,7 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
 
 
 def force_dense_hessian(mp):
-    """Make the controllers pass P as its n x n matrix: n x n ADMM system and full KKT LU polish."""
+    """Make the controllers pass P as its n x n matrix: the dense path's KKT LU factors."""
     mp.setattr(control, "QpProblem", lambda P, **kw: qpsolve.QpProblem(P=np.diag(P), **kw))
 
 
@@ -530,12 +530,12 @@ def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
     assert len(solver._polish_cache) == n_factors and solver._factored_rho is None
 
 
-def count_cho_factorizations(mp):
-    """Record the order of every matrix passed to ``scipy.linalg.cho_factor``."""
+def factor_sizes(mp, name):
+    """Record the order of every matrix passed to ``scipy.linalg.<name>``."""
     sizes = []
-    cho_factor = scipy.linalg.cho_factor
-    mp.setattr(scipy.linalg, "cho_factor",
-               lambda a, *args, **kw: sizes.append(len(a)) or cho_factor(a, *args, **kw))
+    factor = getattr(scipy.linalg, name)
+    mp.setattr(scipy.linalg, name,
+               lambda a, *args, **kw: sizes.append(len(a)) or factor(a, *args, **kw))
     return sizes
 
 
@@ -547,7 +547,7 @@ def test_controllers_factor_only_equality_rows(lti_setup, monkeypatch, request):
     deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
     x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
     scen = Scenario(sim_steps=20, activation_step=6)
-    sizes = count_cho_factorizations(monkeypatch)
+    sizes = factor_sizes(monkeypatch, "cho_factor")
     makes = (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg))
     # with the polish, this loop never enters ADMM and builds no ADMM system
     m_eqs = []
@@ -578,11 +578,14 @@ def test_dense_or_zero_diagonal_cost_factors_full_system(lti_setup, monkeypatch,
     # lambda_g = 0: an (n,) P with zero entries, expanded to n x n by the solver
     prob = build_dkpc_qp(hs, bank, dataclasses.replace(cfg, lambda_g=0.0), cs)
     assert prob.P.shape == (prob.n,)
-    sizes = count_cho_factorizations(monkeypatch)
+    cho_sizes = factor_sizes(monkeypatch, "cho_factor")
+    lu_sizes = factor_sizes(monkeypatch, "lu_factor")
     solver = QpSolver(prob, short)
-    assert sizes == []  # built by the first ADMM iteration
+    assert lu_sizes == []  # built by the first ADMM iteration
     assert solver.solve().iterations > 0
-    assert sizes and sizes[0] == prob.n
+    # the KKT form of the ADMM system, (n + m_eq)^2, by LU; no Cholesky
+    assert lu_sizes and lu_sizes[0] == prob.n + prob.m_eq
+    assert cho_sizes == []
 
 
 def test_output_bounds_hold_from_the_second_predicted_sample(lti_setup):
