@@ -409,12 +409,7 @@ def trajectory_to_csv(traj: Trajectory, path: str | Path, comment: str | None = 
         + [f"u_{i + 1}" for i in range(traj.n_u)]
         + [f"y_{i + 1}" for i in range(traj.n_y)]
     )
-    rows = (
-        [k, repr(float(k * traj.dt))]
-        + [repr(float(v)) for v in traj.u[k]]
-        + [repr(float(v)) for v in traj.y[k]]
-        for k in range(traj.length)
-    )
+    rows = ([k, k * traj.dt, *row] for k, row in enumerate(np.hstack([traj.u, traj.y]).tolist()))
     write_csv(path, header, rows, comment)
 
 

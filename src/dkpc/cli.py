@@ -237,6 +237,9 @@ class ExperimentConfig:
             raise ConfigError("deepc controller requires lambda_sigma")
         if self.sim.activation_step < c.t_ini:
             raise ConfigError("activation_step must be >= t_ini to prime the buffers")
+        steps, start = self.sim.sim_steps, self.sim.activation_step
+        if steps <= start:  # the controller would never act
+            raise ConfigError(f"sim: sim_steps must exceed activation_step: {steps} <= {start}")
         if self.data.length < 1 or self.lifting.n_basis < 1:
             raise ConfigError("data.length and lifting.n_basis must be >= 1")
         if self.data.input_low > self.data.input_high:
@@ -251,6 +254,9 @@ class ExperimentConfig:
         for key, seed in seeds.items():
             if seed < 0:
                 raise ConfigError(f"{key} must be >= 0, got {seed}")
+        for name, grid in asdict(self.sweep).items():
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"sweep.{name} repeats a value: {list(grid)}")
         p = self.plant
         builds = {  # each section's values in the library objects that check them
             "sim": lambda: (netsim.SimConfig(dt=self.sim.dt), _scenario(self)),
@@ -306,23 +312,18 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> ExperimentCo
 
 
 def apply_reduced(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Desk-scale variant: shorter data and run, every other grid value.
+    """Desk-scale variant: shorter data and run, every other value of each sorted grid.
 
     The observable count shrinks with the dataset so the persistency
     requirement (order ``n_basis + t_ini + horizon``) stays satisfiable
-    by the shorter record.
+    by the shorter record.  ``main`` validates the result.
     """
     return replace(
         cfg,
         data=replace(cfg.data, length=REDUCED_DATA_LENGTH),
         sim=replace(cfg.sim, sim_steps=REDUCED_SIM_STEPS),
         lifting=replace(cfg.lifting, n_basis=min(cfg.lifting.n_basis, REDUCED_N_BASIS)),
-        sweep=SweepSection(
-            q=cfg.sweep.q[::2],
-            r=cfg.sweep.r[::2],
-            lambda_g=cfg.sweep.lambda_g[::2],
-            lambda_sigma=cfg.sweep.lambda_sigma[::2],
-        ),
+        sweep=SweepSection(**{k: sorted(v)[::2] for k, v in asdict(cfg.sweep).items()}),
     )
 
 
@@ -685,8 +686,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config, args.overrides)
         if args.output_dir:  # a path as given, not a YAML value
             cfg = replace(cfg, output_dir=args.output_dir)
-        if args.reduced:
+        if args.reduced:  # -o changes no validated value; --reduced may
             cfg = apply_reduced(cfg)
+            cfg.validate()
         if args.command == "gen-data":
             cmd_gen_data(cfg)
         elif args.command == "run":

@@ -25,17 +25,6 @@ from .netsim import DisturbanceSpec, SimulationDiverged
 from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolver
 
 
-def _bound_vector(b, dim: int, default: float) -> np.ndarray:
-    if b is None:
-        return np.full(dim, default)
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 0:
-        return np.full(dim, float(b))
-    if b.shape == (dim,):
-        return b.copy()
-    raise ValueError(f"bound must be a scalar or length-{dim} vector")
-
-
 @dataclass(frozen=True)
 class DkpcConfig:
     """Tuning of the lifted behavioral controller.
@@ -43,7 +32,8 @@ class DkpcConfig:
     The weights are scalars: every output carries ``Q`` >= 0 and every
     input ``R`` > 0, so the QP's cost Hessian is diagonal.  Defaults:
     horizon 10, Q = 300, R = 0.01, coefficient regularization 500,
-    inputs boxed to [-1, 1], outputs unconstrained.  The controller
+    inputs boxed to [-1, 1], outputs unconstrained.  The bounds are
+    scalars too, and -inf/+inf means no bound.  The controller
     regulates to zero: the cost is Q |y|^2 + R |u|^2 over the horizon,
     with no reference or nominal input.  ``y_min``/``y_max`` bound the predicted
     outputs from the second future sample on: the first is the current
@@ -57,10 +47,10 @@ class DkpcConfig:
     Q: float = 300.0
     R: float = 0.01
     lambda_g: float = 500.0
-    u_min: float | np.ndarray | None = -1.0
-    u_max: float | np.ndarray | None = 1.0
-    y_min: float | np.ndarray | None = None
-    y_max: float | np.ndarray | None = None
+    u_min: float = -1.0
+    u_max: float = 1.0
+    y_min: float = -math.inf
+    y_max: float = math.inf
 
     def __post_init__(self) -> None:
         if self.t_ini < 1 or self.horizon < 1:
@@ -73,6 +63,13 @@ class DkpcConfig:
             raise ValueError(f"Q must be finite and >= 0, got {self.Q}")
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise ValueError(f"R must be finite and > 0, got {self.R}")
+        for lo, hi in (("u_min", "u_max"), ("y_min", "y_max")):
+            low, high = getattr(self, lo), getattr(self, hi)
+            # an array's ndim: np.ndim costs microseconds on a float, paid per sweep config
+            if getattr(low, "ndim", 0) or getattr(high, "ndim", 0):
+                raise ValueError(f"{lo} and {hi} must be scalars")
+            if not (low <= high and low < math.inf and high > -math.inf):  # as in QpProblem
+                raise ValueError(f"need {lo} <= {hi}, {lo} < inf, {hi} > -inf; got {low}, {high}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +141,10 @@ def _behavioral_qp(
     measured window ``cs.past_window(bank)``; only the last ``n_soft``
     of them carry ``-sigma``, penalized by ``soft_weight * |sigma|^2``.
     The future Hankel rows couple g to the future blocks, which carry
-    the regulation cost and the bounds.  The cost is diagonal and has
-    no linear term (regulation to zero), so P is passed as its (n,)
-    diagonal and q is zero.
+    the regulation cost and the scalar bounds: ``u_min``/``u_max`` on all
+    of u_future, ``y_min``/``y_max`` on y_future after its first sample.
+    The cost is diagonal and has no linear term (regulation to zero), so
+    P is passed as its (n,) diagonal and q is zero.
 
     Raises ValueError unless ``cs`` is primed and both ``cs`` and
     ``cfg`` have the ``t_ini`` (and ``cfg`` the horizon, ``cs`` the
@@ -187,12 +185,10 @@ def _behavioral_qp(
 
     lower = np.full(dim, -np.inf)
     upper = np.full(dim, np.inf)
-    lower[uf] = np.tile(_bound_vector(cfg.u_min, n_u, -np.inf), cfg.horizon)
-    upper[uf] = np.tile(_bound_vector(cfg.u_max, n_u, np.inf), cfg.horizon)
+    lower[uf], upper[uf] = cfg.u_min, cfg.u_max
     # the first y_f block is the current output, fixed by the past window
     y_later = slice(yf.start + n_y, yf.stop)
-    lower[y_later] = np.tile(_bound_vector(cfg.y_min, n_y, -np.inf), cfg.horizon - 1)
-    upper[y_later] = np.tile(_bound_vector(cfg.y_max, n_y, np.inf), cfg.horizon - 1)
+    lower[y_later], upper[y_later] = cfg.y_min, cfg.y_max
 
     b_eq = np.concatenate([cs.past_window(bank), np.zeros(n_uf + n_yf)])
     return QpProblem(P=p_vec, q=np.zeros(dim), A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
@@ -259,8 +255,6 @@ class _BehavioralController:
         self.settings = solver_settings or QpSettings()
         self.state = ControllerState(cfg.t_ini, hs.n_u, hs.n_y)
         self._solver: QpSolver | None = None
-        self._u_lo = _bound_vector(cfg.u_min, hs.n_u, -np.inf)
-        self._u_hi = _bound_vector(cfg.u_max, hs.n_u, np.inf)
 
     @property
     def n_u(self) -> int:
@@ -326,7 +320,7 @@ class _BehavioralController:
             u_t = u_future[: self.n_u].copy()
             predicted = sol.x[n_cols + n_uf : n_cols + n_uf + self.n_y * self.cfg.horizon]
             predicted = predicted.reshape(self.cfg.horizon, self.n_y).copy()
-        u_t = np.clip(u_t, self._u_lo, self._u_hi)
+        u_t = np.clip(u_t, self.cfg.u_min, self.cfg.u_max)
         self.record(u_t, y_t)
         return StepResult(
             u=u_t,
@@ -468,10 +462,8 @@ class ClosedLoopTrace:
             + ["cost", "status", "iters"]
         )
         rows = (
-            [k, repr(float(self.t[k])), int(self.active[k])]
-            + [repr(float(v)) for v in self.u[k]]
-            + [repr(float(v)) for v in self.y[k]]
-            + [repr(float(self.stage_cost[k])), self.status[k], int(self.iterations[k])]
+            [k, self.t[k], self.active[k], *self.u[k], *self.y[k],
+             self.stage_cost[k], self.status[k], self.iterations[k]]
             for k in range(self.steps)
         )
         write_csv(path, header, rows, comment)

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._csvio import read_csv, write_csv
+from ._csvio import cell, read_csv, write_csv
 
 DKPC = "DKPC"
 DEEPC = "DeePC"
@@ -160,11 +160,9 @@ def best_per_alpha(
     return rows
 
 
-def _tag_fields(tag: tuple) -> list[str]:
-    q, r, lambda_g = tag[0], tag[1], tag[2]
-    lambda_sigma = tag[3] if len(tag) > 3 else None
-    return [repr(float(q)), repr(float(r)), repr(float(lambda_g)),
-            "" if lambda_sigma is None else repr(float(lambda_sigma))]
+def _tag_fields(tag: tuple) -> list:
+    """``q, r, lambda_g, lambda_sigma`` cells of a tag; lambda_sigma empty for DKPC."""
+    return [*tag[:3], tag[3] if len(tag) > 3 else ""]
 
 
 def write_sweep_csv(
@@ -177,9 +175,7 @@ def write_sweep_csv(
         path,
         ["controller", "q", "r", "lambda_g", "lambda_sigma", "epsilon", "j_u", "status"],
         (
-            [m.controller_kind]
-            + _tag_fields(m.config_tag)
-            + [repr(float(m.epsilon)), repr(float(m.j_u)), run_status]
+            [m.controller_kind, *_tag_fields(m.config_tag), m.epsilon, m.j_u, run_status]
             for m, run_status in rows
         ),
         comment,
@@ -222,7 +218,7 @@ def write_frontier_csv(
         path,
         ["controller", "j_u", "epsilon", "q", "r", "lambda_g", "lambda_sigma"],
         (
-            [kind, repr(float(fp.j_u)), repr(float(fp.epsilon))] + _tag_fields(fp.config_tag)
+            [kind, fp.j_u, fp.epsilon, *_tag_fields(fp.config_tag)]
             for kind in sorted(frontiers)
             for fp in frontiers[kind]
         ),
@@ -239,11 +235,11 @@ def write_winners_csv(
         ["alpha", "dkpc_index", "dkpc_tag", "deepc_index", "deepc_tag", "winner"],
         (
             [
-                repr(float(w.alpha)),
-                repr(float(w.dkpc_index)),
-                "/".join(repr(float(v)) for v in w.dkpc_tag),
-                repr(float(w.deepc_index)),
-                "/".join(repr(float(v)) for v in w.deepc_tag),
+                w.alpha,
+                w.dkpc_index,
+                "/".join(str(cell(v)) for v in w.dkpc_tag),
+                w.deepc_index,
+                "/".join(str(cell(v)) for v in w.deepc_tag),
                 w.winner,
             ]
             for w in winners

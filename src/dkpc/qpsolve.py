@@ -71,7 +71,6 @@ _EPS_INFEASIBLE = 1e-8
 _POLISH_DELTA = 1e-12  # KKT regularization of the polish
 _POLISH_REFINE_STEPS = 3  # LU polish: refinement steps against the unregularized KKT
 _POLISH_TRIGGER = 1e3  # polish an ADMM iterate once r_p <= this * eps_pri
-_POLISH_CACHE_SIZE = 8  # active-set factorizations kept per solver
 _CHECK_EVERY = 25  # ADMM iterations between termination checks
 
 
@@ -191,7 +190,7 @@ class QpSolution:
     y_eq: np.ndarray
     y_box: np.ndarray
     polished: bool = False
-    factorizations: int = 0  # polish-cache misses: active sets factored by this solve
+    factorizations: int = 0  # active sets this solve factored for the polish
 
 
 def kkt_residuals(
@@ -233,8 +232,9 @@ class QpSolver:
     """Reusable operator-splitting engine bound to one problem structure.
 
     ``update`` swaps the vectors that change between receding-horizon
-    steps (q, b_eq) without touching the cached factorization, the
-    equilibration or the polish cache.  It validates the new vectors
+    steps (q, b_eq) without touching the ADMM factorization, the
+    equilibration or the polish factor, which is kept for the last
+    active set factored only, with its ``A_s x0``.  It validates the new vectors
     only: P, A_eq and the bounds are checked once, when the
     ``QpProblem`` is built, and are shared unchanged by every updated
     problem.  Altering P, A_eq or a bound requires a new instance.
@@ -253,8 +253,9 @@ class QpSolver:
         # iteration (``_refactor``); a solve that ends before it needs none
         self._factored_rho: float | None = None
         self._factor = self._split_diag = None
-        self._polish_cache: dict[bytes, list] = {}
-        self._misses = 0  # polish-cache misses of the current solve
+        # the last factored active set: its key and [factor, K, A_s x0]
+        self._polish_key = self._polish_entry = None
+        self._factorizations = 0  # active sets factored by the current solve
         # the vector P_s solves both linear systems on the equality rows;
         # A_s D^-1 A_s' for the polish and its leading block factor
         # (``_schur_split``) are formed once here
@@ -372,12 +373,13 @@ class QpSolver:
     # -- public API ------------------------------------------------------
 
     def update(self, q: np.ndarray | None = None, b_eq: np.ndarray | None = None) -> None:
-        """Replace the cost and right-hand-side vectors; keeps the factorization.
+        """Replace the cost and right-hand-side vectors; keeps the factorizations.
 
         Checks only the vectors (length, finiteness) and raises
         ValueError without changing the problem if one fails.  The new
         ``problem`` shares the ``P``, ``A_eq`` and bound arrays of the
-        old one; they are not re-validated.
+        old one; they are not re-validated.  A new q drops the kept
+        polish factor's ``A_s x0``, which reads q; a new b_eq keeps it.
         """
         p = self.problem
         vecs = _checked_vectors(p.n, p.m_eq, p.q if q is None else q,
@@ -386,9 +388,8 @@ class QpSolver:
         for name, val in zip(("q", "b_eq"), vecs):
             object.__setattr__(updated, name, val)
         self.problem = updated
-        if q is not None:
-            for entry in self._polish_cache.values():
-                entry[2] = None  # A_s x0 reads q (``_schur_solve``)
+        if q is not None and self._polish_entry is not None:
+            self._polish_entry[2] = None  # A_s x0 reads q (``_schur_solve``)
 
     def solve(
         self,
@@ -400,7 +401,7 @@ class QpSolver:
         m = m_eq + n
         c, d, e_eq, e_box, s_box = self._c, self._d, self._e_eq, self._e_box, self._s_box
         e_all = np.concatenate([e_eq, e_box])
-        self._misses = 0
+        self._factorizations = 0
 
         if warm_start is not None:
             xw = np.asarray(warm_start, dtype=float)
@@ -447,12 +448,12 @@ class QpSolver:
                 y_eq=yu[:m_eq].copy(),
                 y_box=yu[m_eq:].copy(),
                 polished=polished,
-                factorizations=self._misses,
+                factorizations=self._factorizations,
             )
 
         # direct attempt: the active-set KKT solve handles (consistent)
         # rank-deficient behavioral equality rows that stall the splitting
-        # iteration, and its cached factorization makes repeated
+        # iteration, and its kept factorization makes repeated
         # receding-horizon solves cheap.  Its primal test takes the zero
         # point's scales, which need no product with A_eq; its dual test
         # scales by |q| and |P x| at the point it returns.
@@ -618,8 +619,9 @@ class QpSolver:
         the free columns and the equality rows.  Scaling keeps it well
         conditioned, so a tiny regularization enforces ill-conditioned
         behavioral rows almost exactly.  The vector P_s solves it by
-        ``_schur_solve``, a dense P by ``_lu_solve``; either factor is
-        cached per active set, each miss counted in
+        ``_schur_solve``, a dense P by ``_lu_solve``.  The factor of the
+        last factored active set is kept; any other set is factored anew
+        and replaces it, each such factorization counted in
         ``QpSolution.factorizations``.  Both read mu_K off the
         stationarity rows.  Returns None for a failed factorization, a
         non-finite point or forces that trip the guard of ``_polish``.
@@ -630,9 +632,8 @@ class QpSolver:
         act = pinned | low_act | up_act
         key = np.packbits(np.concatenate([act, up_act]).astype(np.uint8)).tobytes()
 
-        cached = self._polish_cache.get(key)
-        if cached is None:
-            self._misses += 1
+        if key != self._polish_key:
+            self._factorizations += 1
             act_idx = np.flatnonzero(act)
             try:
                 if self._schur_gram is not None:
@@ -644,18 +645,15 @@ class QpSolver:
                     factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 return None
-            if len(self._polish_cache) >= _POLISH_CACHE_SIZE:
-                self._polish_cache.pop(next(iter(self._polish_cache)))
-            cached = [factor, act_idx, None]  # and A_s x0 of the Schur path
-            self._polish_cache[key] = cached
-        act_idx = cached[1]
+            self._polish_key, self._polish_entry = key, [factor, act_idx, None]
+        act_idx = self._polish_entry[1]
 
         lo, hi = p.lower, p.upper
         r1 = -c * d * p.q
         r2 = e_eq * p.b_eq
         r3 = np.where(up_act[act_idx], hi[act_idx], lo[act_idx]) / d[act_idx]
         solve_kkt = self._schur_solve if self._schur_gram is not None else self._lu_solve
-        x, nu, at_nu = solve_kkt(cached, r1, r2, r3)
+        x, nu, at_nu = solve_kkt(self._polish_entry, r1, r2, r3)
         mu = (r1 - _p_matvec(self._P_s, x) - at_nu)[act_idx]
 
         x = d * x
@@ -682,7 +680,7 @@ class QpSolver:
     def _lu_solve(self, entry, r1, r2, r3):
         """Solve for x_F and nu by LU, x_K = r3; returns ``(x, nu, A_s' nu)``.
 
-        ``entry`` is the polish-cache list ``[LU factor, K, None]``.  The
+        ``entry`` is the kept polish list ``[LU factor, K, None]``.  The
         regularization moves A_s x off its target by delta nu.  With a
         singular P and dependent equality rows (DKPC with lambda_g = 0)
         nu reaches 1e8 and that shift fails the primal tolerance.  Each
@@ -783,12 +781,12 @@ class QpSolver:
         The active variables sit at their bounds (x_K = r3), the free
         ones are x_F = D_F^-1 (r1_F - A_F' nu), and nu solves
         S_K nu = A_s x0 - r2 with x0 = D^-1 r1 and x0_K = r3.
-        ``entry`` is the polish-cache list ``[(split, factor), K, A_s x0]``.
+        ``entry`` is the kept polish list ``[(split, factor), K, A_s x0]``.
         With a split s > 0, S_K nu = b is solved by block substitution:
         z1 = L11^-1 b1, nu2 = L22^-T L22^-1 (b2 - L21 z1) and
         nu1 = L11^-T (z1 - L21' nu2).  A_s x0 reads only q, the fixed
-        bounds and K, so it is formed once and kept until ``update``
-        passes q.
+        bounds and K, so it is formed once per kept factor and kept
+        until ``update`` passes q.
         """
         (split, cho), act_idx, ax0 = entry
         if ax0 is None:

@@ -248,6 +248,17 @@ def test_sweep_csv_identical_across_worker_counts(tmp_path):
     assert cfg.resolved_output_dir().joinpath(cli.SWEEP_FILE).read_bytes() == serial
 
 
+def test_reduced_grids_do_not_depend_on_grid_order(tmp_path):
+    # --reduced keeps every other value of the sorted grid, not of the written order
+    path = tmp_path / "c.yaml"
+    path.write_text("output_dir: out\n")
+    reduced = [apply_reduced(load_config(path, [f"sweep.q={grid}"]))
+               for grid in ("[10, 100, 300, 1000]", "[1000, 10, 300, 100]")]
+    assert reduced[0].sweep.q == reduced[1].sweep.q == (10.0, 300.0)
+    assert sweep_plan(reduced[0]) == sweep_plan(reduced[1])
+    assert reduced[0].config_hash() == reduced[1].config_hash()
+
+
 def test_sweep_rejects_empty_grid(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("output_dir: out\nsweep: {q: []}\n")
@@ -346,6 +357,9 @@ BAD_VALUES = [
     ("sim.sim_steps=0", r"sim: sim_steps must"),
     ("sweep.r=[-1.0]", r"sweep: R must"),
     ("sim.disturbance.seed=-1", r"sim\.disturbance\.seed must"),
+    ("controller.u_min=2", r"controller: need u_min <= u_max"),
+    ("sim.activation_step=30", r"sim: sim_steps must exceed activation_step"),
+    ("sweep.q=[10.0, 10.0, 100.0]", r"sweep\.q repeats a value"),
     (INCOMPLETE_NETWORK, r"network: malformed network file"),
     # values read by their field's type: no traceback, no silent conversion
     ("network=5", r"network file not found: 5"),
@@ -360,6 +374,21 @@ BAD_VALUES = [
 ]
 
 
+def assert_exits_2_before_data_is_read(argv, named, monkeypatch, caplog):
+    """Every command given ``argv`` exits 2 with one error matching ``named``."""
+
+    def data_touched(*args, **kwargs):
+        raise AssertionError("the command simulated or read data")
+
+    monkeypatch.setattr(netsim, "simulate", data_touched)
+    monkeypatch.setattr(behavior, "trajectory_from_csv", data_touched)
+    for command in ("gen-data", "run", "sweep"):
+        caplog.clear()
+        assert cli.main([command] + argv) == 2, command
+        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+        assert len(errors) == 1 and re.search(named, errors[0]), (command, errors)
+
+
 @pytest.mark.parametrize("override, named", BAD_VALUES, ids=[o for o, _ in BAD_VALUES])
 def test_bad_value_exits_2_before_data_is_read(
     generated_config, override, named, tmp_path, monkeypatch, caplog
@@ -369,17 +398,20 @@ def test_bad_value_exits_2_before_data_is_read(
         network = tmp_path / "net.txt"
         network.write_text("3\n1 2 10.0\n2 3\n")
         override = f"network={network}"
+    argv = ["-c", str(path)]
+    for item in overrides + [override]:
+        argv += ["--set", item]
+    assert_exits_2_before_data_is_read(argv, named, monkeypatch, caplog)
 
-    def data_touched(*args, **kwargs):
-        raise AssertionError("the command simulated or read data")
 
-    monkeypatch.setattr(netsim, "simulate", data_touched)
-    monkeypatch.setattr(behavior, "trajectory_from_csv", data_touched)
-    for command in ("gen-data", "run", "sweep"):
-        caplog.clear()
-        argv = [command, "-c", str(path)]
-        for item in overrides + [override]:
-            argv += ["--set", item]
-        assert cli.main(argv) == 2, command
-        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
-        assert len(errors) == 1 and re.search(named, errors[0]), (command, errors)
+def test_reduced_config_validated_before_data_is_read(generated_config, monkeypatch, caplog):
+    # the file's config passes (150 steps); --reduced then cuts the run to
+    # REDUCED_SIM_STEPS, which would end before the controller acts
+    path, overrides = generated_config
+    overrides = overrides + ["sim.sim_steps=150", f"sim.activation_step={cli.REDUCED_SIM_STEPS}"]
+    load_config(path, overrides)
+    argv = ["-c", str(path), "--reduced"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert_exits_2_before_data_is_read(
+        argv, r"sim: sim_steps must exceed activation_step", monkeypatch, caplog)

@@ -112,14 +112,19 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_syst
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert sol.status == SOLVED and sol.polished and len(solver._polish_cache) == 1
+    # one active set factored and kept: its trailing block, no n x n array
+    assert sol.status == SOLVED and sol.polished and sol.factorizations == 1
     kept -= sol.x.nbytes + sol.y_eq.nbytes + sol.y_box.nbytes
     assert kept <= 8 * ((m_eq - split) ** 2 + 2 * m_eq)
     assert solver._split == split
 
 
 @pytest.mark.parametrize("bad", [dict(Q=-1.0), dict(Q=np.inf), dict(R=0.0), dict(R=np.nan),
-                                 dict(Q=10.0 * np.eye(2)), dict(R=[[0.1, 0.0], [0.0, 0.1]])])
+                                 dict(Q=10.0 * np.eye(2)), dict(R=[[0.1, 0.0], [0.0, 0.1]]),
+                                 # bounds: scalars under QpProblem's rule
+                                 dict(u_min=2.0), dict(u_max=np.nan), dict(y_min=np.inf),
+                                 dict(y_max=-np.inf), dict(y_min=1.0, y_max=-1.0),
+                                 dict(u_min=np.full(10, -1.0))])
 def test_weights_must_be_finite_scalars(bad):
     with pytest.raises(ValueError):
         DkpcConfig(**bad)
@@ -521,13 +526,13 @@ def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
     assert solver._factored_rho is None
     cold = solver.solve()
     assert np.max(np.abs(cold.y_eq)) > 1e7 * (1.0 + np.max(np.abs(solver.problem.q)))
-    n_factors = len(solver._polish_cache)
     # the incoming dual only seeds the active set: its size does not decide
     warm = solver.solve(warm_start_dual=np.concatenate([1e9 * cold.y_eq, cold.y_box]))
     for sol in (cold, warm):
         assert sol.status == SOLVED and sol.polished and sol.iterations == 0
     assert np.array_equal(warm.x, cold.x)
-    assert len(solver._polish_cache) == n_factors and solver._factored_rho is None
+    # the warm solve meets the cold one's active set in the kept factor
+    assert warm.factorizations == 0 and solver._factored_rho is None
 
 
 def factor_sizes(mp, name):

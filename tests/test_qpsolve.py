@@ -532,18 +532,22 @@ def test_bounded_slack_moves_split_to_its_row(behavioral_qps, monkeypatch):
     assert max(res.values()) <= 1e-5, res
 
 
-def test_solution_counts_polish_factorizations():
-    # a cold solve factors at least one active set; re-solving the
-    # unchanged problem finds every set it needs in the polish cache
+def test_solution_counts_polish_factorizations(monkeypatch):
+    # a cold solve factors at least one active set, each counted once;
+    # re-solving the unchanged problem from its dual meets the kept set
     rng = np.random.default_rng(53)
     prob = unit_and_dense_columns_qp(rng)
+    factored = []
+    schur_factor = QpSolver._schur_factor
+    monkeypatch.setattr(QpSolver, "_schur_factor",
+                        lambda self, act: factored.append(act) or schur_factor(self, act))
     solver = QpSolver(prob, TIGHT)
     cold = solver.solve()
     assert cold.polished and cold.factorizations >= 1
-    assert cold.factorizations == len(solver._polish_cache)
+    assert cold.factorizations == len(factored)
     again = solver.solve(warm_start=cold.x, warm_start_dual=np.concatenate([cold.y_eq,
                                                                             cold.y_box]))
-    assert again.polished and again.factorizations == 0
+    assert again.polished and again.factorizations == 0 and len(factored) == cold.factorizations
     assert same_bits(again.x, cold.x)
 
 
@@ -588,7 +592,7 @@ def test_update_then_polish_matches_fresh_solver_bit_for_bit():
     # a reused solver keeps A_s x0 across b_eq updates and drops it for
     # q; either way it returns a fresh solver's x and y (small changes
     # keep the warm dual's active set optimal, so the one polish round
-    # reuses the cached factor and, for b_eq, A_s x0)
+    # reuses the kept factor and, for b_eq, A_s x0)
     rng = np.random.default_rng(53)
     prob = unit_and_dense_columns_qp(rng)
     updates = [dict(b_eq=prob.b_eq + 1e-3 * rng.standard_normal(prob.m_eq)),
@@ -597,14 +601,13 @@ def test_update_then_polish_matches_fresh_solver_bit_for_bit():
         solver = QpSolver(prob, TIGHT)
         first = solver.solve()
         assert first.polished and np.any(first.y_box != 0.0)
-        assert all(entry[2] is not None for entry in solver._polish_cache.values())
+        assert solver._polish_entry[2] is not None
         warm, dual = first.x, np.concatenate([first.y_eq, first.y_box])
         solver.update(**kwargs)
-        kept = all(entry[2] is not None for entry in solver._polish_cache.values())
+        kept = solver._polish_entry[2] is not None
         assert kept == (set(kwargs) == {"b_eq"})
-        n_factors = len(solver._polish_cache)
         reused = solver.solve(warm_start=warm, warm_start_dual=dual)
-        assert len(solver._polish_cache) == n_factors  # no new factorization
+        assert reused.factorizations == 0  # the kept factor serves the re-solve
         fresh = QpSolver(prob, TIGHT)  # the cost scale reads q: update, do not rebuild
         fresh.update(**kwargs)
         ref = fresh.solve(warm_start=warm, warm_start_dual=dual)
