@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -172,6 +173,7 @@ class ControllerSection:
     q: float = 300.0
     r: float = 0.01
     lambda_g: float = 500.0
+    lambda_z: float = 1e3  # DKPC's past output and lifted rows; .inf makes them hard
     lambda_sigma: float | None = None
     u_min: float = -1.0
     u_max: float = 1.0
@@ -224,9 +226,12 @@ class ExperimentConfig:
 
         Beyond the cross-field checks it builds what the commands build
         from the config (``SimConfig``, the scenario, the shared
-        ``InverterParams`` fields, the controller config and every sweep
-        config) and rejects negative seeds, so a bad value fails here,
-        before any data is simulated or read.
+        ``InverterParams`` fields and the controller config) and rejects
+        negative seeds, so a bad value fails here, before any data is
+        simulated or read.  Each sweep grid value is checked once, in a
+        controller config with the section's other weights: the config
+        checks each weight on its own, so a sweep config fails exactly
+        when one of its grid values does.
         """
         c = self.controller
         if c.kind not in ("dkpc", "deepc"):
@@ -235,9 +240,10 @@ class ExperimentConfig:
             raise ConfigError("lambda_sigma is only meaningful for the deepc controller")
         if c.kind == "deepc" and c.lambda_sigma is None:
             raise ConfigError("deepc controller requires lambda_sigma")
-        if self.sim.activation_step < c.t_ini:
-            raise ConfigError("activation_step must be >= t_ini to prime the buffers")
         steps, start = self.sim.sim_steps, self.sim.activation_step
+        if start < c.t_ini:
+            raise ConfigError(f"sim.activation_step must be >= controller.t_ini to prime "
+                              f"the buffers: {start} < {c.t_ini}")
         if steps <= start:  # the controller would never act
             raise ConfigError(f"sim: sim_steps must exceed activation_step: {steps} <= {start}")
         if self.data.length < 1 or self.lifting.n_basis < 1:
@@ -254,20 +260,25 @@ class ExperimentConfig:
         for key, seed in seeds.items():
             if seed < 0:
                 raise ConfigError(f"{key} must be >= 0, got {seed}")
-        for name, grid in asdict(self.sweep).items():
+        grids = asdict(self.sweep)
+        for name, grid in grids.items():
+            if not grid:
+                raise ConfigError(f"sweep.{name} must be nonempty")
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"sweep.{name} repeats a value: {list(grid)}")
         p = self.plant
-        builds = {  # each section's values in the library objects that check them
-            "sim": lambda: (netsim.SimConfig(dt=self.sim.dt), _scenario(self)),
-            "plant": lambda: (
+        builds = [  # each section's values in the library objects that check them
+            ("sim", lambda: (netsim.SimConfig(dt=self.sim.dt), _scenario(self))),
+            ("plant", lambda: (
                 netsim.SimConfig(filter_mode=p.filter_mode),
                 netsim.InverterParams(k_p=p.k_p, omega_pc=p.omega_pc, omega_b=p.omega_b),
-            ),
-            "controller": lambda: _controller_config(c, c.q, c.r, c.lambda_g, c.lambda_sigma),
-            "sweep": lambda: sweep_plan(self),
-        }
-        for where, build in builds.items():
+            )),
+            ("controller", partial(_controller_config, c, c.q, c.r, c.lambda_g, c.lambda_sigma)),
+        ]
+        weights = dict(q=c.q, r=c.r, lambda_g=c.lambda_g, lambda_sigma=None)
+        builds += [(f"sweep.{name}", partial(_controller_config, c, **{**weights, name: value}))
+                   for name, grid in grids.items() for value in grid]
+        for where, build in builds:
             try:
                 build()
             except ValueError as exc:
@@ -388,6 +399,7 @@ def _controller_config(
         Q=q,
         R=r,
         lambda_g=lambda_g,
+        lambda_z=section.lambda_z,
         u_min=section.u_min,
         u_max=section.u_max,
     )
@@ -406,12 +418,10 @@ def sweep_plan(cfg: ExperimentConfig) -> list[DkpcConfig]:
     """Controller configs of the full grid cross product, in sweep CSV row order.
 
     The ``DeepcConfig``s come first, then the ``DkpcConfig``s, each over
-    the sorted grids.  Raises ValueError for a grid value a controller
-    config rejects.
+    the sorted grids (nonempty in a validated config).  Raises
+    ValueError for a grid value a controller config rejects.
     """
     s = cfg.sweep
-    if not (s.q and s.r and s.lambda_g and s.lambda_sigma):
-        raise ConfigError("sweep grids must be nonempty")
     grid = [(q, r, lg) for q in sorted(s.q) for r in sorted(s.r) for lg in sorted(s.lambda_g)]
     c = cfg.controller
     plan = [_controller_config(c, *g, ls) for g in grid for ls in sorted(s.lambda_sigma)]

@@ -4,9 +4,9 @@ Two controllers share one skeleton and one QP assembly: both constrain
 the decision vector through data Hankel blocks and solve a strictly
 convex QP each step, applying only the first input of the optimal
 future sequence.  They differ only in the past rows: the lifted
-controller also pins the past window of the lifted coordinates; the
-benchmark controller instead may soften the past output match with a
-penalized slack.
+controller also matches the past window of the lifted coordinates.
+Both soften the past output rows (the lifted controller its lifted rows
+too) with a penalized slack; an infinite weight makes them hard.
 """
 
 from __future__ import annotations
@@ -32,8 +32,11 @@ class DkpcConfig:
     The weights are scalars: every output carries ``Q`` >= 0 and every
     input ``R`` > 0, so the QP's cost Hessian is diagonal.  Defaults:
     horizon 10, Q = 300, R = 0.01, coefficient regularization 500,
-    inputs boxed to [-1, 1], outputs unconstrained.  The bounds are
-    scalars too, and -inf/+inf means no bound.  The controller
+    past-output slack weight 1e3, inputs boxed to [-1, 1], outputs
+    unconstrained.  ``lambda_z`` > 0 weighs the slack of the past output
+    and lifted rows (``Yp``, ``Zp``); ``inf`` makes them hard.  DeePC
+    ignores it and softens its past outputs under ``lambda_sigma``.
+    The bounds are scalars too, and -inf/+inf means no bound.  The controller
     regulates to zero: the cost is Q |y|^2 + R |u|^2 over the horizon,
     with no reference or nominal input.  ``y_min``/``y_max`` bound the predicted
     outputs from the second future sample on: the first is the current
@@ -47,6 +50,7 @@ class DkpcConfig:
     Q: float = 300.0
     R: float = 0.01
     lambda_g: float = 500.0
+    lambda_z: float = 1e3
     u_min: float = -1.0
     u_max: float = 1.0
     y_min: float = -math.inf
@@ -57,6 +61,8 @@ class DkpcConfig:
             raise ValueError("t_ini and horizon must be >= 1")
         if not (math.isfinite(self.lambda_g) and self.lambda_g >= 0.0):
             raise ValueError(f"lambda_g must be finite and >= 0, got {self.lambda_g}")
+        if not self.lambda_z > 0.0:
+            raise ValueError(f"lambda_z must be > 0 (inf for hard rows), got {self.lambda_z}")
         if np.ndim(self.Q) or np.ndim(self.R):
             raise ValueError("Q and R must be scalars")
         if not (math.isfinite(self.Q) and self.Q >= 0.0):
@@ -197,8 +203,10 @@ def _behavioral_qp(
 def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) -> QpProblem:
     """Assemble the lifted behavioral QP (see ``_behavioral_qp``).
 
-    Decision vector x = (g, u_future, y_future).  The past input, output
-    and lifted windows are matched exactly; there are no future lifted
+    Decision vector x = (g, u_future, y_future, sigma).  The past input
+    window is matched exactly; the past output and lifted rows carry the
+    slack sigma, penalized by ``cfg.lambda_z``, and an infinite weight
+    drops sigma and matches them exactly.  There are no future lifted
     rows, which keeps the program convex.  Raises ValueError for a bank
     whose observables differ from the Hankel Z block, and for the state
     and config mismatches of ``_behavioral_qp``.
@@ -207,7 +215,8 @@ def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) 
         raise ValueError(
             f"bank has {bank.n_basis} observables but Hankel Z block expects {hs.n_basis}"
         )
-    return _behavioral_qp(hs, bank, 0, 0.0, cfg, cs)
+    n_soft = 0 if math.isinf(cfg.lambda_z) else (hs.n_y + hs.n_basis) * hs.t_ini
+    return _behavioral_qp(hs, bank, n_soft, cfg.lambda_z, cfg, cs)
 
 
 def build_deepc_qp(hs: HankelSystem, cfg: DeepcConfig, cs: ControllerState) -> QpProblem:

@@ -33,16 +33,20 @@ order m_eq or less: the ADMM x-update goes through
 A D^-1 A' + I / rho_eq (matrix inversion lemma, one refinement step),
 the polish through the Schur complement on the equality rows, a
 downdate of S_0 = A D^-1 A' + delta I (``QpSolver._schur_split``).
-S_0 stays a general product: a symmetric rank update moved DKPC's
-per-row sweep effort by 2.9e-3.  DKPC's inputs hang on the polish's
+The trailing run of columns with one nonzero in A_eq (u_f, y_f and
+sigma of both controllers) is kept as (row, value) pairs: the Ruiz
+passes, both Gram matrices (``QpSolver._gram``, a symmetric rank
+update) and the products of a polish step touch only the leading
+columns.  With hard lifted rows DKPC's inputs hung on the polish's
 rounding (reordering the rows of one Schur Cholesky moved them by up
-to 1.8e-3 on regulate, DeePC's by about 1e-15), so rows are never
-permuted.  Any other (n,) P is expanded once to its n x n matrix, and
+to 1.8e-3 on regulate), so rows are never permuted.  Any other (n,) P
+is expanded once to its n x n matrix, and
 an n x n P factors by LU the quasi-definite KKT matrix (``_kkt``) of
 each system: the ADMM x-update's, (n + m_eq)^2, and the free
 variables' one per active set, (n_F + m_eq)^2, which the polish
-refines against the unregularized matrix.  On DKPC's rank-deficient
-data the two polishes return different valid points (ROADMAP item 2).
+refines against the unregularized matrix.  On rank-deficient equality
+rows (DKPC with hard lifted rows) the two polishes return different
+valid points.
 The ADMM factor is built on the first ADMM iteration: a solve that
 ends at the direct polish needs none.
 """
@@ -247,6 +251,7 @@ class QpSolver:
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
         self.problem = problem
         self.settings = settings or QpSettings()
+        self._unit_columns(problem)
         self._scale(problem)
         self._rho = _RHO
         # the splitting system is built for _factored_rho on the first ADMM
@@ -263,8 +268,55 @@ class QpSolver:
         self._split = 0
         if self._P_s.ndim == 1:
             self._schur_diag = self._P_s + _POLISH_DELTA
-            self._schur_gram = (self._A_s / self._schur_diag) @ self._A_s.T
+            self._schur_gram = self._gram(self._schur_diag)
             self._schur_split(problem)
+
+    def _unit_columns(self, p: QpProblem) -> None:
+        """Find the unit columns of A_eq (one nonzero) and the trailing run of them.
+
+        Records each unit column's row (-1 for any other column) and
+        k = ``_n_lead``, where the run starts: u_f, y_f and sigma of both
+        controllers follow their dense g block.  The run is kept as
+        (row, value) pairs, ``_tail_rows`` with ``_tail`` (A_eq) and
+        ``_tail_s`` (A_s, set by ``_scale``); the leading k columns are
+        read as slices of the stored matrices.  A problem with no such
+        run has k = n and an empty unit part.
+        """
+        nonzero = p.A_eq != 0.0
+        unit = np.count_nonzero(nonzero, axis=0) == 1
+        cols = np.flatnonzero(unit)
+        self._unit_row = np.full(p.n, -1)
+        if cols.size:
+            self._unit_row[cols] = np.argmax(nonzero[:, cols], axis=0)
+        dense = np.flatnonzero(~unit)
+        k = self._n_lead = int(dense[-1]) + 1 if dense.size else 0
+        self._tail_rows = self._unit_row[k:]
+        self._tail = p.A_eq[self._tail_rows, np.arange(k, p.n)]
+
+    def _gram(self, D: np.ndarray) -> np.ndarray:
+        """A_s D^-1 A_s' for a positive (n,) D.
+
+        The leading columns by a symmetric rank update (syrk); a trailing
+        unit column adds (a / D) a to its row's diagonal entry only.
+        """
+        k = self._n_lead
+        b = self._A_s[:, :k] / np.sqrt(D[:k])
+        g = b @ b.T  # one triangle (syrk)
+        g[np.diag_indices_from(g)] += np.bincount(
+            self._tail_rows, (self._tail_s / D[k:]) * self._tail_s, g.shape[0])
+        return g
+
+    def _a_dot(self, A: np.ndarray, tail: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A x for A = A_eq or A_s, whose trailing unit columns hold ``tail``."""
+        k = self._n_lead
+        ax = A[:, :k] @ x[:k]
+        ax += np.bincount(self._tail_rows, tail * x[k:], ax.size)
+        return ax
+
+    def _at_dot(self, A: np.ndarray, tail: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """A' y for A = A_eq or A_s, whose trailing unit columns hold ``tail``."""
+        k = self._n_lead
+        return np.concatenate([A[:, :k].T @ y, tail * y[self._tail_rows]])
 
     # -- equilibration ---------------------------------------------------
 
@@ -278,7 +330,10 @@ class QpSolver:
         The passes scale |A_eq| and restore the signs once at the end:
         the scales are positive and rounding to nearest is symmetric in
         sign, so every entry, signed zeros included, equals that of
-        scaling A_eq itself.
+        scaling A_eq itself.  They touch the leading k columns as a
+        slice and the trailing unit columns (``_unit_columns``) as one
+        value each, multiplied in the same order, so the result is that
+        of scaling the whole matrix bit for bit.
         """
         n, m_eq = p.n, p.m_eq
         d = np.ones(n)
@@ -286,18 +341,22 @@ class QpSolver:
         s_box = np.ones(n)
         self._P = p.P if p.P.ndim == 2 or np.all(p.P > 0.0) else np.diag(p.P)
         P_s = self._P
-        abs_a = np.abs(p.A_eq, order="C")
+        k, rows = self._n_lead, self._tail_rows
+        lead, tail = np.abs(p.A_eq[:, :k]), np.abs(self._tail)
         c = 1.0
         for _ in range(_SCALING_ITERS):
             col = np.maximum(np.maximum(_col_norms(P_s), s_box),
-                             np.max(abs_a, axis=0, initial=0.0))
-            row_eq = np.max(abs_a, axis=1, initial=0.0)
+                             np.concatenate([np.max(lead, axis=0, initial=0.0), tail]))
+            row_eq = np.max(lead, axis=1, initial=0.0)
+            np.maximum.at(row_eq, rows, tail)
             dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
             de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
             ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
             P_s = (P_s * dd) * (dd if P_s.ndim == 1 else dd[:, None])
-            abs_a *= dd
-            abs_a *= de[:, None]
+            lead *= dd[:k]
+            lead *= de[:, None]
+            tail *= dd[k:]
+            tail *= de[rows]
             s_box = s_box * ds * dd
             d *= dd
             e_eq *= de
@@ -315,7 +374,10 @@ class QpSolver:
         self._e_box = s_box / d
         self._c = c
         self._P_s = P_s
-        self._A_s = np.copysign(abs_a, p.A_eq, out=abs_a)
+        # the signed zeros of A_eq, then the scaled entries
+        self._A_s = A_s = np.copysign(0.0, p.A_eq)
+        A_s[:, :k] = np.copysign(lead, p.A_eq[:, :k], out=lead)
+        self._tail_s = A_s[rows, np.arange(k, n)] = np.copysign(tail, self._tail, out=tail)
 
     # -- scaled linear algebra -------------------------------------------
 
@@ -336,8 +398,7 @@ class QpSolver:
             self._factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             return
         self._split_diag = self._P_s + _SIGMA + self._rho * self._s_box**2
-        b = self._A_s / np.sqrt(self._split_diag)
-        g = b @ b.T  # one triangle (syrk)
+        g = self._gram(self._split_diag)
         g[np.diag_indices_from(g)] += 1.0 / rho_eq
         self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
 
@@ -662,9 +723,10 @@ class QpSolver:
         y_full[m_eq + act_idx] = mu / (c * d[act_idx])
         viol = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
         r_p = float(np.max(viol, initial=0.0))
-        r_p = max(r_p, float(np.max(np.abs(p.A_eq @ x - p.b_eq), initial=0.0)))
+        r_p = max(r_p, float(np.max(np.abs(self._a_dot(p.A_eq, self._tail, x) - p.b_eq),
+                                    initial=0.0)))
         y_box = y_full[m_eq:]
-        at_y_eq = p.A_eq.T @ y_full[:m_eq]
+        at_y_eq = self._at_dot(p.A_eq, self._tail, y_full[:m_eq])
         px = _p_matvec(self._P, x)
         r_d = float(np.max(np.abs(px + p.q + (at_y_eq + y_box))))
         # a non-finite x makes r_p, and a non-finite y r_d, non-finite
@@ -715,8 +777,8 @@ class QpSolver:
     def _schur_split(self, p: QpProblem) -> None:
         """Split S_0 = A_s D^-1 A_s' + delta I at row s and factor its leading block.
 
-        Records each unit column's row (one nonzero a in A_eq; -1 for
-        any other column) and its downdate (a / D) a.  s is the first
+        Records each unit column's downdate (a / D) a, its one nonzero a
+        read at the row ``_unit_columns`` found.  s is the first
         row that a unit column with a finite bound touches: the first
         ``u_f`` row of both controllers, 0 if there is none.  The bounds
         are fixed for the solver's life, so every active set of unit
@@ -726,12 +788,9 @@ class QpSolver:
         natural row order; ``_schur_factor`` then factors only the
         trailing block.
         """
-        nonzero = self._A_s != 0.0
-        cols = np.flatnonzero(nonzero.sum(axis=0, dtype=np.int32) == 1)
-        rows = np.argmax(nonzero[:, cols], axis=0) if cols.size else cols
+        cols = np.flatnonzero(self._unit_row >= 0)
+        rows = self._unit_row[cols]
         a = self._A_s[rows, cols]
-        self._unit_row = np.full(p.n, -1)
-        self._unit_row[cols] = rows
         self._unit_down = np.zeros(p.n)
         self._unit_down[cols] = (a / self._schur_diag[cols]) * a
         bounded = np.isfinite(p.lower[cols]) | np.isfinite(p.upper[cols])
@@ -757,7 +816,7 @@ class QpSolver:
         entries of the trailing block: S_K = L L' with the once-formed
         L11, L21 and L22 = chol(C0 - diag((a / D) a) + delta I), an
         (m_eq - s)^2 factor; rows and downdates are looked up in the
-        tables of ``_schur_split``.  Every active column carries a bound
+        tables of ``_unit_columns`` and ``_schur_split``.  Every active column carries a bound
         fixed at construction, so a unit column of K never lies above s;
         any other set (dense or shared-row columns) keeps the
         gather-and-GEMM downdate of G and a full Cholesky, split 0.  For
@@ -792,7 +851,7 @@ class QpSolver:
         if ax0 is None:
             x = r1 / self._schur_diag
             x[act_idx] = r3
-            ax0 = entry[2] = self._A_s @ x
+            ax0 = entry[2] = self._a_dot(self._A_s, self._tail_s, x)
         rhs = ax0 - r2
         if split:
             l11, l21t = self._lead  # BLAS trsv: solve_triangular's checks cost more here
@@ -802,7 +861,7 @@ class QpSolver:
                                  nu2])
         else:
             nu = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-        at_nu = self._A_s.T @ nu
+        at_nu = self._at_dot(self._A_s, self._tail_s, nu)
         x = (r1 - at_nu) / self._schur_diag
         x[act_idx] = r3
         return x, nu, at_nu

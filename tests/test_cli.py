@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import re
 
+import numpy as np
 import pytest
 import yaml
 
@@ -83,6 +85,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("controller: {qq: 3}\n")
     with pytest.raises(ConfigError, match="unknown keys"):
         load_config(path)
+
+
+def test_lambda_z_infinity_gives_hard_rows(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("output_dir: out\n")
+    assert load_config(path).controller.lambda_z == 1e3
+    cfg = load_config(path, ["controller.lambda_z=.inf"])
+    assert cfg.controller.lambda_z == float("inf")
+    assert all(c.lambda_z == float("inf") for c in sweep_plan(cfg))
 
 
 def test_config_kind_lambda_sigma_mismatch(tmp_path):
@@ -259,6 +270,20 @@ def test_reduced_grids_do_not_depend_on_grid_order(tmp_path):
     assert reduced[0].config_hash() == reduced[1].config_hash()
 
 
+@pytest.mark.parametrize("grid, bad", [("q", -1.0), ("r", 0.0), ("lambda_g", np.inf),
+                                       ("lambda_sigma", -1e4)])
+def test_validate_checks_each_grid_value_as_the_sweep_plan_does(grid, bad):
+    good = ExperimentConfig()
+    sweep = dataclasses.replace(good.sweep, **{grid: getattr(good.sweep, grid) + (bad,)})
+    cfg = dataclasses.replace(good, sweep=sweep)  # not validated
+    with pytest.raises(ValueError):
+        sweep_plan(cfg)
+    with pytest.raises(ConfigError, match=rf"^sweep\.{grid}: "):
+        cfg.validate()
+    good.validate()
+    assert len(sweep_plan(good)) == 256
+
+
 def test_sweep_rejects_empty_grid(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("output_dir: out\nsweep: {q: []}\n")
@@ -355,7 +380,14 @@ BAD_VALUES = [
     ("controller.r=0", r"controller: R must"),
     ("controller.lambda_g=-1", r"controller: lambda_g must"),
     ("sim.sim_steps=0", r"sim: sim_steps must"),
-    ("sweep.r=[-1.0]", r"sweep: R must"),
+    ("sweep.r=[-1.0]", r"sweep\.r: R must"),
+    # every value of every grid is checked, each named by its grid
+    ("sweep.q=[10.0, -1.0]", r"sweep\.q: Q must"),
+    ("sweep.lambda_g=[1.0, -1.0]", r"sweep\.lambda_g: lambda_g must"),
+    ("sweep.lambda_sigma=[1.0e4, 0.0]", r"sweep\.lambda_sigma: lambda_sigma must"),
+    ("sweep.r=[]", r"sweep\.r must be nonempty"),
+    ("controller.lambda_z=0", r"controller: lambda_z must"),
+    ("sim.activation_step=1", r"sim\.activation_step must be >= controller\.t_ini"),
     ("sim.disturbance.seed=-1", r"sim\.disturbance\.seed must"),
     ("controller.u_min=2", r"controller: need u_min <= u_max"),
     ("sim.activation_step=30", r"sim: sim_steps must exceed activation_step"),

@@ -53,9 +53,23 @@ def lti_setup(small_lti, lti_dataset):
 def test_dkpc_qp_dimensions(full_scale_system):
     hs, bank = full_scale_system
     cs = primed_state(5, 10, 10)
-    prob = build_dkpc_qp(hs, bank, DkpcConfig(), cs)
+    prob = build_dkpc_qp(hs, bank, DkpcConfig(lambda_z=np.inf), cs)
     assert prob.n == 986 + 100 + 100
     assert prob.m_eq == (10 + 10 + 40) * 5 + (10 + 10) * 10  # 500
+
+
+def test_dkpc_qp_softens_output_and_lifted_rows(full_scale_system):
+    # the default lambda_z adds one sigma per Yp and Zp row; Up stays hard
+    hs, bank = full_scale_system
+    cs = primed_state(5, 10, 10, u_val=0.25, y_val=0.01)
+    hard = build_dkpc_qp(hs, bank, DkpcConfig(lambda_z=np.inf), cs)
+    soft = build_dkpc_qp(hs, bank, DkpcConfig(), cs)
+    n_soft = (10 + 40) * 5
+    assert soft.n == hard.n + n_soft and soft.m_eq == hard.m_eq
+    assert np.array_equal(soft.A_eq[:, : hard.n], hard.A_eq)
+    assert np.array_equal(soft.A_eq[50:300, hard.n :], -np.eye(n_soft))
+    assert np.all(soft.A_eq[:50, hard.n :] == 0.0) and np.all(soft.A_eq[300:, hard.n :] == 0.0)
+    assert np.all(soft.P[hard.n :] == 2.0 * 1e3) and np.array_equal(soft.b_eq, hard.b_eq)
 
 
 def test_dkpc_qp_structure(full_scale_system):
@@ -213,13 +227,13 @@ def test_deepc_infinite_weight_hard_past_rows(full_scale_system):
 
 
 def test_dkpc_qp_is_hard_deepc_qp_plus_lifted_rows(lti_dataset):
-    # with identity lifting Zp is a copy of Yp; the DKPC QP is the
+    # with identity lifting Zp is a copy of Yp; the hard DKPC QP is the
     # inf-weight DeePC QP with those rows inserted after the past rows
     bank = IdentityBank(2)
     hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=0.5)
     cs = primed_state(4, 2, 2, u_val=0.3, y_val=-0.2)
-    dkpc = build_dkpc_qp(hs, bank, DkpcConfig(**common), cs)
+    dkpc = build_dkpc_qp(hs, bank, DkpcConfig(lambda_z=np.inf, **common), cs)
     deepc = build_deepc_qp(hs, DeepcConfig(lambda_sigma=np.inf, **common), cs)
     assert np.array_equal(hs.z_past, hs.y_past)
     assert dkpc.n == deepc.n
@@ -252,6 +266,9 @@ def test_deepc_sigma_vanishes_on_exact_data(lti_setup):
 def test_config_validation():
     with pytest.raises(ValueError):
         DkpcConfig(lambda_g=-1.0)
+    for lambda_z in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="lambda_z"):
+            DkpcConfig(lambda_z=lambda_z)
     with pytest.raises(ValueError):
         DkpcConfig(t_ini=0)
     with pytest.raises(ValueError):
@@ -282,7 +299,7 @@ def rollout_error(sys, ctrl, hs, plant):
 
 def test_noiseless_lti_exactness(lti_setup):
     sys, hs, bank, cfg = lti_setup
-    ctrl = DkpcController(hs, bank, cfg)
+    ctrl = DkpcController(hs, bank, dataclasses.replace(cfg, lambda_z=np.inf))
     rng = np.random.default_rng(4)
     plant = LtiPlant(sys, x0=rng.standard_normal(3))
     for _ in range(4):
@@ -294,7 +311,8 @@ def test_noiseless_lti_exactness(lti_setup):
 def test_interpolation_without_regularizer(lti_setup):
     # lambda_g = 0: predictions remain exact system trajectories
     sys, hs, bank, _ = lti_setup
-    cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=0.0, u_min=-2.0, u_max=2.0)
+    cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=0.0, lambda_z=np.inf,
+                     u_min=-2.0, u_max=2.0)
     ctrl = DkpcController(hs, bank, cfg)
     rng = np.random.default_rng(5)
     plant = LtiPlant(sys, x0=rng.standard_normal(3))
@@ -448,7 +466,7 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
     ident = IdentityBank(2)
     hs = assemble(lti_dataset, ident, t_ini=4, horizon=8, pe_check=False)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=2.0)
-    c_lift = DkpcController(hs, ident, DkpcConfig(**common))
+    c_lift = DkpcController(hs, ident, DkpcConfig(lambda_z=np.inf, **common))
     c_slack = DeepcController(hs, DeepcConfig(lambda_sigma=np.inf, **common))
     x0 = np.random.default_rng(5).standard_normal(3)
     scen = Scenario(sim_steps=30, activation_step=6)
@@ -510,13 +528,13 @@ def test_controllers_polish_without_lu(lti_setup, monkeypatch):
 
 
 def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
-    # the lifted rows are dependent, so DKPC's equality multipliers are
+    # hard lifted rows are dependent, so DKPC's equality multipliers are
     # large and not unique; the polish guard reads the forces A_eq'y_eq
     # and y_box, which the KKT point fixes, so a cold step needs no ADMM
     net, params, sim_cfg = plant_setup
     bank = build_bank(plant_dataset.y, 10, seed=5)
     hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
-    ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=5, horizon=10))
+    ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=5, horizon=10, lambda_z=np.inf))
     eq = netsim.equilibrium_state(params, net)
     plant = netsim.NetworkPlant(net, params, sim_cfg, initial=eq)
     scen = Scenario(sim_steps=41, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))
@@ -533,6 +551,40 @@ def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
     assert np.array_equal(warm.x, cold.x)
     # the warm solve meets the cold one's active set in the kept factor
     assert warm.factorizations == 0 and solver._factored_rho is None
+
+
+def full_products(mp):
+    """Make every solver take all its columns as the leading block: full products, no unit part."""
+    unit_columns = qpsolve.QpSolver._unit_columns
+
+    def full(self, p):
+        unit_columns(self, p)
+        self._n_lead, self._tail_rows, self._tail = p.n, self._tail_rows[:0], self._tail[:0]
+
+    mp.setattr(qpsolve.QpSolver, "_unit_columns", full)
+
+
+def test_unit_column_products_move_inputs_by_rounding(plant_setup, plant_dataset, monkeypatch):
+    # the solver forms A x, A' y, S_0 and the Ruiz passes over g's columns
+    # only, with the unit columns (u_f, y_f, sigma) as (row, value) pairs
+    net, params, sim_cfg = plant_setup
+    bank = build_bank(plant_dataset.y, 10, seed=5)
+    hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
+    eq = netsim.equilibrium_state(params, net)
+    scen = Scenario(sim_steps=70, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))
+    for make in (lambda: DkpcController(hs, bank, DkpcConfig()),
+                 lambda: DeepcController(hs, DeepcConfig(lambda_sigma=1e5))):
+        ctrl = make()
+        unit = run_closed_loop(netsim.NetworkPlant(net, params, sim_cfg, initial=eq), ctrl, scen)
+        assert ctrl._solver._n_lead == hs.n_cols
+        with monkeypatch.context() as mp:
+            full_products(mp)
+            ctrl = make()
+            full = run_closed_loop(netsim.NetworkPlant(net, params, sim_cfg, initial=eq), ctrl,
+                                   scen)
+        assert ctrl._solver._n_lead == ctrl._solver.problem.n
+        assert all(st == SOLVED for st, on in zip(unit.status, unit.active) if on)
+        assert np.max(np.abs(unit.u - full.u)) <= 1e-12
 
 
 def factor_sizes(mp, name):

@@ -474,7 +474,8 @@ def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
         if above.size:
             gemm_sets["u_f and a unit column above the split"] = np.r_[above[:2], u_cols[:4]]
         cases.append((prob, split, unit_sets, gemm_sets))
-    assert sum("u_f and a unit column above the split" in c[3] for c in cases) == 1  # DeePC
+    # the sigma columns of DKPC (soft Yp, Zp rows) and of DeePC (soft Yp rows)
+    assert sum("u_f and a unit column above the split" in c[3] for c in cases) == 2
     for prob, split, unit_sets, gemm_sets in cases:
         solver = QpSolver(prob)
         assert solver._split == split
@@ -493,6 +494,37 @@ def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
             else:
                 assert factor[0] == 0
                 assert same_bits(mats[0], S), name
+
+
+def test_unit_column_products_equal_full_products(behavioral_qps):
+    # the trailing run of one-nonzero columns (u_f, y_f and sigma of both
+    # controllers) is kept as (row, value) pairs: A x, A' y and S_0 equal
+    # the full products to rounding; a problem without such a run has an
+    # empty unit part
+    rng = np.random.default_rng(61)
+    dense = QpProblem(*random_positive_diagonal_qp(rng))
+    assert dense.m_eq > 1
+    problems = behavioral_qps + [unit_and_dense_columns_qp(rng), dense]
+    trailing = []
+    for prob in problems:
+        solver = QpSolver(prob)
+        k = solver._n_lead
+        trailing.append(prob.n - k)
+        unit = np.count_nonzero(prob.A_eq, axis=0) == 1
+        assert np.all(unit[k:]) and not unit[k - 1]
+        x, y = rng.standard_normal(prob.n), rng.standard_normal(prob.m_eq)
+        for A, tail in ((prob.A_eq, solver._tail), (solver._A_s, solver._tail_s)):
+            ax, aty = A @ x, A.T @ y
+            assert np.max(np.abs(solver._a_dot(A, tail, x) - ax)) <= 1e-14 * np.max(
+                np.abs(A) @ np.abs(x))
+            assert np.max(np.abs(solver._at_dot(A, tail, y) - aty)) <= 1e-14 * np.max(
+                np.abs(A.T) @ np.abs(y))
+        A_s, D = solver._A_s, solver._schur_diag
+        gram = (A_s / D) @ A_s.T
+        assert np.max(np.abs(solver._schur_gram - gram)) <= 1e-14 * np.max(np.abs(gram))
+    # 10 buses, horizon 6: 60 u_f and 60 y_f; DKPC's sigma softens
+    # (10 outputs + 20 observables) x 4 past rows, DeePC's 10 x 4
+    assert trailing == [60 + 60 + 120, 60 + 60 + 40, 3, 0]
 
 
 def test_bounded_slack_moves_split_to_its_row(behavioral_qps, monkeypatch):
