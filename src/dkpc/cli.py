@@ -29,6 +29,7 @@ import yaml
 from . import behavior, lifting, metrics, netsim
 from .control import (
     ClosedLoopTrace,
+    ControllerConfig,
     DeepcConfig,
     DkpcConfig,
     DeepcController,
@@ -173,7 +174,6 @@ class ControllerSection:
     q: float = 300.0
     r: float = 0.01
     lambda_g: float = 500.0
-    lambda_z: float = 1e3  # DKPC's past output and lifted rows; .inf makes them hard
     lambda_sigma: float | None = None
     u_min: float = -1.0
     u_max: float = 1.0
@@ -388,7 +388,7 @@ def _controller_config(
     r: float,
     lambda_g: float,
     lambda_sigma: float | None = None,
-) -> DkpcConfig:
+) -> ControllerConfig:
     """The section's windows and input box with these weights.
 
     A ``DeepcConfig`` when ``lambda_sigma`` is given, else a ``DkpcConfig``.
@@ -399,7 +399,6 @@ def _controller_config(
         Q=q,
         R=r,
         lambda_g=lambda_g,
-        lambda_z=section.lambda_z,
         u_min=section.u_min,
         u_max=section.u_max,
     )
@@ -408,13 +407,13 @@ def _controller_config(
     return DeepcConfig(lambda_sigma=lambda_sigma, **common)
 
 
-def _config_tag(cfg: DkpcConfig) -> tuple:
+def _config_tag(cfg: ControllerConfig) -> tuple:
     """The metrics tag of a run: ``(Q, R, lambda_g)``, plus ``lambda_sigma`` for DeePC."""
     tag = (cfg.Q, cfg.R, cfg.lambda_g)
     return tag + (cfg.lambda_sigma,) if isinstance(cfg, DeepcConfig) else tag
 
 
-def sweep_plan(cfg: ExperimentConfig) -> list[DkpcConfig]:
+def sweep_plan(cfg: ExperimentConfig) -> list[ControllerConfig]:
     """Controller configs of the full grid cross product, in sweep CSV row order.
 
     The ``DeepcConfig``s come first, then the ``DkpcConfig``s, each over
@@ -511,7 +510,7 @@ def _load_run_context(cfg: ExperimentConfig) -> _RunContext:
 
 
 def _execute(
-    ctx: _RunContext, controller_cfg: DkpcConfig
+    ctx: _RunContext, controller_cfg: ControllerConfig
 ) -> tuple[ClosedLoopTrace | None, metrics.RunMetrics, str]:
     """One closed-loop run, DeePC for a ``DeepcConfig``; failures are captured, not raised."""
     if isinstance(controller_cfg, DeepcConfig):
@@ -566,7 +565,7 @@ def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
 _SWEEP_CTX: _RunContext | None = None
 
 
-def _sweep_worker(controller_cfg: DkpcConfig) -> tuple[metrics.RunMetrics, str]:
+def _sweep_worker(controller_cfg: ControllerConfig) -> tuple[metrics.RunMetrics, str]:
     assert _SWEEP_CTX is not None
     _, run_metrics, status = _execute(_SWEEP_CTX, controller_cfg)
     return run_metrics, status

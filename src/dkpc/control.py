@@ -26,16 +26,14 @@ from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolver
 
 
 @dataclass(frozen=True)
-class DkpcConfig:
-    """Tuning of the lifted behavioral controller.
+class ControllerConfig:
+    """Tuning shared by both behavioral controllers.
 
     The weights are scalars: every output carries ``Q`` >= 0 and every
     input ``R`` > 0, so the QP's cost Hessian is diagonal.  Defaults:
     horizon 10, Q = 300, R = 0.01, coefficient regularization 500,
-    past-output slack weight 1e3, inputs boxed to [-1, 1], outputs
-    unconstrained.  ``lambda_z`` > 0 weighs the slack of the past output
-    and lifted rows (``Yp``, ``Zp``); ``inf`` makes them hard.  DeePC
-    ignores it and softens its past outputs under ``lambda_sigma``.
+    inputs boxed to [-1, 1], outputs unconstrained.  Each controller's
+    config adds the weight of its past-output slack.
     The bounds are scalars too, and -inf/+inf means no bound.  The controller
     regulates to zero: the cost is Q |y|^2 + R |u|^2 over the horizon,
     with no reference or nominal input.  ``y_min``/``y_max`` bound the predicted
@@ -50,7 +48,6 @@ class DkpcConfig:
     Q: float = 300.0
     R: float = 0.01
     lambda_g: float = 500.0
-    lambda_z: float = 1e3
     u_min: float = -1.0
     u_max: float = 1.0
     y_min: float = -math.inf
@@ -61,8 +58,6 @@ class DkpcConfig:
             raise ValueError("t_ini and horizon must be >= 1")
         if not (math.isfinite(self.lambda_g) and self.lambda_g >= 0.0):
             raise ValueError(f"lambda_g must be finite and >= 0, got {self.lambda_g}")
-        if not self.lambda_z > 0.0:
-            raise ValueError(f"lambda_z must be > 0 (inf for hard rows), got {self.lambda_z}")
         if np.ndim(self.Q) or np.ndim(self.R):
             raise ValueError("Q and R must be scalars")
         if not (math.isfinite(self.Q) and self.Q >= 0.0):
@@ -79,7 +74,23 @@ class DkpcConfig:
 
 
 @dataclass(frozen=True)
-class DeepcConfig(DkpcConfig):
+class DkpcConfig(ControllerConfig):
+    """Lifted controller tuning; adds the past output and lifted slack weight.
+
+    ``lambda_z`` > 0 (default 1e3) weighs the slack of the past output
+    and lifted rows (``Yp``, ``Zp``); ``inf`` makes them hard.
+    """
+
+    lambda_z: float = 1e3
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.lambda_z > 0.0:
+            raise ValueError(f"lambda_z must be > 0 (inf for hard rows), got {self.lambda_z}")
+
+
+@dataclass(frozen=True)
+class DeepcConfig(ControllerConfig):
     """Benchmark controller tuning; adds the slack penalty weight.
 
     ``lambda_sigma = inf`` drops the slack and makes the past-output
@@ -137,7 +148,7 @@ def _behavioral_qp(
     bank,
     n_soft: int,
     soft_weight: float,
-    cfg: DkpcConfig,
+    cfg: ControllerConfig,
     cs: ControllerState,
 ) -> QpProblem:
     """The behavioral QP that both controllers solve.
@@ -252,7 +263,7 @@ class _BehavioralController:
     kind = "behavioral"
     bank = None  # the lifting bank whose window enters the past rows, if any
 
-    def __init__(self, hs: HankelSystem, cfg: DkpcConfig, solver_settings: QpSettings | None):
+    def __init__(self, hs: HankelSystem, cfg: ControllerConfig, solver_settings: QpSettings | None):
         if hs.pe_report is not None and not hs.pe_report:
             raise ValueError(
                 f"data fails persistency of excitation: {hs.pe_report.reason}"

@@ -36,8 +36,9 @@ downdate of S_0 = A D^-1 A' + delta I (``QpSolver._schur_split``).
 The trailing run of columns with one nonzero in A_eq (u_f, y_f and
 sigma of both controllers) is kept as (row, value) pairs: the Ruiz
 passes, both Gram matrices (``QpSolver._gram``, a symmetric rank
-update) and the products of a polish step touch only the leading
-columns.  With hard lifted rows DKPC's inputs hung on the polish's
+update) and the products of a polish step and of the ADMM x-update
+touch only the leading columns, and the scaled A_eq is stored as those
+columns only.  With hard lifted rows DKPC's inputs hung on the polish's
 rounding (reordering the rows of one Schur Cholesky moved them by up
 to 1.8e-3 on regulate), so rows are never permuted.  Any other (n,) P
 is expanded once to its n x n matrix, and
@@ -56,6 +57,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -279,8 +281,8 @@ class QpSolver:
         controllers follow their dense g block.  The run is kept as
         (row, value) pairs, ``_tail_rows`` with ``_tail`` (A_eq) and
         ``_tail_s`` (A_s, set by ``_scale``); the leading k columns are
-        read as slices of the stored matrices.  A problem with no such
-        run has k = n and an empty unit part.
+        read as a slice of A_eq, and ``_A_s`` stores only those.  A
+        problem with no such run has k = n and an empty unit part.
         """
         nonzero = p.A_eq != 0.0
         unit = np.count_nonzero(nonzero, axis=0) == 1
@@ -300,23 +302,36 @@ class QpSolver:
         unit column adds (a / D) a to its row's diagonal entry only.
         """
         k = self._n_lead
-        b = self._A_s[:, :k] / np.sqrt(D[:k])
+        b = self._A_s / np.sqrt(D[:k])
         g = b @ b.T  # one triangle (syrk)
         g[np.diag_indices_from(g)] += np.bincount(
             self._tail_rows, (self._tail_s / D[k:]) * self._tail_s, g.shape[0])
         return g
 
     def _a_dot(self, A: np.ndarray, tail: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A x for A = A_eq or A_s, whose trailing unit columns hold ``tail``."""
+        """A x for A = A_eq or A_s (leading columns), whose trailing unit columns hold ``tail``."""
         k = self._n_lead
         ax = A[:, :k] @ x[:k]
         ax += np.bincount(self._tail_rows, tail * x[k:], ax.size)
         return ax
 
     def _at_dot(self, A: np.ndarray, tail: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """A' y for A = A_eq or A_s, whose trailing unit columns hold ``tail``."""
+        """A' y for A = A_eq or A_s (leading columns), whose trailing unit columns hold ``tail``."""
         k = self._n_lead
         return np.concatenate([A[:, :k].T @ y, tail * y[self._tail_rows]])
+
+    def _columns_s(self, idx: np.ndarray) -> np.ndarray:
+        """Columns ``idx`` of the scaled A_eq, trailing unit columns rebuilt from their pairs.
+
+        Zero entries carry the sign of A_eq's, as scaling gives them.
+        """
+        k = self._n_lead
+        a = np.copysign(0.0, self.problem.A_eq[:, idx])
+        lead = idx < k
+        a[:, lead] = self._A_s[:, idx[lead]]
+        j = np.flatnonzero(~lead)
+        a[self._tail_rows[idx[j] - k], j] = self._tail_s[idx[j] - k]
+        return a
 
     # -- equilibration ---------------------------------------------------
 
@@ -333,7 +348,9 @@ class QpSolver:
         scaling A_eq itself.  They touch the leading k columns as a
         slice and the trailing unit columns (``_unit_columns``) as one
         value each, multiplied in the same order, so the result is that
-        of scaling the whole matrix bit for bit.
+        of scaling the whole matrix bit for bit.  The scaled leading
+        columns are kept as ``_A_s`` and the unit values as ``_tail_s``
+        (``_columns_s`` rebuilds any column).
         """
         n, m_eq = p.n, p.m_eq
         d = np.ones(n)
@@ -374,10 +391,8 @@ class QpSolver:
         self._e_box = s_box / d
         self._c = c
         self._P_s = P_s
-        # the signed zeros of A_eq, then the scaled entries
-        self._A_s = A_s = np.copysign(0.0, p.A_eq)
-        A_s[:, :k] = np.copysign(lead, p.A_eq[:, :k], out=lead)
-        self._tail_s = A_s[rows, np.arange(k, n)] = np.copysign(tail, self._tail, out=tail)
+        self._A_s = np.copysign(lead, p.A_eq[:, :k], out=lead)
+        self._tail_s = np.copysign(tail, self._tail, out=tail)
 
     # -- scaled linear algebra -------------------------------------------
 
@@ -394,7 +409,8 @@ class QpSolver:
         self._factored_rho = self._rho
         rho_eq = self._rho * _RHO_EQ_SCALE
         if self._P_s.ndim == 2:
-            kkt = _kkt(self._P_s, _SIGMA + self._rho * self._s_box**2, self._A_s, 1.0 / rho_eq)
+            kkt = _kkt(self._P_s, _SIGMA + self._rho * self._s_box**2,
+                       self._columns_s(np.arange(self.problem.n)), 1.0 / rho_eq)
             self._factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             return
         self._split_diag = self._P_s + _SIGMA + self._rho * self._s_box**2
@@ -423,13 +439,15 @@ class QpSolver:
                 self._factor, np.concatenate([rhs, np.zeros(self.problem.m_eq)]),
                 check_finite=False)
             return sol[:n], sol[n:] / rho_eq
-        A, D = self._A_s, self._split_diag
-        w = scipy.linalg.cho_solve(self._factor, A @ (rhs / D), check_finite=False)
-        x = (rhs - A.T @ w) / D
-        ax = A @ x
+        D = self._split_diag
+        a_dot = partial(self._a_dot, self._A_s, self._tail_s)
+        at_dot = partial(self._at_dot, self._A_s, self._tail_s)
+        w = scipy.linalg.cho_solve(self._factor, a_dot(rhs / D), check_finite=False)
+        x = (rhs - at_dot(w)) / D
+        ax = a_dot(x)
         t = rho_eq * ax - w
         s = scipy.linalg.cho_solve(self._factor, t, check_finite=False)
-        return x - (A.T @ s) / (rho_eq * D), ax - (t - s / rho_eq) / rho_eq
+        return x - at_dot(s) / (rho_eq * D), ax - (t - s / rho_eq) / rho_eq
 
     # -- public API ------------------------------------------------------
 
@@ -545,7 +563,8 @@ class QpSolver:
             if self._factored_rho != self._rho:
                 self._refactor()
             w = rho * z - y
-            rhs = _SIGMA * x - q_s + (self._A_s.T @ w[:m_eq] + s_box * w[m_eq:])
+            rhs = _SIGMA * x - q_s + (self._at_dot(self._A_s, self._tail_s, w[:m_eq])
+                                      + s_box * w[m_eq:])
             x_tilde, ax_tilde = self._x_update(rhs)
             z_tilde = np.concatenate([ax_tilde, s_box * x_tilde])
             x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
@@ -702,7 +721,7 @@ class QpSolver:
                 else:
                     free = np.flatnonzero(~act)
                     kkt = _kkt(self._P_s[np.ix_(free, free)], _POLISH_DELTA,
-                               self._A_s[:, free], _POLISH_DELTA)
+                               self._columns_s(free), _POLISH_DELTA)
                     factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 return None
@@ -758,8 +777,8 @@ class QpSolver:
 
         def residual(sol):  # writes x_F = sol[:n_f] into x
             x[free] = sol[:n_f]
-            stat = r1 - self._P_s @ x - self._A_s.T @ sol[n_f:]
-            return np.concatenate([stat[free], r2 - self._A_s @ x])
+            stat = r1 - self._P_s @ x - self._at_dot(self._A_s, self._tail_s, sol[n_f:])
+            return np.concatenate([stat[free], r2 - self._a_dot(self._A_s, self._tail_s, x)])
 
         sol = scipy.linalg.lu_solve(lu, residual(np.zeros(n_f + self.problem.m_eq)),
                                     check_finite=False)
@@ -772,7 +791,7 @@ class QpSolver:
                 break
             sol, res = step, res_step
         x[free] = sol[:n_f]
-        return x, sol[n_f:], self._A_s.T @ sol[n_f:]
+        return x, sol[n_f:], self._at_dot(self._A_s, self._tail_s, sol[n_f:])
 
     def _schur_split(self, p: QpProblem) -> None:
         """Split S_0 = A_s D^-1 A_s' + delta I at row s and factor its leading block.
@@ -790,7 +809,8 @@ class QpSolver:
         """
         cols = np.flatnonzero(self._unit_row >= 0)
         rows = self._unit_row[cols]
-        a = self._A_s[rows, cols]
+        lead = cols < self._n_lead  # the trailing run is the rest
+        a = np.concatenate([self._A_s[rows[lead], cols[lead]], self._tail_s])
         self._unit_down = np.zeros(p.n)
         self._unit_down[cols] = (a / self._schur_diag[cols]) * a
         bounded = np.isfinite(p.lower[cols]) | np.isfinite(p.upper[cols])
@@ -829,7 +849,7 @@ class QpSolver:
             S[rows - split, rows - split] -= self._unit_down[act_idx]
         else:
             split = 0
-            a_act = self._A_s[:, act_idx]
+            a_act = self._columns_s(act_idx)
             S = self._schur_gram - (a_act / self._schur_diag[act_idx]) @ a_act.T
         S[np.diag_indices_from(S)] += _POLISH_DELTA
         return split, scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)

@@ -87,15 +87,6 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
-def test_lambda_z_infinity_gives_hard_rows(tmp_path):
-    path = tmp_path / "c.yaml"
-    path.write_text("output_dir: out\n")
-    assert load_config(path).controller.lambda_z == 1e3
-    cfg = load_config(path, ["controller.lambda_z=.inf"])
-    assert cfg.controller.lambda_z == float("inf")
-    assert all(c.lambda_z == float("inf") for c in sweep_plan(cfg))
-
-
 def test_config_kind_lambda_sigma_mismatch(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("controller: {kind: dkpc, lambda_sigma: 1.0e5}\n")
@@ -386,7 +377,6 @@ BAD_VALUES = [
     ("sweep.lambda_g=[1.0, -1.0]", r"sweep\.lambda_g: lambda_g must"),
     ("sweep.lambda_sigma=[1.0e4, 0.0]", r"sweep\.lambda_sigma: lambda_sigma must"),
     ("sweep.r=[]", r"sweep\.r must be nonempty"),
-    ("controller.lambda_z=0", r"controller: lambda_z must"),
     ("sim.activation_step=1", r"sim\.activation_step must be >= controller\.t_ini"),
     ("sim.disturbance.seed=-1", r"sim\.disturbance\.seed must"),
     ("controller.u_min=2", r"controller: need u_min <= u_max"),

@@ -8,6 +8,7 @@ import scipy.linalg
 from dkpc import control, netsim, qpsolve
 from dkpc.behavior import Trajectory, assemble
 from dkpc.control import (
+    ControllerConfig,
     ControllerState,
     DeepcConfig,
     DeepcController,
@@ -21,6 +22,12 @@ from dkpc.control import (
 )
 from dkpc.lifting import IdentityBank, build_bank
 from dkpc.qpsolve import SOLVED, QpSettings, QpSolver, solve
+
+
+def deepc_config(cfg, lambda_sigma):
+    """A DeePC config with the tuning ``cfg`` shares with it."""
+    shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ControllerConfig)}
+    return DeepcConfig(lambda_sigma=lambda_sigma, **shared)
 
 
 def primed_state(t_ini, n_u, n_y, u_val=0.0, y_val=0.0):
@@ -102,7 +109,7 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_syst
     bank = build_bank(data.y, 2, seed=3)
     hs = assemble(data, bank, t_ini=2, horizon=2, pe_check=False)
     cfg = DkpcConfig(t_ini=2, horizon=2, Q=10.0, R=0.1, lambda_g=1.0)
-    deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
+    deepc_cfg = deepc_config(cfg, 1e5)
     cs = primed_state(2, 2, 2, u_val=0.1, y_val=-0.05)
     for build in (lambda: build_dkpc_qp(hs, bank, cfg, cs),
                   lambda: build_deepc_qp(hs, deepc_cfg, cs)):
@@ -165,7 +172,7 @@ def test_builders_check_config_and_state_against_hankel(lti_setup, controller, b
         build = lambda c, st: build_dkpc_qp(hs, bank, c, st)  # noqa: E731
     else:
         build = lambda c, st: build_deepc_qp(  # noqa: E731
-            hs, DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(c)), st)
+            hs, deepc_config(c, 1e5), st)
     with pytest.raises(ValueError, match="Hankel partition"):
         build(cfg, cs)
     good = dataclasses.replace(cfg, t_ini=4, horizon=8)
@@ -269,6 +276,8 @@ def test_config_validation():
     for lambda_z in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="lambda_z"):
             DkpcConfig(lambda_z=lambda_z)
+    with pytest.raises(TypeError):  # each config has only its own slack weight
+        DeepcConfig(lambda_z=1e3)
     with pytest.raises(ValueError):
         DkpcConfig(t_ini=0)
     with pytest.raises(ValueError):
@@ -487,7 +496,7 @@ def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch)
     # with those of the dense path and its LU polish
     sys, hs, bank, cfg = lti_setup
     cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)  # bounds become active
-    deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
+    deepc_cfg = deepc_config(cfg, 1e3)
     x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
     scen = Scenario(sim_steps=30, activation_step=6)
     for make in (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg)):
@@ -509,7 +518,7 @@ def test_controllers_polish_without_lu(lti_setup, monkeypatch):
     # through the equality-row Schur complement, never the full KKT LU
     sys, hs, bank, cfg = lti_setup
     cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)
-    deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
+    deepc_cfg = deepc_config(cfg, 1e3)
     x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
     lu_calls, schur_calls = [], []
     lu_factor, schur_solve = scipy.linalg.lu_factor, qpsolve.QpSolver._schur_solve
@@ -601,7 +610,7 @@ def test_controllers_factor_only_equality_rows(lti_setup, monkeypatch, request):
     # m_eq x m_eq, and it is built only by a loop that enters ADMM
     sys, hs, bank, cfg = lti_setup
     cfg = dataclasses.replace(cfg, u_min=-0.1, u_max=0.1)
-    deepc_cfg = DeepcConfig(lambda_sigma=1e3, **dataclasses.asdict(cfg))
+    deepc_cfg = deepc_config(cfg, 1e3)
     x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
     scen = Scenario(sim_steps=20, activation_step=6)
     sizes = factor_sizes(monkeypatch, "cho_factor")
@@ -651,7 +660,7 @@ def test_output_bounds_hold_from_the_second_predicted_sample(lti_setup):
     # bound.  The later blocks carry it, and the loop enters the band.
     sys, hs, bank, cfg = lti_setup
     cfg = dataclasses.replace(cfg, y_min=-0.005, y_max=0.005)
-    deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
+    deepc_cfg = deepc_config(cfg, 1e5)
     x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
     scen = Scenario(sim_steps=25, activation_step=6)
     for ctrl in (DkpcController(hs, bank, cfg), DeepcController(hs, deepc_cfg)):

@@ -266,11 +266,12 @@ def behavioral_qps(plant_dataset):
     """The DKPC and DeePC QPs of one window of the 10-bus data."""
     bank = build_bank(plant_dataset.y, 20, seed=2)
     hs = assemble(plant_dataset, bank, t_ini=4, horizon=6, pe_check=False)
-    cfg = DkpcConfig(t_ini=4, horizon=6, u_min=-1.0, u_max=1.0)
+    common = dict(t_ini=4, horizon=6, u_min=-1.0, u_max=1.0)
+    cfg = DkpcConfig(**common)
     cs = ControllerState(4, hs.n_u, hs.n_y)
     for k in range(4):
         cs.record(plant_dataset.u[k], plant_dataset.y[k])
-    deepc_cfg = DeepcConfig(lambda_sigma=1e5, **dataclasses.asdict(cfg))
+    deepc_cfg = DeepcConfig(lambda_sigma=1e5, **common)
     return [
         build_dkpc_qp(hs, bank, cfg, cs),
         build_deepc_qp(hs, deepc_cfg, cs),
@@ -298,7 +299,7 @@ def test_equality_row_admm_solve_as_accurate_as_cholesky(behavioral_qps, rho):
         solver._refactor()
         # of order m_eq for every problem, 0 for the box-only one
         assert solver._factor[0].shape == (prob.m_eq, prob.m_eq)
-        A = solver._A_s
+        A = solver._columns_s(np.arange(prob.n))
         M = rho * qpsolve._RHO_EQ_SCALE * (A.T @ A)
         M[np.diag_indices(prob.n)] += solver._P_s + qpsolve._SIGMA + rho * solver._s_box**2
         chol = scipy.linalg.cho_factor(M, lower=True)
@@ -416,7 +417,7 @@ def capture_cho_inputs(mp):
 
 def gemm_schur_matrix(solver, act_idx):
     """S_K by the gather-and-GEMM downdate, the polish's general formula."""
-    a_act = solver._A_s[:, act_idx]
+    a_act = solver._columns_s(act_idx)
     S = solver._schur_gram - (a_act / solver._schur_diag[act_idx]) @ a_act.T
     S[np.diag_indices_from(S)] += qpsolve._POLISH_DELTA
     return S
@@ -498,9 +499,9 @@ def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
 
 def test_unit_column_products_equal_full_products(behavioral_qps):
     # the trailing run of one-nonzero columns (u_f, y_f and sigma of both
-    # controllers) is kept as (row, value) pairs: A x, A' y and S_0 equal
-    # the full products to rounding; a problem without such a run has an
-    # empty unit part
+    # controllers) is kept as (row, value) pairs, and the scaled A_s only
+    # as its leading columns: A x, A' y and S_0 equal the full products to
+    # rounding; a problem without such a run has an empty unit part
     rng = np.random.default_rng(61)
     dense = QpProblem(*random_positive_diagonal_qp(rng))
     assert dense.m_eq > 1
@@ -513,13 +514,16 @@ def test_unit_column_products_equal_full_products(behavioral_qps):
         unit = np.count_nonzero(prob.A_eq, axis=0) == 1
         assert np.all(unit[k:]) and not unit[k - 1]
         x, y = rng.standard_normal(prob.n), rng.standard_normal(prob.m_eq)
-        for A, tail in ((prob.A_eq, solver._tail), (solver._A_s, solver._tail_s)):
+        assert solver._A_s.shape == (prob.m_eq, k)
+        A_s = solver._columns_s(np.arange(prob.n))
+        for kept, tail, A in ((prob.A_eq, solver._tail, prob.A_eq),
+                              (solver._A_s, solver._tail_s, A_s)):
             ax, aty = A @ x, A.T @ y
-            assert np.max(np.abs(solver._a_dot(A, tail, x) - ax)) <= 1e-14 * np.max(
+            assert np.max(np.abs(solver._a_dot(kept, tail, x) - ax)) <= 1e-14 * np.max(
                 np.abs(A) @ np.abs(x))
-            assert np.max(np.abs(solver._at_dot(A, tail, y) - aty)) <= 1e-14 * np.max(
+            assert np.max(np.abs(solver._at_dot(kept, tail, y) - aty)) <= 1e-14 * np.max(
                 np.abs(A.T) @ np.abs(y))
-        A_s, D = solver._A_s, solver._schur_diag
+        D = solver._schur_diag
         gram = (A_s / D) @ A_s.T
         assert np.max(np.abs(solver._schur_gram - gram)) <= 1e-14 * np.max(np.abs(gram))
     # 10 buses, horizon 6: 60 u_f and 60 y_f; DKPC's sigma softens
@@ -707,11 +711,12 @@ def test_ruiz_on_absolute_values_matches_signed_loop(behavioral_qps):
     assert np.signbit(problems[3].A_eq[0, 0]) and not np.signbit(problems[3].A_eq[0, 3])
     for prob in problems:
         solver = QpSolver(prob)
-        got = (solver._d, solver._e_eq, solver._s_box, solver._c, solver._P_s, solver._A_s)
+        got = (solver._d, solver._e_eq, solver._s_box, solver._c, solver._P_s,
+               solver._columns_s(np.arange(prob.n)))
         for name, a, b in zip(("d", "e_eq", "s_box", "c", "P_s", "A_s"), got,
                               signed_ruiz_reference(prob)):
             assert same_bits(a, b), name
-    assert np.signbit(QpSolver(problems[3])._A_s[0, 0])
+    assert np.signbit(QpSolver(problems[3])._columns_s(np.arange(4))[0, 0])
 
 
 # -- statuses ---------------------------------------------------------------------
