@@ -447,14 +447,13 @@ class Scenario:
 
 @dataclass
 class ClosedLoopTrace:
-    """Per-step record of a receding-horizon run."""
+    """Per-step record of a receding-horizon run; each ``StepResult`` keeps its prediction."""
 
     dt: float
     t: np.ndarray
     y: np.ndarray
     u: np.ndarray
     active: np.ndarray
-    predicted_y: np.ndarray  # (steps, horizon, n_y), nan when inactive
     status: list[str]
     iterations: np.ndarray
     primal_residual: np.ndarray
@@ -509,7 +508,6 @@ def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: S
 
     steps = scenario.sim_steps
     n_u, n_y = plant.n_u, plant.n_y
-    horizon = controller.cfg.horizon
     dt = getattr(plant, "cfg", None)
     dt = dt.dt if dt is not None else 1.0
 
@@ -517,7 +515,6 @@ def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: S
     y = np.zeros((steps, n_y))
     u = np.zeros((steps, n_u))
     active = np.zeros(steps, dtype=bool)
-    predicted = np.full((steps, horizon, n_y), np.nan)
     status: list[str] = []
     iterations = np.zeros(steps, dtype=int)
     primal = np.zeros(steps)
@@ -532,7 +529,6 @@ def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: S
             res = controller.solve_step(y_k)
             u_k = res.u
             active[k] = True
-            predicted[k] = res.predicted_y
             status.append(res.status)
             iterations[k] = res.iterations
             primal[k] = res.primal_residual
@@ -558,7 +554,6 @@ def run_closed_loop(plant: Plant, controller: _BehavioralController, scenario: S
         y=y[sl],
         u=u[sl],
         active=active[sl],
-        predicted_y=predicted[sl],
         status=status,
         iterations=iterations[sl],
         primal_residual=primal[sl],

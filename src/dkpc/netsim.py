@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .behavior import Trajectory
 
@@ -50,10 +48,14 @@ class NetworkGraph:
             raise ValueError("susceptance diagonal must be zero")
         if np.any(b < 0.0):
             raise ValueError("susceptance entries must be nonnegative")
-        if b.shape[0] > 1:
-            n_comp, _ = connected_components(csr_matrix(b != 0.0), directed=False)
-            if n_comp != 1:
-                raise ValueError("network graph must be connected")
+        # breadth-first sweep from bus 0 over the undirected nonzero pattern
+        adjacent = (b != 0.0) | (b.T != 0.0)
+        reached = frontier = np.arange(b.shape[0]) == 0
+        while frontier.any():
+            frontier = adjacent[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        if not reached.all():
+            raise ValueError("network graph must be connected")
         object.__setattr__(self, "susceptance", b)
 
     @property

@@ -664,13 +664,38 @@ def test_output_bounds_hold_from_the_second_predicted_sample(lti_setup):
     x0 = 4.0 * np.random.default_rng(7).standard_normal(3)
     scen = Scenario(sim_steps=25, activation_step=6)
     for ctrl in (DkpcController(hs, bank, cfg), DeepcController(hs, deepc_cfg)):
+        predicted = []
+        solve_step = ctrl.solve_step
+
+        def recording_step(y_k, solve_step=solve_step, predicted=predicted):
+            res = solve_step(y_k)
+            predicted.append(res.predicted_y)
+            return res
+
+        ctrl.solve_step = recording_step
         trace = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
         act = trace.active
+        assert len(predicted) == np.count_nonzero(act)
         assert np.max(np.abs(trace.y[scen.activation_step])) > 0.1
         assert all(st == SOLVED for st, on in zip(trace.status, act) if on)
         assert np.all(trace.iterations == 0)
-        assert np.max(np.abs(trace.predicted_y[act][:, 1:])) <= 0.005 + 1e-6
+        assert np.max(np.abs(np.array(predicted)[:, 1:])) <= 0.005 + 1e-6
         assert np.max(np.abs(trace.y[scen.activation_step + 3 :])) <= 0.005 + 1e-6
+
+
+def test_closed_loop_trace_keeps_no_per_step_predictions(lti_setup):
+    # perfbench keeps every run's trace of its window, as would a seed
+    # panel that collects its runs, so whatever a trace holds per step
+    # sets their resident memory.  A (steps, horizon, n_y) prediction
+    # stack was 120 of the 150 KB of a 10-bus run and no caller read it;
+    # each StepResult still carries its own prediction.
+    sys, hs, bank, cfg = lti_setup
+    scen = Scenario(sim_steps=30, activation_step=6)
+    x0 = np.random.default_rng(7).standard_normal(3)
+    trace = run_closed_loop(LtiPlant(sys, x0=x0), DkpcController(hs, bank, cfg), scen)
+    assert trace.steps == scen.sim_steps
+    held = sum(v.nbytes for v in vars(trace).values() if isinstance(v, np.ndarray))
+    assert held <= trace.steps * (hs.n_u + hs.n_y + 6) * 8
 
 
 def test_twenty_bus_closed_loop_ends_every_step_at_direct_polish():

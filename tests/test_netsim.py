@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +350,41 @@ def test_network_rejects_negative_and_disconnected():
     dis[2, 3] = dis[3, 2] = 1.0
     with pytest.raises(ValueError):
         NetworkGraph(susceptance=dis)
+
+
+def test_network_accepts_a_chain_of_buses():
+    chain = np.zeros((6, 6))
+    for i in range(5):
+        chain[i, i + 1] = chain[i + 1, i] = 1.0
+    assert NetworkGraph(susceptance=chain).n_bus == 6
+
+
+def test_network_rejects_one_isolated_bus():
+    b = default_network(10).susceptance.copy()
+    b[4, :] = b[:, 4] = 0.0
+    with pytest.raises(ValueError, match="connected"):
+        NetworkGraph(susceptance=b)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the connectivity check is the only graph work; scipy.sparse costs
+    # about 5 MB resident in every process that imports dkpc
+    src = Path(netsim.__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        import dkpc
+        names = ["dkpc"] + [f"dkpc.{m.name}" for m in pkgutil.iter_modules(dkpc.__path__)]
+        for name in names:
+            importlib.import_module(name)
+            if "scipy.sparse" in sys.modules:
+                sys.exit(f"{name} loads scipy.sparse")
+        print(len(names))
+    """)
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) >= 9
 
 
 def test_network_file_round_trip(tmp_path):
