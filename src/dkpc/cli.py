@@ -523,6 +523,7 @@ def _execute(
     try:
         trace = run_closed_loop(plant, controller, ctx.scenario)
     except Exception as exc:  # run failures become rows, the sweep continues
+        log.error("%s run %s failed", controller.kind, tag, exc_info=True)
         return None, failed, f"error:{type(exc).__name__}"
     window = trace.active
     if not np.any(window):

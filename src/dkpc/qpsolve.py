@@ -15,13 +15,13 @@ singular active sets that reads only what the KKT point fixes (see
 ``QpSolver._polish``), not the incoming dual.  Otherwise the solver
 runs operator splitting (ADMM with over-relaxation and adaptive
 penalty) on the stacked constraint [A_eq; I] x in [b_eq, b_eq] x
-[lower, upper], after Ruiz equilibration, checks termination on
-unscaled residuals and polishes iterates that come close.
-Factorizations depend only on (P, A_eq, bounds, penalty, active set),
-so a solver instance amortizes them across the solves of a
-receding-horizon loop, where only q and b_eq change (``update``); the
-bounds are fixed when the solver is built.  ADMM checks termination
-every ``_CHECK_EVERY`` iterations.
+[lower, upper], checks termination on its residuals and polishes
+iterates that come close.  Every step reads P, A_eq, q, b_eq and the
+bounds as given.  Factorizations depend only on (P, A_eq, bounds,
+penalty, active set), so a solver instance amortizes them across the
+solves of a receding-horizon loop, where only q and b_eq change
+(``update``); the bounds are fixed when the solver is built.  ADMM
+checks termination every ``_CHECK_EVERY`` iterations.
 
 P is given as its (n,) diagonal or as an (n, n) matrix, and its shape
 picks the path; each path serves every problem shape, m_eq = 0
@@ -32,24 +32,25 @@ controllers' cost) stays a vector, and every factor is a Cholesky of
 order m_eq or less: the ADMM x-update goes through
 A D^-1 A' + I / rho_eq (matrix inversion lemma, one refinement step),
 the polish through the Schur complement on the equality rows, a
-downdate of S_0 = A D^-1 A' + delta I (``QpSolver._schur_split``).
-The trailing run of columns with one nonzero in A_eq (u_f, y_f and
-sigma of both controllers) is kept as (row, value) pairs: the Ruiz
-passes, both Gram matrices (``QpSolver._gram``, a symmetric rank
-update) and the products of a polish step and of the ADMM x-update
-touch only the leading columns, and the scaled A_eq is stored as those
-columns only.  With hard lifted rows DKPC's inputs hung on the polish's
-rounding (reordering the rows of one Schur Cholesky moved them by up
-to 1.8e-3 on regulate), so rows are never permuted.  Any other (n,) P
-is expanded once to its n x n matrix, and
+downdate of S_0 = A D^-1 A' + (delta / mu) I with D = P + delta mu
+(``QpSolver._schur_split``).  mu = mean(P) is the cost scale, so the
+regularization is delta relative to the cost whatever the units of P
+and q.  The trailing run of columns with one nonzero in A_eq (u_f, y_f
+and sigma of both controllers) is kept as (row, value) pairs: both
+Gram matrices (``QpSolver._gram``, a symmetric rank update) and the
+products of a polish step and of the ADMM x-update touch only the
+leading columns of A_eq, read as a slice.  With hard lifted rows DKPC's
+inputs hung on the polish's rounding (reordering the rows of one Schur
+Cholesky moved them by up to 1.8e-3 on regulate), so rows are never
+permuted.  Any other (n,) P is expanded once to its n x n matrix, and
 an n x n P factors by LU the quasi-definite KKT matrix (``_kkt``) of
 each system: the ADMM x-update's, (n + m_eq)^2, and the free
-variables' one per active set, (n_F + m_eq)^2, which the polish
-refines against the unregularized matrix.  On rank-deficient equality
-rows (DKPC with hard lifted rows) the two polishes return different
-valid points.
-The ADMM factor is built on the first ADMM iteration: a solve that
-ends at the direct polish needs none.
+variables' one per active set, (n_F + m_eq)^2, regularized by an
+absolute delta, which the polish refines against the unregularized
+matrix.  On rank-deficient equality rows (DKPC with hard lifted rows)
+the two polishes return different valid points.  The ADMM factor is
+built on the first ADMM iteration: a solve that ends at the direct
+polish needs none.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -72,9 +72,8 @@ _RHO = 0.1  # initial box-row penalty; adapted between checks
 _RHO_EQ_SCALE = 1e3  # equality-row penalty over box-row penalty
 _SIGMA = 1e-6  # proximal term of the x-update
 _ALPHA = 1.6  # over-relaxation
-_SCALING_ITERS = 10  # Ruiz equilibration passes
 _EPS_INFEASIBLE = 1e-8
-_POLISH_DELTA = 1e-12  # KKT regularization of the polish
+_POLISH_DELTA = 1e-12  # KKT regularization of the polish (relative to mean(P) on the Schur path)
 _POLISH_REFINE_STEPS = 3  # LU polish: refinement steps against the unregularized KKT
 _POLISH_TRIGGER = 1e3  # polish an ADMM iterate once r_p <= this * eps_pri
 _CHECK_EVERY = 25  # ADMM iterations between termination checks
@@ -103,6 +102,8 @@ class QpProblem:
         P = np.asarray(self.P, dtype=float)
         q = np.asarray(self.q, dtype=float).ravel()
         n = q.shape[0]
+        if n == 0:
+            raise ValueError("the QP has no variables")
         if P.shape == (n,):
             if np.isnan(P).any():
                 raise ValueError("P must not be NaN")
@@ -229,47 +230,47 @@ def kkt_residuals(
     }
 
 
-def _col_norms(P: np.ndarray) -> np.ndarray:
-    """Column infinity norms of P, diagonal or dense."""
-    return np.abs(P) if P.ndim == 1 else np.max(np.abs(P), axis=0, initial=0.0)
-
-
 class QpSolver:
     """Reusable operator-splitting engine bound to one problem structure.
 
     ``update`` swaps the vectors that change between receding-horizon
-    steps (q, b_eq) without touching the ADMM factorization, the
-    equilibration or the polish factor, which is kept for the last
-    active set factored only, with its ``A_s x0``.  It validates the new vectors
-    only: P, A_eq and the bounds are checked once, when the
-    ``QpProblem`` is built, and are shared unchanged by every updated
-    problem.  Altering P, A_eq or a bound requires a new instance.
+    steps (q, b_eq) without touching the ADMM factorization or the
+    polish factor, which is kept for the last active set factored only,
+    with its ``A x0``.  It validates the new vectors only: P, A_eq and
+    the bounds are checked once, when the ``QpProblem`` is built, and
+    are shared unchanged by every updated problem.  Altering P, A_eq or
+    a bound requires a new instance.
 
-    An (n,) P with every entry > 0 stays a vector (scaled and
-    unscaled) for every product the solver forms; any other (n,) P is
-    expanded here, once, to the dense form that serves an (n, n) P.
+    An (n,) P with every entry > 0 stays a vector for every product
+    the solver forms; any other (n,) P is expanded here, once, to the
+    dense form that serves an (n, n) P.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
         self.problem = problem
         self.settings = settings or QpSettings()
+        P = problem.P
+        self._P = P if P.ndim == 2 or np.all(P > 0.0) else np.diag(P)
         self._unit_columns(problem)
-        self._scale(problem)
         self._rho = _RHO
         # the splitting system is built for _factored_rho on the first ADMM
         # iteration (``_refactor``); a solve that ends before it needs none
         self._factored_rho: float | None = None
         self._factor = self._split_diag = None
-        # the last factored active set: its key and [factor, K, A_s x0]
+        # the last factored active set: its key and [factor, K, A x0]
         self._polish_key = self._polish_entry = None
         self._factorizations = 0  # active sets factored by the current solve
-        # the vector P_s solves both linear systems on the equality rows;
-        # A_s D^-1 A_s' for the polish and its leading block factor
-        # (``_schur_split``) are formed once here
-        self._schur_diag = self._schur_gram = self._lead = self._trail = None
+        # the vector P solves both linear systems on the equality rows;
+        # A D^-1 A' for the polish and its leading block factor
+        # (``_schur_split``) are formed once here, with delta taken
+        # relative to the cost scale mean(P)
+        self._schur_diag = self._schur_delta = self._schur_gram = None
+        self._lead = self._trail = None
         self._split = 0
-        if self._P_s.ndim == 1:
-            self._schur_diag = self._P_s + _POLISH_DELTA
+        if self._P.ndim == 1:
+            mu = float(np.mean(self._P))
+            self._schur_diag = self._P + _POLISH_DELTA * mu
+            self._schur_delta = _POLISH_DELTA / mu
             self._schur_gram = self._gram(self._schur_diag)
             self._schur_split(problem)
 
@@ -279,10 +280,9 @@ class QpSolver:
         Records each unit column's row (-1 for any other column) and
         k = ``_n_lead``, where the run starts: u_f, y_f and sigma of both
         controllers follow their dense g block.  The run is kept as
-        (row, value) pairs, ``_tail_rows`` with ``_tail`` (A_eq) and
-        ``_tail_s`` (A_s, set by ``_scale``); the leading k columns are
-        read as a slice of A_eq, and ``_A_s`` stores only those.  A
-        problem with no such run has k = n and an empty unit part.
+        (row, value) pairs, ``_tail_rows`` with ``_tail``; the leading k
+        columns are read as a slice of A_eq.  A problem with no such
+        run has k = n and an empty unit part.
         """
         nonzero = p.A_eq != 0.0
         unit = np.count_nonzero(nonzero, axis=0) == 1
@@ -296,158 +296,81 @@ class QpSolver:
         self._tail = p.A_eq[self._tail_rows, np.arange(k, p.n)]
 
     def _gram(self, D: np.ndarray) -> np.ndarray:
-        """A_s D^-1 A_s' for a positive (n,) D.
+        """A_eq D^-1 A_eq' for a positive (n,) D.
 
         The leading columns by a symmetric rank update (syrk); a trailing
         unit column adds (a / D) a to its row's diagonal entry only.
         """
         k = self._n_lead
-        b = self._A_s / np.sqrt(D[:k])
+        b = self.problem.A_eq[:, :k] / np.sqrt(D[:k])
         g = b @ b.T  # one triangle (syrk)
         g[np.diag_indices_from(g)] += np.bincount(
-            self._tail_rows, (self._tail_s / D[k:]) * self._tail_s, g.shape[0])
+            self._tail_rows, (self._tail / D[k:]) * self._tail, g.shape[0])
         return g
 
-    def _a_dot(self, A: np.ndarray, tail: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A x for A = A_eq or A_s (leading columns), whose trailing unit columns hold ``tail``."""
+    def _a_dot(self, x: np.ndarray) -> np.ndarray:
+        """A_eq x: the leading columns as a slice, the trailing unit columns by their pairs."""
         k = self._n_lead
-        ax = A[:, :k] @ x[:k]
-        ax += np.bincount(self._tail_rows, tail * x[k:], ax.size)
+        ax = self.problem.A_eq[:, :k] @ x[:k]
+        ax += np.bincount(self._tail_rows, self._tail * x[k:], ax.size)
         return ax
 
-    def _at_dot(self, A: np.ndarray, tail: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """A' y for A = A_eq or A_s (leading columns), whose trailing unit columns hold ``tail``."""
+    def _at_dot(self, y: np.ndarray) -> np.ndarray:
+        """A_eq' y: the leading columns as a slice, the trailing unit columns by their pairs."""
         k = self._n_lead
-        return np.concatenate([A[:, :k].T @ y, tail * y[self._tail_rows]])
+        return np.concatenate([self.problem.A_eq[:, :k].T @ y, self._tail * y[self._tail_rows]])
 
-    def _columns_s(self, idx: np.ndarray) -> np.ndarray:
-        """Columns ``idx`` of the scaled A_eq, trailing unit columns rebuilt from their pairs.
-
-        Zero entries carry the sign of A_eq's, as scaling gives them.
-        """
-        k = self._n_lead
-        a = np.copysign(0.0, self.problem.A_eq[:, idx])
-        lead = idx < k
-        a[:, lead] = self._A_s[:, idx[lead]]
-        j = np.flatnonzero(~lead)
-        a[self._tail_rows[idx[j] - k], j] = self._tail_s[idx[j] - k]
-        return a
-
-    # -- equilibration ---------------------------------------------------
-
-    def _scale(self, p: QpProblem) -> None:
-        """Modified Ruiz equilibration of the stacked (P, [A_eq; I]) data.
-
-        Produces variable scales d, row scales e (equality rows and box
-        rows separately) and a cost scale c; the box block of the
-        constraint stays diagonal with coefficients s = e_box * d.
-
-        The passes scale |A_eq| and restore the signs once at the end:
-        the scales are positive and rounding to nearest is symmetric in
-        sign, so every entry, signed zeros included, equals that of
-        scaling A_eq itself.  They touch the leading k columns as a
-        slice and the trailing unit columns (``_unit_columns``) as one
-        value each, multiplied in the same order, so the result is that
-        of scaling the whole matrix bit for bit.  The scaled leading
-        columns are kept as ``_A_s`` and the unit values as ``_tail_s``
-        (``_columns_s`` rebuilds any column).
-        """
-        n, m_eq = p.n, p.m_eq
-        d = np.ones(n)
-        e_eq = np.ones(m_eq)
-        s_box = np.ones(n)
-        self._P = p.P if p.P.ndim == 2 or np.all(p.P > 0.0) else np.diag(p.P)
-        P_s = self._P
-        k, rows = self._n_lead, self._tail_rows
-        lead, tail = np.abs(p.A_eq[:, :k]), np.abs(self._tail)
-        c = 1.0
-        for _ in range(_SCALING_ITERS):
-            col = np.maximum(np.maximum(_col_norms(P_s), s_box),
-                             np.concatenate([np.max(lead, axis=0, initial=0.0), tail]))
-            row_eq = np.max(lead, axis=1, initial=0.0)
-            np.maximum.at(row_eq, rows, tail)
-            dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
-            de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
-            ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
-            P_s = (P_s * dd) * (dd if P_s.ndim == 1 else dd[:, None])
-            lead *= dd[:k]
-            lead *= de[:, None]
-            tail *= dd[k:]
-            tail *= de[rows]
-            s_box = s_box * ds * dd
-            d *= dd
-            e_eq *= de
-            # cost normalization
-            pc = _col_norms(P_s)
-            denom = max(float(np.mean(pc)) if pc.size else 0.0,
-                        float(np.max(np.abs(c * d * p.q), initial=0.0)))
-            if denom > 1e-8:
-                gamma = 1.0 / denom
-                P_s *= gamma
-                c *= gamma
-        self._d = d
-        self._e_eq = e_eq
-        self._s_box = s_box
-        self._e_box = s_box / d
-        self._c = c
-        self._P_s = P_s
-        self._A_s = np.copysign(lead, p.A_eq[:, :k], out=lead)
-        self._tail_s = np.copysign(tail, self._tail, out=tail)
-
-    # -- scaled linear algebra -------------------------------------------
+    # -- ADMM linear algebra ---------------------------------------------
 
     def _refactor(self) -> None:
         """Factor the ADMM x-update system for the current rho.
 
         The x-update solves M x = rhs with
-        M = P_s + sigma I + rho (rho_eq_scale A_s'A_s + diag(s_box^2)).
-        For the vector P_s that is D + rho_eq A_s'A_s with a diagonal D,
-        and only G = A_s D^-1 A_s' + I / rho_eq, m_eq x m_eq, is factored
-        (Cholesky; see ``_x_update``).  A dense P_s factors the
+        M = P + sigma I + rho (rho_eq_scale A'A + I), A = A_eq.
+        For the vector P that is D + rho_eq A'A with a diagonal D, and
+        only G = A D^-1 A' + I / rho_eq, m_eq x m_eq, is factored
+        (Cholesky; see ``_x_update``).  A dense P factors the
         quasi-definite KKT form of M, (n + m_eq)^2, by LU (``_kkt``).
         """
         self._factored_rho = self._rho
         rho_eq = self._rho * _RHO_EQ_SCALE
-        if self._P_s.ndim == 2:
-            kkt = _kkt(self._P_s, _SIGMA + self._rho * self._s_box**2,
-                       self._columns_s(np.arange(self.problem.n)), 1.0 / rho_eq)
+        if self._P.ndim == 2:
+            kkt = _kkt(self._P, _SIGMA + self._rho, self.problem.A_eq, 1.0 / rho_eq)
             self._factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             return
-        self._split_diag = self._P_s + _SIGMA + self._rho * self._s_box**2
+        self._split_diag = self._P + _SIGMA + self._rho
         g = self._gram(self._split_diag)
         g[np.diag_indices_from(g)] += 1.0 / rho_eq
         self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
 
     def _x_update(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve M x = rhs (see ``_refactor``); returns x and A_s x.
+        """Solve M x = rhs (see ``_refactor``); returns x and A x.
 
-        A dense P_s solves [[P_s + sigma I + rho diag(s_box^2), A_s'],
-        [A_s, -I / rho_eq]] [x; nu] = [rhs; 0], so A_s x = nu / rho_eq.
-        The vector P_s takes x = D^-1 (rhs - A_s' w) with
-        G w = A_s D^-1 rhs (matrix inversion lemma).  Its residual is
-        M x - rhs = A_s' t, t = rho_eq A_s x - w, up to the rounding of
-        the division, and A_s x is measured; one refinement step against
-        M then adds M^-1 A_s' t = D^-1 A_s' s / rho_eq with G s = t.  It
-        brings the residual down to that of a Cholesky of M, which the
-        lemma alone misses by orders of magnitude.  A_s of the
-        correction is (t - s / rho_eq) / rho_eq by the same algebra.
+        A dense P solves [[P + (sigma + rho) I, A'], [A, -I / rho_eq]]
+        [x; nu] = [rhs; 0], so A x = nu / rho_eq.  The vector P takes
+        x = D^-1 (rhs - A' w) with G w = A D^-1 rhs (matrix inversion
+        lemma).  Its residual is M x - rhs = A' t, t = rho_eq A x - w,
+        up to the rounding of the division, and A x is measured; one
+        refinement step against M then adds M^-1 A' t = D^-1 A' s /
+        rho_eq with G s = t.  It brings the residual down to that of a
+        Cholesky of M, which the lemma alone misses by orders of
+        magnitude.  A of the correction is (t - s / rho_eq) / rho_eq by
+        the same algebra.
         """
         rho_eq = self._rho * _RHO_EQ_SCALE
-        if self._P_s.ndim == 2:
+        if self._P.ndim == 2:
             n = self.problem.n
             sol = scipy.linalg.lu_solve(
                 self._factor, np.concatenate([rhs, np.zeros(self.problem.m_eq)]),
                 check_finite=False)
             return sol[:n], sol[n:] / rho_eq
         D = self._split_diag
-        a_dot = partial(self._a_dot, self._A_s, self._tail_s)
-        at_dot = partial(self._at_dot, self._A_s, self._tail_s)
-        w = scipy.linalg.cho_solve(self._factor, a_dot(rhs / D), check_finite=False)
-        x = (rhs - at_dot(w)) / D
-        ax = a_dot(x)
+        w = scipy.linalg.cho_solve(self._factor, self._a_dot(rhs / D), check_finite=False)
+        x = (rhs - self._at_dot(w)) / D
+        ax = self._a_dot(x)
         t = rho_eq * ax - w
         s = scipy.linalg.cho_solve(self._factor, t, check_finite=False)
-        return x - at_dot(s) / (rho_eq * D), ax - (t - s / rho_eq) / rho_eq
+        return x - self._at_dot(s) / (rho_eq * D), ax - (t - s / rho_eq) / rho_eq
 
     # -- public API ------------------------------------------------------
 
@@ -458,7 +381,7 @@ class QpSolver:
         ValueError without changing the problem if one fails.  The new
         ``problem`` shares the ``P``, ``A_eq`` and bound arrays of the
         old one; they are not re-validated.  A new q drops the kept
-        polish factor's ``A_s x0``, which reads q; a new b_eq keeps it.
+        polish factor's ``A x0``, which reads q; a new b_eq keeps it.
         """
         p = self.problem
         vecs = _checked_vectors(p.n, p.m_eq, p.q if q is None else q,
@@ -468,7 +391,7 @@ class QpSolver:
             object.__setattr__(updated, name, val)
         self.problem = updated
         if q is not None and self._polish_entry is not None:
-            self._polish_entry[2] = None  # A_s x0 reads q (``_schur_solve``)
+            self._polish_entry[2] = None  # A x0 reads q (``_schur_solve``)
 
     def solve(
         self,
@@ -478,54 +401,42 @@ class QpSolver:
         p, s = self.problem, self.settings
         n, m_eq = p.n, p.m_eq
         m = m_eq + n
-        c, d, e_eq, e_box, s_box = self._c, self._d, self._e_eq, self._e_box, self._s_box
-        e_all = np.concatenate([e_eq, e_box])
         self._factorizations = 0
 
         if warm_start is not None:
-            xw = np.asarray(warm_start, dtype=float)
-            if xw.shape != (n,):
-                raise ValueError(f"warm start has shape {xw.shape}, expected ({n},)")
-            x = xw / d
+            x = np.asarray(warm_start, dtype=float)
+            if x.shape != (n,):
+                raise ValueError(f"warm start has shape {x.shape}, expected ({n},)")
         else:
             x = np.zeros(n)
         if warm_start_dual is not None:
-            yw = np.asarray(warm_start_dual, dtype=float)
-            if yw.shape != (m,):
-                raise ValueError(f"dual warm start has shape {yw.shape}, expected ({m},)")
-            y = c * yw / e_all
+            y = np.asarray(warm_start_dual, dtype=float)
+            if y.shape != (m,):
+                raise ValueError(f"dual warm start has shape {y.shape}, expected ({m},)")
         else:
             y = np.zeros(m)
 
-        def unscaled_residuals(xv, yv, zv):
-            """Residuals, tolerance scales and P x in original problem units."""
-            xu = d * xv
-            yu = e_all * yv / c
-            zu = zv / e_all
-            axu = np.concatenate([p.A_eq @ xu, xu])
-            pxu = _p_matvec(self._P, xu)
-            atyu = p.A_eq.T @ yu[:m_eq] + yu[m_eq:]
-            r_p = np.max(np.abs(axu - zu))
-            r_d = np.max(np.abs(pxu + p.q + atyu))
-            sc_p = max(np.max(np.abs(axu)), np.max(np.abs(zu)))
-            sc_d = max(np.max(np.abs(pxu)), np.max(np.abs(atyu)), np.max(np.abs(p.q)))
-            return r_p, r_d, sc_p, sc_d, pxu
+        def residuals(xv, yv, zv):
+            """Residuals, tolerance scales and P x of an ADMM iterate."""
+            ax = np.concatenate([p.A_eq @ xv, xv])
+            px = _p_matvec(self._P, xv)
+            aty = p.A_eq.T @ yv[:m_eq] + yv[m_eq:]
+            r_p = np.max(np.abs(ax - zv))
+            r_d = np.max(np.abs(px + p.q + aty))
+            sc_p = max(np.max(np.abs(ax)), np.max(np.abs(zv)))
+            sc_d = max(np.max(np.abs(px)), np.max(np.abs(aty)), np.max(np.abs(p.q)))
+            return r_p, r_d, sc_p, sc_d, px
 
-        def finish(status, xv, yv, pxu, r_p, r_d, iters, polished=False, scaled=True):
-            if scaled:
-                xu = d * xv
-                yu = e_all * yv / c
-            else:
-                xu, yu = xv, yv
+        def finish(status, xv, yv, px, r_p, r_d, iters, polished=False):
             return QpSolution(
-                x=xu,
-                objective=p.objective(xu, pxu),
+                x=xv,
+                objective=p.objective(xv, px),
                 status=status,
                 primal_residual=float(r_p),
                 dual_residual=float(r_d),
                 iterations=iters,
-                y_eq=yu[:m_eq].copy(),
-                y_box=yu[m_eq:].copy(),
+                y_eq=yv[:m_eq].copy(),
+                y_box=yv[m_eq:].copy(),
                 polished=polished,
                 factorizations=self._factorizations,
             )
@@ -540,19 +451,18 @@ class QpSolver:
         sc_p = max(np.max(np.abs(p.b_eq), initial=0.0),
                    np.max(np.abs(np.clip(0.0, p.lower, p.upper)), initial=0.0))
         eps_pri = s.eps_abs + s.eps_rel * sc_p
-        pol = self._polish(e_all * y / c)
+        pol = self._polish(y)
         if pol is not None:
             xp, yp, pxp, rp_p, rd_p = pol
             sc_d = max(np.max(np.abs(p.q), initial=0.0), np.max(np.abs(pxp), initial=0.0))
             if rp_p <= eps_pri and rd_p <= s.eps_abs + s.eps_rel * sc_d:
-                return finish(SOLVED, xp, yp, pxp, rp_p, rd_p, 0, polished=True, scaled=False)
+                return finish(SOLVED, xp, yp, pxp, rp_p, rd_p, 0, polished=True)
 
-        q_s = c * d * p.q
-        lo_s = np.concatenate([e_eq * p.b_eq, e_box * p.lower])
-        hi_s = np.concatenate([e_eq * p.b_eq, e_box * p.upper])
+        lo = np.concatenate([p.b_eq, p.lower])
+        hi = np.concatenate([p.b_eq, p.upper])
         # the equality rows' bounds coincide, so their z is b_eq whatever A x is
-        z = lo_s.copy()
-        z[m_eq:] = np.clip(s_box * x, lo_s[m_eq:], hi_s[m_eq:])
+        z = lo.copy()
+        z[m_eq:] = np.clip(x, p.lower, p.upper)
         rho = np.empty(m)
         rho[:m_eq] = self._rho * _RHO_EQ_SCALE
         rho[m_eq:] = self._rho
@@ -563,20 +473,19 @@ class QpSolver:
             if self._factored_rho != self._rho:
                 self._refactor()
             w = rho * z - y
-            rhs = _SIGMA * x - q_s + (self._at_dot(self._A_s, self._tail_s, w[:m_eq])
-                                      + s_box * w[m_eq:])
+            rhs = _SIGMA * x - p.q + (self._at_dot(w[:m_eq]) + w[m_eq:])
             x_tilde, ax_tilde = self._x_update(rhs)
-            z_tilde = np.concatenate([ax_tilde, s_box * x_tilde])
+            z_tilde = np.concatenate([ax_tilde, x_tilde])
             x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
             z_relaxed = _ALPHA * z_tilde + (1.0 - _ALPHA) * z
-            z_new = np.clip(z_relaxed + y / rho, lo_s, hi_s)
+            z_new = np.clip(z_relaxed + y / rho, lo, hi)
             y = y + rho * (z_relaxed - z_new)
             z = z_new
 
             if it % _CHECK_EVERY != 0 and it != s.max_iter:
                 continue
 
-            r_p, r_d, sc_p, sc_d, px = unscaled_residuals(x, y, z)
+            r_p, r_d, sc_p, sc_d, px = residuals(x, y, z)
             eps_pri = s.eps_abs + s.eps_rel * sc_p
             eps_dua = s.eps_abs + s.eps_rel * sc_d
             score = max(r_p / max(eps_pri, 1e-300), r_d / max(eps_dua, 1e-300))
@@ -590,18 +499,16 @@ class QpSolver:
             near = r_p <= _POLISH_TRIGGER * eps_pri
             if converged or (near and it - last_polish_iter >= 2 * _CHECK_EVERY):
                 last_polish_iter = it
-                pol = self._polish(e_all * y / c)
+                pol = self._polish(y)
                 if pol is not None:
                     xp, yp, pxp, rp_p, rd_p = pol
                     good = rp_p <= eps_pri and rd_p <= eps_dua
                     if good and (not converged or max(rp_p, rd_p) <= max(r_p, r_d)):
-                        return finish(
-                            SOLVED, xp, yp, pxp, rp_p, rd_p, it, polished=True, scaled=False
-                        )
+                        return finish(SOLVED, xp, yp, pxp, rp_p, rd_p, it, polished=True)
             if converged:
                 return finish(SOLVED, x, y, px, r_p, r_d, it)
 
-            if self._primal_infeasible((y - y_prev_check) * e_all):
+            if self._primal_infeasible(y - y_prev_check):
                 return finish(INFEASIBLE, x, y, px, r_p, r_d, it)
             y_prev_check = y.copy()
 
@@ -622,7 +529,7 @@ class QpSolver:
     # -- infeasibility certificate ----------------------------------------
 
     def _primal_infeasible(self, dy: np.ndarray) -> bool:
-        """Primal-infeasibility certificate test on an unscaled dual step."""
+        """Primal-infeasibility certificate test on a dual step."""
         p = self.problem
         eps = _EPS_INFEASIBLE
         norm = np.max(np.abs(dy))
@@ -646,28 +553,27 @@ class QpSolver:
 
     # -- polish ------------------------------------------------------------
 
-    def _polish(self, y_unscaled: np.ndarray):
+    def _polish(self, y: np.ndarray):
         """Refine the iterate by solving the active-set KKT system.
 
-        Operates on the original (unscaled) data.  The candidate active
-        set is seeded from the dual signs, then adjusted a few rounds:
-        bounds the trial point violates are added, actives whose
-        multipliers come out with the wrong sign are dropped.  Returns
-        ``(x, y_full, P x, r_primal, r_dual)`` only when the final point
-        is a clean KKT point, else None.
+        The candidate active set is seeded from the signs of the dual
+        ``y``, then adjusted a few rounds: bounds the trial point
+        violates are added, actives whose multipliers come out with the
+        wrong sign are dropped.  Returns ``(x, y_full, P x, r_primal,
+        r_dual)`` only when the final point is a clean KKT point, else
+        None.
 
         A round ends the polish with None when a constraint force,
         max|A_eq' y_eq| or max|y_box|, exceeds 1e7 (1 + max|q| + max|P x|):
         at a KKT point the two sum to -(P x + q), so forces far beyond
         that cancel, the mark of a nearly singular active set.  The guard
         reads neither y_eq, which is not unique along dependent equality
-        rows (DKPC's reach 1e9 at a clean point), nor ``y_unscaled``,
-        which only seeds the active set, so cold and warm solves are
-        judged alike.
+        rows (DKPC's reach 1e9 at a clean point), nor ``y``, which only
+        seeds the active set, so cold and warm solves are judged alike.
         """
         p = self.problem
         m_eq = p.m_eq
-        y_box = y_unscaled[m_eq:]
+        y_box = y[m_eq:]
         pinned = p.lower == p.upper
         low_act = (y_box < 0.0) & ~pinned & np.isfinite(p.lower)
         up_act = (y_box > 0.0) & ~pinned & np.isfinite(p.upper)
@@ -692,14 +598,16 @@ class QpSolver:
         return None
 
     def _polish_once(self, pinned, low_act, up_act):
-        """One active-set KKT solve in the equilibrated space.
+        """One active-set KKT solve.
 
         The active variables x_K sit at their bounds; the free ones and
         the equality multipliers nu solve the regularized KKT system of
-        the free columns and the equality rows.  Scaling keeps it well
-        conditioned, so a tiny regularization enforces ill-conditioned
-        behavioral rows almost exactly.  The vector P_s solves it by
-        ``_schur_solve``, a dense P by ``_lu_solve``.  The factor of the
+        the free columns and the equality rows.  The regularization is
+        tiny, so ill-conditioned behavioral rows hold almost exactly: the
+        vector P solves the system by ``_schur_solve``, with delta taken
+        relative to the cost scale mean(P) so that it does not depend on
+        the units of P and q, and a dense P by ``_lu_solve``, with an
+        absolute delta that its refinement removes.  The factor of the
         last factored active set is kept; any other set is factored anew
         and replaces it, each such factorization counted in
         ``QpSolution.factorizations``.  Both read mu_K off the
@@ -708,7 +616,6 @@ class QpSolver:
         """
         p = self.problem
         n, m_eq = p.n, p.m_eq
-        c, d, e_eq = self._c, self._d, self._e_eq
         act = pinned | low_act | up_act
         key = np.packbits(np.concatenate([act, up_act]).astype(np.uint8)).tobytes()
 
@@ -720,8 +627,8 @@ class QpSolver:
                     factor = self._schur_factor(act_idx)
                 else:
                     free = np.flatnonzero(~act)
-                    kkt = _kkt(self._P_s[np.ix_(free, free)], _POLISH_DELTA,
-                               self._columns_s(free), _POLISH_DELTA)
+                    kkt = _kkt(self._P[np.ix_(free, free)], _POLISH_DELTA, p.A_eq[:, free],
+                               _POLISH_DELTA)
                     factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 return None
@@ -729,24 +636,18 @@ class QpSolver:
         act_idx = self._polish_entry[1]
 
         lo, hi = p.lower, p.upper
-        r1 = -c * d * p.q
-        r2 = e_eq * p.b_eq
-        r3 = np.where(up_act[act_idx], hi[act_idx], lo[act_idx]) / d[act_idx]
+        r3 = np.where(up_act[act_idx], hi[act_idx], lo[act_idx])
         solve_kkt = self._schur_solve if self._schur_gram is not None else self._lu_solve
-        x, nu, at_nu = solve_kkt(self._polish_entry, r1, r2, r3)
-        mu = (r1 - _p_matvec(self._P_s, x) - at_nu)[act_idx]
+        x, nu, at_y_eq = solve_kkt(self._polish_entry, -p.q, p.b_eq, r3)
+        px = _p_matvec(self._P, x)
 
-        x = d * x
         y_full = np.zeros(m_eq + n)
-        y_full[:m_eq] = e_eq * nu / c
-        y_full[m_eq + act_idx] = mu / (c * d[act_idx])
+        y_full[:m_eq] = nu
+        y_box = y_full[m_eq:]
+        y_box[act_idx] = -(p.q + px + at_y_eq)[act_idx]
         viol = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
         r_p = float(np.max(viol, initial=0.0))
-        r_p = max(r_p, float(np.max(np.abs(self._a_dot(p.A_eq, self._tail, x) - p.b_eq),
-                                    initial=0.0)))
-        y_box = y_full[m_eq:]
-        at_y_eq = self._at_dot(p.A_eq, self._tail, y_full[:m_eq])
-        px = _p_matvec(self._P, x)
+        r_p = max(r_p, float(np.max(np.abs(self._a_dot(x) - p.b_eq), initial=0.0)))
         r_d = float(np.max(np.abs(px + p.q + (at_y_eq + y_box))))
         # a non-finite x makes r_p, and a non-finite y r_d, non-finite
         if not (np.isfinite(r_p) and np.isfinite(r_d)):
@@ -759,10 +660,10 @@ class QpSolver:
         return x, y_full, px, r_p, r_d
 
     def _lu_solve(self, entry, r1, r2, r3):
-        """Solve for x_F and nu by LU, x_K = r3; returns ``(x, nu, A_s' nu)``.
+        """Solve for x_F and nu by LU, x_K = r3; returns ``(x, nu, A' nu)``.
 
         ``entry`` is the kept polish list ``[LU factor, K, None]``.  The
-        regularization moves A_s x off its target by delta nu.  With a
+        regularization moves A x off its target by delta nu.  With a
         singular P and dependent equality rows (DKPC with lambda_g = 0)
         nu reaches 1e8 and that shift fails the primal tolerance.  Each
         step solves the regularized system for the unregularized
@@ -777,8 +678,8 @@ class QpSolver:
 
         def residual(sol):  # writes x_F = sol[:n_f] into x
             x[free] = sol[:n_f]
-            stat = r1 - self._P_s @ x - self._at_dot(self._A_s, self._tail_s, sol[n_f:])
-            return np.concatenate([stat[free], r2 - self._a_dot(self._A_s, self._tail_s, x)])
+            stat = r1 - self._P @ x - self._at_dot(sol[n_f:])
+            return np.concatenate([stat[free], r2 - self._a_dot(x)])
 
         sol = scipy.linalg.lu_solve(lu, residual(np.zeros(n_f + self.problem.m_eq)),
                                     check_finite=False)
@@ -791,10 +692,10 @@ class QpSolver:
                 break
             sol, res = step, res_step
         x[free] = sol[:n_f]
-        return x, sol[n_f:], self._at_dot(self._A_s, self._tail_s, sol[n_f:])
+        return x, sol[n_f:], self._at_dot(sol[n_f:])
 
     def _schur_split(self, p: QpProblem) -> None:
-        """Split S_0 = A_s D^-1 A_s' + delta I at row s and factor its leading block.
+        """Split S_0 = A D^-1 A' + delta' I at row s and factor its leading block.
 
         Records each unit column's downdate (a / D) a, its one nonzero a
         read at the row ``_unit_columns`` found.  s is the first
@@ -802,15 +703,15 @@ class QpSolver:
         ``u_f`` row of both controllers, 0 if there is none.  The bounds
         are fixed for the solver's life, so every active set of unit
         columns changes S_0 only in diagonal entries at or below s, and
-        with G = A_s D^-1 A_s' split there, L11 = chol(G11 + delta I),
+        with G = A D^-1 A' split there, L11 = chol(G11 + delta' I),
         L21 = G21 L11^-T and C0 = G22 - L21 L21' are formed once, in the
         natural row order; ``_schur_factor`` then factors only the
-        trailing block.
+        trailing block.  delta' = delta / mean(P) (``__init__``).
         """
         cols = np.flatnonzero(self._unit_row >= 0)
         rows = self._unit_row[cols]
         lead = cols < self._n_lead  # the trailing run is the rest
-        a = np.concatenate([self._A_s[rows[lead], cols[lead]], self._tail_s])
+        a = np.concatenate([p.A_eq[rows[lead], cols[lead]], self._tail])
         self._unit_down = np.zeros(p.n)
         self._unit_down[cols] = (a / self._schur_diag[cols]) * a
         bounded = np.isfinite(p.lower[cols]) | np.isfinite(p.upper[cols])
@@ -820,27 +721,29 @@ class QpSolver:
             self._trail = gram
             return
         l11 = gram[:s, :s].copy()
-        l11[np.diag_indices(s)] += _POLISH_DELTA
+        l11[np.diag_indices(s)] += self._schur_delta
         l11 = scipy.linalg.cho_factor(l11, lower=True, overwrite_a=True, check_finite=False)[0]
         l21t = scipy.linalg.solve_triangular(l11, gram[s:, :s].T, lower=True, check_finite=False)
         self._lead = (l11, l21t)
         self._trail = gram[s:, s:] - l21t.T @ l21t  # one triangle (syrk)
 
     def _schur_factor(self, act_idx: np.ndarray):
-        """Factor S_K = A_F D_F^-1 A_F' + delta I; returns ``(split, Cholesky factor)``.
+        """Factor S_K = A_F D_F^-1 A_F' + delta' I; returns ``(split, Cholesky factor)``.
 
-        S_K is S_0 downdated by the |K| active columns, with D = P_s +
-        delta.  When each active column is a unit column (one nonzero
-        a), no two in one row and none above the split row s (the u_f
-        bounds of both controllers), the downdate lowers only diagonal
-        entries of the trailing block: S_K = L L' with the once-formed
-        L11, L21 and L22 = chol(C0 - diag((a / D) a) + delta I), an
-        (m_eq - s)^2 factor; rows and downdates are looked up in the
-        tables of ``_unit_columns`` and ``_schur_split``.  Every active column carries a bound
-        fixed at construction, so a unit column of K never lies above s;
-        any other set (dense or shared-row columns) keeps the
-        gather-and-GEMM downdate of G and a full Cholesky, split 0.  For
-        s = 0 the diagonal path gives that GEMM's S_K bit for bit.
+        S_K is S_0 downdated by the |K| active columns, with D = P +
+        delta mean(P) and delta' = delta / mean(P).  When each active
+        column is a unit column (one nonzero a), no two in one row and
+        none above the split row s (the u_f bounds of both controllers),
+        the downdate lowers only diagonal entries of the trailing block:
+        S_K = L L' with the once-formed L11, L21 and
+        L22 = chol(C0 - diag((a / D) a) + delta' I), an (m_eq - s)^2
+        factor; rows and downdates are looked up in the tables of
+        ``_unit_columns`` and ``_schur_split``.  Every active column
+        carries a bound fixed at construction, so a unit column of K
+        never lies above s; any other set (dense or shared-row columns)
+        keeps the gather-and-GEMM downdate of G and a full Cholesky,
+        split 0.  For s = 0 the diagonal path gives that GEMM's S_K bit
+        for bit.
         """
         split = self._split
         rows = self._unit_row[act_idx]  # -1 for a column that is not a unit column
@@ -849,21 +752,21 @@ class QpSolver:
             S[rows - split, rows - split] -= self._unit_down[act_idx]
         else:
             split = 0
-            a_act = self._columns_s(act_idx)
+            a_act = self.problem.A_eq[:, act_idx]
             S = self._schur_gram - (a_act / self._schur_diag[act_idx]) @ a_act.T
-        S[np.diag_indices_from(S)] += _POLISH_DELTA
+        S[np.diag_indices_from(S)] += self._schur_delta
         return split, scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
 
     def _schur_solve(self, entry, r1, r2, r3):
-        """Solve the Schur path's KKT system by elimination; returns ``(x, nu, A_s' nu)``.
+        """Solve the Schur path's KKT system by elimination; returns ``(x, nu, A' nu)``.
 
         The active variables sit at their bounds (x_K = r3), the free
         ones are x_F = D_F^-1 (r1_F - A_F' nu), and nu solves
-        S_K nu = A_s x0 - r2 with x0 = D^-1 r1 and x0_K = r3.
-        ``entry`` is the kept polish list ``[(split, factor), K, A_s x0]``.
+        S_K nu = A x0 - r2 with x0 = D^-1 r1 and x0_K = r3.
+        ``entry`` is the kept polish list ``[(split, factor), K, A x0]``.
         With a split s > 0, S_K nu = b is solved by block substitution:
         z1 = L11^-1 b1, nu2 = L22^-T L22^-1 (b2 - L21 z1) and
-        nu1 = L11^-T (z1 - L21' nu2).  A_s x0 reads only q, the fixed
+        nu1 = L11^-T (z1 - L21' nu2).  A x0 reads only q, the fixed
         bounds and K, so it is formed once per kept factor and kept
         until ``update`` passes q.
         """
@@ -871,7 +774,7 @@ class QpSolver:
         if ax0 is None:
             x = r1 / self._schur_diag
             x[act_idx] = r3
-            ax0 = entry[2] = self._a_dot(self._A_s, self._tail_s, x)
+            ax0 = entry[2] = self._a_dot(x)
         rhs = ax0 - r2
         if split:
             l11, l21t = self._lead  # BLAS trsv: solve_triangular's checks cost more here
@@ -881,7 +784,7 @@ class QpSolver:
                                  nu2])
         else:
             nu = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-        at_nu = self._at_dot(self._A_s, self._tail_s, nu)
+        at_nu = self._at_dot(nu)
         x = (r1 - at_nu) / self._schur_diag
         x[act_idx] = r3
         return x, nu, at_nu

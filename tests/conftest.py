@@ -38,4 +38,4 @@ def plant_dataset(plant_setup):
 @pytest.fixture
 def admm_only(monkeypatch):
     """Every polish attempt fails, so each solve runs ADMM to its own end."""
-    monkeypatch.setattr(qpsolve.QpSolver, "_polish", lambda self, y_unscaled: None)
+    monkeypatch.setattr(qpsolve.QpSolver, "_polish", lambda self, y: None)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import logging
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import yaml
 
 from dkpc import behavior, cli, netsim
-from dkpc.control import DeepcConfig
+from dkpc.control import ClosedLoopTrace, DeepcConfig
 from dkpc.cli import (
     ConfigError,
     ExperimentConfig,
@@ -20,6 +21,7 @@ from dkpc.cli import (
     sweep_plan,
 )
 from dkpc.metrics import DEEPC, DKPC, RunMetrics, write_sweep_csv
+from dkpc.qpsolve import INFEASIBLE, MAX_ITERATIONS, SOLVED
 
 FAST_OVERRIDES = [
     "data.length=200",
@@ -127,8 +129,6 @@ def test_output_root_env(tmp_path, monkeypatch):
 
 
 def test_gen_data_outputs(fast_config, caplog):
-    import logging
-
     with caplog.at_level(logging.INFO, logger="dkpc"):
         paths = cmd_gen_data(fast_config)
     assert paths["dataset"].exists() and paths["bank"].exists()
@@ -151,6 +151,23 @@ def test_gen_data_refuses_short_data(tmp_path):
     cfg = load_config(path, ["data.length=10", "controller.t_ini=5", "controller.horizon=10"])
     with pytest.raises(ConfigError, match="Hankel depth"):
         cmd_gen_data(cfg)
+
+
+def test_gen_data_zero_start_and_scalar_p_star(tmp_path):
+    # a scalar p_star dispatches every bus alike; with zero dispatch the
+    # equilibrium is the zero state, so data.start zero and equilibrium
+    # write the same samples, which differ under the default dispatch
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"output_dir": str(tmp_path / "out")}))
+
+    def samples(*overrides):
+        cfg = load_config(path, FAST_OVERRIDES + list(overrides))
+        return cmd_gen_data(cfg)["dataset"].read_text().splitlines()[1:]  # no hash line
+
+    assert samples("plant.p_star=0", "data.start=zero") == samples("plant.p_star=0")
+    assert samples("data.start=zero") != samples()
+    cfg = load_config(path, ["plant.p_star=0.5"])
+    assert [p.p_star for p in cli._inverter_params(cfg, 10)] == [0.5] * 10
 
 
 def test_gen_data_config_hash_comment(fast_config):
@@ -321,6 +338,28 @@ def test_report_missing_sweep(fast_config):
         cmd_report(fast_config)
 
 
+@pytest.mark.parametrize("given", [False, True], ids=["output-dir-csv", "sweep-csv"])
+def test_main_report(tmp_path, given):
+    # without --sweep-csv report reads <output>/sweep.csv; with it, the
+    # file it names (here the only sweep CSV there is)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump({"output_dir": str(out), "report": {"alphas": 3}}))
+    argv = ["report", "-c", str(cfg_path)]
+    assert cli.main(argv + ["--sweep-csv", str(tmp_path / "missing.csv")]) == 2
+    out.mkdir()
+    if given:
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        argv += ["--sweep-csv", str(synthetic_sweep_csv(elsewhere))]
+    else:
+        assert synthetic_sweep_csv(out) == out / cli.SWEEP_FILE
+    assert cli.main(argv) == 0
+    assert len(read_rows(out / cli.WINNERS_FILE)) - 1 == 3
+    assert {r[0] for r in read_rows(out / cli.FRONTIER_FILE)[1:]} == {DKPC, DEEPC}
+    assert "alpha=" in (out / cli.SUMMARY_FILE).read_text()
+
+
 # -- main entry point --------------------------------------------------------------
 
 
@@ -437,3 +476,67 @@ def test_reduced_config_validated_before_data_is_read(generated_config, monkeypa
         argv += ["--set", item]
     assert_exits_2_before_data_is_read(
         argv, r"sim: sim_steps must exceed activation_step", monkeypatch, caplog)
+
+
+# -- run statuses ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def run_context(generated_config):
+    """The shared run context of ``generated_config`` and its DKPC controller config."""
+    path, overrides = generated_config
+    cfg = load_config(path, overrides)
+    c = cfg.controller
+    return cli._load_run_context(cfg), cli._controller_config(c, c.q, c.r, c.lambda_g)
+
+
+def four_step_trace(active=(False, True, True, True), status=(SOLVED,) * 4, diverged_at=None):
+    """A closed-loop trace of one bus, activated at step 1 unless ``active`` says otherwise."""
+    n = len(active)
+    return ClosedLoopTrace(
+        dt=0.01, t=0.01 * np.arange(n), y=np.full((n, 1), 0.1), u=np.full((n, 1), 0.2),
+        active=np.array(active), status=list(status), iterations=np.zeros(n, dtype=int),
+        primal_residual=np.zeros(n), dual_residual=np.zeros(n), stage_cost=np.zeros(n),
+        activation_step=1, diverged_at=diverged_at)
+
+
+def raise_value_error():
+    raise ValueError("boom")
+
+
+RUN_OUTCOMES = {
+    "ok": four_step_trace,
+    # a failed solve before activation is no fallback
+    "ok(fallbacks=2)": lambda: four_step_trace(
+        status=(MAX_ITERATIONS, MAX_ITERATIONS, SOLVED, INFEASIBLE)),
+    "diverged@3": lambda: four_step_trace(diverged_at=3),
+    "error:no-active-steps": lambda: four_step_trace(active=(False,) * 4),
+    "error:ValueError": raise_value_error,
+}
+
+
+@pytest.mark.parametrize("expected", RUN_OUTCOMES)
+def test_execute_status(run_context, expected, monkeypatch):
+    ctx, controller_cfg = run_context
+    outcome = RUN_OUTCOMES[expected]
+    monkeypatch.setattr(cli, "run_closed_loop", lambda plant, controller, scenario: outcome())
+    trace, run_metrics, status = cli._execute(ctx, controller_cfg)
+    assert status == expected
+    assert run_metrics.controller_kind == DKPC
+    assert run_metrics.config_tag == (controller_cfg.Q, controller_cfg.R, controller_cfg.lambda_g)
+    scored = not expected.startswith("error:")
+    assert np.isfinite(run_metrics.epsilon) == np.isfinite(run_metrics.j_u) == scored
+    assert (trace is None) == (expected == "error:ValueError")
+
+
+def test_execute_logs_the_traceback_of_a_failed_run(run_context, monkeypatch, caplog):
+    # the row keeps only the exception's type; the log keeps its traceback
+    ctx, controller_cfg = run_context
+    monkeypatch.setattr(cli, "run_closed_loop",
+                        lambda plant, controller, scenario: raise_value_error())
+    with caplog.at_level(logging.ERROR, logger="dkpc"):
+        _, _, status = cli._execute(ctx, controller_cfg)
+    assert status == "error:ValueError"
+    [record] = caplog.records
+    assert record.exc_info[0] is ValueError and str(record.exc_info[1]) == "boom"
+    assert "raise_value_error" in caplog.text and "ValueError: boom" in caplog.text

@@ -103,7 +103,7 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_syst
     # with 20 equality rows and n near 1500, n^2 floats (18 MB) exceed
     # everything else the build allocates together.  A polish-cache entry
     # of the default DKPC QP holds the factor of the rows below the split,
-    # (m_eq - s)^2 floats, plus A_s x0 and the set: not m_eq^2.
+    # (m_eq - s)^2 floats, plus A x0 and the set: not m_eq^2.
     rng = np.random.default_rng(2)
     data = small_lti.simulate(rng.uniform(-1.0, 1.0, size=(1500, 2)), x0=np.zeros(3))
     bank = build_bank(data.y, 2, seed=3)
@@ -502,12 +502,12 @@ def test_diagonal_hessian_closed_loop_matches_dense_path(lti_setup, monkeypatch)
     for make in (lambda: DkpcController(hs, bank, cfg), lambda: DeepcController(hs, deepc_cfg)):
         ctrl = make()
         schur = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert ctrl._solver._P_s.ndim == 1 and ctrl._solver._schur_gram is not None
+        assert ctrl._solver._P.ndim == 1 and ctrl._solver._schur_gram is not None
         with monkeypatch.context() as mp:
             force_dense_hessian(mp)
             ctrl = make()
             dense = run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
-        assert ctrl._solver._P_s.ndim == 2 and ctrl._solver._schur_gram is None
+        assert ctrl._solver._P.ndim == 2 and ctrl._solver._schur_gram is None
         assert np.any(np.abs(dense.u) == 0.1)
         assert np.max(np.abs(schur.u - dense.u)) <= 1e-9
         assert np.max(np.abs(schur.y - dense.y)) <= 1e-9
@@ -574,8 +574,8 @@ def full_products(mp):
 
 
 def test_unit_column_products_move_inputs_by_rounding(plant_setup, plant_dataset, monkeypatch):
-    # the solver forms A x, A' y, S_0 and the Ruiz passes over g's columns
-    # only, with the unit columns (u_f, y_f, sigma) as (row, value) pairs
+    # the solver forms A x, A' y and S_0 over g's columns only, with the
+    # unit columns (u_f, y_f, sigma) as (row, value) pairs
     net, params, sim_cfg = plant_setup
     bank = build_bank(plant_dataset.y, 10, seed=5)
     hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)

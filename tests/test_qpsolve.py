@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dkpc import qpsolve
+from dkpc import netsim, qpsolve
 from dkpc.behavior import assemble
 from dkpc.control import ControllerState, DeepcConfig, DkpcConfig, build_deepc_qp, build_dkpc_qp
 from dkpc.lifting import build_bank
@@ -156,7 +156,7 @@ def test_diagonal_hessian_qps_satisfy_kkt_and_oracle():
         solver = QpSolver(prob, TIGHT)
         # the vector form only for a strictly positive diagonal
         positive = bool(np.all(prob.P > 0.0))
-        assert solver._P_s.shape == ((prob.n,) if positive else (prob.n, prob.n))
+        assert solver._P.shape == ((prob.n,) if positive else (prob.n, prob.n))
         sol = solver.solve()
         assert sol.status == SOLVED
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
@@ -252,7 +252,7 @@ def test_polish_path_follows_hessian(monkeypatch):
             sol = solver.solve()
         assert sol.status == SOLVED and sol.polished
         assert np.any(sol.y_box != 0.0)
-        assert (solver._P_s.ndim == 1) == (solver._schur_gram is not None) == schur
+        assert (solver._P.ndim == 1) == (solver._schur_gram is not None) == schur
         assert (len(calls) == 0) == schur
         res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
         assert max(res.values()) <= 1e-5, res
@@ -299,11 +299,11 @@ def test_equality_row_admm_solve_as_accurate_as_cholesky(behavioral_qps, rho):
         solver._refactor()
         # of order m_eq for every problem, 0 for the box-only one
         assert solver._factor[0].shape == (prob.m_eq, prob.m_eq)
-        A = solver._columns_s(np.arange(prob.n))
+        A = prob.A_eq
         M = rho * qpsolve._RHO_EQ_SCALE * (A.T @ A)
-        M[np.diag_indices(prob.n)] += solver._P_s + qpsolve._SIGMA + rho * solver._s_box**2
+        M[np.diag_indices(prob.n)] += solver._P + qpsolve._SIGMA + rho
         chol = scipy.linalg.cho_factor(M, lower=True)
-        # a generic right-hand side, and one dominated by the range of A_s'
+        # a generic right-hand side, and one dominated by the range of A'
         for rhs in (rng.standard_normal(prob.n),
                     1e3 * (A.T @ rng.standard_normal(prob.m_eq)) + rng.standard_normal(prob.n)):
             x, ax = solver._x_update(rhs)
@@ -384,20 +384,58 @@ def test_direct_polish_dual_test_scales_by_polished_p_x():
     assert settings.eps_abs < sol.dual_residual <= settings.eps_rel * np.max(np.abs(prob.P * sol.x))
 
 
+@pytest.fixture(scope="module")
+def default_dkpc_qp(plant_setup):
+    """DKPC's first QP in the default experiment: 1000 samples, 40 observables, 1436 x 500."""
+    net, params, sim_cfg = plant_setup
+    inputs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(1000, net.n_bus))
+    data = netsim.simulate(netsim.equilibrium_state(params, net), inputs, params, net, sim_cfg)
+    bank = build_bank(data.y, 40, seed=5)
+    cfg = DkpcConfig()
+    hs = assemble(data, bank, cfg.t_ini, cfg.horizon, pe_check=False)
+    cs = ControllerState(cfg.t_ini, hs.n_u, hs.n_y)
+    for k in range(cfg.t_ini):
+        cs.record(data.u[k], data.y[k])
+    return build_dkpc_qp(hs, bank, cfg, cs)
+
+
+def test_direct_polish_does_not_depend_on_cost_units(default_dkpc_qp):
+    # the Schur polish regularizes relative to the cost scale mean(P):
+    # scaling (P, q) by c scales its KKT system's multipliers by c and
+    # leaves the polished x as it was, to rounding
+    problems = [default_dkpc_qp] + [
+        QpProblem(*random_positive_diagonal_qp(np.random.default_rng(seed))) for seed in range(20)
+    ]
+    assert default_dkpc_qp.A_eq.shape == (500, 1436)
+    checked = 0
+    for i, prob in enumerate(problems):
+        ref = QpSolver(prob).solve()
+        assert ref.status == SOLVED
+        if not (ref.polished and ref.iterations == 0):
+            assert i > 0  # the DKPC QP ends at the direct polish
+            continue
+        checked += 1
+        for c in (1e-6, 1e6):
+            sol = QpSolver(dataclasses.replace(prob, P=c * prob.P, q=c * prob.q)).solve()
+            assert sol.status == SOLVED and sol.polished and sol.iterations == 0, (i, c)
+            assert np.max(np.abs(sol.x - ref.x)) <= 1e-12 * np.max(np.abs(ref.x)), (i, c)
+    assert checked >= 10
+
+
 def test_off_diagonal_pair_keeps_dense_hessian():
     P = np.diag([2.0, 1.0, 3.0, 1.5])
     P[0, 2] = P[2, 0] = 0.25
     prob = QpProblem(P=P, q=[1.0, -2.0, 0.5, 4.0], A_eq=[[1.0, 1.0, 1.0, 1.0]], b_eq=[0.5],
                      lower=[-1.0] * 4, upper=[1.0] * 4)
     solver = QpSolver(prob, TIGHT)
-    assert solver._P_s.ndim == 2
+    assert solver._P.ndim == 2
     sol = solver.solve()
     assert sol.status == SOLVED
     res = kkt_residuals(prob, sol.x, sol.y_eq, sol.y_box)
     assert max(res.values()) <= 1e-5, res
 
 
-# -- Schur polish: unit-column downdate, cached A_s x0 -------------------------------
+# -- Schur polish: unit-column downdate, cached A x0 ---------------------------------
 
 
 def same_bits(a, b):
@@ -417,9 +455,9 @@ def capture_cho_inputs(mp):
 
 def gemm_schur_matrix(solver, act_idx):
     """S_K by the gather-and-GEMM downdate, the polish's general formula."""
-    a_act = solver._columns_s(act_idx)
+    a_act = solver.problem.A_eq[:, act_idx]
     S = solver._schur_gram - (a_act / solver._schur_diag[act_idx]) @ a_act.T
-    S[np.diag_indices_from(S)] += qpsolve._POLISH_DELTA
+    S[np.diag_indices_from(S)] += qpsolve._POLISH_DELTA / np.mean(solver.problem.P)
     return S
 
 
@@ -499,8 +537,8 @@ def test_unit_column_schur_downdate_equals_gemm(behavioral_qps, monkeypatch):
 
 def test_unit_column_products_equal_full_products(behavioral_qps):
     # the trailing run of one-nonzero columns (u_f, y_f and sigma of both
-    # controllers) is kept as (row, value) pairs, and the scaled A_s only
-    # as its leading columns: A x, A' y and S_0 equal the full products to
+    # controllers) is kept as (row, value) pairs and the leading columns
+    # are read as a slice: A x, A' y and S_0 equal the full products to
     # rounding; a problem without such a run has an empty unit part
     rng = np.random.default_rng(61)
     dense = QpProblem(*random_positive_diagonal_qp(rng))
@@ -514,17 +552,12 @@ def test_unit_column_products_equal_full_products(behavioral_qps):
         unit = np.count_nonzero(prob.A_eq, axis=0) == 1
         assert np.all(unit[k:]) and not unit[k - 1]
         x, y = rng.standard_normal(prob.n), rng.standard_normal(prob.m_eq)
-        assert solver._A_s.shape == (prob.m_eq, k)
-        A_s = solver._columns_s(np.arange(prob.n))
-        for kept, tail, A in ((prob.A_eq, solver._tail, prob.A_eq),
-                              (solver._A_s, solver._tail_s, A_s)):
-            ax, aty = A @ x, A.T @ y
-            assert np.max(np.abs(solver._a_dot(kept, tail, x) - ax)) <= 1e-14 * np.max(
-                np.abs(A) @ np.abs(x))
-            assert np.max(np.abs(solver._at_dot(kept, tail, y) - aty)) <= 1e-14 * np.max(
-                np.abs(A.T) @ np.abs(y))
+        A = prob.A_eq
+        assert np.max(np.abs(solver._a_dot(x) - A @ x)) <= 1e-14 * np.max(np.abs(A) @ np.abs(x))
+        assert np.max(np.abs(solver._at_dot(y) - A.T @ y)) <= 1e-14 * np.max(
+            np.abs(A.T) @ np.abs(y))
         D = solver._schur_diag
-        gram = (A_s / D) @ A_s.T
+        gram = (A / D) @ A.T
         assert np.max(np.abs(solver._schur_gram - gram)) <= 1e-14 * np.max(np.abs(gram))
     # 10 buses, horizon 6: 60 u_f and 60 y_f; DKPC's sigma softens
     # (10 outputs + 20 observables) x 4 past rows, DeePC's 10 x 4
@@ -625,10 +658,10 @@ def test_box_only_positive_diagonal_qp_polishes():
 
 
 def test_update_then_polish_matches_fresh_solver_bit_for_bit():
-    # a reused solver keeps A_s x0 across b_eq updates and drops it for
+    # a reused solver keeps A x0 across b_eq updates and drops it for
     # q; either way it returns a fresh solver's x and y (small changes
     # keep the warm dual's active set optimal, so the one polish round
-    # reuses the kept factor and, for b_eq, A_s x0)
+    # reuses the kept factor and, for b_eq, A x0)
     rng = np.random.default_rng(53)
     prob = unit_and_dense_columns_qp(rng)
     updates = [dict(b_eq=prob.b_eq + 1e-3 * rng.standard_normal(prob.m_eq)),
@@ -644,79 +677,11 @@ def test_update_then_polish_matches_fresh_solver_bit_for_bit():
         assert kept == (set(kwargs) == {"b_eq"})
         reused = solver.solve(warm_start=warm, warm_start_dual=dual)
         assert reused.factorizations == 0  # the kept factor serves the re-solve
-        fresh = QpSolver(prob, TIGHT)  # the cost scale reads q: update, do not rebuild
-        fresh.update(**kwargs)
+        fresh = QpSolver(dataclasses.replace(prob, **kwargs), TIGHT)
         ref = fresh.solve(warm_start=warm, warm_start_dual=dual)
         assert reused.status == ref.status == SOLVED and reused.iterations == 0
         for got, want in ((reused.x, ref.x), (reused.y_eq, ref.y_eq), (reused.y_box, ref.y_box)):
             assert same_bits(got, want), kwargs
-
-
-# -- equilibration -------------------------------------------------------------------
-
-
-def col_norms(P):
-    """Column infinity norms of an (n,) diagonal or an n x n P."""
-    if P.ndim == 1:
-        return np.abs(P)
-    return np.max(np.abs(P), axis=0) if P.size else np.zeros(P.shape[1])
-
-
-def signed_ruiz_reference(prob):
-    """The Ruiz loop as it scaled the signed A_eq; returns d, e_eq, s_box, c, P_s, A_s."""
-    d, e_eq, s_box = np.ones(prob.n), np.ones(prob.m_eq), np.ones(prob.n)
-    P_s = prob.P if prob.P.ndim == 2 or np.all(prob.P > 0.0) else np.diag(prob.P)
-    A_s = prob.A_eq.copy()
-    c = 1.0
-    abs_a = np.empty_like(A_s)
-    for _ in range(qpsolve._SCALING_ITERS):
-        col = np.maximum(col_norms(P_s), s_box)
-        if prob.m_eq:
-            np.abs(A_s, out=abs_a)
-            col = np.maximum(col, np.max(abs_a, axis=0))
-            row_eq = np.max(abs_a, axis=1)
-        else:
-            row_eq = np.zeros(0)
-        dd = 1.0 / np.sqrt(np.clip(col, 1e-8, None))
-        de = 1.0 / np.sqrt(np.clip(row_eq, 1e-8, None))
-        ds = 1.0 / np.sqrt(np.clip(s_box, 1e-8, None))
-        if P_s.ndim == 1:
-            P_s = (P_s * dd) * dd
-        else:
-            P_s = (P_s * dd[None, :]) * dd[:, None]
-        if prob.m_eq:
-            A_s *= dd
-            A_s *= de[:, None]
-        s_box = s_box * ds * dd
-        d *= dd
-        e_eq *= de
-        pc = col_norms(P_s)
-        denom = max(float(np.mean(pc)) if pc.size else 0.0,
-                    float(np.max(np.abs(c * d * prob.q))) if prob.n else 0.0)
-        if denom > 1e-8:
-            P_s *= 1.0 / denom
-            c *= 1.0 / denom
-    return d, e_eq, s_box, c, P_s, A_s
-
-
-def test_ruiz_on_absolute_values_matches_signed_loop(behavioral_qps):
-    rng = np.random.default_rng(59)
-    signed_zeros = np.array([[-0.0, 1.0, -2.5, 0.0], [3.0, -0.0, 0.0, -1e-3]])
-    problems = behavioral_qps + [
-        QpProblem(*random_box_qp(rng, n_max=12, m_max=4)),  # dense P
-        QpProblem(P=np.array([1.0, 2.0, 0.5, 4.0]), q=[1.0, -1.0, 0.0, 2.0],
-                  A_eq=signed_zeros, b_eq=[0.0, 0.0], lower=[-1.0] * 4, upper=[1.0] * 4),
-        box_only_positive_diagonal_qp(),
-    ]
-    assert np.signbit(problems[3].A_eq[0, 0]) and not np.signbit(problems[3].A_eq[0, 3])
-    for prob in problems:
-        solver = QpSolver(prob)
-        got = (solver._d, solver._e_eq, solver._s_box, solver._c, solver._P_s,
-               solver._columns_s(np.arange(prob.n)))
-        for name, a, b in zip(("d", "e_eq", "s_box", "c", "P_s", "A_s"), got,
-                              signed_ruiz_reference(prob)):
-            assert same_bits(a, b), name
-    assert np.signbit(QpSolver(problems[3])._columns_s(np.arange(4))[0, 0])
 
 
 # -- statuses ---------------------------------------------------------------------
@@ -913,6 +878,9 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="shape"):
             QpProblem(P=P, q=[0.0, 0.0], A_eq=np.zeros((0, 2)), b_eq=[],
                       lower=[-1, -1], upper=[1, 1])
+    for P in (np.zeros(0), np.zeros((0, 0))):  # no variables
+        with pytest.raises(ValueError, match="no variables"):
+            QpProblem(P=P, q=[], A_eq=np.zeros((0, 0)), b_eq=[], lower=[], upper=[])
 
 
 def _nan_off_diagonal(pair):
