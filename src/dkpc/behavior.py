@@ -356,10 +356,6 @@ class HankelSystem:
     def y_future(self) -> np.ndarray:
         return self.y[self.n_y * self.t_ini :]
 
-    @property
-    def z_past(self) -> np.ndarray:
-        return self.z
-
 
 def assemble(
     data: Trajectory,

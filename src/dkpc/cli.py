@@ -30,8 +30,6 @@ from . import behavior, lifting, metrics, netsim
 from .control import (
     ClosedLoopTrace,
     ControllerConfig,
-    DeepcConfig,
-    DkpcConfig,
     DeepcController,
     DkpcController,
     Scenario,
@@ -237,7 +235,10 @@ class ExperimentConfig:
         if c.kind not in ("dkpc", "deepc"):
             raise ConfigError(f"controller.kind must be 'dkpc' or 'deepc', got {c.kind!r}")
         if c.kind == "dkpc" and c.lambda_sigma is not None:
-            raise ConfigError("lambda_sigma is only meaningful for the deepc controller")
+            raise ConfigError(
+                "controller.lambda_sigma is set for the deepc controller only; dkpc runs "
+                f"at the library default {ControllerConfig.lambda_sigma:g}"
+            )
         if c.kind == "deepc" and c.lambda_sigma is None:
             raise ConfigError("deepc controller requires lambda_sigma")
         steps, start = self.sim.sim_steps, self.sim.activation_step
@@ -391,9 +392,10 @@ def _controller_config(
 ) -> ControllerConfig:
     """The section's windows and input box with these weights.
 
-    A ``DeepcConfig`` when ``lambda_sigma`` is given, else a ``DkpcConfig``.
+    ``lambda_sigma`` None keeps the library default.
     """
-    common = dict(
+    weights = {} if lambda_sigma is None else {"lambda_sigma": lambda_sigma}
+    return ControllerConfig(
         t_ini=section.t_ini,
         horizon=section.horizon,
         Q=q,
@@ -401,30 +403,24 @@ def _controller_config(
         lambda_g=lambda_g,
         u_min=section.u_min,
         u_max=section.u_max,
+        **weights,
     )
-    if lambda_sigma is None:
-        return DkpcConfig(**common)
-    return DeepcConfig(lambda_sigma=lambda_sigma, **common)
 
 
-def _config_tag(cfg: ControllerConfig) -> tuple:
-    """The metrics tag of a run: ``(Q, R, lambda_g)``, plus ``lambda_sigma`` for DeePC."""
-    tag = (cfg.Q, cfg.R, cfg.lambda_g)
-    return tag + (cfg.lambda_sigma,) if isinstance(cfg, DeepcConfig) else tag
+def sweep_plan(cfg: ExperimentConfig) -> list[tuple[str, ControllerConfig]]:
+    """``(kind, config)`` runs of the full grid cross product, in sweep CSV row order.
 
-
-def sweep_plan(cfg: ExperimentConfig) -> list[ControllerConfig]:
-    """Controller configs of the full grid cross product, in sweep CSV row order.
-
-    The ``DeepcConfig``s come first, then the ``DkpcConfig``s, each over
-    the sorted grids (nonempty in a validated config).  Raises
-    ValueError for a grid value a controller config rejects.
+    The ``deepc`` runs come first, one per ``lambda_sigma`` grid value,
+    then the ``dkpc`` runs at the library default weight, each over the
+    sorted grids (nonempty in a validated config).  Raises ValueError
+    for a grid value a controller config rejects.
     """
     s = cfg.sweep
     grid = [(q, r, lg) for q in sorted(s.q) for r in sorted(s.r) for lg in sorted(s.lambda_g)]
     c = cfg.controller
-    plan = [_controller_config(c, *g, ls) for g in grid for ls in sorted(s.lambda_sigma)]
-    return plan + [_controller_config(c, *g) for g in grid]
+    deepc = [("deepc", _controller_config(c, *g, ls))
+             for g in grid for ls in sorted(s.lambda_sigma)]
+    return deepc + [("dkpc", _controller_config(c, *g)) for g in grid]
 
 
 # -- commands ----------------------------------------------------------------
@@ -510,14 +506,18 @@ def _load_run_context(cfg: ExperimentConfig) -> _RunContext:
 
 
 def _execute(
-    ctx: _RunContext, controller_cfg: ControllerConfig
+    ctx: _RunContext, kind: str, controller_cfg: ControllerConfig
 ) -> tuple[ClosedLoopTrace | None, metrics.RunMetrics, str]:
-    """One closed-loop run, DeePC for a ``DeepcConfig``; failures are captured, not raised."""
-    if isinstance(controller_cfg, DeepcConfig):
+    """One closed-loop run of the ``kind`` controller; failures are captured, not raised.
+
+    The metrics tag is ``(Q, R, lambda_g)``, plus ``lambda_sigma`` for deepc.
+    """
+    tag = (controller_cfg.Q, controller_cfg.R, controller_cfg.lambda_g)
+    if kind == "deepc":
         controller = DeepcController(ctx.hs, controller_cfg)
+        tag += (controller_cfg.lambda_sigma,)
     else:
         controller = DkpcController(ctx.hs, ctx.bank, controller_cfg)
-    tag = _config_tag(controller_cfg)
     failed = metrics.RunMetrics(math.nan, math.nan, tag, controller.kind)
     plant = netsim.NetworkPlant(ctx.net, ctx.params, ctx.sim_cfg)
     try:
@@ -548,7 +548,7 @@ def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
     ctx = _load_run_context(cfg)
     c = cfg.controller
     trace, run_metrics, status = _execute(
-        ctx, _controller_config(c, c.q, c.r, c.lambda_g, c.lambda_sigma)
+        ctx, c.kind, _controller_config(c, c.q, c.r, c.lambda_g, c.lambda_sigma)
     )
     if trace is None:
         raise RuntimeError(f"closed-loop run failed: {status}")
@@ -566,9 +566,9 @@ def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
 _SWEEP_CTX: _RunContext | None = None
 
 
-def _sweep_worker(controller_cfg: ControllerConfig) -> tuple[metrics.RunMetrics, str]:
+def _sweep_worker(run: tuple[str, ControllerConfig]) -> tuple[metrics.RunMetrics, str]:
     assert _SWEEP_CTX is not None
-    _, run_metrics, status = _execute(_SWEEP_CTX, controller_cfg)
+    _, run_metrics, status = _execute(_SWEEP_CTX, *run)
     return run_metrics, status
 
 
@@ -577,7 +577,7 @@ def cmd_sweep(cfg: ExperimentConfig, workers: int = 1) -> Path:
     global _SWEEP_CTX
     plan = sweep_plan(cfg)
     ctx = _load_run_context(cfg)
-    n_deepc = sum(isinstance(c, DeepcConfig) for c in plan)
+    n_deepc = sum(kind == "deepc" for kind, _ in plan)
     log.info("sweep: %d runs (%d dkpc, %d deepc)", len(plan), len(plan) - n_deepc, n_deepc)
     _SWEEP_CTX = ctx
     try:

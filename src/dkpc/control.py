@@ -1,12 +1,12 @@
 """Behavioral predictive controllers and the receding-horizon closed loop.
 
-Two controllers share one skeleton and one QP assembly: both constrain
-the decision vector through data Hankel blocks and solve a strictly
-convex QP each step, applying only the first input of the optimal
-future sequence.  They differ only in the past rows: the lifted
-controller also matches the past window of the lifted coordinates.
-Both soften the past output rows (the lifted controller its lifted rows
-too) with a penalized slack; an infinite weight makes them hard.
+Two controllers share one skeleton, one config and one QP assembly:
+both constrain the decision vector through data Hankel blocks and solve
+a strictly convex QP each step, applying only the first input of the
+optimal future sequence.  The lifting bank alone tells them apart: with
+one, the past rows also match the window of the lifted coordinates.
+Every past row after the inputs is softened with a slack penalized by
+``lambda_sigma``; an infinite weight makes those rows hard.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolver
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tuning shared by both behavioral controllers.
+    """Tuning of both behavioral controllers.
 
     The weights are scalars: every output carries ``Q`` >= 0 and every
     input ``R`` > 0, so the QP's cost Hessian is diagonal.  Defaults:
-    horizon 10, Q = 300, R = 0.01, coefficient regularization 500,
-    inputs boxed to [-1, 1], outputs unconstrained.  Each controller's
-    config adds the weight of its past-output slack.
+    horizon 10, Q = 300, R = 0.01, coefficient regularization 500, soft
+    past-row weight 1e3, inputs boxed to [-1, 1], outputs unconstrained.
+    ``lambda_sigma`` > 0 weighs the slack of the past output rows, and
+    of the lifted rows with a bank; ``inf`` makes them hard.
     The bounds are scalars too, and -inf/+inf means no bound.  The controller
     regulates to zero: the cost is Q |y|^2 + R |u|^2 over the horizon,
     with no reference or nominal input.  ``y_min``/``y_max`` bound the predicted
@@ -48,6 +49,7 @@ class ControllerConfig:
     Q: float = 300.0
     R: float = 0.01
     lambda_g: float = 500.0
+    lambda_sigma: float = 1e3
     u_min: float = -1.0
     u_max: float = 1.0
     y_min: float = -math.inf
@@ -58,6 +60,10 @@ class ControllerConfig:
             raise ValueError("t_ini and horizon must be >= 1")
         if not (math.isfinite(self.lambda_g) and self.lambda_g >= 0.0):
             raise ValueError(f"lambda_g must be finite and >= 0, got {self.lambda_g}")
+        if not self.lambda_sigma > 0.0:
+            raise ValueError(
+                f"lambda_sigma must be > 0 (inf for hard rows), got {self.lambda_sigma}"
+            )
         if np.ndim(self.Q) or np.ndim(self.R):
             raise ValueError("Q and R must be scalars")
         if not (math.isfinite(self.Q) and self.Q >= 0.0):
@@ -73,36 +79,8 @@ class ControllerConfig:
                 raise ValueError(f"need {lo} <= {hi}, {lo} < inf, {hi} > -inf; got {low}, {high}")
 
 
-@dataclass(frozen=True)
-class DkpcConfig(ControllerConfig):
-    """Lifted controller tuning; adds the past output and lifted slack weight.
-
-    ``lambda_z`` > 0 (default 1e3) weighs the slack of the past output
-    and lifted rows (``Yp``, ``Zp``); ``inf`` makes them hard.
-    """
-
-    lambda_z: float = 1e3
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.lambda_z > 0.0:
-            raise ValueError(f"lambda_z must be > 0 (inf for hard rows), got {self.lambda_z}")
-
-
-@dataclass(frozen=True)
-class DeepcConfig(ControllerConfig):
-    """Benchmark controller tuning; adds the slack penalty weight.
-
-    ``lambda_sigma = inf`` drops the slack and makes the past-output
-    rows hard, recovering the hard-constraint behavioral controller.
-    """
-
-    lambda_sigma: float = 1e5
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.lambda_sigma > 0.0:
-            raise ValueError("lambda_sigma must be positive")
+# the names each controller's callers build their config by, perfbench among them
+DkpcConfig = DeepcConfig = ControllerConfig
 
 
 class ControllerState:
@@ -143,30 +121,37 @@ class ControllerState:
         return np.concatenate(parts)
 
 
+def _check_bank(hs: HankelSystem, bank) -> None:
+    """Raise ValueError for a bank whose observables differ from the Hankel Z block."""
+    if bank is not None and bank.n_basis != hs.n_basis:
+        raise ValueError(
+            f"bank has {bank.n_basis} observables but Hankel Z block expects {hs.n_basis}"
+        )
+
+
 def _behavioral_qp(
-    hs: HankelSystem,
-    bank,
-    n_soft: int,
-    soft_weight: float,
-    cfg: ControllerConfig,
-    cs: ControllerState,
+    hs: HankelSystem, cfg: ControllerConfig, cs: ControllerState, bank=None
 ) -> QpProblem:
     """The behavioral QP that both controllers solve.
 
     Decision vector x = (g, u_future, y_future, sigma).  The past rows
     ``[Up; Yp]``, followed by ``Zp`` when a ``bank`` is given, pin the
-    measured window ``cs.past_window(bank)``; only the last ``n_soft``
-    of them carry ``-sigma``, penalized by ``soft_weight * |sigma|^2``.
+    measured window ``cs.past_window(bank)``.  Every past row after
+    ``Up`` carries ``-sigma``, penalized by ``cfg.lambda_sigma * |sigma|^2``;
+    an infinite weight drops sigma and makes those rows hard.  There are
+    no future lifted rows, which keeps the program convex.
     The future Hankel rows couple g to the future blocks, which carry
     the regulation cost and the scalar bounds: ``u_min``/``u_max`` on all
     of u_future, ``y_min``/``y_max`` on y_future after its first sample.
     The cost is diagonal and has no linear term (regulation to zero), so
     P is passed as its (n,) diagonal and q is zero.
 
-    Raises ValueError unless ``cs`` is primed and both ``cs`` and
+    Raises ValueError for a bank whose observables differ from the
+    Hankel Z block, and unless ``cs`` is primed and both ``cs`` and
     ``cfg`` have the ``t_ini`` (and ``cfg`` the horizon, ``cs`` the
     ``n_u``/``n_y``) of ``hs``.
     """
+    _check_bank(hs, bank)
     if not cs.primed:
         raise ValueError("controller state not primed: need t_ini recorded pairs")
     if (cfg.t_ini, cfg.horizon) != (hs.t_ini, hs.horizon):
@@ -176,10 +161,11 @@ def _behavioral_qp(
         )
     if (cs.t_ini, cs.n_u, cs.n_y) != (hs.t_ini, hs.n_u, hs.n_y):
         raise ValueError("controller state t_ini/n_u/n_y differ from the Hankel partition")
-    blocks = [hs.u_past, hs.y_past] if bank is None else [hs.u_past, hs.y_past, hs.z_past]
+    blocks = [hs.u_past, hs.y_past] if bank is None else [hs.u_past, hs.y_past, hs.z]
     past = np.vstack(blocks)
     n_past, n_cols = past.shape
     n_u, n_y = hs.n_u, hs.n_y
+    n_soft = 0 if math.isinf(cfg.lambda_sigma) else n_past - n_u * hs.t_ini
     n_uf, n_yf = n_u * cfg.horizon, n_y * cfg.horizon
     uf = slice(n_cols, n_cols + n_uf)
     yf = slice(n_cols + n_uf, n_cols + n_uf + n_yf)
@@ -198,7 +184,7 @@ def _behavioral_qp(
     p_vec[:n_cols] = 2.0 * cfg.lambda_g
     p_vec[uf] = 2.0 * cfg.R
     p_vec[yf] = 2.0 * cfg.Q
-    p_vec[sig] = 2.0 * soft_weight
+    p_vec[sig] = 2.0 * cfg.lambda_sigma
 
     lower = np.full(dim, -np.inf)
     upper = np.full(dim, np.inf)
@@ -211,35 +197,14 @@ def _behavioral_qp(
     return QpProblem(P=p_vec, q=np.zeros(dim), A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
 
 
-def build_dkpc_qp(hs: HankelSystem, bank, cfg: DkpcConfig, cs: ControllerState) -> QpProblem:
-    """Assemble the lifted behavioral QP (see ``_behavioral_qp``).
-
-    Decision vector x = (g, u_future, y_future, sigma).  The past input
-    window is matched exactly; the past output and lifted rows carry the
-    slack sigma, penalized by ``cfg.lambda_z``, and an infinite weight
-    drops sigma and matches them exactly.  There are no future lifted
-    rows, which keeps the program convex.  Raises ValueError for a bank
-    whose observables differ from the Hankel Z block, and for the state
-    and config mismatches of ``_behavioral_qp``.
-    """
-    if bank.n_basis != hs.n_basis:
-        raise ValueError(
-            f"bank has {bank.n_basis} observables but Hankel Z block expects {hs.n_basis}"
-        )
-    n_soft = 0 if math.isinf(cfg.lambda_z) else (hs.n_y + hs.n_basis) * hs.t_ini
-    return _behavioral_qp(hs, bank, n_soft, cfg.lambda_z, cfg, cs)
+def build_dkpc_qp(hs: HankelSystem, bank, cfg: ControllerConfig, cs: ControllerState) -> QpProblem:
+    """Assemble the lifted behavioral QP: ``_behavioral_qp`` with the bank's rows."""
+    return _behavioral_qp(hs, cfg, cs, bank)
 
 
-def build_deepc_qp(hs: HankelSystem, cfg: DeepcConfig, cs: ControllerState) -> QpProblem:
-    """Assemble the benchmark behavioral QP (see ``_behavioral_qp``).
-
-    Decision vector x = (g, u_future, y_future, sigma); the slack enters
-    only the past-output rows.  An infinite slack weight drops sigma and
-    makes the past-output rows hard.  Raises ValueError for the state
-    and config mismatches of ``_behavioral_qp``.
-    """
-    n_soft = 0 if math.isinf(cfg.lambda_sigma) else hs.n_y * hs.t_ini
-    return _behavioral_qp(hs, None, n_soft, cfg.lambda_sigma, cfg, cs)
+def build_deepc_qp(hs: HankelSystem, cfg: ControllerConfig, cs: ControllerState) -> QpProblem:
+    """Assemble the benchmark behavioral QP: ``_behavioral_qp`` without a bank."""
+    return _behavioral_qp(hs, cfg, cs)
 
 
 @dataclass
@@ -258,19 +223,31 @@ class StepResult:
 
 
 class _BehavioralController:
-    """Shared receding-horizon mechanics of the two controllers."""
+    """Receding-horizon mechanics of both controllers.
+
+    ``bank``, the lifting bank whose window enters the past rows, makes
+    the lifted law; without one the past rows are inputs and outputs.
+    """
 
     kind = "behavioral"
-    bank = None  # the lifting bank whose window enters the past rows, if any
 
-    def __init__(self, hs: HankelSystem, cfg: ControllerConfig, solver_settings: QpSettings | None):
+    def __init__(
+        self,
+        hs: HankelSystem,
+        cfg: ControllerConfig | None = None,
+        solver_settings: QpSettings | None = None,
+        bank=None,
+    ):
+        cfg = cfg or ControllerConfig()
         if hs.pe_report is not None and not hs.pe_report:
             raise ValueError(
                 f"data fails persistency of excitation: {hs.pe_report.reason}"
             )
         if cfg.t_ini != hs.t_ini or cfg.horizon != hs.horizon:
             raise ValueError("config window lengths differ from Hankel partition")
+        _check_bank(hs, bank)
         self.hs = hs
+        self.bank = bank
         self.cfg = cfg
         self.settings = solver_settings or QpSettings()
         self.state = ControllerState(cfg.t_ini, hs.n_u, hs.n_y)
@@ -302,10 +279,6 @@ class _BehavioralController:
             return math.inf
         return cost
 
-    # subclass hook
-    def _build_problem(self) -> QpProblem:
-        raise NotImplementedError
-
     def solve_step(self, y_t: np.ndarray) -> StepResult:
         """Solve the horizon problem and return the input to apply now.
 
@@ -320,7 +293,11 @@ class _BehavioralController:
         if y_t.shape != (self.n_y,):
             raise ValueError(f"measurement has shape {y_t.shape}, expected ({self.n_y},)")
         if self._solver is None:
-            self._solver = QpSolver(self._build_problem(), self.settings)
+            if self.bank is None:
+                problem = build_deepc_qp(self.hs, self.cfg, self.state)
+            else:
+                problem = build_dkpc_qp(self.hs, self.bank, self.cfg, self.state)
+            self._solver = QpSolver(problem, self.settings)
         else:
             future = np.zeros((self.n_u + self.n_y) * self.cfg.horizon)
             self._solver.update(b_eq=np.concatenate([self.state.past_window(self.bank), future]))
@@ -361,35 +338,26 @@ class DkpcController(_BehavioralController):
         self,
         hs: HankelSystem,
         bank,
-        cfg: DkpcConfig | None = None,
+        cfg: ControllerConfig | None = None,
         solver_settings: QpSettings | None = None,
     ):
-        cfg = cfg or DkpcConfig()
-        super().__init__(hs, cfg, solver_settings)
-        if bank.n_basis != hs.n_basis:
-            raise ValueError("bank does not match the Hankel Z block")
-        self.bank = bank
-
-    def _build_problem(self) -> QpProblem:
-        return build_dkpc_qp(self.hs, self.bank, self.cfg, self.state)
+        if bank is None:
+            raise ValueError("the lifted controller needs a lifting bank")
+        super().__init__(hs, cfg, solver_settings, bank)
 
 
 class DeepcController(_BehavioralController):
-    """Benchmark behavioral controller with initialization slack."""
+    """Benchmark behavioral controller: no lifting bank."""
 
     kind = "DeePC"
 
     def __init__(
         self,
         hs: HankelSystem,
-        cfg: DeepcConfig | None = None,
+        cfg: ControllerConfig | None = None,
         solver_settings: QpSettings | None = None,
     ):
-        cfg = cfg or DeepcConfig()
         super().__init__(hs, cfg, solver_settings)
-
-    def _build_problem(self) -> QpProblem:
-        return build_deepc_qp(self.hs, self.cfg, self.state)
 
 
 class Plant(Protocol):

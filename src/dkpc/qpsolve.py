@@ -84,8 +84,8 @@ class QpProblem:
     """Dense convex QP data.
 
     ``P`` is the (n,) diagonal of a diagonal cost Hessian or the
-    symmetric (n, n) matrix.  ``A_eq``, ``q`` and ``b_eq`` must be
-    finite; ``A_eq`` may be empty (shape (0, n)) for box-only problems.
+    symmetric (n, n) matrix.  ``P``, ``A_eq``, ``q`` and ``b_eq`` must
+    be finite; ``A_eq`` may be empty (shape (0, n)) for box-only problems.
     ``lower``/``upper`` may contain -inf/+inf for absent bounds, but no
     NaN and no lower bound of +inf or upper bound of -inf, which no
     point satisfies.
@@ -104,12 +104,11 @@ class QpProblem:
         n = q.shape[0]
         if n == 0:
             raise ValueError("the QP has no variables")
-        if P.shape == (n,):
-            if np.isnan(P).any():
-                raise ValueError("P must not be NaN")
-        elif P.shape != (n, n):
+        if P.shape not in ((n,), (n, n)):
             raise ValueError(f"P has shape {P.shape}, expected ({n},) or ({n}, {n})")
-        elif not (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
+        if not np.isfinite(P).all():
+            raise ValueError("P must be finite")
+        if P.ndim == 2 and not (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
             raise ValueError("P must be symmetric within 1e-10")
         A_eq = np.asarray(self.A_eq, dtype=float)
         if A_eq.size == 0:

@@ -15,9 +15,8 @@ import yaml
 from dkpc import cli
 from dkpc.behavior import assemble, random_stable_lti, verify_fundamental_lemma
 from dkpc.control import (
-    DeepcConfig,
+    ControllerConfig,
     DeepcController,
-    DkpcConfig,
     DkpcController,
     LtiPlant,
     Scenario,
@@ -210,7 +209,7 @@ def test_criterion_5_sweep_cardinality(reduced_sweeps):
     """Paper grids enumerate 64 + 192 runs; reduced mode the documented 8 + 16."""
     cfg, path, first, _ = reduced_sweeps
     full_plan = cli.sweep_plan(cli.ExperimentConfig())
-    n_deepc = sum(isinstance(c, DeepcConfig) for c in full_plan)
+    n_deepc = sum(kind == "deepc" for kind, _ in full_plan)
     assert (len(full_plan) - n_deepc, n_deepc) == (64, 192)
     rows = read_csv_rows(path)[1:]
     red_dkpc = sum(r[0] == DKPC for r in rows)
@@ -255,8 +254,11 @@ def test_criterion_7_controller_parity():
     """Identity lifting, exact LTI data: soft DKPC stays within 1e-4 of pinned-slack DeePC.
 
     DKPC softens its past output and lifted rows at the default
-    ``lambda_z``, so the two laws no longer coincide; the gap bounds what
-    the soft law at that weight moves the inputs against the hard one.
+    ``lambda_sigma``, so the two laws no longer coincide; the gap bounds
+    what the soft law at that weight moves the inputs against the hard
+    one.  Against soft DeePC at twice the weight the identity is exact:
+    Zp = Yp, so each output slack is paid twice, and DKPC at weight w is
+    DeePC at 2w.
     ``test_parity_identity_lifting_vs_pinned_slack`` (``tests/test_control.py``)
     checks that hard lifted rows coincide with the pinned slack.
     """
@@ -266,16 +268,22 @@ def test_criterion_7_controller_parity():
     ident = IdentityBank(2)
     hs = assemble(data, ident, t_ini=5, horizon=10, pe_check=False)
     common = dict(t_ini=5, horizon=10, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=2.0)
-    lifted = DkpcController(hs, ident, DkpcConfig(**common))
-    slacked = DeepcController(hs, DeepcConfig(lambda_sigma=np.inf, **common))
+    weight = ControllerConfig.lambda_sigma
+    lifted = DkpcController(hs, ident, ControllerConfig(**common))
+    slacked = DeepcController(hs, ControllerConfig(lambda_sigma=np.inf, **common))
+    doubled = DeepcController(hs, ControllerConfig(lambda_sigma=2.0 * weight, **common))
     x0 = rng.standard_normal(4)
     scen = Scenario(sim_steps=60, activation_step=8)
-    t1 = run_closed_loop(LtiPlant(sys, x0=x0), lifted, scen)
-    t2 = run_closed_loop(LtiPlant(sys, x0=x0), slacked, scen)
+    t1, t2, t3 = (run_closed_loop(LtiPlant(sys, x0=x0), ctrl, scen)
+                  for ctrl in (lifted, slacked, doubled))
     u_gap = float(np.max(np.abs(t1.u - t2.u)))
     y_gap = float(np.max(np.abs(t1.y - t2.y)))
     assert u_gap <= 1e-4 and y_gap <= 1e-4, f"u gap {u_gap:.2e}, y gap {y_gap:.2e}"
-    passline(7, "DKPC/DeePC parity", f"per-step gaps u {u_gap:.1e}, y {y_gap:.1e}")
+    u_twice = float(np.max(np.abs(t1.u - t3.u)))
+    y_twice = float(np.max(np.abs(t1.y - t3.y)))
+    assert u_twice <= 1e-9 and y_twice <= 1e-9, f"at 2w: u {u_twice:.2e}, y {y_twice:.2e}"
+    passline(7, "DKPC/DeePC parity", f"per-step gaps u {u_gap:.1e}, y {y_gap:.1e}; "
+             f"against DeePC at 2w u {u_twice:.1e}, y {y_twice:.1e}")
 
 
 def test_criterion_8_sweep_determinism(reduced_sweeps):

@@ -231,7 +231,7 @@ def test_assemble_partition_consistency(lti_dataset):
     hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
     assert np.array_equal(np.vstack([hs.u_past, hs.u_future]), hs.u)
     assert np.array_equal(np.vstack([hs.y_past, hs.y_future]), hs.y)
-    assert np.array_equal(hs.z_past, hankel(lti_dataset.y, 12)[: 2 * 4])
+    assert np.array_equal(hs.z, hankel(lti_dataset.y, 12)[: 2 * 4])
     assert hs.u_past.shape == (8, hs.n_cols)
     assert hs.u_future.shape == (16, hs.n_cols)
 

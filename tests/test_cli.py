@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from dkpc import behavior, cli, netsim
-from dkpc.control import ClosedLoopTrace, DeepcConfig
+from dkpc.control import ClosedLoopTrace
 from dkpc.cli import (
     ConfigError,
     ExperimentConfig,
@@ -92,7 +92,8 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_kind_lambda_sigma_mismatch(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("controller: {kind: dkpc, lambda_sigma: 1.0e5}\n")
-    with pytest.raises(ConfigError, match="lambda_sigma"):
+    # both controllers read the weight; the CLI sets it for deepc only
+    with pytest.raises(ConfigError, match="deepc controller only; dkpc runs at the library"):
         load_config(path)
     path.write_text("controller: {kind: deepc}\n")
     with pytest.raises(ConfigError, match="requires lambda_sigma"):
@@ -217,17 +218,19 @@ def test_sweep_plan_full_counts(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("output_dir: out\n")
     plan = sweep_plan(load_config(path))
-    n_deepc = sum(isinstance(c, DeepcConfig) for c in plan)
-    assert (len(plan) - n_deepc, n_deepc) == (64, 192)
+    kinds = [kind for kind, _ in plan]
     # sweep.csv row order: every DeePC config, then every DKPC config
-    assert all(isinstance(c, DeepcConfig) for c in plan[:n_deepc])
+    assert kinds == ["deepc"] * 192 + ["dkpc"] * 64
+    # DeePC runs its lambda_sigma grid; DKPC the library default weight
+    assert {c.lambda_sigma for kind, c in plan if kind == "deepc"} == {1e4, 1e5, 1e6}
+    assert {c.lambda_sigma for kind, c in plan if kind == "dkpc"} == {1e3}
 
 
 def test_sweep_plan_reduced_counts(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("output_dir: out\n")
     plan = sweep_plan(apply_reduced(load_config(path)))
-    n_deepc = sum(isinstance(c, DeepcConfig) for c in plan)
+    n_deepc = sum(kind == "deepc" for kind, _ in plan)
     assert (len(plan) - n_deepc, n_deepc) == (8, 16)
 
 
@@ -520,7 +523,7 @@ def test_execute_status(run_context, expected, monkeypatch):
     ctx, controller_cfg = run_context
     outcome = RUN_OUTCOMES[expected]
     monkeypatch.setattr(cli, "run_closed_loop", lambda plant, controller, scenario: outcome())
-    trace, run_metrics, status = cli._execute(ctx, controller_cfg)
+    trace, run_metrics, status = cli._execute(ctx, "dkpc", controller_cfg)
     assert status == expected
     assert run_metrics.controller_kind == DKPC
     assert run_metrics.config_tag == (controller_cfg.Q, controller_cfg.R, controller_cfg.lambda_g)
@@ -535,7 +538,7 @@ def test_execute_logs_the_traceback_of_a_failed_run(run_context, monkeypatch, ca
     monkeypatch.setattr(cli, "run_closed_loop",
                         lambda plant, controller, scenario: raise_value_error())
     with caplog.at_level(logging.ERROR, logger="dkpc"):
-        _, _, status = cli._execute(ctx, controller_cfg)
+        _, _, status = cli._execute(ctx, "dkpc", controller_cfg)
     assert status == "error:ValueError"
     [record] = caplog.records
     assert record.exc_info[0] is ValueError and str(record.exc_info[1]) == "boom"

@@ -25,9 +25,8 @@ from dkpc.qpsolve import SOLVED, QpSettings, QpSolver, solve
 
 
 def deepc_config(cfg, lambda_sigma):
-    """A DeePC config with the tuning ``cfg`` shares with it."""
-    shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ControllerConfig)}
-    return DeepcConfig(lambda_sigma=lambda_sigma, **shared)
+    """``cfg`` with the soft past-row weight ``lambda_sigma``."""
+    return dataclasses.replace(cfg, lambda_sigma=lambda_sigma)
 
 
 def primed_state(t_ini, n_u, n_y, u_val=0.0, y_val=0.0):
@@ -60,16 +59,16 @@ def lti_setup(small_lti, lti_dataset):
 def test_dkpc_qp_dimensions(full_scale_system):
     hs, bank = full_scale_system
     cs = primed_state(5, 10, 10)
-    prob = build_dkpc_qp(hs, bank, DkpcConfig(lambda_z=np.inf), cs)
+    prob = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf), cs)
     assert prob.n == 986 + 100 + 100
     assert prob.m_eq == (10 + 10 + 40) * 5 + (10 + 10) * 10  # 500
 
 
 def test_dkpc_qp_softens_output_and_lifted_rows(full_scale_system):
-    # the default lambda_z adds one sigma per Yp and Zp row; Up stays hard
+    # the default lambda_sigma adds one sigma per Yp and Zp row; Up stays hard
     hs, bank = full_scale_system
     cs = primed_state(5, 10, 10, u_val=0.25, y_val=0.01)
-    hard = build_dkpc_qp(hs, bank, DkpcConfig(lambda_z=np.inf), cs)
+    hard = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf), cs)
     soft = build_dkpc_qp(hs, bank, DkpcConfig(), cs)
     n_soft = (10 + 40) * 5
     assert soft.n == hard.n + n_soft and soft.m_eq == hard.m_eq
@@ -86,7 +85,7 @@ def test_dkpc_qp_structure(full_scale_system):
     n_cols = hs.n_cols
     assert np.array_equal(prob.A_eq[:50, :n_cols], hs.u_past)
     assert np.array_equal(prob.A_eq[50:100, :n_cols], hs.y_past)
-    assert np.array_equal(prob.A_eq[100:300, :n_cols], hs.z_past)
+    assert np.array_equal(prob.A_eq[100:300, :n_cols], hs.z)
     assert np.array_equal(prob.A_eq[300:400, n_cols : n_cols + 100], -np.eye(100))
     assert np.allclose(prob.b_eq[:50], 0.25)
     assert np.allclose(prob.b_eq[50:100], 0.01)
@@ -185,6 +184,11 @@ def test_dkpc_qp_bank_mismatch(full_scale_system):
     wrong = IdentityBank(10)  # 10 observables where the Z block expects 40
     with pytest.raises(ValueError, match="observables"):
         build_dkpc_qp(hs, wrong, DkpcConfig(), primed_state(5, 10, 10))
+    # the controller checks its bank once, at construction
+    with pytest.raises(ValueError, match="observables"):
+        DkpcController(hs, wrong)
+    with pytest.raises(ValueError, match="needs a lifting bank"):
+        DkpcController(hs, None)
 
 
 def test_dkpc_zero_equilibrium_zero_cost(lti_dataset):
@@ -240,9 +244,9 @@ def test_dkpc_qp_is_hard_deepc_qp_plus_lifted_rows(lti_dataset):
     hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=0.5)
     cs = primed_state(4, 2, 2, u_val=0.3, y_val=-0.2)
-    dkpc = build_dkpc_qp(hs, bank, DkpcConfig(lambda_z=np.inf, **common), cs)
+    dkpc = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf, **common), cs)
     deepc = build_deepc_qp(hs, DeepcConfig(lambda_sigma=np.inf, **common), cs)
-    assert np.array_equal(hs.z_past, hs.y_past)
+    assert np.array_equal(hs.z, hs.y_past)
     assert dkpc.n == deepc.n
     for name in ("P", "q", "lower", "upper"):
         assert np.array_equal(getattr(dkpc, name), getattr(deepc, name)), name
@@ -273,15 +277,15 @@ def test_deepc_sigma_vanishes_on_exact_data(lti_setup):
 def test_config_validation():
     with pytest.raises(ValueError):
         DkpcConfig(lambda_g=-1.0)
-    for lambda_z in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="lambda_z"):
-            DkpcConfig(lambda_z=lambda_z)
-    with pytest.raises(TypeError):  # each config has only its own slack weight
-        DeepcConfig(lambda_z=1e3)
+    for lambda_sigma in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="lambda_sigma"):
+            ControllerConfig(lambda_sigma=lambda_sigma)
+    # one config for both controllers, one soft weight: default 1e3, inf for hard rows
+    assert DkpcConfig is DeepcConfig is ControllerConfig
+    assert ControllerConfig().lambda_sigma == 1e3
+    assert ControllerConfig(lambda_sigma=np.inf).lambda_sigma == np.inf
     with pytest.raises(ValueError):
         DkpcConfig(t_ini=0)
-    with pytest.raises(ValueError):
-        DeepcConfig(lambda_sigma=0.0)
     for lambda_g in (np.nan, np.inf):
         with pytest.raises(ValueError, match="lambda_g"):
             DkpcConfig(lambda_g=lambda_g)
@@ -308,7 +312,7 @@ def rollout_error(sys, ctrl, hs, plant):
 
 def test_noiseless_lti_exactness(lti_setup):
     sys, hs, bank, cfg = lti_setup
-    ctrl = DkpcController(hs, bank, dataclasses.replace(cfg, lambda_z=np.inf))
+    ctrl = DkpcController(hs, bank, dataclasses.replace(cfg, lambda_sigma=np.inf))
     rng = np.random.default_rng(4)
     plant = LtiPlant(sys, x0=rng.standard_normal(3))
     for _ in range(4):
@@ -320,7 +324,7 @@ def test_noiseless_lti_exactness(lti_setup):
 def test_interpolation_without_regularizer(lti_setup):
     # lambda_g = 0: predictions remain exact system trajectories
     sys, hs, bank, _ = lti_setup
-    cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=0.0, lambda_z=np.inf,
+    cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=0.0, lambda_sigma=np.inf,
                      u_min=-2.0, u_max=2.0)
     ctrl = DkpcController(hs, bank, cfg)
     rng = np.random.default_rng(5)
@@ -475,7 +479,7 @@ def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
     ident = IdentityBank(2)
     hs = assemble(lti_dataset, ident, t_ini=4, horizon=8, pe_check=False)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=2.0)
-    c_lift = DkpcController(hs, ident, DkpcConfig(lambda_z=np.inf, **common))
+    c_lift = DkpcController(hs, ident, DkpcConfig(lambda_sigma=np.inf, **common))
     c_slack = DeepcController(hs, DeepcConfig(lambda_sigma=np.inf, **common))
     x0 = np.random.default_rng(5).standard_normal(3)
     scen = Scenario(sim_steps=30, activation_step=6)
@@ -543,7 +547,7 @@ def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
     net, params, sim_cfg = plant_setup
     bank = build_bank(plant_dataset.y, 10, seed=5)
     hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
-    ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=5, horizon=10, lambda_z=np.inf))
+    ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=5, horizon=10, lambda_sigma=np.inf))
     eq = netsim.equilibrium_state(params, net)
     plant = netsim.NetworkPlant(net, params, sim_cfg, initial=eq)
     scen = Scenario(sim_steps=41, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))

@@ -52,9 +52,11 @@ def test_perfbench_hooks_see_both_controllers(perfbench, small_lti, lti_dataset)
             for kind, make in makers.items():
                 before = dict(tracer.counts)
                 control.run_closed_loop(control.LtiPlant(small_lti, x0=x0), make(), scenario)
-                for span in ("control.build_qp", "control.solve_step"):
+                # one cold build and three active steps; two builder names
+                # bound to one function would nest a second build span
+                for span, expected in (("control.build_qp", 1), ("control.solve_step", 3)):
                     added = tracer.counts[span] - before.get(span, 0)
-                    assert added >= 1, f"no {span} span from a {kind} run"
+                    assert added == expected, f"{added} {span} spans from a {kind} run"
         finally:
             tracer.restore()
     finally:

@@ -891,28 +891,30 @@ def _nan_off_diagonal(pair):
     return P
 
 
-@pytest.mark.parametrize("P, accepted", [
-    (np.diag([1.0, np.nan, 2.0]), False),  # NaN on the diagonal
-    (np.diag([1.0, np.inf, 2.0]), True),  # inf on the diagonal
-    (_nan_off_diagonal(pair=False), False),  # NaN off the diagonal
-    (_nan_off_diagonal(pair=True), False),
-    (np.diag([1.0, 0.0, -np.inf]), True),
-    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]]), True),
-    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), False),
-    (np.array([1.0, np.nan, 2.0]), False),
-    (np.array([1.0, np.inf, 2.0]), True),
-    (np.array([1.0, 0.0, -np.inf]), True),
+@pytest.mark.parametrize("P, rejected", [
+    (np.diag([1.0, np.nan, 2.0]), "finite"),  # NaN on the diagonal
+    (np.diag([1.0, np.inf, 2.0]), "finite"),  # inf on the diagonal
+    (_nan_off_diagonal(pair=False), "finite"),  # NaN off the diagonal
+    (_nan_off_diagonal(pair=True), "finite"),
+    (np.diag([1.0, 0.0, -np.inf]), "finite"),
+    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]]), None),
+    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "symmetric"),
+    (np.array([1.0, np.nan, 2.0]), "finite"),
+    (np.array([1.0, np.inf, 2.0]), "finite"),
+    (np.array([1.0, 0.0, -np.inf]), "finite"),
 ], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal", "nan-off-diagonal-pair",
         "zero-and-inf-diagonal", "symmetric-pair", "one-sided", "nan-vector", "inf-vector",
         "zero-and-inf-vector"])
-def test_problem_symmetry_rule(P, accepted):
-    # an n x n P passes exactly when the transpose compare does, and an
-    # (n,) P exactly when its n x n matrix would
-    assert (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)) == accepted
+def test_problem_symmetry_rule(P, rejected):
+    # P passes exactly when it is finite and, as an n x n matrix, the
+    # transpose compare passes; an (n,) P is the diagonal of a symmetric matrix
+    finite = bool(np.isfinite(P).all())
+    symmetric = P.ndim == 1 or np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)
+    assert (rejected is None) == (finite and symmetric)
     kwargs = dict(q=np.zeros(3), A_eq=np.zeros((0, 3)), b_eq=[], lower=-np.ones(3),
                   upper=np.ones(3))
-    if accepted:
+    if rejected is None:
         QpProblem(P=P, **kwargs)
     else:
-        with pytest.raises(ValueError, match="symmetric" if P.ndim == 2 else "NaN"):
+        with pytest.raises(ValueError, match=rejected):
             QpProblem(P=P, **kwargs)
