@@ -6,8 +6,9 @@ oracle for trajectory membership on known LTI systems, and assembly of
 the stacked lifted/input/output Hankel system used by the controllers.
 
 The persistency check first tries to certify full row rank from one
-Cholesky of the shifted rows x rows Gram matrix; data the certificate
-cannot clear is decided by the full SVD, as before.
+Cholesky of the shifted rows x rows Gram matrix, formed by lag sums of
+the samples without building the Hankel; data the certificate cannot
+clear is decided by the full SVD of the Hankel, as before.
 """
 
 from __future__ import annotations
@@ -105,47 +106,91 @@ class PeReport:
         return self.is_pe
 
 
-def _gram_certificate(h: np.ndarray, c: float) -> bool:
-    """Whether a Cholesky proves sigma_min(h) > c * sigma_1(h), so rank(h) = rows.
+def _lag_gram(u: np.ndarray, order: int) -> np.ndarray:
+    """Upper block triangle of G = H H^T, H = hankel(u, order), by lag sums.
 
-    With r x n ``h`` (r <= n), G = fl(h h^T), t = trace(G) and
-    mu = (c^2 + delta) * t, a floating-point Cholesky of fl(G - mu I)
-    that runs to completion proves lambda_min(h h^T) > c^2 * t, and
-    t >= lambda_max(h h^T) = sigma_1^2, so every singular value of ``h``
-    exceeds c * sigma_1: rank r.  The rounding it must cover, with unit
-    roundoff u = eps/2 and gamma_k = k u / (1 - k u):
+    ``u`` is a C-ordered (T, n_u) array.  Block (i, j) of G is
+    sum_k u[k+i] u[k+j]^T over the n = T - order + 1 Hankel columns.  The
+    first block row is one product of the first n samples with the
+    n-sample windows at every lag; down each block diagonal, block
+    (i, j) is then block (i-1, j-1) plus the tail pair u[n-1+i] u[n-1+j]^T
+    minus the head pair u[i-1] u[j-1]^T.  H is never formed, and blocks
+    below the diagonal stay zero.
+    """
+    t_len, n_u = u.shape
+    n = t_len - order + 1
+    rows = n_u * order
+    g = np.zeros((rows, rows))
+    lagged = np.lib.stride_tricks.sliding_window_view(u, n, axis=0).transpose(0, 2, 1)
+    # lagged[j] = u[j : j + n]; one (n_u x n) by (n x n_u) product per lag
+    g[:n_u] = np.matmul(u[:n].T, lagged).transpose(1, 0, 2).reshape(n_u, rows)
+    # block k of ends[0] is the tail sample u[n-1+k], of ends[1] the head sample u[k-1]
+    ends = np.zeros((2, rows))
+    ends[0] = u[n - 1 :].ravel()
+    ends[1, n_u:] = u[: order - 1].ravel()
+    signed = np.stack([ends[0].reshape(order, n_u), -ends[1].reshape(order, n_u)], axis=2)
+    work = np.empty((n_u, rows))
+    for i in range(1, order):
+        lo = i * n_u
+        # tail pair minus head pair of every block in row i, as one rank-2 product
+        pairs = np.matmul(signed[i], ends[:, lo:], out=work[:, : rows - lo])
+        np.add(g[lo - n_u : lo, lo - n_u : rows - n_u], pairs, out=g[lo : lo + n_u, lo:])
+    return g
 
-    - the Gram product, |G - h h^T| <= gamma_n |h||h|^T, so
-      ||G - h h^T||_2 <= gamma_n ||h||_F^2 ~ gamma_n t;
+
+def _gram_certificate(u: np.ndarray, order: int, c: float) -> bool:
+    """Whether a Cholesky proves sigma_min(H) > c * sigma_1(H), so rank(H) = rows.
+
+    H is the r x n input Hankel of depth L = ``order`` (r <= n), G its
+    lag-sum Gram (``_lag_gram``), t = trace(G) and mu = (c^2 + delta) * t.
+    A floating-point Cholesky of fl(G - mu I) that runs to completion
+    proves lambda_min(H H^T) > c^2 * t, and t >= lambda_max(H H^T) =
+    sigma_1^2, so every singular value of H exceeds c * sigma_1: rank r.
+    The rounding it must cover, with unit roundoff u = eps/2 and
+    gamma_k = k u / (1 - k u):
+
+    - the Gram.  Entry (i, j) of G, block row i, sums N <= n + 2L
+      products: n in the first block row's product, then one tail and one
+      head pair per step down its block diagonal.  So
+      |G - H H^T| <= gamma_N (|H||H|^T + 2 |P||P|^T), where P is the
+      zero-padded Hankel of the head samples u[0..L-2], each counted once
+      in the first row and once as subtracted.  ||H||_F^2 = t, and
+      ||P||_2 <= sum_k ||u[k]||, whose square is at most
+      (1 + ln L) sum_k (k + 1) ||u[k]||^2 <= (1 + ln L) t (Cauchy-Schwarz;
+      head sample k sits in k + 1 columns of H).  Hence
+      ||G - H H^T||_2 <= gamma_N (3 + 2 ln L) t;
     - the shift of the diagonal, <= u t;
     - the Cholesky: on completion fl(G - mu I) + E = R^T R with R
       nonsingular and ||E||_2 <= gamma_{r+1} t (Rump, "Verification of
       positive definiteness", BIT 46, 2006), so lambda_min(G - mu I) > -gamma_{r+1} t.
 
-    Together lambda_min(h h^T) > mu - (n + r + 2) u t (1 + O(r u)), so
-    delta = 16 (r + n + 2) eps, 32 times that bound, covers it.  The
-    certified gap, sigma_min - c sigma_1 >= (delta - bound) sigma_1 / 2,
-    is then some 15 (r + n) eps sigma_1, far beyond the SVD's own
-    rounding of sigma_min (a modest multiple of eps sigma_1), so both
-    computations decide alike.  Products below the normal range add up
-    to (r + n) tiny per entry; t >= (r + n)^2 tiny / eps keeps that
-    under eps t.  Any other case returns False: t non-finite or below
-    that floor (zero data included), (c^2 + delta) r >= 1 (where
+    Together lambda_min(H H^T) > mu - b u t (1 + O(r u)) with
+    b = (n + 2L)(3 + 2 ln L) + r + 2, so delta = 16 b eps, 32 times that
+    bound, covers it.  The certified gap, sigma_min - c sigma_1 >=
+    (delta - bound) sigma_1 / 2, is then some 15 b eps sigma_1, far beyond
+    the SVD's own rounding of sigma_min (a modest multiple of eps sigma_1),
+    so both computations decide alike.  A larger delta only sends more
+    borderline data to the SVD.  Products below the normal range add up
+    to (r + n + 2L) tiny per entry; t >= (r + n + 2L)^2 tiny / eps keeps
+    that under eps t.  Any other case returns False: t non-finite or
+    below that floor (zero data included), (c^2 + delta) r >= 1 (where
     lambda_min <= t / r <= mu for every matrix) or a failed Cholesky.
     The one r x r array, G, is shifted and factored in place.
     """
-    rows, cols = h.shape
+    t_len, n_u = u.shape
+    rows, cols = n_u * order, t_len - order + 1
     eps = np.finfo(float).eps
-    shift = c * c + _PE_SAFETY * (rows + cols + 2) * eps
+    bound = (cols + 2 * order) * (3.0 + 2.0 * np.log(order)) + rows + 2
+    shift = c * c + _PE_SAFETY * bound * eps
     if shift * rows >= 1.0:
         return False
-    g = h @ h.T
+    g = _lag_gram(u, order)
     t = float(np.trace(g))
-    if not (np.isfinite(t) and t >= (rows + cols) ** 2 * np.finfo(float).tiny / eps):
+    if not (np.isfinite(t) and t >= (rows + cols + 2 * order) ** 2 * np.finfo(float).tiny / eps):
         return False
     g.flat[:: rows + 1] -= shift * t
-    # G is symmetric, so its transpose is the Fortran-ordered array LAPACK factors in place
-    _, info = lapack.dpotrf(g.T, lower=0, clean=0, overwrite_a=1)
+    # the Fortran-ordered transpose's lower triangle is G's filled upper one
+    _, info = lapack.dpotrf(g.T, lower=1, clean=0, overwrite_a=1)
     return info == 0
 
 
@@ -156,13 +201,21 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
     ``sigma_max * max(rows, cols) * eps`` (eps is the machine epsilon),
     or ``sigma_max * rtol`` when ``rtol`` is given.  Full rank is first
     sought as a certificate from one Cholesky of the shifted Gram matrix
-    (see ``_gram_certificate``), which costs a rows x rows product
-    instead of a full SVD; the SVD decides whenever the certificate
-    cannot, so both give the same report.
+    (see ``_gram_certificate``), which costs lag sums of the samples (a
+    tail pair added and a head pair subtracted per block) instead of a
+    product over every Hankel column, and never forms the Hankel; the
+    SVD decides whenever the certificate cannot, so both give the same
+    report.  A non-finite sample raises a ValueError naming its step.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
+    u = np.ascontiguousarray(u)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    bad = ~np.all(np.isfinite(u), axis=1)
+    if np.any(bad):
+        raise ValueError(f"non-finite input at step {int(np.argmax(bad))}")
     t_len, n_u = u.shape
     required = n_u * order
     n_cols = t_len - order + 1
@@ -179,11 +232,11 @@ def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = Non
             ),
             decided_by=PE_LENGTH,
         )
-    h = hankel(u, order)
     eps = np.finfo(float).eps
-    if _gram_certificate(h, max(h.shape) * eps if rtol is None else rtol):
+    if _gram_certificate(u, order, max(required, n_cols) * eps if rtol is None else rtol):
         rank, decided_by = required, PE_CHOLESKY
     else:
+        h = hankel(u, order)
         sv = np.linalg.svd(h, compute_uv=False)
         threshold = sv[0] * max(h.shape) * eps if rtol is None else sv[0] * rtol
         rank, decided_by = int(np.count_nonzero(sv > threshold)), PE_SVD

@@ -38,6 +38,9 @@ class RbfBank:
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if centers.shape[0] < 1:
             raise ValueError("bank needs at least one center")
+        bad = ~np.all(np.isfinite(centers), axis=1)
+        if np.any(bad):
+            raise ValueError(f"non-finite bank center {int(np.argmax(bad))}")
         object.__setattr__(self, "centers", centers)
 
     @property

@@ -192,12 +192,15 @@ def filter_gain(omega_pc: np.ndarray | float, dt: float, mode: str) -> np.ndarra
 class _StepKernel:
     """The plant step with its per-run constants computed once.
 
-    Holds the parameter arrays, the filter gain and the angle-integration
-    factor for one (params, net, cfg), so a run pays for them once
-    instead of on every sample.  ``advance`` works on bare state arrays
-    with the float operations, and their order, of the documented
+    Holds the parameter arrays, the filter gain, the angle-integration
+    factor and the work buffers for one (params, net, cfg), so a run pays
+    for them once instead of on every sample.  ``advance`` updates a
+    stacked (4, n_bus) state, rows theta, omega, u_filt and p_filt, in
+    place, with the float operations, and their order, of the documented
     update; it raises ValueError for a non-finite input and
-    SimulationDiverged for a non-finite state.
+    SimulationDiverged for a non-finite state.  Callers run it with
+    overflow and invalid-operation warnings off: such a step ends in that
+    check instead.
     """
 
     def __init__(
@@ -206,47 +209,63 @@ class _StepKernel:
         net: NetworkGraph,
         cfg: SimConfig,
     ):
-        self.net = net
-        self.p_star, self.k_p, omega_pc, omega_b = _param_arrays(params, net.n_bus)
+        n = net.n_bus
+        self.n_bus = n
+        self.susceptance = net.susceptance
+        self.p_star, self.k_p, omega_pc, omega_b = _param_arrays(params, n)
         self.alpha = filter_gain(omega_pc, cfg.dt, cfg.filter_mode)
         self.dt_omega_b = cfg.dt * omega_b
         self.diverged = (
             "non-finite state after step; check the filter discretization "
             f"(mode={cfg.filter_mode}, dt*omega_pc up to {np.max(cfg.dt * omega_pc):.3g})"
         )
+        self._angles = np.empty((n, n))
+        self._target = np.empty((2, n))  # the filters' inputs, [u; p]
+        self._spare = np.empty(n)
 
-    def advance(self, x: tuple, u: np.ndarray) -> tuple:
-        """(theta, omega, p_filt, u_filt) one step after ``x`` under input ``u``."""
-        theta, omega, p_filt, u_filt = x
-        alpha = self.alpha
-        # overflow shows up as non-finite state and is reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = power_injections(theta, self.net)
-            u_filt = u_filt + alpha * (u - u_filt)
-            p_filt = p_filt + alpha * (p - p_filt)
-            new = (
-                theta + self.dt_omega_b * omega,
-                self.k_p * (self.p_star + u_filt - p_filt),
-                p_filt,
-                u_filt,
-            )
-        if not np.all(np.isfinite(np.concatenate(new))):
+    def advance(self, x: np.ndarray, u: np.ndarray) -> None:
+        """Move the stacked state ``x`` one step on under input ``u``."""
+        theta, omega, filt = x[0], x[1], x[2:]
+        target, spare = self._target, self._spare
+        # injections from the current angles, p_i = sum_j B_ij sin(theta_i - theta_j)
+        angles = np.subtract.outer(theta, theta, out=self._angles)
+        np.sin(angles, out=angles)
+        np.multiply(self.susceptance, angles, out=angles)
+        np.add.reduce(angles, axis=1, out=target[1])
+        # both filters at once: filt + alpha * ([u; p] - filt)
+        target[0] = u
+        np.subtract(target, filt, out=target)
+        np.multiply(self.alpha, target, out=target)
+        np.add(filt, target, out=filt)
+        # the angle integration uses the pre-update frequency
+        np.multiply(self.dt_omega_b, omega, out=spare)
+        np.add(theta, spare, out=theta)
+        np.add(self.p_star, filt[0], out=omega)
+        np.subtract(omega, filt[1], out=omega)
+        np.multiply(self.k_p, omega, out=omega)
+        if not np.isfinite(x).all():
             # a non-finite input always reaches u_filt: alpha * inf is inf or nan
             if not np.all(np.isfinite(u)):
                 raise ValueError("non-finite input vector")
             raise SimulationDiverged(self.diverged)
-        return new
+
+    def stack(self, state: SimState) -> np.ndarray:
+        """A fresh stacked copy of ``state`` for ``advance``."""
+        return np.array((state.theta, state.omega, state.u_filt, state.p_filt))
 
     def step(self, state: SimState, u: np.ndarray) -> SimState:
         """Validated one-step advance of ``state``."""
-        n = self.net.n_bus
+        n = self.n_bus
         if state.n_bus != n:
             raise ValueError(f"network has {n} buses, state has {state.n_bus}")
         u = np.asarray(u, dtype=float)
         if u.shape != (n,):
             raise ValueError(f"expected input of length {n}, got shape {u.shape}")
-        new = self.advance((state.theta, state.omega, state.p_filt, state.u_filt), u)
-        return SimState._from_checked(*new)  # advance checked what SimState would
+        x = self.stack(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.advance(x, u)
+        theta, omega, u_filt, p_filt = x
+        return SimState._from_checked(theta, omega, p_filt, u_filt)  # advance checked what SimState would
 
 
 def step(
@@ -289,14 +308,16 @@ def simulate(
     if net.n_bus != initial.n_bus:
         raise ValueError(f"network has {net.n_bus} buses, state has {initial.n_bus}")
     kernel = _StepKernel(params, net, cfg)
-    x = (initial.theta, initial.omega, initial.p_filt, initial.u_filt)
+    x = kernel.stack(initial)
+    omega = x[1]
     ys = np.empty_like(inputs)
-    for k in range(inputs.shape[0]):
-        ys[k] = x[1]  # omega
-        try:
-            x = kernel.advance(x, inputs[k])
-        except SimulationDiverged as exc:
-            raise SimulationDiverged(f"step {k}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # advance reports overflow
+        for k in range(inputs.shape[0]):
+            ys[k] = omega
+            try:
+                kernel.advance(x, inputs[k])
+            except SimulationDiverged as exc:
+                raise SimulationDiverged(f"step {k}: {exc}") from exc
     return Trajectory(u=inputs, y=ys, dt=cfg.dt)
 
 

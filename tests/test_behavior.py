@@ -112,6 +112,12 @@ def _pe_cases():
     dup = base.copy()
     dup[:, 2] = dup[:, 1]
     cases["duplicate"] = (dup, 8)
+    # a spike among the first or last ``order`` samples: the lag sums add
+    # and later subtract its square, so the head and tail pairs cancel
+    for name, at in (("spike_head", [2]), ("spike_tail", [-3]), ("spike_ends", [2, -3])):
+        spiked = base.copy()
+        spiked[at, 0] = 1e8
+        cases[name] = (spiked, 8)
     cases["tiny"] = (1e-160 * base, 8)
     cases["constant"] = (np.full((60, 1), 2.0), 2)
     cases["zero"] = (np.zeros((60, 2)), 3)
@@ -140,10 +146,11 @@ def test_pe_report_matches_svd_reference(name):
         # (c^2 + delta) * trace(G) well; near the shift either path may decide
         rows, cols = ref["required_rank"], ref["n_cols"]
         c = max(rows, cols) * eps if rtol is None else rtol
-        shift = c * c + behavior._PE_SAFETY * (rows + cols + 2) * eps
+        bound = (cols + 2 * order) * (3.0 + 2.0 * np.log(order)) + rows + 2
+        shift = c * c + behavior._PE_SAFETY * bound * eps
         trace = float(np.sum(sv**2))
         rho = sv[-1] ** 2 / trace if trace > 0.0 else 0.0
-        normal = trace >= (rows + cols) ** 2 * np.finfo(float).tiny / eps
+        normal = trace >= (rows + cols + 2 * order) ** 2 * np.finfo(float).tiny / eps
         if normal and rho >= 2.0 * shift and shift * rows < 1.0:
             assert report.decided_by == behavior.PE_CHOLESKY, (name, rtol)
         elif not normal or rho <= c * c + 0.5 * (shift - c * c) or shift * rows >= 1.0:
@@ -159,6 +166,85 @@ def test_pe_paths_cover_both_deciders():
     assert paths[("random", None)] == paths[("scaled_0.01", 1e-3)] == behavior.PE_CHOLESKY
     assert paths[("tiny", None)] == paths[("near_duplicate_1e-10", None)] == behavior.PE_SVD
     assert paths[("duplicate", None)] == paths[("zero", None)] == behavior.PE_SVD
+
+
+def _gamma(k):
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _lag_gram_cases():
+    rng = np.random.default_rng(23)
+    cases = {
+        "random": (rng.uniform(-1.0, 1.0, size=(200, 3)), 7),
+        "single_channel": (rng.standard_normal((120, 1)), 9),
+        "order_one": (rng.standard_normal((50, 4)), 1),
+        # n_cols = T - order + 1 equals the required rank n_u * order = 18
+        "shortest": (rng.standard_normal((3 * 6 + 6 - 1, 3)), 6),
+        "grid_30_bus": (rng.uniform(-1.0, 1.0, size=(4000, 30)), 95),
+    }
+    spiked = rng.uniform(-1.0, 1.0, size=(240, 3))
+    spiked[[2, -3], 0] = 1e8  # squares added in the first block row, cancelled further down
+    cases["spike_ends"] = (spiked, 8)
+    return cases
+
+
+LAG_GRAM_CASES = _lag_gram_cases()
+
+
+@pytest.mark.parametrize("name", sorted(LAG_GRAM_CASES))
+def test_lag_gram_matches_hankel_product(name):
+    u, order = LAG_GRAM_CASES[name]
+    n_u = u.shape[1]
+    h = hankel(u, order)
+    cols = h.shape[1]
+    ref = h @ h.T
+    del h
+    t = float(np.trace(ref))
+    g = behavior._lag_gram(u, order)
+    upper = np.kron(np.triu(np.ones((order, order), bool)), np.ones((n_u, n_u), bool))
+    assert not g[~upper].any(), "blocks below the diagonal stay zero"
+    np.subtract(g, ref, out=ref)
+    ref[~upper] = 0.0
+    # mirrored, the upper part's error counts twice; the GEMM reference has its own gamma_n t
+    err = np.sqrt(2.0) * np.linalg.norm(ref)
+    bound = (_gamma(cols + 2 * order) * (3.0 + 2.0 * np.log(order)) + _gamma(cols)) * t
+    assert err <= bound, (name, err / t)
+
+
+def test_pe_certificate_builds_no_hankel(monkeypatch):
+    calls = []
+    real = behavior.hankel
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(behavior, "hankel", counted)
+    u = np.random.default_rng(2).uniform(-1.0, 1.0, size=(1000, 10))
+    report = is_persistently_exciting(u, 55)
+    assert report.decided_by == behavior.PE_CHOLESKY and report.rank == 550
+    assert calls == []
+    # the SVD fallback still decides from the Hankel itself
+    report = is_persistently_exciting(np.zeros((60, 2)), 3)
+    assert report.decided_by == behavior.PE_SVD and len(calls) == 1
+
+
+def test_pe_rejects_order_below_one():
+    for order in (0, -2):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            is_persistently_exciting(np.ones((10, 2)), order)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pe_rejects_non_finite_input(bad):
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, size=(80, 2))
+    u[17, 1] = bad
+    u[40, 0] = bad
+    with pytest.raises(ValueError, match="non-finite input at step 17"):
+        is_persistently_exciting(u, 4)
+    with pytest.raises(ValueError, match="non-finite input at step 17"):
+        is_persistently_exciting(u[:, 1], 4)
 
 
 # -- LTI simulator and the fundamental lemma -----------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,18 @@ def test_bank_file_round_trip(tmp_path):
     back = load_bank(path)
     assert back.seed == bank.seed
     assert np.array_equal(back.centers, bank.centers)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bank_rejects_non_finite_centers(tmp_path, bad):
+    # a NaN distance would otherwise lift to a silent 0
+    with pytest.raises(ValueError, match="non-finite bank center 0"):
+        RbfBank(centers=[[bad, 0.0]])
+    centers = [[0.0, 1.0], [2.0, 3.0], [4.0, bad]]
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps({"seed": 3, "n_basis": 3, "n_y": 2, "centers": centers}))
+    with pytest.raises(ValueError, match="non-finite bank center 2"):
+        load_bank(path)
 
 
 def test_identity_bank_passthrough():

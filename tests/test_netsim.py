@@ -295,6 +295,63 @@ def test_simulate_diverges_at_the_step_of_the_public_loop():
     assert str(info.value) == f"step {diverged_at}: {message}"
 
 
+def _filter_divergence(route):
+    """A finite start and finite inputs whose first non-finite value is in ``route``."""
+    params = InverterParams()
+    if route == "u_filt":
+        # two inputs at the ends of the float range: u - u_filt overflows at step 4
+        cfg = SimConfig(dt=0.01)
+        start = SimState.zeros(2)
+        inputs = np.zeros((10, 2))
+        inputs[3, 0], inputs[4, 0] = 1.7e308, -1.7e308
+    else:
+        # dt * omega_pc = 3.328 > 2: p_filt grows until alpha * (p - p_filt) overflows
+        cfg = SimConfig(dt=0.01, filter_mode=netsim.FORWARD_EULER)
+        start = SimState(
+            theta=np.zeros(2), omega=np.zeros(2), p_filt=np.array([0.5, 0.0]), u_filt=np.zeros(2)
+        )
+        inputs = np.zeros((1500, 2))
+    return start, inputs, params, cfg
+
+
+@pytest.mark.parametrize("route", ["u_filt", "p_filt"])
+def test_filter_divergence_raises_at_one_step_on_every_path(route):
+    net = two_bus()
+    start, inputs, params, cfg = _filter_divergence(route)
+    euler = cfg.filter_mode == netsim.FORWARD_EULER
+    x = (start.theta, start.omega, start.p_filt, start.u_filt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(inputs.shape[0]):
+            x = droop_step(x, inputs[first], [params] * 2, net.susceptance, cfg.dt, euler)
+            if not np.all(np.isfinite(np.concatenate(x))):
+                break
+    theta, _, p_filt, u_filt = x
+    filters = {"u_filt": u_filt, "p_filt": p_filt}
+    # the named filter leaves the float range; the other filter and the angles stay finite
+    assert not np.all(np.isfinite(filters.pop(route)))
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(*filters.values()))
+
+    state = start
+    for k in range(inputs.shape[0]):
+        try:
+            state = step(state, inputs[k], params, net, cfg)
+        except SimulationDiverged as exc:
+            diverged_at, message = k, str(exc)
+            break
+    else:
+        pytest.fail(f"the {route} run did not diverge")
+    assert diverged_at == first
+    with pytest.raises(SimulationDiverged) as info:
+        simulate(start, inputs, params, net, cfg)
+    assert str(info.value) == f"step {diverged_at}: {message}"
+    plant = NetworkPlant(net, params, cfg, initial=start)
+    for k in range(diverged_at):
+        plant.step(inputs[k])
+    with pytest.raises(SimulationDiverged) as info:
+        plant.step(inputs[diverged_at])
+    assert str(info.value) == message
+
+
 def test_non_finite_input_rejected(plant_setup):
     net, params, cfg = plant_setup
     u = np.zeros((20, 10))

@@ -90,4 +90,7 @@ def test_perfbench_hooks_see_model_building(perfbench, plant_setup):
     spans = {span[0]: span for span in tracer.spans}
     # the PE check is timed inside the assemble span that calls it
     assert tracer.spans[spans["behavior.pe_check"][3]][0] == "behavior.assemble"
+    # assemble builds its three blocks; the certificate builds no Hankel
+    parents = [tracer.spans[span[3]][0] for span in tracer.spans if span[0] == "behavior.hankel"]
+    assert parents == ["behavior.assemble"] * 3
     assert (netsim.simulate, behavior.assemble, behavior.is_persistently_exciting) == originals
