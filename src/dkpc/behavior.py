@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +359,9 @@ class HankelSystem:
     Row partitions: the first ``T_ini`` block-rows of the input and
     output blocks are the past window, the last ``N`` block-rows the
     future window.  The lifted block holds only the ``T_ini`` past
-    block-rows, the only ones a controller matches.
+    block-rows, the only ones a controller matches.  ``gram`` forms the
+    Gram of the stacked rows once and keeps it for every controller
+    built on the system.
     """
 
     z: np.ndarray  # (n_basis * T_ini, n_cols)
@@ -408,6 +411,33 @@ class HankelSystem:
     @property
     def y_future(self) -> np.ndarray:
         return self.y[self.n_y * self.t_ini :]
+
+    @cached_property
+    def _full_gram(self) -> np.ndarray:
+        return _stack_gram(self)
+
+    def gram(self, lifted: bool = True) -> np.ndarray:
+        """Gram S S' of the stacked rows S = [Up; Yp; Z; Uf; Yf], without Z unless ``lifted``.
+
+        The full stack's Gram (rows^2 floats) is formed on the first call
+        and kept, read-only; the rows without Z take its principal
+        submatrix, an exact selection, so neither result depends on which
+        row set was asked for first.
+        """
+        g = self._full_gram
+        if lifted:
+            return g
+        start = (self.n_u + self.n_y) * self.t_ini
+        z_rows = slice(start, start + self.z.shape[0])
+        return np.delete(np.delete(g, z_rows, 0), z_rows, 1)
+
+
+def _stack_gram(hs: HankelSystem) -> np.ndarray:
+    """G = S S' of ``hs``'s full row stack [Up; Yp; Z; Uf; Yf], by one symmetric product."""
+    s = np.vstack([hs.u_past, hs.y_past, hs.z, hs.u_future, hs.y_future])
+    g = s @ s.T  # one triangle (syrk)
+    g.flags.writeable = False
+    return g
 
 
 def assemble(

@@ -144,7 +144,9 @@ def _behavioral_qp(
     the regulation cost and the scalar bounds: ``u_min``/``u_max`` on all
     of u_future, ``y_min``/``y_max`` on y_future after its first sample.
     The cost is diagonal and has no linear term (regulation to zero), so
-    P is passed as its (n,) diagonal and q is zero.
+    P is passed as its (n,) diagonal and q is zero.  The g columns of
+    A_eq stack the Hankel rows in the order of ``hs.gram``, whose Gram
+    the controller hands the solver.
 
     Raises ValueError for a bank whose observables differ from the
     Hankel Z block, and unless ``cs`` is primed and both ``cs`` and
@@ -161,9 +163,8 @@ def _behavioral_qp(
         )
     if (cs.t_ini, cs.n_u, cs.n_y) != (hs.t_ini, hs.n_u, hs.n_y):
         raise ValueError("controller state t_ini/n_u/n_y differ from the Hankel partition")
-    blocks = [hs.u_past, hs.y_past] if bank is None else [hs.u_past, hs.y_past, hs.z]
-    past = np.vstack(blocks)
-    n_past, n_cols = past.shape
+    past = [hs.u_past, hs.y_past] if bank is None else [hs.u_past, hs.y_past, hs.z]
+    n_past, n_cols = sum(len(block) for block in past), hs.n_cols
     n_u, n_y = hs.n_u, hs.n_y
     n_soft = 0 if math.isinf(cfg.lambda_sigma) else n_past - n_u * hs.t_ini
     n_uf, n_yf = n_u * cfg.horizon, n_y * cfg.horizon
@@ -173,11 +174,12 @@ def _behavioral_qp(
     dim = sig.stop
 
     a_eq = np.zeros((n_past + n_uf + n_yf, dim))
-    a_eq[:n_past, :n_cols] = past
+    row = 0
+    for block in [*past, hs.u_future, hs.y_future]:
+        a_eq[row : row + len(block), :n_cols] = block
+        row += len(block)
     a_eq[n_past - n_soft : n_past, sig] = -np.eye(n_soft)
-    a_eq[n_past : n_past + n_uf, :n_cols] = hs.u_future
     a_eq[n_past : n_past + n_uf, uf] = -np.eye(n_uf)
-    a_eq[n_past + n_uf :, :n_cols] = hs.y_future
     a_eq[n_past + n_uf :, yf] = -np.eye(n_yf)
 
     p_vec = np.empty(dim)
@@ -297,7 +299,8 @@ class _BehavioralController:
                 problem = build_deepc_qp(self.hs, self.cfg, self.state)
             else:
                 problem = build_dkpc_qp(self.hs, self.bank, self.cfg, self.state)
-            self._solver = QpSolver(problem, self.settings)
+            gram = self.hs.gram(lifted=self.bank is not None)
+            self._solver = QpSolver(problem, self.settings, gram=gram)
         else:
             future = np.zeros((self.n_u + self.n_y) * self.cfg.horizon)
             self._solver.update(b_eq=np.concatenate([self.state.past_window(self.bank), future]))

@@ -39,7 +39,11 @@ and q.  The trailing run of columns with one nonzero in A_eq (u_f, y_f
 and sigma of both controllers) is kept as (row, value) pairs: both
 Gram matrices (``QpSolver._gram``, a symmetric rank update) and the
 products of a polish step and of the ADMM x-update touch only the
-leading columns of A_eq, read as a slice.  With hard lifted rows DKPC's
+leading columns of A_eq, read as a slice.  A caller that already holds
+the Gram of those leading columns passes it as ``gram``; where P is one
+value on them (both controllers: 2 lambda_g on g), each Gram is that one
+over D's value there, checked once against A_eq (``_checked_gram``),
+and no rows x cols product is formed.  With hard lifted rows DKPC's
 inputs hung on the polish's rounding (reordering the rows of one Schur
 Cholesky moved them by up to 1.8e-3 on regulate), so rows are never
 permuted.  Any other (n,) P is expanded once to its n x n matrix, and
@@ -77,6 +81,7 @@ _POLISH_DELTA = 1e-12  # KKT regularization of the polish (relative to mean(P) o
 _POLISH_REFINE_STEPS = 3  # LU polish: refinement steps against the unregularized KKT
 _POLISH_TRIGGER = 1e3  # polish an ADMM iterate once r_p <= this * eps_pri
 _CHECK_EVERY = 25  # ADMM iterations between termination checks
+_FREIVALDS_SEED = 0  # sign vector of the check on a supplied Gram
 
 
 @dataclass(frozen=True)
@@ -242,10 +247,15 @@ class QpSolver:
 
     An (n,) P with every entry > 0 stays a vector for every product
     the solver forms; any other (n,) P is expanded here, once, to the
-    dense form that serves an (n, n) P.
+    dense form that serves an (n, n) P.  ``gram``, the Gram of A_eq's
+    leading dense columns when the caller already holds it, replaces
+    their product where it applies (``_checked_gram``).
     """
 
-    def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
+    def __init__(
+        self, problem: QpProblem, settings: QpSettings | None = None, *,
+        gram: np.ndarray | None = None,
+    ):
         self.problem = problem
         self.settings = settings or QpSettings()
         P = problem.P
@@ -266,7 +276,9 @@ class QpSolver:
         self._schur_diag = self._schur_delta = self._schur_gram = None
         self._lead = self._trail = None
         self._split = 0
+        self._lead_gram = None
         if self._P.ndim == 1:
+            self._lead_gram = self._checked_gram(gram)
             mu = float(np.mean(self._P))
             self._schur_diag = self._P + _POLISH_DELTA * mu
             self._schur_delta = _POLISH_DELTA / mu
@@ -294,15 +306,53 @@ class QpSolver:
         self._tail_rows = self._unit_row[k:]
         self._tail = p.A_eq[self._tail_rows, np.arange(k, p.n)]
 
+    def _checked_gram(self, gram: np.ndarray | None) -> np.ndarray | None:
+        """``gram`` if every Gram the solver forms may start from it, else None.
+
+        ``gram`` stands for G = A A' of the leading columns A = A_eq[:, :k]
+        (the dense block before the trailing unit columns).  It is used
+        when it is m_eq x m_eq and the vector P is one value on those
+        columns, so that each D the solver forms, P plus a constant, is one
+        value d there and A D^-1 A' starts from G / d, and another value on
+        the first unit column after them.  A caller's block of one weight
+        may end in columns with one nonzero each (data whose last window
+        has a single nonzero); it then runs past k, its Gram is not A A',
+        and the second condition keeps it on the product path.  A seeded Freivalds
+        test then compares G v with A (A' v) for a random sign vector v.
+        For G formed by any product of inner dimension k, entry i of
+        either one is off the exact A A' v by at most gamma_{k + m_eq}
+        (|A| |A'| |v|)_i <= gamma_{k + m_eq} |a_i| sum_j |a_j| (Cauchy-Schwarz;
+        a_i is row i of A), so the two differ by at most about
+        (k + m_eq) eps |a_i| sum_j |a_j|.  A difference beyond twice that
+        raises ValueError; so does a non-finite G.
+        """
+        k, m_eq = self._n_lead, self.problem.m_eq
+        if gram is None or k == 0 or np.shape(gram) != (m_eq, m_eq):
+            return None
+        if np.any(self._P[:k] != self._P[0]) or (k < self.problem.n and self._P[k] == self._P[0]):
+            return None
+        a = self.problem.A_eq[:, :k]
+        v = np.random.default_rng(_FREIVALDS_SEED).choice([-1.0, 1.0], size=m_eq)
+        gap = np.abs(gram @ v - a @ (a.T @ v))
+        norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+        bound = 2.0 * (k + m_eq) * np.finfo(float).eps * norms * norms.sum()
+        if not np.all(gap <= bound):
+            raise ValueError("gram is not the Gram of A_eq's leading columns")
+        return gram
+
     def _gram(self, D: np.ndarray) -> np.ndarray:
         """A_eq D^-1 A_eq' for a positive (n,) D.
 
-        The leading columns by a symmetric rank update (syrk); a trailing
-        unit column adds (a / D) a to its row's diagonal entry only.
+        The leading columns as the supplied Gram over D's one value there
+        (``_checked_gram``), or else by a symmetric rank update (syrk); a
+        trailing unit column adds (a / D) a to its row's diagonal entry only.
         """
         k = self._n_lead
-        b = self.problem.A_eq[:, :k] / np.sqrt(D[:k])
-        g = b @ b.T  # one triangle (syrk)
+        if self._lead_gram is not None:
+            g = self._lead_gram / D[0]
+        else:
+            b = self.problem.A_eq[:, :k] / np.sqrt(D[:k])
+            g = b @ b.T  # one triangle (syrk)
         g[np.diag_indices_from(g)] += np.bincount(
             self._tail_rows, (self._tail / D[k:]) * self._tail, g.shape[0])
         return g

@@ -301,6 +301,20 @@ def test_assemble_shapes(plant_dataset):
     assert hs.y.shape == (10 * 15, hs.n_cols)
 
 
+def test_hankel_system_gram_is_the_row_stack_product(plant_dataset):
+    # formed once and kept read-only; the unlifted rows take its principal
+    # submatrix, which equals the product of their own stack to rounding
+    bank = build_bank(plant_dataset.y, 20, seed=2)
+    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6, pe_check=False)
+    for lifted, past in ((True, [hs.u_past, hs.y_past, hs.z]), (False, [hs.u_past, hs.y_past])):
+        s = np.vstack([*past, hs.u_future, hs.y_future])
+        ref = s @ s.T
+        g = hs.gram(lifted)
+        assert g.shape == ref.shape
+        assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref)), lifted
+    assert hs.gram(True) is hs.gram(True) and not hs.gram(True).flags.writeable
+
+
 def test_assemble_full_scale_arithmetic():
     # shape rule:  T = 1000, T_ini = 5, N = 10 -> 986 columns
     rng = np.random.default_rng(0)

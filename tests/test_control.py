@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dkpc import control, netsim, qpsolve
+from dkpc import behavior, control, netsim, qpsolve
 from dkpc.behavior import Trajectory, assemble
 from dkpc.control import (
     ControllerConfig,
@@ -702,22 +702,128 @@ def test_closed_loop_trace_keeps_no_per_step_predictions(lti_setup):
     assert held <= trace.steps * (hs.n_u + hs.n_y + 6) * 8
 
 
-def test_twenty_bus_closed_loop_ends_every_step_at_direct_polish():
-    # scale tripwire: at 20 buses max|P x| reaches about 1e2 with q = 0, so
-    # polished points whose dual residual passes eps_rel |P x| but not
-    # eps_abs sent warm steps to ADMM; 10-bus runs never show it
-    n_bus = 20
+# -- the Gram shared by every controller of one Hankel system --------------------
+
+
+def network_data(n_bus, length, n_basis):
+    """Balanced network, excitation data of seed 1 and its bank of seed 5, as in regulate."""
     net = netsim.default_network(n_bus)
     params = [netsim.InverterParams(p_star=1.0 if i < n_bus // 2 else -1.0)
               for i in range(n_bus)]
     sim_cfg = netsim.SimConfig(dt=0.01)
     eq = netsim.equilibrium_state(params, net)
-    inputs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(2000, n_bus))
+    inputs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(length, n_bus))
     data = netsim.simulate(eq, inputs, params, net, sim_cfg)
-    bank = build_bank(data.y, 40, seed=5)
+    return net, params, sim_cfg, data, build_bank(data.y, n_basis, seed=5)
+
+
+@pytest.fixture(scope="module")
+def regulate_setup():
+    return network_data(10, 1000, 40)
+
+
+def regulate_run(setup, hs, kind, sim_steps=150):
+    """One closed-loop run of perfbench's regulate workload, disturbance seed 7."""
+    net, params, sim_cfg, _, bank = setup
+    if kind == "DKPC":
+        ctrl = DkpcController(hs, bank, DkpcConfig())
+    else:
+        ctrl = DeepcController(hs, DeepcConfig(lambda_sigma=1e5))
+    plant = netsim.NetworkPlant(net, params, sim_cfg, initial=netsim.equilibrium_state(params, net))
+    scen = Scenario(sim_steps=sim_steps, activation_step=40,
+                    disturbance=netsim.DisturbanceSpec(seed=7))
+    return run_closed_loop(plant, ctrl, scen), ctrl
+
+
+def without_gram(mp):
+    """Build every controller's solver without the Hankel system's Gram: the product path."""
+    mp.setattr(control, "QpSolver", lambda problem, settings, gram: QpSolver(problem, settings))
+
+
+def count_gram_formations(mp):
+    """A list that gains one entry per Gram a Hankel system forms."""
+    formed = []
+    stack_gram = behavior._stack_gram
+    mp.setattr(behavior, "_stack_gram", lambda hs: formed.append(1) or stack_gram(hs))
+    return formed
+
+
+def test_controller_build_order_does_not_move_inputs(regulate_setup):
+    # each controller reads its rows of the one Gram by exact selection
+    data, bank = regulate_setup[3:]
+    inputs = {}
+    for order in (("DKPC", "DeePC"), ("DeePC", "DKPC")):
+        hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+        for kind in order:
+            inputs[order, kind] = regulate_run(regulate_setup, hs, kind, sim_steps=60)[0].u
+    for kind in ("DKPC", "DeePC"):
+        assert np.array_equal(inputs[("DKPC", "DeePC"), kind], inputs[("DeePC", "DKPC"), kind])
+
+
+def test_gram_path_matches_product_path_on_regulate(regulate_setup, monkeypatch):
+    data, bank = regulate_setup[3:]
+    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    for kind in ("DKPC", "DeePC"):
+        trace, ctrl = regulate_run(regulate_setup, hs, kind)
+        assert ctrl._solver._lead_gram is not None
+        with monkeypatch.context() as mp:
+            without_gram(mp)
+            ref, ref_ctrl = regulate_run(regulate_setup, hs, kind)
+        assert ref_ctrl._solver._lead_gram is None
+        assert all(st == SOLVED for st, on in zip(trace.status, trace.active) if on)
+        assert np.max(np.abs(trace.u - ref.u)) <= 1e-12, kind
+
+
+def test_one_gram_formation_per_hankel_system(regulate_setup, monkeypatch):
+    data, bank = regulate_setup[3:]
+    formed = count_gram_formations(monkeypatch)
+    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    controllers = [DkpcController(hs, bank, DkpcConfig()),
+                   DkpcController(hs, bank, DkpcConfig(Q=30.0, lambda_g=1.0)),
+                   DeepcController(hs, DeepcConfig(lambda_sigma=1e5)),
+                   DeepcController(hs, DeepcConfig(R=1.0))]
+    for ctrl in controllers:
+        ctrl.state = primed_state(5, 10, 10, u_val=0.1, y_val=0.01)
+        assert ctrl.solve_step(np.full(10, 0.01)).status == SOLVED
+        assert ctrl._solver._lead_gram is not None
+    assert formed == [1]
+
+
+def test_thirty_bus_controllers_share_one_gram(monkeypatch):
+    # scale guard: 4000 samples and 80 observables, 1300 x 1300 Gram;
+    # DKPC and then DeePC from one Hankel system form it once, and their
+    # first inputs match those of solvers given no Gram
+    *_, data, bank = network_data(30, 4000, 80)
+    formed = count_gram_formations(monkeypatch)
+    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+
+    def first_input(make):
+        ctrl = make()
+        ctrl.state = primed_state(5, 30, 30, u_val=0.05, y_val=0.02)
+        step = ctrl.solve_step(np.full(30, 0.02))
+        assert step.status == SOLVED
+        return step.u
+
+    makers = (lambda: DkpcController(hs, bank, DkpcConfig()),
+              lambda: DeepcController(hs, DeepcConfig(lambda_sigma=1e5)))
+    shared = [first_input(make) for make in makers]
+    assert formed == [1] and hs.gram().shape == (1300, 1300)
+    with monkeypatch.context() as mp:
+        without_gram(mp)
+        ref = [first_input(make) for make in makers]
+    # measured: 2.9e-15 (DKPC) and 4.7e-13 (DeePC, lambda_sigma 1e5) on inputs near 0.07
+    for u, u_ref in zip(shared, ref):
+        assert np.max(np.abs(u - u_ref)) <= 1e-11
+
+
+def test_twenty_bus_closed_loop_ends_every_step_at_direct_polish():
+    # scale tripwire: at 20 buses max|P x| reaches about 1e2 with q = 0, so
+    # polished points whose dual residual passes eps_rel |P x| but not
+    # eps_abs sent warm steps to ADMM; 10-bus runs never show it
+    net, params, sim_cfg, data, bank = network_data(20, 2000, 40)
     hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
     ctrl = DkpcController(hs, bank, DkpcConfig())
-    plant = netsim.NetworkPlant(net, params, sim_cfg, initial=eq)
+    plant = netsim.NetworkPlant(net, params, sim_cfg, initial=netsim.equilibrium_state(params, net))
     scen = Scenario(sim_steps=50, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))
     trace = run_closed_loop(plant, ctrl, scen)
     assert np.count_nonzero(trace.active) == 10

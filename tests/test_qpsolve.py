@@ -545,7 +545,7 @@ def test_unit_column_products_equal_full_products(behavioral_qps):
     assert dense.m_eq > 1
     problems = behavioral_qps + [unit_and_dense_columns_qp(rng), dense]
     trailing = []
-    for prob in problems:
+    for i, prob in enumerate(problems):
         solver = QpSolver(prob)
         k = solver._n_lead
         trailing.append(prob.n - k)
@@ -559,9 +559,76 @@ def test_unit_column_products_equal_full_products(behavioral_qps):
         D = solver._schur_diag
         gram = (A / D) @ A.T
         assert np.max(np.abs(solver._schur_gram - gram)) <= 1e-14 * np.max(np.abs(gram))
+        # the leading columns' Gram supplied: used where D is one value on them
+        supplied = QpSolver(prob, gram=leading_gram(prob, k))
+        assert (supplied._lead_gram is not None) == (i < len(behavioral_qps))
+        assert np.max(np.abs(supplied._schur_gram - gram)) <= 1e-14 * np.max(np.abs(gram))
     # 10 buses, horizon 6: 60 u_f and 60 y_f; DKPC's sigma softens
     # (10 outputs + 20 observables) x 4 past rows, DeePC's 10 x 4
     assert trailing == [60 + 60 + 120, 60 + 60 + 40, 3, 0]
+
+
+def leading_gram(prob, k):
+    """G = A A' of the first k columns of ``prob.A_eq``."""
+    lead = prob.A_eq[:, :k]
+    return lead @ lead.T
+
+
+def test_supplied_gram_checked_against_leading_columns(behavioral_qps):
+    # a seeded Freivalds test compares G v with A (A' v): the exact Gram
+    # passes, one entry pair off by 1e-9 of the largest entry, a non-finite
+    # entry or another block's Gram raises
+    for prob in behavioral_qps:
+        k = QpSolver(prob)._n_lead
+        gram = leading_gram(prob, k)
+        assert QpSolver(prob, gram=gram)._lead_gram is gram
+        i, j = 3, prob.m_eq - 2
+        for value in (gram[i, j] + 1e-9 * np.max(np.abs(gram)), np.nan):
+            bad = gram.copy()
+            bad[i, j] = bad[j, i] = value
+            with pytest.raises(ValueError, match="Gram"):
+                QpSolver(prob, gram=bad)
+        with pytest.raises(ValueError, match="Gram"):
+            QpSolver(prob, gram=leading_gram(prob, k - 1))
+
+
+def test_supplied_gram_unused_unless_d_is_one_value_on_leading_columns(behavioral_qps):
+    # a leading block whose P, and so D, is not one value, a Gram of
+    # another shape, a dense P and a Gram that spans unit columns keep the
+    # product path: the solver is the one built without a Gram, bit for bit
+    prob = behavioral_qps[0]
+    k = QpSolver(prob)._n_lead
+    gram = leading_gram(prob, k)
+    uneven = prob.P.copy()
+    uneven[k // 2] *= 1.5
+    # g's last column with one nonzero left: the trailing unit run starts
+    # inside the block of one weight that the Gram spans
+    a_eq = prob.A_eq.copy()
+    a_eq[1:, k - 1] = 0.0
+    one_nonzero = dataclasses.replace(prob, A_eq=a_eq)
+    assert QpSolver(one_nonzero)._n_lead == k - 1
+    cases = [(dataclasses.replace(prob, P=uneven), gram),
+             (prob, gram[1:, 1:]),
+             (dataclasses.replace(prob, P=np.diag(prob.P)), gram),
+             (one_nonzero, leading_gram(one_nonzero, k))]
+    for case, g in cases:
+        solver, ref = QpSolver(case, gram=g), QpSolver(case)
+        assert solver._lead_gram is None
+        if ref._schur_gram is not None:
+            assert np.array_equal(solver._schur_gram, ref._schur_gram)
+        sol, sol_ref = solver.solve(), ref.solve()
+        assert sol.status == SOLVED and np.array_equal(sol.x, sol_ref.x)
+
+
+def test_criterion_2_qps_never_take_the_gram_path():
+    # the random QPs of acceptance criterion 2, each given its exact A A'
+    rng = np.random.default_rng(7)
+    for k in range(100):
+        definite = k % 7 != 3
+        P, q, A, b, lo, hi = random_box_qp(rng, n_max=30, m_max=10 if definite else 0,
+                                           definite=definite)
+        prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
+        assert QpSolver(prob, gram=prob.A_eq @ prob.A_eq.T)._lead_gram is None
 
 
 def test_bounded_slack_moves_split_to_its_row(behavioral_qps, monkeypatch):
