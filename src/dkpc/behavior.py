@@ -413,29 +413,45 @@ class HankelSystem:
         return self.y[self.n_y * self.t_ini :]
 
     @cached_property
-    def _full_gram(self) -> np.ndarray:
-        return _stack_gram(self)
+    def _plain_gram(self) -> np.ndarray:
+        return _plain_gram(self)
+
+    @cached_property
+    def _lifted_gram(self) -> np.ndarray:
+        return _lifted_gram(self, self._plain_gram)
 
     def gram(self, lifted: bool = True) -> np.ndarray:
         """Gram S S' of the stacked rows S = [Up; Yp; Z; Uf; Yf], without Z unless ``lifted``.
 
-        The full stack's Gram (rows^2 floats) is formed on the first call
-        and kept, read-only; the rows without Z take its principal
-        submatrix, an exact selection, so neither result depends on which
-        row set was asked for first.
+        Each is formed on its first call and kept, read-only (rows^2
+        floats).  The rows without Z come first: the lifted Gram adds only
+        the Z rows' products to that one, an exact copy, so neither result
+        depends on which row set was asked for first.
         """
-        g = self._full_gram
-        if lifted:
-            return g
-        start = (self.n_u + self.n_y) * self.t_ini
-        z_rows = slice(start, start + self.z.shape[0])
-        return np.delete(np.delete(g, z_rows, 0), z_rows, 1)
+        return self._lifted_gram if lifted else self._plain_gram
 
 
-def _stack_gram(hs: HankelSystem) -> np.ndarray:
-    """G = S S' of ``hs``'s full row stack [Up; Yp; Z; Uf; Yf], by one symmetric product."""
-    s = np.vstack([hs.u_past, hs.y_past, hs.z, hs.u_future, hs.y_future])
+def _plain_rows(hs: HankelSystem) -> np.ndarray:
+    return np.vstack([hs.u_past, hs.y_past, hs.u_future, hs.y_future])
+
+
+def _plain_gram(hs: HankelSystem) -> np.ndarray:
+    """G = S S' of ``hs``'s rows without Z, S = [Up; Yp; Uf; Yf], by one symmetric product."""
+    s = _plain_rows(hs)
     g = s @ s.T  # one triangle (syrk)
+    g.flags.writeable = False
+    return g
+
+
+def _lifted_gram(hs: HankelSystem, plain: np.ndarray) -> np.ndarray:
+    """G of [Up; Yp; Z; Uf; Yf]: ``plain``, the Gram without Z, with the Z rows' products added."""
+    cross = hs.z @ _plain_rows(hs).T
+    p = (hs.n_u + hs.n_y) * hs.t_ini  # rows of [Up; Yp]
+    g = np.block([
+        [plain[:p, :p], cross[:, :p].T, plain[:p, p:]],
+        [cross[:, :p], hs.z @ hs.z.T, cross[:, p:]],
+        [plain[p:, :p], cross[:, p:].T, plain[p:, p:]],
+    ])
     g.flags.writeable = False
     return g
 

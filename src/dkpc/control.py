@@ -299,7 +299,10 @@ class _BehavioralController:
                 problem = build_deepc_qp(self.hs, self.cfg, self.state)
             else:
                 problem = build_dkpc_qp(self.hs, self.bank, self.cfg, self.state)
-            gram = self.hs.gram(lifted=self.bank is not None)
+            # only a P > 0 stays a vector, the one form whose solver reads a Gram
+            gram = None
+            if np.all(problem.P > 0.0):
+                gram = (self.hs.gram(lifted=self.bank is not None), self.hs.n_cols)
             self._solver = QpSolver(problem, self.settings, gram=gram)
         else:
             future = np.zeros((self.n_u + self.n_y) * self.cfg.horizon)

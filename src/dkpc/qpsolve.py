@@ -40,13 +40,14 @@ and sigma of both controllers) is kept as (row, value) pairs: both
 Gram matrices (``QpSolver._gram``, a symmetric rank update) and the
 products of a polish step and of the ADMM x-update touch only the
 leading columns of A_eq, read as a slice.  A caller that already holds
-the Gram of those leading columns passes it as ``gram``; where P is one
-value on them (both controllers: 2 lambda_g on g), each Gram is that one
-over D's value there, checked once against A_eq (``_checked_gram``),
-and no rows x cols product is formed.  With hard lifted rows DKPC's
-inputs hung on the polish's rounding (reordering the rows of one Schur
-Cholesky moved them by up to 1.8e-3 on regulate), so rows are never
-permuted.  Any other (n,) P is expanded once to its n x n matrix, and
+the Gram of A_eq's first c columns passes it with c as ``gram``; where
+P is one value on them (both controllers: 2 lambda_g on g) and every
+later column is a unit column, each Gram is that one over D's value
+there plus the unit columns' diagonal, checked once against A_eq
+(``_checked_gram``), and no rows x cols product is formed.  With hard
+lifted rows DKPC's inputs hung on the polish's rounding (reordering
+the rows of one Schur Cholesky moved them by up to 1.8e-3 on
+regulate), so rows are never permuted.  Any other (n,) P is expanded once to its n x n matrix, and
 an n x n P factors by LU the quasi-definite KKT matrix (``_kkt``) of
 each system: the ADMM x-update's, (n + m_eq)^2, and the free
 variables' one per active set, (n_F + m_eq)^2, regularized by an
@@ -247,14 +248,14 @@ class QpSolver:
 
     An (n,) P with every entry > 0 stays a vector for every product
     the solver forms; any other (n,) P is expanded here, once, to the
-    dense form that serves an (n, n) P.  ``gram``, the Gram of A_eq's
-    leading dense columns when the caller already holds it, replaces
-    their product where it applies (``_checked_gram``).
+    dense form that serves an (n, n) P.  ``gram``, a pair (G, c) of
+    the Gram G of A_eq's first c columns when the caller already holds
+    it, replaces their product where it applies (``_checked_gram``).
     """
 
     def __init__(
         self, problem: QpProblem, settings: QpSettings | None = None, *,
-        gram: np.ndarray | None = None,
+        gram: tuple[np.ndarray, int] | None = None,
     ):
         self.problem = problem
         self.settings = settings or QpSettings()
@@ -276,9 +277,11 @@ class QpSolver:
         self._schur_diag = self._schur_delta = self._schur_gram = None
         self._lead = self._trail = None
         self._split = 0
-        self._lead_gram = None
+        # the Gram of A_eq's first _gram_cols columns, if supplied and usable
+        self._lead_gram, self._gram_cols = None, self._n_lead
         if self._P.ndim == 1:
-            self._lead_gram = self._checked_gram(gram)
+            if (checked := self._checked_gram(gram)) is not None:
+                self._lead_gram, self._gram_cols = checked
             mu = float(np.mean(self._P))
             self._schur_diag = self._P + _POLISH_DELTA * mu
             self._schur_delta = _POLISH_DELTA / mu
@@ -306,55 +309,58 @@ class QpSolver:
         self._tail_rows = self._unit_row[k:]
         self._tail = p.A_eq[self._tail_rows, np.arange(k, p.n)]
 
-    def _checked_gram(self, gram: np.ndarray | None) -> np.ndarray | None:
+    def _checked_gram(
+        self, gram: tuple[np.ndarray, int] | None
+    ) -> tuple[np.ndarray, int] | None:
         """``gram`` if every Gram the solver forms may start from it, else None.
 
-        ``gram`` stands for G = A A' of the leading columns A = A_eq[:, :k]
-        (the dense block before the trailing unit columns).  It is used
-        when it is m_eq x m_eq and the vector P is one value on those
-        columns, so that each D the solver forms, P plus a constant, is one
-        value d there and A D^-1 A' starts from G / d, and another value on
-        the first unit column after them.  A caller's block of one weight
-        may end in columns with one nonzero each (data whose last window
-        has a single nonzero); it then runs past k, its Gram is not A A',
-        and the second condition keeps it on the product path.  A seeded Freivalds
-        test then compares G v with A (A' v) for a random sign vector v.
-        For G formed by any product of inner dimension k, entry i of
-        either one is off the exact A A' v by at most gamma_{k + m_eq}
-        (|A| |A'| |v|)_i <= gamma_{k + m_eq} |a_i| sum_j |a_j| (Cauchy-Schwarz;
-        a_i is row i of A), so the two differ by at most about
-        (k + m_eq) eps |a_i| sum_j |a_j|.  A difference beyond twice that
-        raises ValueError; so does a non-finite G.
+        ``gram`` is a pair (G, c): G stands for A A' of the first c columns
+        A = A_eq[:, :c].  It is used when G is m_eq x m_eq, every column
+        after the first c is a unit column and the vector P is one value
+        on those c columns, so that each D the solver forms, P plus a
+        constant, is one value d there and A_eq D^-1 A_eq' is G / d plus
+        the unit columns' diagonal.  A seeded Freivalds test then compares
+        G v with A (A' v) for a random sign vector v.  For G formed by any
+        product of inner dimension c, entry i of either one is off the
+        exact A A' v by at most gamma_{c + m_eq} (|A| |A'| |v|)_i <=
+        gamma_{c + m_eq} |a_i| sum_j |a_j| (Cauchy-Schwarz; a_i is row i
+        of A), so the two differ by at most about (c + m_eq) eps |a_i|
+        sum_j |a_j|.  A difference beyond twice that raises ValueError; so
+        does a non-finite G.
         """
-        k, m_eq = self._n_lead, self.problem.m_eq
-        if gram is None or k == 0 or np.shape(gram) != (m_eq, m_eq):
+        if gram is None:
             return None
-        if np.any(self._P[:k] != self._P[0]) or (k < self.problem.n and self._P[k] == self._P[0]):
+        g, c = gram
+        m_eq = self.problem.m_eq
+        if np.shape(g) != (m_eq, m_eq) or not max(self._n_lead, 1) <= c <= self.problem.n:
             return None
-        a = self.problem.A_eq[:, :k]
+        if np.any(self._P[:c] != self._P[0]):
+            return None
+        a = self.problem.A_eq[:, :c]
         v = np.random.default_rng(_FREIVALDS_SEED).choice([-1.0, 1.0], size=m_eq)
-        gap = np.abs(gram @ v - a @ (a.T @ v))
+        gap = np.abs(g @ v - a @ (a.T @ v))
         norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-        bound = 2.0 * (k + m_eq) * np.finfo(float).eps * norms * norms.sum()
+        bound = 2.0 * (c + m_eq) * np.finfo(float).eps * norms * norms.sum()
         if not np.all(gap <= bound):
             raise ValueError("gram is not the Gram of A_eq's leading columns")
-        return gram
+        return g, c
 
     def _gram(self, D: np.ndarray) -> np.ndarray:
         """A_eq D^-1 A_eq' for a positive (n,) D.
 
-        The leading columns as the supplied Gram over D's one value there
-        (``_checked_gram``), or else by a symmetric rank update (syrk); a
-        trailing unit column adds (a / D) a to its row's diagonal entry only.
+        The first c = ``_gram_cols`` columns as the supplied Gram over D's
+        one value there (``_checked_gram``), or else, with c = k, by a
+        symmetric rank update (syrk); each later column, a unit column,
+        adds (a / D) a to its row's diagonal entry only.
         """
-        k = self._n_lead
+        c, k = self._gram_cols, self._n_lead
         if self._lead_gram is not None:
             g = self._lead_gram / D[0]
         else:
-            b = self.problem.A_eq[:, :k] / np.sqrt(D[:k])
+            b = self.problem.A_eq[:, :c] / np.sqrt(D[:c])
             g = b @ b.T  # one triangle (syrk)
-        g[np.diag_indices_from(g)] += np.bincount(
-            self._tail_rows, (self._tail / D[k:]) * self._tail, g.shape[0])
+        rows, tail = self._tail_rows[c - k:], self._tail[c - k:]
+        g[np.diag_indices_from(g)] += np.bincount(rows, (tail / D[c:]) * tail, g.shape[0])
         return g
 
     def _a_dot(self, x: np.ndarray) -> np.ndarray:

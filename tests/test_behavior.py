@@ -302,8 +302,8 @@ def test_assemble_shapes(plant_dataset):
 
 
 def test_hankel_system_gram_is_the_row_stack_product(plant_dataset):
-    # formed once and kept read-only; the unlifted rows take its principal
-    # submatrix, which equals the product of their own stack to rounding
+    # each formed once and kept read-only; the lifted Gram copies the one
+    # without Z exactly, and each equals the product of its own stack to rounding
     bank = build_bank(plant_dataset.y, 20, seed=2)
     hs = assemble(plant_dataset, bank, t_ini=4, horizon=6, pe_check=False)
     for lifted, past in ((True, [hs.u_past, hs.y_past, hs.z]), (False, [hs.u_past, hs.y_past])):
@@ -312,7 +312,11 @@ def test_hankel_system_gram_is_the_row_stack_product(plant_dataset):
         g = hs.gram(lifted)
         assert g.shape == ref.shape
         assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref)), lifted
-    assert hs.gram(True) is hs.gram(True) and not hs.gram(True).flags.writeable
+    z_rows = np.arange(hs.z.shape[0]) + (hs.n_u + hs.n_y) * hs.t_ini
+    plain = np.delete(np.delete(hs.gram(True), z_rows, 0), z_rows, 1)
+    assert np.array_equal(plain, hs.gram(False))
+    for lifted in (True, False):
+        assert hs.gram(lifted) is hs.gram(lifted) and not hs.gram(lifted).flags.writeable
 
 
 def test_assemble_full_scale_arithmetic():

@@ -741,15 +741,17 @@ def without_gram(mp):
 
 
 def count_gram_formations(mp):
-    """A list that gains one entry per Gram a Hankel system forms."""
+    """A list that gains "plain" or "lifted" for each Gram a Hankel system forms."""
     formed = []
-    stack_gram = behavior._stack_gram
-    mp.setattr(behavior, "_stack_gram", lambda hs: formed.append(1) or stack_gram(hs))
+    plain, lifted = behavior._plain_gram, behavior._lifted_gram
+    mp.setattr(behavior, "_plain_gram", lambda hs: formed.append("plain") or plain(hs))
+    mp.setattr(behavior, "_lifted_gram",
+               lambda hs, g: formed.append("lifted") or lifted(hs, g))
     return formed
 
 
 def test_controller_build_order_does_not_move_inputs(regulate_setup):
-    # each controller reads its rows of the one Gram by exact selection
+    # DeePC's Gram is the block the lifted one copies, whichever comes first
     data, bank = regulate_setup[3:]
     inputs = {}
     for order in (("DKPC", "DeePC"), ("DeePC", "DKPC")):
@@ -775,23 +777,32 @@ def test_gram_path_matches_product_path_on_regulate(regulate_setup, monkeypatch)
 
 
 def test_one_gram_formation_per_hankel_system(regulate_setup, monkeypatch):
+    # each row set's Gram is formed once, and only for a controller whose
+    # solver reads it: not for lambda_g = 0, where P is not > 0 on g.
+    # R = lambda_g (u_f weighs what g does) keeps the Gram
     data, bank = regulate_setup[3:]
     formed = count_gram_formations(monkeypatch)
-    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
-    controllers = [DkpcController(hs, bank, DkpcConfig()),
-                   DkpcController(hs, bank, DkpcConfig(Q=30.0, lambda_g=1.0)),
-                   DeepcController(hs, DeepcConfig(lambda_sigma=1e5)),
-                   DeepcController(hs, DeepcConfig(R=1.0))]
-    for ctrl in controllers:
+
+    def solved(ctrl):
         ctrl.state = primed_state(5, 10, 10, u_val=0.1, y_val=0.01)
         assert ctrl.solve_step(np.full(10, 0.01)).status == SOLVED
-        assert ctrl._solver._lead_gram is not None
-    assert formed == [1]
+        return ctrl._solver._lead_gram is not None
+
+    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    assert not solved(DeepcController(hs, DeepcConfig(lambda_g=0.0)))
+    assert formed == []
+    assert solved(DeepcController(hs, DeepcConfig(lambda_sigma=1e5)))
+    assert formed == ["plain"]
+    controllers = [DkpcController(hs, bank, DkpcConfig()),
+                   DkpcController(hs, bank, DkpcConfig(Q=30.0, lambda_g=1.0)),
+                   DeepcController(hs, DeepcConfig(R=1.0, lambda_g=1.0))]
+    assert all(solved(ctrl) for ctrl in controllers)
+    assert formed == ["plain", "lifted"]
 
 
 def test_thirty_bus_controllers_share_one_gram(monkeypatch):
     # scale guard: 4000 samples and 80 observables, 1300 x 1300 Gram;
-    # DKPC and then DeePC from one Hankel system form it once, and their
+    # DKPC and then DeePC from one Hankel system form each row set's once, and their
     # first inputs match those of solvers given no Gram
     *_, data, bank = network_data(30, 4000, 80)
     formed = count_gram_formations(monkeypatch)
@@ -807,7 +818,7 @@ def test_thirty_bus_controllers_share_one_gram(monkeypatch):
     makers = (lambda: DkpcController(hs, bank, DkpcConfig()),
               lambda: DeepcController(hs, DeepcConfig(lambda_sigma=1e5)))
     shared = [first_input(make) for make in makers]
-    assert formed == [1] and hs.gram().shape == (1300, 1300)
+    assert formed == ["plain", "lifted"] and hs.gram().shape == (1300, 1300)
     with monkeypatch.context() as mp:
         without_gram(mp)
         ref = [first_input(make) for make in makers]
