@@ -20,7 +20,6 @@ from .behavior import (
 from .control import (
     ClosedLoopTrace,
     ControllerConfig,
-    ControllerState,
     DeepcConfig,
     DeepcController,
     DkpcConfig,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClosedLoopTrace",
     "ControllerConfig",
-    "ControllerState",
     "DeepcConfig",
     "DeepcController",
     "DisturbanceSpec",

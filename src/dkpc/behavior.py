@@ -412,6 +412,15 @@ class HankelSystem:
     def y_future(self) -> np.ndarray:
         return self.y[self.n_y * self.t_ini :]
 
+    def rows(self, lifted: bool = True) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The past row blocks [Up, Yp], then Z if ``lifted``, and the future ones [Uf, Yf].
+
+        Every Gram (``gram``) and the controllers' ``A_eq`` stack the rows
+        in this order.
+        """
+        past = [self.u_past, self.y_past, self.z] if lifted else [self.u_past, self.y_past]
+        return past, [self.u_future, self.y_future]
+
     @cached_property
     def _plain_gram(self) -> np.ndarray:
         return _plain_gram(self)
@@ -432,7 +441,8 @@ class HankelSystem:
 
 
 def _plain_rows(hs: HankelSystem) -> np.ndarray:
-    return np.vstack([hs.u_past, hs.y_past, hs.u_future, hs.y_future])
+    past, future = hs.rows(lifted=False)
+    return np.vstack([*past, *future])
 
 
 def _plain_gram(hs: HankelSystem) -> np.ndarray:
@@ -446,7 +456,7 @@ def _plain_gram(hs: HankelSystem) -> np.ndarray:
 def _lifted_gram(hs: HankelSystem, plain: np.ndarray) -> np.ndarray:
     """G of [Up; Yp; Z; Uf; Yf]: ``plain``, the Gram without Z, with the Z rows' products added."""
     cross = hs.z @ _plain_rows(hs).T
-    p = (hs.n_u + hs.n_y) * hs.t_ini  # rows of [Up; Yp]
+    p = sum(len(block) for block in hs.rows(lifted=False)[0])  # Z follows these past rows
     g = np.block([
         [plain[:p, :p], cross[:, :p].T, plain[:p, p:]],
         [cross[:, :p], hs.z @ hs.z.T, cross[:, p:]],

@@ -22,7 +22,7 @@ import numpy as np
 from ._csvio import write_csv
 from .behavior import HankelSystem, LtiSystem
 from .netsim import DisturbanceSpec, SimulationDiverged
-from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolver
+from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolution, QpSolver
 
 
 @dataclass(frozen=True)
@@ -83,44 +83,6 @@ class ControllerConfig:
 DkpcConfig = DeepcConfig = ControllerConfig
 
 
-class ControllerState:
-    """Ring buffers of the most recent applied inputs and measured outputs."""
-
-    def __init__(self, t_ini: int, n_u: int, n_y: int):
-        self.t_ini = t_ini
-        self.n_u = n_u
-        self.n_y = n_y
-        self.u_ini: deque[np.ndarray] = deque(maxlen=t_ini)
-        self.y_ini: deque[np.ndarray] = deque(maxlen=t_ini)
-        self.warm_start: np.ndarray | None = None
-        self.warm_dual: np.ndarray | None = None
-
-    @property
-    def primed(self) -> bool:
-        return len(self.u_ini) == self.t_ini and len(self.y_ini) == self.t_ini
-
-    def record(self, u: np.ndarray, y: np.ndarray) -> None:
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if u.shape != (self.n_u,) or y.shape != (self.n_y,):
-            raise ValueError("recorded pair has wrong dimensions")
-        self.u_ini.append(u.copy())
-        self.y_ini.append(y.copy())
-
-    def u_window(self) -> np.ndarray:
-        return np.array(self.u_ini)
-
-    def y_window(self) -> np.ndarray:
-        return np.array(self.y_ini)
-
-    def past_window(self, bank=None) -> np.ndarray:
-        """Right-hand side of the past rows: inputs, outputs, then lifted outputs with a bank."""
-        parts = [self.u_window().ravel(), self.y_window().ravel()]
-        if bank is not None:
-            parts.append(bank.lift_trajectory(self.y_window()).ravel())
-        return np.concatenate(parts)
-
-
 def _check_bank(hs: HankelSystem, bank) -> None:
     """Raise ValueError for a bank whose observables differ from the Hankel Z block."""
     if bank is not None and bank.n_basis != hs.n_basis:
@@ -129,14 +91,13 @@ def _check_bank(hs: HankelSystem, bank) -> None:
         )
 
 
-def _behavioral_qp(
-    hs: HankelSystem, cfg: ControllerConfig, cs: ControllerState, bank=None
-) -> QpProblem:
-    """The behavioral QP that both controllers solve.
+def _behavioral_qp(hs: HankelSystem, cfg: ControllerConfig, bank=None) -> QpProblem:
+    """The behavioral QP that both controllers solve, with b_eq = 0.
 
     Decision vector x = (g, u_future, y_future, sigma).  The past rows
     ``[Up; Yp]``, followed by ``Zp`` when a ``bank`` is given, pin the
-    measured window ``cs.past_window(bank)``.  Every past row after
+    measured window: the first entries of b_eq, which the controller
+    sets each step (``QpSolver.update``).  Every past row after
     ``Up`` carries ``-sigma``, penalized by ``cfg.lambda_sigma * |sigma|^2``;
     an infinite weight drops sigma and makes those rows hard.  There are
     no future lifted rows, which keeps the program convex.
@@ -145,25 +106,20 @@ def _behavioral_qp(
     of u_future, ``y_min``/``y_max`` on y_future after its first sample.
     The cost is diagonal and has no linear term (regulation to zero), so
     P is passed as its (n,) diagonal and q is zero.  The g columns of
-    A_eq stack the Hankel rows in the order of ``hs.gram``, whose Gram
-    the controller hands the solver.
+    A_eq stack the Hankel rows in the order of ``hs.rows``, that of the
+    Gram the controller hands the solver.
 
     Raises ValueError for a bank whose observables differ from the
-    Hankel Z block, and unless ``cs`` is primed and both ``cs`` and
-    ``cfg`` have the ``t_ini`` (and ``cfg`` the horizon, ``cs`` the
-    ``n_u``/``n_y``) of ``hs``.
+    Hankel Z block, and unless ``cfg`` has the ``t_ini`` and horizon of
+    ``hs``.
     """
     _check_bank(hs, bank)
-    if not cs.primed:
-        raise ValueError("controller state not primed: need t_ini recorded pairs")
     if (cfg.t_ini, cfg.horizon) != (hs.t_ini, hs.horizon):
         raise ValueError(
             f"config t_ini/horizon {cfg.t_ini}/{cfg.horizon} differ from the Hankel "
             f"partition's {hs.t_ini}/{hs.horizon}"
         )
-    if (cs.t_ini, cs.n_u, cs.n_y) != (hs.t_ini, hs.n_u, hs.n_y):
-        raise ValueError("controller state t_ini/n_u/n_y differ from the Hankel partition")
-    past = [hs.u_past, hs.y_past] if bank is None else [hs.u_past, hs.y_past, hs.z]
+    past, future = hs.rows(lifted=bank is not None)
     n_past, n_cols = sum(len(block) for block in past), hs.n_cols
     n_u, n_y = hs.n_u, hs.n_y
     n_soft = 0 if math.isinf(cfg.lambda_sigma) else n_past - n_u * hs.t_ini
@@ -175,7 +131,7 @@ def _behavioral_qp(
 
     a_eq = np.zeros((n_past + n_uf + n_yf, dim))
     row = 0
-    for block in [*past, hs.u_future, hs.y_future]:
+    for block in [*past, *future]:
         a_eq[row : row + len(block), :n_cols] = block
         row += len(block)
     a_eq[n_past - n_soft : n_past, sig] = -np.eye(n_soft)
@@ -195,18 +151,18 @@ def _behavioral_qp(
     y_later = slice(yf.start + n_y, yf.stop)
     lower[y_later], upper[y_later] = cfg.y_min, cfg.y_max
 
-    b_eq = np.concatenate([cs.past_window(bank), np.zeros(n_uf + n_yf)])
-    return QpProblem(P=p_vec, q=np.zeros(dim), A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
+    return QpProblem(P=p_vec, q=np.zeros(dim), A_eq=a_eq, b_eq=np.zeros(len(a_eq)),
+                     lower=lower, upper=upper)
 
 
-def build_dkpc_qp(hs: HankelSystem, bank, cfg: ControllerConfig, cs: ControllerState) -> QpProblem:
+def build_dkpc_qp(hs: HankelSystem, bank, cfg: ControllerConfig) -> QpProblem:
     """Assemble the lifted behavioral QP: ``_behavioral_qp`` with the bank's rows."""
-    return _behavioral_qp(hs, cfg, cs, bank)
+    return _behavioral_qp(hs, cfg, bank)
 
 
-def build_deepc_qp(hs: HankelSystem, cfg: ControllerConfig, cs: ControllerState) -> QpProblem:
+def build_deepc_qp(hs: HankelSystem, cfg: ControllerConfig) -> QpProblem:
     """Assemble the benchmark behavioral QP: ``_behavioral_qp`` without a bank."""
-    return _behavioral_qp(hs, cfg, cs)
+    return _behavioral_qp(hs, cfg)
 
 
 @dataclass
@@ -229,6 +185,10 @@ class _BehavioralController:
 
     ``bank``, the lifting bank whose window enters the past rows, makes
     the lifted law; without one the past rows are inputs and outputs.
+    The controller owns the receding-horizon state: ``u_ini``/``y_ini``,
+    the last ``t_ini`` applied inputs and measured outputs, and
+    ``last_solution``, the last step's ``QpSolution``, which warm-starts
+    the next solve.
     """
 
     kind = "behavioral"
@@ -252,7 +212,10 @@ class _BehavioralController:
         self.bank = bank
         self.cfg = cfg
         self.settings = solver_settings or QpSettings()
-        self.state = ControllerState(cfg.t_ini, hs.n_u, hs.n_y)
+        self.u_ini: deque[np.ndarray] = deque(maxlen=cfg.t_ini)
+        self.y_ini: deque[np.ndarray] = deque(maxlen=cfg.t_ini)
+        self.last_solution: QpSolution | None = None
+        # built on the first solve_step, so construction stays cheap
         self._solver: QpSolver | None = None
 
     @property
@@ -265,10 +228,16 @@ class _BehavioralController:
 
     @property
     def primed(self) -> bool:
-        return self.state.primed
+        return len(self.u_ini) == self.cfg.t_ini
 
     def record(self, u: np.ndarray, y: np.ndarray) -> None:
-        self.state.record(u, y)
+        """Append an applied input and the output measured with it to the window."""
+        u = np.asarray(u, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if u.shape != (self.n_u,) or y.shape != (self.n_y,):
+            raise ValueError("recorded pair has wrong dimensions")
+        self.u_ini.append(u.copy())
+        self.y_ini.append(y.copy())
 
     def stage_cost(self, u: np.ndarray, y: np.ndarray) -> float:
         """Regulation cost Q |y|^2 + R |u|^2 of one step; +inf if it overflows on finite data."""
@@ -296,27 +265,28 @@ class _BehavioralController:
             raise ValueError(f"measurement has shape {y_t.shape}, expected ({self.n_y},)")
         if self._solver is None:
             if self.bank is None:
-                problem = build_deepc_qp(self.hs, self.cfg, self.state)
+                problem = build_deepc_qp(self.hs, self.cfg)
             else:
-                problem = build_dkpc_qp(self.hs, self.bank, self.cfg, self.state)
+                problem = build_dkpc_qp(self.hs, self.bank, self.cfg)
             # only a P > 0 stays a vector, the one form whose solver reads a Gram
             gram = None
             if np.all(problem.P > 0.0):
                 gram = (self.hs.gram(lifted=self.bank is not None), self.hs.n_cols)
             self._solver = QpSolver(problem, self.settings, gram=gram)
-        else:
-            future = np.zeros((self.n_u + self.n_y) * self.cfg.horizon)
-            self._solver.update(b_eq=np.concatenate([self.state.past_window(self.bank), future]))
-        sol = self._solver.solve(
-            warm_start=self.state.warm_start, warm_start_dual=self.state.warm_dual
-        )
-        self.state.warm_start = sol.x.copy()
-        self.state.warm_dual = np.concatenate([sol.y_eq, sol.y_box])
+        y_window = np.array(self.y_ini)
+        past = [np.array(self.u_ini).ravel(), y_window.ravel()]
+        if self.bank is not None:
+            past.append(self.bank.lift_trajectory(y_window).ravel())
+        future = np.zeros((self.n_u + self.n_y) * self.cfg.horizon)
+        self._solver.update(b_eq=np.concatenate([*past, future]))
+        last = self.last_solution
+        warm = () if last is None else (last.x, np.concatenate([last.y_eq, last.y_box]))
+        self.last_solution = sol = self._solver.solve(*warm)
 
         n_cols = self.hs.n_cols
         n_uf = self.n_u * self.cfg.horizon
         if sol.status != SOLVED:  # hold the last applied input
-            u_t = self.state.u_ini[-1].copy()
+            u_t = self.u_ini[-1].copy()
             predicted = np.full((self.cfg.horizon, self.n_y), np.nan)
         else:
             u_future = sol.x[n_cols : n_cols + n_uf]

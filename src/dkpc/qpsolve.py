@@ -19,8 +19,8 @@ penalty) on the stacked constraint [A_eq; I] x in [b_eq, b_eq] x
 iterates that come close.  Every step reads P, A_eq, q, b_eq and the
 bounds as given.  Factorizations depend only on (P, A_eq, bounds,
 penalty, active set), so a solver instance amortizes them across the
-solves of a receding-horizon loop, where only q and b_eq change
-(``update``); the bounds are fixed when the solver is built.  ADMM
+solves of a receding-horizon loop, where only b_eq changes
+(``update``); q and the bounds are fixed when the solver is built.  ADMM
 checks termination every ``_CHECK_EVERY`` iterations.
 
 P is given as its (n,) diagonal or as an (n, n) matrix, and its shape
@@ -124,7 +124,7 @@ class QpProblem:
             raise ValueError(f"A_eq has {A_eq.shape[1]} columns, expected {n}")
         if not np.isfinite(A_eq).all():
             raise ValueError("A_eq must be finite")
-        q, b_eq = _checked_vectors(n, A_eq.shape[0], q, self.b_eq)
+        q, b_eq = _finite_vector("q", q, n), _finite_vector("b_eq", self.b_eq, A_eq.shape[0])
         lower, upper = _vector("lower", self.lower, n), _vector("upper", self.upper, n)
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("bounds must not be NaN")
@@ -166,12 +166,12 @@ def _vector(name: str, val, size: int) -> np.ndarray:
     return vec
 
 
-def _checked_vectors(n: int, m_eq: int, q, b_eq) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce ``q`` (length n) and ``b_eq`` (length m_eq); both must be finite."""
-    q, b_eq = _vector("q", q, n), _vector("b_eq", b_eq, m_eq)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(b_eq))):
-        raise ValueError("q and b_eq must be finite")
-    return q, b_eq
+def _finite_vector(name: str, val, size: int) -> np.ndarray:
+    """``_vector``, which must be finite."""
+    vec = _vector(name, val, size)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{name} must be finite")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -238,13 +238,13 @@ def kkt_residuals(
 class QpSolver:
     """Reusable operator-splitting engine bound to one problem structure.
 
-    ``update`` swaps the vectors that change between receding-horizon
-    steps (q, b_eq) without touching the ADMM factorization or the
-    polish factor, which is kept for the last active set factored only,
-    with its ``A x0``.  It validates the new vectors only: P, A_eq and
-    the bounds are checked once, when the ``QpProblem`` is built, and
-    are shared unchanged by every updated problem.  Altering P, A_eq or
-    a bound requires a new instance.
+    ``update`` swaps b_eq, the one vector that changes between
+    receding-horizon steps, without touching the ADMM factorization or
+    the polish factor, which is kept for the last active set factored
+    only, with its ``A x0``.  It validates b_eq only: P, A_eq, q and the
+    bounds are checked once, when the ``QpProblem`` is built, and are
+    shared unchanged by every updated problem.  Altering any of them
+    requires a new instance.
 
     An (n,) P with every entry > 0 stays a vector for every product
     the solver forms; any other (n,) P is expanded here, once, to the
@@ -267,7 +267,7 @@ class QpSolver:
         # iteration (``_refactor``); a solve that ends before it needs none
         self._factored_rho: float | None = None
         self._factor = self._split_diag = None
-        # the last factored active set: its key and [factor, K, A x0]
+        # the last factored active set: its key and (factor, K, r3, A x0)
         self._polish_key = self._polish_entry = None
         self._factorizations = 0  # active sets factored by the current solve
         # the vector P solves both linear systems on the equality rows;
@@ -429,24 +429,19 @@ class QpSolver:
 
     # -- public API ------------------------------------------------------
 
-    def update(self, q: np.ndarray | None = None, b_eq: np.ndarray | None = None) -> None:
-        """Replace the cost and right-hand-side vectors; keeps the factorizations.
+    def update(self, b_eq: np.ndarray) -> None:
+        """Replace the right-hand side b_eq; keeps every factorization.
 
-        Checks only the vectors (length, finiteness) and raises
-        ValueError without changing the problem if one fails.  The new
-        ``problem`` shares the ``P``, ``A_eq`` and bound arrays of the
-        old one; they are not re-validated.  A new q drops the kept
-        polish factor's ``A x0``, which reads q; a new b_eq keeps it.
+        Checks only b_eq (length, finiteness) and raises ValueError
+        without changing the problem if it fails.  The new ``problem``
+        shares the ``P``, ``A_eq``, q and bound arrays of the old one;
+        they are not re-validated.
         """
         p = self.problem
-        vecs = _checked_vectors(p.n, p.m_eq, p.q if q is None else q,
-                                p.b_eq if b_eq is None else b_eq)
+        b_eq = _finite_vector("b_eq", b_eq, p.m_eq)
         updated = copy.copy(p)
-        for name, val in zip(("q", "b_eq"), vecs):
-            object.__setattr__(updated, name, val)
+        object.__setattr__(updated, "b_eq", b_eq)
         self.problem = updated
-        if q is not None and self._polish_entry is not None:
-            self._polish_entry[2] = None  # A x0 reads q (``_schur_solve``)
 
     def solve(
         self,
@@ -677,6 +672,7 @@ class QpSolver:
         if key != self._polish_key:
             self._factorizations += 1
             act_idx = np.flatnonzero(act)
+            r3 = np.where(up_act[act_idx], p.upper[act_idx], p.lower[act_idx])
             try:
                 if self._schur_gram is not None:
                     factor = self._schur_factor(act_idx)
@@ -687,13 +683,17 @@ class QpSolver:
                     factor = scipy.linalg.lu_factor(kkt, check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 return None
-            self._polish_key, self._polish_entry = key, [factor, act_idx, None]
+            ax0 = None  # A x0 of ``_schur_solve``; the LU path does not read it
+            if self._schur_gram is not None:
+                x0 = -p.q / self._schur_diag
+                x0[act_idx] = r3
+                ax0 = self._a_dot(x0)
+            self._polish_key, self._polish_entry = key, (factor, act_idx, r3, ax0)
         act_idx = self._polish_entry[1]
 
         lo, hi = p.lower, p.upper
-        r3 = np.where(up_act[act_idx], hi[act_idx], lo[act_idx])
         solve_kkt = self._schur_solve if self._schur_gram is not None else self._lu_solve
-        x, nu, at_y_eq = solve_kkt(self._polish_entry, -p.q, p.b_eq, r3)
+        x, nu, at_y_eq = solve_kkt(self._polish_entry, -p.q, p.b_eq)
         px = _p_matvec(self._P, x)
 
         y_full = np.zeros(m_eq + n)
@@ -714,17 +714,17 @@ class QpSolver:
             return None
         return x, y_full, px, r_p, r_d
 
-    def _lu_solve(self, entry, r1, r2, r3):
+    def _lu_solve(self, entry, r1, r2):
         """Solve for x_F and nu by LU, x_K = r3; returns ``(x, nu, A' nu)``.
 
-        ``entry`` is the kept polish list ``[LU factor, K, None]``.  The
+        ``entry`` is the kept polish tuple ``(LU factor, K, r3, None)``.  The
         regularization moves A x off its target by delta nu.  With a
         singular P and dependent equality rows (DKPC with lambda_g = 0)
         nu reaches 1e8 and that shift fails the primal tolerance.  Each
         step solves the regularized system for the unregularized
         residual, and a refinement step is kept while it lowers it.
         """
-        lu, act_idx, _ = entry
+        lu, act_idx, r3, _ = entry
         free = np.ones(self.problem.n, dtype=bool)
         free[act_idx] = False
         n_f = self.problem.n - act_idx.size
@@ -812,24 +812,20 @@ class QpSolver:
         S[np.diag_indices_from(S)] += self._schur_delta
         return split, scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
 
-    def _schur_solve(self, entry, r1, r2, r3):
+    def _schur_solve(self, entry, r1, r2):
         """Solve the Schur path's KKT system by elimination; returns ``(x, nu, A' nu)``.
 
         The active variables sit at their bounds (x_K = r3), the free
         ones are x_F = D_F^-1 (r1_F - A_F' nu), and nu solves
         S_K nu = A x0 - r2 with x0 = D^-1 r1 and x0_K = r3.
-        ``entry`` is the kept polish list ``[(split, factor), K, A x0]``.
+        ``entry`` is the kept polish tuple ``((split, factor), K, r3, A x0)``;
+        A x0 reads only q, the fixed bounds and K, so ``_polish_once``
+        forms it once, when it factors K.
         With a split s > 0, S_K nu = b is solved by block substitution:
         z1 = L11^-1 b1, nu2 = L22^-T L22^-1 (b2 - L21 z1) and
-        nu1 = L11^-T (z1 - L21' nu2).  A x0 reads only q, the fixed
-        bounds and K, so it is formed once per kept factor and kept
-        until ``update`` passes q.
+        nu1 = L11^-T (z1 - L21' nu2).
         """
-        (split, cho), act_idx, ax0 = entry
-        if ax0 is None:
-            x = r1 / self._schur_diag
-            x[act_idx] = r3
-            ax0 = entry[2] = self._a_dot(x)
+        (split, cho), act_idx, r3, ax0 = entry
         rhs = ax0 - r2
         if split:
             l11, l21t = self._lead  # BLAS trsv: solve_triangular's checks cost more here

@@ -9,7 +9,6 @@ from dkpc import behavior, control, netsim, qpsolve
 from dkpc.behavior import Trajectory, assemble
 from dkpc.control import (
     ControllerConfig,
-    ControllerState,
     DeepcConfig,
     DeepcController,
     DkpcConfig,
@@ -29,11 +28,26 @@ def deepc_config(cfg, lambda_sigma):
     return dataclasses.replace(cfg, lambda_sigma=lambda_sigma)
 
 
-def primed_state(t_ini, n_u, n_y, u_val=0.0, y_val=0.0):
-    cs = ControllerState(t_ini, n_u, n_y)
-    for _ in range(t_ini):
-        cs.record(np.full(n_u, u_val), np.full(n_y, y_val))
-    return cs
+def prime(ctrl, u_val=0.0, y_val=0.0):
+    """Record t_ini constant pairs into ``ctrl``'s window; returns ``ctrl``."""
+    for _ in range(ctrl.cfg.t_ini):
+        ctrl.record(np.full(ctrl.n_u, u_val), np.full(ctrl.n_y, y_val))
+    return ctrl
+
+
+def window_b_eq(hs, bank, u_window, y_window):
+    """b_eq of a recorded window: Up, Yp, then Zp with a bank, then the future zeros."""
+    parts = [u_window.ravel(), y_window.ravel()]
+    if bank is not None:
+        parts.append(bank.lift_trajectory(y_window).ravel())
+    parts.append(np.zeros((hs.n_u + hs.n_y) * hs.horizon))
+    return np.concatenate(parts)
+
+
+def constant_window(hs, bank, u_val, y_val):
+    """``window_b_eq`` of t_ini constant pairs."""
+    return window_b_eq(hs, bank, np.full((hs.t_ini, hs.n_u), u_val),
+                       np.full((hs.t_ini, hs.n_y), y_val))
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +72,7 @@ def lti_setup(small_lti, lti_dataset):
 
 def test_dkpc_qp_dimensions(full_scale_system):
     hs, bank = full_scale_system
-    cs = primed_state(5, 10, 10)
-    prob = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf), cs)
+    prob = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf))
     assert prob.n == 986 + 100 + 100
     assert prob.m_eq == (10 + 10 + 40) * 5 + (10 + 10) * 10  # 500
 
@@ -67,9 +80,8 @@ def test_dkpc_qp_dimensions(full_scale_system):
 def test_dkpc_qp_softens_output_and_lifted_rows(full_scale_system):
     # the default lambda_sigma adds one sigma per Yp and Zp row; Up stays hard
     hs, bank = full_scale_system
-    cs = primed_state(5, 10, 10, u_val=0.25, y_val=0.01)
-    hard = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf), cs)
-    soft = build_dkpc_qp(hs, bank, DkpcConfig(), cs)
+    hard = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf))
+    soft = build_dkpc_qp(hs, bank, DkpcConfig())
     n_soft = (10 + 40) * 5
     assert soft.n == hard.n + n_soft and soft.m_eq == hard.m_eq
     assert np.array_equal(soft.A_eq[:, : hard.n], hard.A_eq)
@@ -80,17 +92,19 @@ def test_dkpc_qp_softens_output_and_lifted_rows(full_scale_system):
 
 def test_dkpc_qp_structure(full_scale_system):
     hs, bank = full_scale_system
-    cs = primed_state(5, 10, 10, u_val=0.25, y_val=0.01)
-    prob = build_dkpc_qp(hs, bank, DkpcConfig(), cs)
+    prob = build_dkpc_qp(hs, bank, DkpcConfig())
     n_cols = hs.n_cols
     assert np.array_equal(prob.A_eq[:50, :n_cols], hs.u_past)
     assert np.array_equal(prob.A_eq[50:100, :n_cols], hs.y_past)
     assert np.array_equal(prob.A_eq[100:300, :n_cols], hs.z)
     assert np.array_equal(prob.A_eq[300:400, n_cols : n_cols + 100], -np.eye(100))
-    assert np.allclose(prob.b_eq[:50], 0.25)
-    assert np.allclose(prob.b_eq[50:100], 0.01)
-    z_expected = bank.lift_trajectory(cs.y_window()).ravel()
-    assert np.allclose(prob.b_eq[100:300], z_expected)
+    # the controller puts its window into the past rows of b_eq each step
+    ctrl = prime(DkpcController(hs, bank, DkpcConfig()), u_val=0.25, y_val=0.01)
+    ctrl.solve_step(np.full(10, 0.01))
+    b_eq = ctrl._solver.problem.b_eq
+    assert np.all(b_eq[:50] == 0.25) and np.all(b_eq[50:100] == 0.01)
+    assert np.array_equal(b_eq[100:300], bank.lift_trajectory(np.full((5, 10), 0.01)).ravel())
+    assert np.all(b_eq[300:] == 0.0)
     # g unbounded, inputs boxed
     assert np.all(np.isinf(prob.lower[:n_cols]))
     assert np.all(prob.lower[n_cols : n_cols + 100] == -1.0)
@@ -102,16 +116,16 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_syst
     # with 20 equality rows and n near 1500, n^2 floats (18 MB) exceed
     # everything else the build allocates together.  A polish-cache entry
     # of the default DKPC QP holds the factor of the rows below the split,
-    # (m_eq - s)^2 floats, plus A x0 and the set: not m_eq^2.
+    # (m_eq - s)^2 floats, plus the set, its bound values and A x0: not
+    # m_eq^2.
     rng = np.random.default_rng(2)
     data = small_lti.simulate(rng.uniform(-1.0, 1.0, size=(1500, 2)), x0=np.zeros(3))
     bank = build_bank(data.y, 2, seed=3)
     hs = assemble(data, bank, t_ini=2, horizon=2, pe_check=False)
     cfg = DkpcConfig(t_ini=2, horizon=2, Q=10.0, R=0.1, lambda_g=1.0)
     deepc_cfg = deepc_config(cfg, 1e5)
-    cs = primed_state(2, 2, 2, u_val=0.1, y_val=-0.05)
-    for build in (lambda: build_dkpc_qp(hs, bank, cfg, cs),
-                  lambda: build_deepc_qp(hs, deepc_cfg, cs)):
+    for build in (lambda: build_dkpc_qp(hs, bank, cfg),
+                  lambda: build_deepc_qp(hs, deepc_cfg)):
         tracemalloc.start()
         try:
             prob = build()
@@ -122,8 +136,16 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_syst
         assert prob.n > 1400 and peak < 8 * prob.n**2
         assert prob.P.shape == (prob.n,)
     hs, bank = full_scale_system
-    prob = build_dkpc_qp(hs, bank, DkpcConfig(), primed_state(5, 10, 10, u_val=0.25, y_val=0.01))
+    prob = build_dkpc_qp(hs, bank, DkpcConfig())
+    window = constant_window(hs, bank, 0.25, 0.01)
+    # the first solve in a process also fills caches that outlive it:
+    # numpy's per-ufunc loop dispatch and scipy's memo of LAPACK routines
+    # (potrs); a separate, identical solver fills them first
+    warm_up = QpSolver(prob)
+    warm_up.update(b_eq=window)
+    warm_up.solve()
     solver = QpSolver(prob)
+    solver.update(b_eq=window)
     m_eq, split = prob.m_eq, int(np.flatnonzero(prob.A_eq[:, hs.n_cols])[-1])  # first u_f row
     assert (m_eq, split) == (500, 300)  # the u_f and y_f rows follow the 300 past rows
     tracemalloc.start()
@@ -150,32 +172,74 @@ def test_weights_must_be_finite_scalars(bad):
         DkpcConfig(**bad)
 
 
-def test_dkpc_qp_requires_primed_state(full_scale_system):
-    hs, bank = full_scale_system
-    with pytest.raises(ValueError, match="primed"):
-        build_dkpc_qp(hs, bank, DkpcConfig(), ControllerState(5, 10, 10))
+def reference_qp(hs, cfg, bank=None):
+    """The behavioral QP assembled block by block: (P, A_eq, lower, upper) for b_eq = 0."""
+    past = [hs.u_past, hs.y_past] + ([hs.z] if bank is not None else [])
+    n_cols, n_up = hs.n_cols, len(hs.u_past)
+    n_past = sum(len(block) for block in past)
+    n_uf, n_yf = len(hs.u_future), len(hs.y_future)
+    n_soft = 0 if np.isinf(cfg.lambda_sigma) else n_past - n_up
+    soft = np.zeros((n_past, n_soft))
+    soft[n_past - n_soft :] = -np.eye(n_soft)  # every past row after Up
+    a_eq = np.block([
+        [np.vstack(past), np.zeros((n_past, n_uf + n_yf)), soft],
+        [hs.u_future, -np.eye(n_uf), np.zeros((n_uf, n_yf + n_soft))],
+        [hs.y_future, np.zeros((n_yf, n_uf)), -np.eye(n_yf), np.zeros((n_yf, n_soft))],
+    ])
+    p_diag = 2.0 * np.concatenate([np.full(n_cols, cfg.lambda_g), np.full(n_uf, cfg.R),
+                                   np.full(n_yf, cfg.Q), np.full(n_soft, cfg.lambda_sigma)])
+    first_y = np.full(hs.n_y, np.inf)
+    upper = np.concatenate([np.full(n_cols, np.inf), np.full(n_uf, cfg.u_max), first_y,
+                            np.full(n_yf - hs.n_y, cfg.y_max), np.full(n_soft, np.inf)])
+    lower = np.concatenate([np.full(n_cols, -np.inf), np.full(n_uf, cfg.u_min), -first_y,
+                            np.full(n_yf - hs.n_y, cfg.y_min), np.full(n_soft, -np.inf)])
+    return p_diag, a_eq, lower, upper
+
+
+@pytest.mark.parametrize("lambda_sigma", [1e3, np.inf])
+def test_builders_need_no_window_and_leave_b_eq_zero(lti_setup, lambda_sigma):
+    # the builders are functions of the data and the tuning alone: no
+    # controller has recorded anything, and the window's rows of b_eq,
+    # which the controller sets each step, are zero like the rest
+    _, hs, bank, cfg = lti_setup
+    cfg = dataclasses.replace(cfg, lambda_sigma=lambda_sigma, y_min=-0.5, y_max=0.25)
+    for prob, lifted in ((build_dkpc_qp(hs, bank, cfg), bank), (build_deepc_qp(hs, cfg), None)):
+        p_diag, a_eq, lower, upper = reference_qp(hs, cfg, lifted)
+        assert np.array_equal(prob.P, p_diag) and np.array_equal(prob.A_eq, a_eq)
+        assert np.array_equal(prob.lower, lower) and np.array_equal(prob.upper, upper)
+        assert np.all(prob.q == 0.0) and np.all(prob.b_eq == 0.0)
+        assert prob.b_eq.shape == (prob.m_eq,)
 
 
 @pytest.mark.parametrize("controller", ["dkpc", "deepc"])
 @pytest.mark.parametrize("bad", [dict(cfg_t_ini=3), dict(cfg_horizon=4), dict(state_t_ini=3),
                                  dict(state_n_y=3)])
 def test_builders_check_config_and_state_against_hankel(lti_setup, controller, bad):
-    # both builders hold the config's and the state's windows to the
-    # Hankel partition (t_ini 4, horizon 8, 2 inputs, 2 outputs); a DKPC
-    # config with horizon 4 once built a QP with misplaced output bounds
+    # both builders hold the config's windows to the Hankel partition
+    # (t_ini 4, horizon 8, 2 inputs, 2 outputs), and the controller its
+    # recorded window; a DKPC config with horizon 4 once built a QP with
+    # misplaced output bounds
     _, hs, bank, cfg = lti_setup
-    cfg = dataclasses.replace(cfg, t_ini=bad.get("cfg_t_ini", 4),
-                              horizon=bad.get("cfg_horizon", 8), y_min=-1.0, y_max=1.0)
-    cs = primed_state(bad.get("state_t_ini", 4), 2, bad.get("state_n_y", 2))
+    cfg = dataclasses.replace(cfg, y_min=-1.0, y_max=1.0)
+    bad_cfg = dataclasses.replace(cfg, t_ini=bad.get("cfg_t_ini", 4),
+                                  horizon=bad.get("cfg_horizon", 8))
     if controller == "dkpc":
-        build = lambda c, st: build_dkpc_qp(hs, bank, c, st)  # noqa: E731
+        build = lambda c: build_dkpc_qp(hs, bank, c)  # noqa: E731
+        ctrl = DkpcController(hs, bank, cfg)
     else:
-        build = lambda c, st: build_deepc_qp(  # noqa: E731
-            hs, deepc_config(c, 1e5), st)
-    with pytest.raises(ValueError, match="Hankel partition"):
-        build(cfg, cs)
-    good = dataclasses.replace(cfg, t_ini=4, horizon=8)
-    prob = build(good, primed_state(4, 2, 2))
+        build = lambda c: build_deepc_qp(hs, deepc_config(c, 1e5))  # noqa: E731
+        ctrl = DeepcController(hs, deepc_config(cfg, 1e5))
+    if bad_cfg != cfg:
+        with pytest.raises(ValueError, match="Hankel partition"):
+            build(bad_cfg)
+    else:
+        # pairs of the partition's dimensions only, and t_ini of them before a step
+        n_y = bad.get("state_n_y", 2)
+        with pytest.raises(ValueError, match="wrong dimensions" if n_y != 2 else "primed"):
+            for _ in range(bad.get("state_t_ini", 4)):
+                ctrl.record(np.zeros(2), np.zeros(n_y))
+            ctrl.solve_step(np.zeros(2))
+    prob = build(cfg)
     assert np.count_nonzero(np.isfinite(prob.upper)) == 2 * 8 + 2 * 7  # u_f, later y_f
 
 
@@ -183,7 +247,7 @@ def test_dkpc_qp_bank_mismatch(full_scale_system):
     hs, _ = full_scale_system
     wrong = IdentityBank(10)  # 10 observables where the Z block expects 40
     with pytest.raises(ValueError, match="observables"):
-        build_dkpc_qp(hs, wrong, DkpcConfig(), primed_state(5, 10, 10))
+        build_dkpc_qp(hs, wrong, DkpcConfig())
     # the controller checks its bank once, at construction
     with pytest.raises(ValueError, match="observables"):
         DkpcController(hs, wrong)
@@ -196,7 +260,7 @@ def test_dkpc_zero_equilibrium_zero_cost(lti_dataset):
     bank = IdentityBank(2)
     hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
     cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=5.0, u_min=-1.0, u_max=1.0)
-    prob = build_dkpc_qp(hs, bank, cfg, primed_state(4, 2, 2))
+    prob = build_dkpc_qp(hs, bank, cfg)  # b_eq = 0: the all-zero window
     sol = solve(prob)
     assert sol.status == "solved"
     assert abs(sol.objective) <= 1e-8
@@ -206,9 +270,8 @@ def test_dkpc_zero_equilibrium_zero_cost(lti_dataset):
 
 def test_deepc_qp_dimensions(full_scale_system):
     hs, _ = full_scale_system
-    cs = primed_state(5, 10, 10)
     cfg = DeepcConfig(lambda_sigma=1e5)
-    prob = build_deepc_qp(hs, cfg, cs)
+    prob = build_deepc_qp(hs, cfg)
     n_cols = hs.n_cols
     assert prob.n == n_cols + 100 + 100 + 50  # sigma is n_y * t_ini = 50
     assert prob.m_eq == 100 + 200
@@ -224,16 +287,13 @@ def test_deepc_qp_dimensions(full_scale_system):
 def test_deepc_infinite_weight_hard_past_rows(full_scale_system):
     # an infinite slack weight drops sigma: the past-output rows are hard
     hs, _ = full_scale_system
-    cs = primed_state(5, 10, 10, u_val=0.25, y_val=0.01)
     cfg = DeepcConfig(lambda_sigma=np.inf)
-    prob = build_deepc_qp(hs, cfg, cs)
+    prob = build_deepc_qp(hs, cfg)
     n_cols = hs.n_cols
     assert prob.n == n_cols + 200
     assert prob.m_eq == 300
     assert np.array_equal(prob.A_eq[:100, :n_cols], np.vstack([hs.u_past, hs.y_past]))
     assert np.all(prob.A_eq[:100, n_cols:] == 0.0)
-    assert np.allclose(prob.b_eq[:50], 0.25)
-    assert np.allclose(prob.b_eq[50:100], 0.01)
     assert np.all(np.isfinite(prob.P))
 
 
@@ -243,17 +303,15 @@ def test_dkpc_qp_is_hard_deepc_qp_plus_lifted_rows(lti_dataset):
     bank = IdentityBank(2)
     hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=0.5)
-    cs = primed_state(4, 2, 2, u_val=0.3, y_val=-0.2)
-    dkpc = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf, **common), cs)
-    deepc = build_deepc_qp(hs, DeepcConfig(lambda_sigma=np.inf, **common), cs)
+    dkpc = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf, **common))
+    deepc = build_deepc_qp(hs, DeepcConfig(lambda_sigma=np.inf, **common))
     assert np.array_equal(hs.z, hs.y_past)
     assert dkpc.n == deepc.n
     for name in ("P", "q", "lower", "upper"):
         assert np.array_equal(getattr(dkpc, name), getattr(deepc, name)), name
     # rows: Up 0..8, Yp 8..16, then the future rows
-    a, b = deepc.A_eq, deepc.b_eq
+    a = deepc.A_eq
     assert np.array_equal(dkpc.A_eq, np.vstack([a[:16], a[8:16], a[16:]]))
-    assert np.array_equal(dkpc.b_eq, np.concatenate([b[:16], b[8:16], b[16:]]))
 
 
 def test_deepc_sigma_vanishes_on_exact_data(lti_setup):
@@ -270,7 +328,7 @@ def test_deepc_sigma_vanishes_on_exact_data(lti_setup):
         ctrl.record(np.zeros(2), plant.measure())
         plant.step(np.zeros(2))
     ctrl.solve_step(plant.measure())
-    sigma = ctrl.state.warm_start[hs_i.n_cols + 32 :]
+    sigma = ctrl.last_solution.x[hs_i.n_cols + 32 :]
     assert np.linalg.norm(sigma) <= 1e-6
 
 
@@ -301,7 +359,7 @@ def rollout_error(sys, ctrl, hs, plant):
     assert res.status == SOLVED, res.status
     assert np.all(np.isfinite(res.predicted_y))
     n_uf = sys.n_u * ctrl.cfg.horizon
-    u_f = ctrl.state.warm_start[hs.n_cols : hs.n_cols + n_uf].reshape(ctrl.cfg.horizon, sys.n_u)
+    u_f = ctrl.last_solution.x[hs.n_cols : hs.n_cols + n_uf].reshape(ctrl.cfg.horizon, sys.n_u)
     probe = LtiPlant(sys, x0=state0)
     worst = 0.0
     for k in range(ctrl.cfg.horizon):
@@ -443,8 +501,8 @@ def test_closed_loop_buffers_match_trace(lti_setup):
     ctrl = DkpcController(hs, bank, cfg)
     plant = LtiPlant(sys, x0=np.random.default_rng(3).standard_normal(3))
     trace = run_closed_loop(plant, ctrl, Scenario(sim_steps=20, activation_step=5))
-    assert np.allclose(ctrl.state.u_window(), trace.u[-cfg.t_ini:])
-    assert np.allclose(ctrl.state.y_window(), trace.y[-cfg.t_ini:])
+    assert np.allclose(np.array(ctrl.u_ini), trace.u[-cfg.t_ini:])
+    assert np.allclose(np.array(ctrl.y_ini), trace.y[-cfg.t_ini:])
 
 
 def test_closed_loop_requires_primable_activation(lti_setup):
@@ -643,14 +701,14 @@ def test_controllers_factor_only_equality_rows(lti_setup, monkeypatch, request):
 
 def test_dense_or_zero_diagonal_cost_factors_full_system(lti_setup, monkeypatch, admm_only):
     _, hs, bank, cfg = lti_setup
-    cs = primed_state(cfg.t_ini, hs.n_u, hs.n_y, u_val=0.1, y_val=-0.05)
     short = QpSettings(max_iter=50)
     # lambda_g = 0: an (n,) P with zero entries, expanded to n x n by the solver
-    prob = build_dkpc_qp(hs, bank, dataclasses.replace(cfg, lambda_g=0.0), cs)
+    prob = build_dkpc_qp(hs, bank, dataclasses.replace(cfg, lambda_g=0.0))
     assert prob.P.shape == (prob.n,)
     cho_sizes = factor_sizes(monkeypatch, "cho_factor")
     lu_sizes = factor_sizes(monkeypatch, "lu_factor")
     solver = QpSolver(prob, short)
+    solver.update(b_eq=constant_window(hs, bank, 0.1, -0.05))
     assert lu_sizes == []  # built by the first ADMM iteration
     assert solver.solve().iterations > 0
     # the KKT form of the ADMM system, (n + m_eq)^2, by LU; no Cholesky
@@ -776,6 +834,69 @@ def test_gram_path_matches_product_path_on_regulate(regulate_setup, monkeypatch)
         assert np.max(np.abs(trace.u - ref.u)) <= 1e-12, kind
 
 
+def record_solver_calls(mp):
+    """A list that gains ("update", b_eq) and ("solve", x, dual) for each call a QpSolver gets."""
+    calls = []
+    update, solve_qp = QpSolver.update, QpSolver.solve
+
+    def recording_update(self, b_eq):
+        calls.append(("update", np.array(b_eq)))
+        return update(self, b_eq)
+
+    def recording_solve(self, warm_start=None, warm_start_dual=None):
+        calls.append(("solve", warm_start, warm_start_dual))
+        return solve_qp(self, warm_start, warm_start_dual)
+
+    mp.setattr(QpSolver, "update", recording_update)
+    mp.setattr(QpSolver, "solve", recording_solve)
+    return calls
+
+
+def test_every_active_step_updates_b_eq_once(lti_setup, monkeypatch):
+    # the first active step puts its window into b_eq as every later one
+    # does: the builders leave it zero
+    sys, hs, bank, cfg = lti_setup
+    calls = record_solver_calls(monkeypatch)
+    for ctrl in (DkpcController(hs, bank, cfg), DeepcController(hs, deepc_config(cfg, 1e5))):
+        calls.clear()
+        trace = run_closed_loop(LtiPlant(sys, x0=np.random.default_rng(3).standard_normal(3)),
+                                ctrl, Scenario(sim_steps=20, activation_step=6))
+        assert [c[0] for c in calls] == ["update", "solve"] * np.count_nonzero(trace.active)
+
+
+def test_solver_driven_by_hand_reproduces_solve_step(regulate_setup, monkeypatch):
+    # the public pieces alone make the controller: a builder, a solver
+    # given the Hankel system's Gram, update(b_eq=window) each step and
+    # the warm start read off the last solution; every value the default
+    # run's solve_step passes the solver, and every input it applies,
+    # comes out equal
+    data, bank = regulate_setup[3:]
+    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    t_ini, n_cols = hs.t_ini, hs.n_cols
+    for kind in ("DKPC", "DeePC"):
+        with monkeypatch.context() as mp:
+            calls = record_solver_calls(mp)
+            trace, ctrl = regulate_run(regulate_setup, hs, kind)
+        lifted = kind == "DKPC"
+        problem = build_dkpc_qp(hs, bank, ctrl.cfg) if lifted else build_deepc_qp(hs, ctrl.cfg)
+        solver = QpSolver(problem, gram=(hs.gram(lifted=lifted), n_cols))
+        steps = np.flatnonzero(trace.active)
+        assert len(calls) == 2 * len(steps)
+        last = None
+        for k, (update, solve_call) in zip(steps, zip(calls[::2], calls[1::2])):
+            b_eq = window_b_eq(hs, bank if lifted else None, trace.u[k - t_ini : k],
+                               trace.y[k - t_ini : k])
+            solver.update(b_eq=b_eq)
+            warm = (None, None) if last is None else (
+                last.x, np.concatenate([last.y_eq, last.y_box]))
+            assert np.array_equal(update[1], b_eq)
+            for got, want in zip(solve_call[1:], warm):
+                assert got is None if want is None else np.array_equal(got, want)
+            last = solver.solve(*warm)
+            u = np.clip(last.x[n_cols : n_cols + hs.n_u], ctrl.cfg.u_min, ctrl.cfg.u_max)
+            assert last.status == SOLVED and np.array_equal(u, trace.u[k]), (kind, k)
+
+
 def test_one_gram_formation_per_hankel_system(regulate_setup, monkeypatch):
     # each row set's Gram is formed once, and only for a controller whose
     # solver reads it: not for lambda_g = 0, where P is not > 0 on g.
@@ -784,7 +905,7 @@ def test_one_gram_formation_per_hankel_system(regulate_setup, monkeypatch):
     formed = count_gram_formations(monkeypatch)
 
     def solved(ctrl):
-        ctrl.state = primed_state(5, 10, 10, u_val=0.1, y_val=0.01)
+        prime(ctrl, u_val=0.1, y_val=0.01)
         assert ctrl.solve_step(np.full(10, 0.01)).status == SOLVED
         return ctrl._solver._lead_gram is not None
 
@@ -809,8 +930,7 @@ def test_thirty_bus_controllers_share_one_gram(monkeypatch):
     hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
 
     def first_input(make):
-        ctrl = make()
-        ctrl.state = primed_state(5, 30, 30, u_val=0.05, y_val=0.02)
+        ctrl = prime(make(), u_val=0.05, y_val=0.02)
         step = ctrl.solve_step(np.full(30, 0.02))
         assert step.status == SOLVED
         return step.u

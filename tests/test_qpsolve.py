@@ -6,7 +6,7 @@ import scipy.linalg
 
 from dkpc import netsim, qpsolve
 from dkpc.behavior import assemble
-from dkpc.control import ControllerState, DeepcConfig, DkpcConfig, build_deepc_qp, build_dkpc_qp
+from dkpc.control import DeepcConfig, DkpcConfig, build_deepc_qp, build_dkpc_qp
 from dkpc.lifting import build_bank
 from dkpc.qpsolve import (
     INFEASIBLE,
@@ -22,6 +22,16 @@ from dkpc.qpsolve import (
 from oracles import projected_gradient_qp, projected_gradient_qps, random_box_qp
 
 TIGHT = QpSettings(eps_abs=1e-9, eps_rel=0.0, max_iter=100000)
+
+
+def with_window(prob, hs, bank, data):
+    """``prob`` with the past rows of b_eq set to the first t_ini samples of ``data``."""
+    u_window, y_window = data.u[: hs.t_ini], data.y[: hs.t_ini]
+    parts = [u_window.ravel(), y_window.ravel()]
+    if bank is not None:
+        parts.append(bank.lift_trajectory(y_window).ravel())
+    past = np.concatenate(parts)
+    return dataclasses.replace(prob, b_eq=np.concatenate([past, prob.b_eq[past.size :]]))
 
 
 def unconstrained(P, q):
@@ -268,13 +278,10 @@ def behavioral_qps(plant_dataset):
     hs = assemble(plant_dataset, bank, t_ini=4, horizon=6, pe_check=False)
     common = dict(t_ini=4, horizon=6, u_min=-1.0, u_max=1.0)
     cfg = DkpcConfig(**common)
-    cs = ControllerState(4, hs.n_u, hs.n_y)
-    for k in range(4):
-        cs.record(plant_dataset.u[k], plant_dataset.y[k])
     deepc_cfg = DeepcConfig(lambda_sigma=1e5, **common)
     return [
-        build_dkpc_qp(hs, bank, cfg, cs),
-        build_deepc_qp(hs, deepc_cfg, cs),
+        with_window(build_dkpc_qp(hs, bank, cfg), hs, bank, plant_dataset),
+        with_window(build_deepc_qp(hs, deepc_cfg), hs, None, plant_dataset),
     ]
 
 
@@ -393,10 +400,7 @@ def default_dkpc_qp(plant_setup):
     bank = build_bank(data.y, 40, seed=5)
     cfg = DkpcConfig()
     hs = assemble(data, bank, cfg.t_ini, cfg.horizon, pe_check=False)
-    cs = ControllerState(cfg.t_ini, hs.n_u, hs.n_y)
-    for k in range(cfg.t_ini):
-        cs.record(data.u[k], data.y[k])
-    return build_dkpc_qp(hs, bank, cfg, cs)
+    return with_window(build_dkpc_qp(hs, bank, cfg), hs, bank, data)
 
 
 def test_direct_polish_does_not_depend_on_cost_units(default_dkpc_qp):
@@ -743,30 +747,26 @@ def test_box_only_positive_diagonal_qp_polishes():
 
 
 def test_update_then_polish_matches_fresh_solver_bit_for_bit():
-    # a reused solver keeps A x0 across b_eq updates and drops it for
-    # q; either way it returns a fresh solver's x and y (small changes
-    # keep the warm dual's active set optimal, so the one polish round
-    # reuses the kept factor and, for b_eq, A x0)
+    # a reused solver keeps the polish entry, A x0 with it, across b_eq
+    # updates and returns a fresh solver's x and y (a small change keeps
+    # the warm dual's active set optimal, so the one polish round reuses
+    # the kept entry)
     rng = np.random.default_rng(53)
     prob = unit_and_dense_columns_qp(rng)
-    updates = [dict(b_eq=prob.b_eq + 1e-3 * rng.standard_normal(prob.m_eq)),
-               dict(q=1.01 * prob.q)]
-    for kwargs in updates:
-        solver = QpSolver(prob, TIGHT)
-        first = solver.solve()
-        assert first.polished and np.any(first.y_box != 0.0)
-        assert solver._polish_entry[2] is not None
-        warm, dual = first.x, np.concatenate([first.y_eq, first.y_box])
-        solver.update(**kwargs)
-        kept = solver._polish_entry[2] is not None
-        assert kept == (set(kwargs) == {"b_eq"})
-        reused = solver.solve(warm_start=warm, warm_start_dual=dual)
-        assert reused.factorizations == 0  # the kept factor serves the re-solve
-        fresh = QpSolver(dataclasses.replace(prob, **kwargs), TIGHT)
-        ref = fresh.solve(warm_start=warm, warm_start_dual=dual)
-        assert reused.status == ref.status == SOLVED and reused.iterations == 0
-        for got, want in ((reused.x, ref.x), (reused.y_eq, ref.y_eq), (reused.y_box, ref.y_box)):
-            assert same_bits(got, want), kwargs
+    b_eq = prob.b_eq + 1e-3 * rng.standard_normal(prob.m_eq)
+    solver = QpSolver(prob, TIGHT)
+    first = solver.solve()
+    assert first.polished and np.any(first.y_box != 0.0)
+    entry = solver._polish_entry
+    warm, dual = first.x, np.concatenate([first.y_eq, first.y_box])
+    solver.update(b_eq=b_eq)
+    reused = solver.solve(warm_start=warm, warm_start_dual=dual)
+    assert reused.factorizations == 0 and solver._polish_entry is entry
+    fresh = QpSolver(dataclasses.replace(prob, b_eq=b_eq), TIGHT)
+    ref = fresh.solve(warm_start=warm, warm_start_dual=dual)
+    assert reused.status == ref.status == SOLVED and reused.iterations == 0
+    for got, want in ((reused.x, ref.x), (reused.y_eq, ref.y_eq), (reused.y_box, ref.y_box)):
+        assert same_bits(got, want)
 
 
 # -- statuses ---------------------------------------------------------------------
@@ -854,10 +854,9 @@ def test_update_reuses_factorization():
     solver.solve()
     # change the right-hand side: the shared instance must match a fresh solve
     b2 = A @ rng.uniform(lo, hi) if A.shape[0] else b
-    q2 = rng.standard_normal(len(q))
-    solver.update(q=q2, b_eq=b2)
+    solver.update(b_eq=b2)
     reused = solver.solve()
-    fresh = solve(QpProblem(P=P, q=q2, A_eq=A, b_eq=b2, lower=lo, upper=hi), TIGHT)
+    fresh = solve(QpProblem(P=P, q=q, A_eq=A, b_eq=b2, lower=lo, upper=hi), TIGHT)
     assert np.max(np.abs(reused.x - fresh.x)) <= 1e-6
 
 
@@ -866,14 +865,14 @@ def test_update_shares_matrices():
     P, q, A, b, lo, hi = random_box_qp(rng, n_max=8, m_max=3)
     solver = QpSolver(QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi))
     before = solver.problem
-    solver.update(q=-q)
+    solver.update(b_eq=-b)
     after = solver.problem
     assert after is not before
-    for name in ("P", "A_eq", "lower", "upper"):
+    for name in ("P", "q", "A_eq", "lower", "upper"):
         assert getattr(after, name) is getattr(before, name), name
-    assert np.array_equal(after.q, -q)
+    assert np.array_equal(after.b_eq, -b)
     # the solver's own problem keeps its vectors
-    assert np.array_equal(before.q, q)
+    assert np.array_equal(before.b_eq, b)
 
 
 def test_update_rejects_bad_vectors():
@@ -881,21 +880,15 @@ def test_update_rejects_bad_vectors():
     A = np.array([[1.0, 1.0, 0.0]])
     prob = QpProblem(P=P, q=[0.0] * 3, A_eq=A, b_eq=[0.5], lower=[-1.0] * 3, upper=[1.0] * 3)
     solver = QpSolver(prob)
-    bad = [
-        dict(q=np.zeros(2)),
-        dict(b_eq=np.zeros(2)),
-        dict(q=[0.0, np.nan, 0.0]),
-        dict(b_eq=[np.nan]),
-        dict(q=[np.inf, 0.0, 0.0]),
-        dict(b_eq=[-np.inf]),
-        dict(q=[1.0, 0.0, 0.0], b_eq=[np.nan]),  # one bad vector spoils the pair
-    ]
-    for kwargs in bad:
-        with pytest.raises(ValueError):
-            solver.update(**kwargs)
+    for b_eq in (np.zeros(2), [np.nan], [-np.inf]):
+        with pytest.raises(ValueError, match="b_eq"):
+            solver.update(b_eq=b_eq)
         # a failed update leaves the problem as it was
         assert solver.problem is prob
-    solver.update(q=[1.0, 0.0, 0.0], b_eq=[0.25])
+    # q is fixed for the solver's life, like P, A_eq and the bounds
+    with pytest.raises(TypeError):
+        solver.update(q=[1.0, 0.0, 0.0])
+    solver.update(b_eq=[0.25])
     assert solver.solve().status == SOLVED
 
 
