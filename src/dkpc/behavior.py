@@ -359,8 +359,9 @@ class HankelSystem:
     Row partitions: the first ``T_ini`` block-rows of the input and
     output blocks are the past window, the last ``N`` block-rows the
     future window.  The lifted block holds only the ``T_ini`` past
-    block-rows, the only ones a controller matches.  ``gram`` forms the
-    Gram of the stacked rows once and keeps it for every controller
+    block-rows, the only ones a controller matches.  ``pe_report`` is the
+    persistency check of the input data (``assemble``).  ``gram`` forms
+    the Gram of the stacked rows once and keeps it for every controller
     built on the system.
     """
 
@@ -372,7 +373,7 @@ class HankelSystem:
     n_u: int
     n_y: int
     n_basis: int
-    pe_report: PeReport | None = field(default=None, compare=False)
+    pe_report: PeReport = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.t_ini < 1 or self.horizon < 1:
@@ -466,18 +467,12 @@ def _lifted_gram(hs: HankelSystem, plain: np.ndarray) -> np.ndarray:
     return g
 
 
-def assemble(
-    data: Trajectory,
-    bank,
-    t_ini: int,
-    horizon: int,
-    pe_check: bool = True,
-) -> HankelSystem:
+def assemble(data: Trajectory, bank, t_ini: int, horizon: int) -> HankelSystem:
     """Build the stacked lifted/input/output Hankel system from data.
 
-    The persistency check of order ``n_basis + L`` is advisory here
-    (warning only); controller construction treats a failed report as an
-    error.
+    The persistency check of order ``n_basis + L`` always runs and its
+    report is kept on the system.  It is advisory here (warning only);
+    controller construction treats a failed report as an error.
     """
     depth = t_ini + horizon
     if data.length < depth:
@@ -485,15 +480,13 @@ def assemble(
             f"trajectory length {data.length} shorter than Hankel depth {depth}"
         )
     lifted = bank.lift_trajectory(data.y)
-    report = None
-    if pe_check:
-        report = is_persistently_exciting(data.u, bank.n_basis + depth)
-        if not report:
-            warnings.warn(
-                f"input data not persistently exciting of order {report.order}: "
-                f"{report.reason}",
-                stacklevel=2,
-            )
+    report = is_persistently_exciting(data.u, bank.n_basis + depth)
+    if not report:
+        warnings.warn(
+            f"input data not persistently exciting of order {report.order}: "
+            f"{report.reason}",
+            stacklevel=2,
+        )
     return HankelSystem(
         z=hankel(lifted[: data.length - horizon], t_ini),
         u=hankel(data.u, depth),

@@ -127,10 +127,10 @@ class PlantSection:
     """
 
     p_star: float | tuple = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0)
-    k_p: float = 0.07
-    omega_pc: float = 332.8
-    omega_b: float = 1.0
-    filter_mode: str = netsim.EXACT_EXPONENTIAL
+    k_p: float = netsim.InverterParams.k_p
+    omega_pc: float = netsim.InverterParams.omega_pc
+    omega_b: float = netsim.InverterParams.omega_b
+    filter_mode: str = netsim.SimConfig.filter_mode
 
     def __post_init__(self) -> None:
         if isinstance(self.p_star, (list, tuple)):
@@ -141,7 +141,7 @@ class PlantSection:
 class SimSection:
     """Closed-loop timing and the initial disturbance (seed 7 unless configured)."""
 
-    dt: float = 0.01
+    dt: float = netsim.SimConfig.dt
     sim_steps: int = 150
     activation_step: int = 40
     disturbance: netsim.DisturbanceSpec = field(
@@ -166,15 +166,17 @@ class LiftingSection:
 
 @dataclass(frozen=True)
 class ControllerSection:
+    """The run's controller; every default is the library's (``ControllerConfig``)."""
+
     kind: str = "dkpc"
-    t_ini: int = 5
-    horizon: int = 10
-    q: float = 300.0
-    r: float = 0.01
-    lambda_g: float = 500.0
+    t_ini: int = ControllerConfig.t_ini
+    horizon: int = ControllerConfig.horizon
+    q: float = ControllerConfig.Q
+    r: float = ControllerConfig.R
+    lambda_g: float = ControllerConfig.lambda_g
     lambda_sigma: float | None = None
-    u_min: float = -1.0
-    u_max: float = 1.0
+    u_min: float = ControllerConfig.u_min
+    u_max: float = ControllerConfig.u_max
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ class SweepSection:
 
 @dataclass(frozen=True)
 class ReportSection:
-    alphas: int = 11
+    alphas: int = 11  # how many weights alpha, evenly spaced in [0, 1], the winners score; >= 1
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,8 @@ class ExperimentConfig:
             raise ConfigError("data.input_low must not exceed data.input_high")
         if self.data.start not in ("equilibrium", "zero"):
             raise ConfigError("data.start must be 'equilibrium' or 'zero'")
+        if self.report.alphas < 1:
+            raise ConfigError(f"report.alphas must be >= 1, got {self.report.alphas}")
         seeds = {
             "data.seed": self.data.seed,
             "lifting.seed": self.lifting.seed,

@@ -21,8 +21,9 @@ import numpy as np
 
 from ._csvio import write_csv
 from .behavior import HankelSystem, LtiSystem
+from .metrics import DEEPC, DKPC
 from .netsim import DisturbanceSpec, SimulationDiverged
-from .qpsolve import SOLVED, QpProblem, QpSettings, QpSolution, QpSolver
+from .qpsolve import SOLVED, QpProblem, QpSolution, QpSolver
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,20 @@ class ControllerConfig:
 DkpcConfig = DeepcConfig = ControllerConfig
 
 
-def _check_bank(hs: HankelSystem, bank) -> None:
-    """Raise ValueError for a bank whose observables differ from the Hankel Z block."""
+def _check_partition(hs: HankelSystem, cfg: ControllerConfig, bank) -> None:
+    """Raise ValueError unless ``bank`` and ``cfg`` fit the Hankel system.
+
+    A bank's observables must match the Hankel Z block, and ``cfg`` must
+    have the ``t_ini`` and horizon of ``hs``.
+    """
     if bank is not None and bank.n_basis != hs.n_basis:
         raise ValueError(
             f"bank has {bank.n_basis} observables but Hankel Z block expects {hs.n_basis}"
+        )
+    if (cfg.t_ini, cfg.horizon) != (hs.t_ini, hs.horizon):
+        raise ValueError(
+            f"config t_ini/horizon {cfg.t_ini}/{cfg.horizon} differ from the Hankel "
+            f"partition's {hs.t_ini}/{hs.horizon}"
         )
 
 
@@ -109,16 +119,10 @@ def _behavioral_qp(hs: HankelSystem, cfg: ControllerConfig, bank=None) -> QpProb
     A_eq stack the Hankel rows in the order of ``hs.rows``, that of the
     Gram the controller hands the solver.
 
-    Raises ValueError for a bank whose observables differ from the
-    Hankel Z block, and unless ``cfg`` has the ``t_ini`` and horizon of
-    ``hs``.
+    Raises ValueError unless ``bank`` and ``cfg`` fit ``hs``
+    (``_check_partition``).
     """
-    _check_bank(hs, bank)
-    if (cfg.t_ini, cfg.horizon) != (hs.t_ini, hs.horizon):
-        raise ValueError(
-            f"config t_ini/horizon {cfg.t_ini}/{cfg.horizon} differ from the Hankel "
-            f"partition's {hs.t_ini}/{hs.horizon}"
-        )
+    _check_partition(hs, cfg, bank)
     past, future = hs.rows(lifted=bank is not None)
     n_past, n_cols = sum(len(block) for block in past), hs.n_cols
     n_u, n_y = hs.n_u, hs.n_y
@@ -188,30 +192,19 @@ class _BehavioralController:
     The controller owns the receding-horizon state: ``u_ini``/``y_ini``,
     the last ``t_ini`` applied inputs and measured outputs, and
     ``last_solution``, the last step's ``QpSolution``, which warm-starts
-    the next solve.
+    the next solve.  The solver runs at its default settings.
     """
 
-    kind = "behavioral"
-
-    def __init__(
-        self,
-        hs: HankelSystem,
-        cfg: ControllerConfig | None = None,
-        solver_settings: QpSettings | None = None,
-        bank=None,
-    ):
+    def __init__(self, hs: HankelSystem, cfg: ControllerConfig | None = None, bank=None):
         cfg = cfg or ControllerConfig()
-        if hs.pe_report is not None and not hs.pe_report:
+        if not hs.pe_report:
             raise ValueError(
                 f"data fails persistency of excitation: {hs.pe_report.reason}"
             )
-        if cfg.t_ini != hs.t_ini or cfg.horizon != hs.horizon:
-            raise ValueError("config window lengths differ from Hankel partition")
-        _check_bank(hs, bank)
+        _check_partition(hs, cfg, bank)
         self.hs = hs
         self.bank = bank
         self.cfg = cfg
-        self.settings = solver_settings or QpSettings()
         self.u_ini: deque[np.ndarray] = deque(maxlen=cfg.t_ini)
         self.y_ini: deque[np.ndarray] = deque(maxlen=cfg.t_ini)
         self.last_solution: QpSolution | None = None
@@ -272,7 +265,7 @@ class _BehavioralController:
             gram = None
             if np.all(problem.P > 0.0):
                 gram = (self.hs.gram(lifted=self.bank is not None), self.hs.n_cols)
-            self._solver = QpSolver(problem, self.settings, gram=gram)
+            self._solver = QpSolver(problem, gram=gram)
         y_window = np.array(self.y_ini)
         past = [np.array(self.u_ini).ravel(), y_window.ravel()]
         if self.bank is not None:
@@ -308,32 +301,21 @@ class _BehavioralController:
 class DkpcController(_BehavioralController):
     """Receding-horizon controller on the lifted behavioral model."""
 
-    kind = "DKPC"
+    kind = DKPC
 
-    def __init__(
-        self,
-        hs: HankelSystem,
-        bank,
-        cfg: ControllerConfig | None = None,
-        solver_settings: QpSettings | None = None,
-    ):
+    def __init__(self, hs: HankelSystem, bank, cfg: ControllerConfig | None = None):
         if bank is None:
             raise ValueError("the lifted controller needs a lifting bank")
-        super().__init__(hs, cfg, solver_settings, bank)
+        super().__init__(hs, cfg, bank)
 
 
 class DeepcController(_BehavioralController):
     """Benchmark behavioral controller: no lifting bank."""
 
-    kind = "DeePC"
+    kind = DEEPC
 
-    def __init__(
-        self,
-        hs: HankelSystem,
-        cfg: ControllerConfig | None = None,
-        solver_settings: QpSettings | None = None,
-    ):
-        super().__init__(hs, cfg, solver_settings)
+    def __init__(self, hs: HankelSystem, cfg: ControllerConfig | None = None):
+        super().__init__(hs, cfg)
 
 
 class Plant(Protocol):

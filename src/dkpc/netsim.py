@@ -22,6 +22,12 @@ from .behavior import Trajectory
 EXACT_EXPONENTIAL = "exact-exponential"
 FORWARD_EULER = "forward-euler"
 
+# Newton power flow of equilibrium_state: mismatch tolerance (p.u.) and step budget
+_FLOW_TOL = 1e-12
+_FLOW_MAX_ITER = 50
+# per-unit admittance of every line of default_network
+_LINE_SUSCEPTANCE = 20.0
+
 
 class SimulationDiverged(RuntimeError):
     """Raised when a step produces non-finite state."""
@@ -324,8 +330,6 @@ def simulate(
 def equilibrium_state(
     params: InverterParams | Sequence[InverterParams],
     net: NetworkGraph,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> SimState:
     """Zero-input steady state of the dispatch: settled filters, synchronized frequency.
 
@@ -335,7 +339,8 @@ def equilibrium_state(
     the common deviation ``sum(p*) / sum(1/k_p)`` while the angles drift
     uniformly, leaving all measured quantities constant.  The flow
     pattern ``injections(theta) = p* - offset/k_p`` is solved by Newton
-    iteration with bus 0 as the angle reference; an untransferable
+    iteration with bus 0 as the angle reference, to a mismatch below
+    ``_FLOW_TOL`` within ``_FLOW_MAX_ITER`` steps; an untransferable
     dispatch raises a ValueError.
     """
     n = net.n_bus
@@ -344,9 +349,9 @@ def equilibrium_state(
     target = p_star - omega_sync / k_p
     theta = np.zeros(n)
     b = net.susceptance
-    for _ in range(max_iter):
+    for _ in range(_FLOW_MAX_ITER):
         mismatch = power_injections(theta, net) - target
-        if np.max(np.abs(mismatch)) < tol:
+        if np.max(np.abs(mismatch)) < _FLOW_TOL:
             break
         diff = theta[:, None] - theta[None, :]
         weights = b * np.cos(diff)
@@ -424,8 +429,8 @@ class NetworkPlant:
         self.state = disturbed_state(self.params, self.net, spec)
 
 
-def default_network(n_bus: int = 10, b_line: float = 20.0) -> NetworkGraph:
-    """Stand-in network: a ring with chords, uniform line admittance.
+def default_network(n_bus: int = 10) -> NetworkGraph:
+    """Stand-in network: a ring with chords, uniform line admittance ``_LINE_SUSCEPTANCE``.
 
     Chords connect each bus to its second neighbour and to the bus
     halfway around the ring, giving the stiff, well-meshed coupling of a
@@ -440,7 +445,7 @@ def default_network(n_bus: int = 10, b_line: float = 20.0) -> NetworkGraph:
         for i in range(n_bus):
             j = (i + jump) % n_bus
             if i != j:
-                b[i, j] = b[j, i] = b_line
+                b[i, j] = b[j, i] = _LINE_SUSCEPTANCE
     return NetworkGraph(susceptance=b)
 
 

@@ -448,23 +448,19 @@ class QpSolver:
         warm_start: np.ndarray | None = None,
         warm_start_dual: np.ndarray | None = None,
     ) -> QpSolution:
+        """Solve from ``warm_start`` (x) and ``warm_start_dual`` (y_eq, then y_box).
+
+        An omitted start is zero; one of the wrong length or with a
+        non-finite entry raises ValueError naming it.
+        """
         p, s = self.problem, self.settings
         n, m_eq = p.n, p.m_eq
         m = m_eq + n
         self._factorizations = 0
 
-        if warm_start is not None:
-            x = np.asarray(warm_start, dtype=float)
-            if x.shape != (n,):
-                raise ValueError(f"warm start has shape {x.shape}, expected ({n},)")
-        else:
-            x = np.zeros(n)
-        if warm_start_dual is not None:
-            y = np.asarray(warm_start_dual, dtype=float)
-            if y.shape != (m,):
-                raise ValueError(f"dual warm start has shape {y.shape}, expected ({m},)")
-        else:
-            y = np.zeros(m)
+        x = np.zeros(n) if warm_start is None else _finite_vector("warm_start", warm_start, n)
+        y = (np.zeros(m) if warm_start_dual is None
+             else _finite_vector("warm_start_dual", warm_start_dual, m))
 
         def residuals(xv, yv, zv):
             """Residuals, tolerance scales and P x of an ADMM iterate."""

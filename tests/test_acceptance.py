@@ -266,7 +266,7 @@ def test_criterion_7_controller_parity():
     sys = random_stable_lti(rng, 4, 2, 2, spectral_radius=0.8)
     data = sys.simulate(rng.uniform(-1, 1, (180, 2)), x0=rng.standard_normal(4))
     ident = IdentityBank(2)
-    hs = assemble(data, ident, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(data, ident, t_ini=5, horizon=10)
     common = dict(t_ini=5, horizon=10, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=2.0)
     weight = ControllerConfig.lambda_sigma
     lifted = DkpcController(hs, ident, ControllerConfig(**common))

@@ -293,7 +293,8 @@ def test_fundamental_lemma_rejects_rank_deficient_data():
 
 def test_assemble_shapes(plant_dataset):
     bank = build_bank(plant_dataset.y, 40, seed=2)
-    hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
+    with pytest.warns(UserWarning, match="persistently exciting"):  # too short for order 55
+        hs = assemble(plant_dataset, bank, t_ini=5, horizon=10)
     t_len = plant_dataset.length
     assert hs.n_cols == t_len - 15 + 1
     assert hs.z.shape == (40 * 5, hs.n_cols)  # past block-rows only
@@ -305,7 +306,7 @@ def test_hankel_system_gram_is_the_row_stack_product(plant_dataset):
     # each formed once and kept read-only; the lifted Gram copies the one
     # without Z exactly, and each equals the product of its own stack to rounding
     bank = build_bank(plant_dataset.y, 20, seed=2)
-    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6, pe_check=False)
+    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6)
     for lifted, past in ((True, [hs.u_past, hs.y_past, hs.z]), (False, [hs.u_past, hs.y_past])):
         s = np.vstack([*past, hs.u_future, hs.y_future])
         ref = s @ s.T
@@ -324,7 +325,7 @@ def test_assemble_full_scale_arithmetic():
     rng = np.random.default_rng(0)
     data = Trajectory(u=rng.normal(size=(1000, 10)), y=rng.normal(size=(1000, 10)))
     bank = build_bank(data.y, 40, seed=0)
-    hs = assemble(data, bank, 5, 10, pe_check=False)
+    hs = assemble(data, bank, 5, 10)
     assert hs.n_cols == 986
     assert hs.z.shape == (200, 986)
     assert hs.u.shape == (150, 986)
@@ -332,7 +333,7 @@ def test_assemble_full_scale_arithmetic():
 
 def test_assemble_partition_consistency(lti_dataset):
     bank = IdentityBank(2)
-    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
+    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8)
     assert np.array_equal(np.vstack([hs.u_past, hs.u_future]), hs.u)
     assert np.array_equal(np.vstack([hs.y_past, hs.y_future]), hs.y)
     assert np.array_equal(hs.z, hankel(lti_dataset.y, 12)[: 2 * 4])
@@ -342,14 +343,15 @@ def test_assemble_partition_consistency(lti_dataset):
 
 def test_assemble_single_column():
     data = Trajectory(u=np.arange(6.0).reshape(3, 2), y=np.arange(6.0).reshape(3, 2))
-    hs = assemble(data, IdentityBank(2), t_ini=1, horizon=2, pe_check=False)
+    with pytest.warns(UserWarning, match="persistently exciting"):  # one column
+        hs = assemble(data, IdentityBank(2), t_ini=1, horizon=2)
     assert hs.n_cols == 1
 
 
 def test_assemble_insufficient_data():
     data = Trajectory(u=np.zeros((4, 1)), y=np.zeros((4, 1)))
     with pytest.raises(ValueError):
-        assemble(data, IdentityBank(1), t_ini=3, horizon=3, pe_check=False)
+        assemble(data, IdentityBank(1), t_ini=3, horizon=3)
 
 
 def test_assemble_warns_on_pe_failure():

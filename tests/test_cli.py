@@ -433,6 +433,8 @@ BAD_VALUES = [
     ("data.seed=1.9", r"bad value for data\.seed"),
     ("sim.activation_step=40.7", r"bad value for sim\.activation_step"),
     ("report.alphas=1.5", r"bad value for report\.alphas"),
+    ("report.alphas=0", r"report\.alphas must be >= 1, got 0"),
+    ("report.alphas=-1", r"report\.alphas must be >= 1, got -1"),
     ("sim.disturbance.around_equilibrium=maybe",
      r"bad value for sim\.disturbance\.around_equilibrium"),
 ]

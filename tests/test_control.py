@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -55,14 +56,14 @@ def full_scale_system():
     rng = np.random.default_rng(0)
     data = Trajectory(u=rng.uniform(-1, 1, (1000, 10)), y=0.05 * rng.normal(size=(1000, 10)))
     bank = build_bank(data.y, 40, seed=1)
-    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(data, bank, t_ini=5, horizon=10)
     return hs, bank
 
 
 @pytest.fixture(scope="module")
 def lti_setup(small_lti, lti_dataset):
     bank = build_bank(lti_dataset.y, 12, seed=3)
-    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
+    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8)
     cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=2.0)
     return small_lti, hs, bank, cfg
 
@@ -121,7 +122,7 @@ def test_qp_and_solver_build_allocate_no_n_by_n_block(small_lti, full_scale_syst
     rng = np.random.default_rng(2)
     data = small_lti.simulate(rng.uniform(-1.0, 1.0, size=(1500, 2)), x0=np.zeros(3))
     bank = build_bank(data.y, 2, seed=3)
-    hs = assemble(data, bank, t_ini=2, horizon=2, pe_check=False)
+    hs = assemble(data, bank, t_ini=2, horizon=2)
     cfg = DkpcConfig(t_ini=2, horizon=2, Q=10.0, R=0.1, lambda_g=1.0)
     deepc_cfg = deepc_config(cfg, 1e5)
     for build in (lambda: build_dkpc_qp(hs, bank, cfg),
@@ -258,7 +259,7 @@ def test_dkpc_qp_bank_mismatch(full_scale_system):
 def test_dkpc_zero_equilibrium_zero_cost(lti_dataset):
     # with identity lifting the all-zero window is feasible at g = 0
     bank = IdentityBank(2)
-    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
+    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8)
     cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=5.0, u_min=-1.0, u_max=1.0)
     prob = build_dkpc_qp(hs, bank, cfg)  # b_eq = 0: the all-zero window
     sol = solve(prob)
@@ -301,7 +302,7 @@ def test_dkpc_qp_is_hard_deepc_qp_plus_lifted_rows(lti_dataset):
     # with identity lifting Zp is a copy of Yp; the hard DKPC QP is the
     # inf-weight DeePC QP with those rows inserted after the past rows
     bank = IdentityBank(2)
-    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
+    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=0.5)
     dkpc = build_dkpc_qp(hs, bank, DkpcConfig(lambda_sigma=np.inf, **common))
     deepc = build_deepc_qp(hs, DeepcConfig(lambda_sigma=np.inf, **common))
@@ -319,7 +320,7 @@ def test_deepc_sigma_vanishes_on_exact_data(lti_setup):
     ident = IdentityBank(2)
     hs_i = assemble(sys.simulate(np.random.default_rng(1).uniform(-1, 1, (150, 2)),
                                  x0=np.random.default_rng(2).standard_normal(3)),
-                    ident, t_ini=4, horizon=8, pe_check=False)
+                    ident, t_ini=4, horizon=8)
     cfg = DeepcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0,
                       u_min=-2.0, u_max=2.0, lambda_sigma=1e10)
     ctrl = DeepcController(hs_i, cfg)
@@ -398,7 +399,7 @@ def test_interpolation_without_regularizer(lti_setup):
 
 def test_solve_step_equilibrium_returns_nominal(lti_dataset):
     bank = IdentityBank(2)
-    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
+    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8)
     cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=5.0)
     ctrl = DkpcController(hs, bank, cfg)
     for _ in range(4):
@@ -443,11 +444,12 @@ def test_solve_step_respects_bounds(lti_setup):
         plant.step(res.u)
 
 
-def test_solver_failure_falls_back_to_hold(lti_setup, admm_only):
+def test_solver_failure_falls_back_to_hold(lti_setup, admm_only, monkeypatch):
     sys, hs, bank, _ = lti_setup
     starved = QpSettings(eps_abs=1e-14, eps_rel=0.0, max_iter=2)
+    monkeypatch.setattr(control, "QpSolver", functools.partial(QpSolver, settings=starved))
     cfg = DkpcConfig(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0)
-    ctrl = DkpcController(hs, bank, cfg, solver_settings=starved)
+    ctrl = DkpcController(hs, bank, cfg)
     held = np.array([0.3, -0.3])
     for _ in range(4):
         ctrl.record(held, np.array([0.1, 0.1]))
@@ -474,7 +476,7 @@ def test_closed_loop_never_activated_equilibrium(plant_setup):
     rng = np.random.default_rng(1)
     data = netsim.simulate(eq, rng.uniform(-1, 1, (400, 10)), params, net, sim_cfg)
     bank = build_bank(data.y, 12, seed=0)
-    hs = assemble(data, bank, t_ini=3, horizon=5, pe_check=False)
+    hs = assemble(data, bank, t_ini=3, horizon=5)
     ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=3, horizon=5))
     plant = netsim.NetworkPlant(net, params, sim_cfg, initial=eq)
     trace = run_closed_loop(plant, ctrl, Scenario(sim_steps=30, activation_step=1000))
@@ -520,7 +522,7 @@ def test_closed_loop_divergence_truncates(plant_setup):
     rng = np.random.default_rng(1)
     data = netsim.simulate(eq, rng.uniform(-1, 1, (400, 10)), params, net, stable_cfg)
     bank = build_bank(data.y, 12, seed=0)
-    hs = assemble(data, bank, t_ini=3, horizon=5, pe_check=False)
+    hs = assemble(data, bank, t_ini=3, horizon=5)
     ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=3, horizon=5))
     bad = netsim.SimState(theta=eq.theta, omega=eq.omega, p_filt=eq.p_filt + 0.01,
                           u_filt=eq.u_filt)
@@ -535,7 +537,7 @@ def test_closed_loop_divergence_truncates(plant_setup):
 
 def test_parity_identity_lifting_vs_pinned_slack(small_lti, lti_dataset):
     ident = IdentityBank(2)
-    hs = assemble(lti_dataset, ident, t_ini=4, horizon=8, pe_check=False)
+    hs = assemble(lti_dataset, ident, t_ini=4, horizon=8)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=2.0)
     c_lift = DkpcController(hs, ident, DkpcConfig(lambda_sigma=np.inf, **common))
     c_slack = DeepcController(hs, DeepcConfig(lambda_sigma=np.inf, **common))
@@ -604,7 +606,7 @@ def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
     # and y_box, which the KKT point fixes, so a cold step needs no ADMM
     net, params, sim_cfg = plant_setup
     bank = build_bank(plant_dataset.y, 10, seed=5)
-    hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(plant_dataset, bank, t_ini=5, horizon=10)
     ctrl = DkpcController(hs, bank, DkpcConfig(t_ini=5, horizon=10, lambda_sigma=np.inf))
     eq = netsim.equilibrium_state(params, net)
     plant = netsim.NetworkPlant(net, params, sim_cfg, initial=eq)
@@ -640,7 +642,7 @@ def test_unit_column_products_move_inputs_by_rounding(plant_setup, plant_dataset
     # unit columns (u_f, y_f, sigma) as (row, value) pairs
     net, params, sim_cfg = plant_setup
     bank = build_bank(plant_dataset.y, 10, seed=5)
-    hs = assemble(plant_dataset, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(plant_dataset, bank, t_ini=5, horizon=10)
     eq = netsim.equilibrium_state(params, net)
     scen = Scenario(sim_steps=70, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))
     for make in (lambda: DkpcController(hs, bank, DkpcConfig()),
@@ -795,7 +797,7 @@ def regulate_run(setup, hs, kind, sim_steps=150):
 
 def without_gram(mp):
     """Build every controller's solver without the Hankel system's Gram: the product path."""
-    mp.setattr(control, "QpSolver", lambda problem, settings, gram: QpSolver(problem, settings))
+    mp.setattr(control, "QpSolver", lambda problem, gram: QpSolver(problem))
 
 
 def count_gram_formations(mp):
@@ -813,7 +815,7 @@ def test_controller_build_order_does_not_move_inputs(regulate_setup):
     data, bank = regulate_setup[3:]
     inputs = {}
     for order in (("DKPC", "DeePC"), ("DeePC", "DKPC")):
-        hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+        hs = assemble(data, bank, t_ini=5, horizon=10)
         for kind in order:
             inputs[order, kind] = regulate_run(regulate_setup, hs, kind, sim_steps=60)[0].u
     for kind in ("DKPC", "DeePC"):
@@ -822,7 +824,7 @@ def test_controller_build_order_does_not_move_inputs(regulate_setup):
 
 def test_gram_path_matches_product_path_on_regulate(regulate_setup, monkeypatch):
     data, bank = regulate_setup[3:]
-    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(data, bank, t_ini=5, horizon=10)
     for kind in ("DKPC", "DeePC"):
         trace, ctrl = regulate_run(regulate_setup, hs, kind)
         assert ctrl._solver._lead_gram is not None
@@ -871,7 +873,7 @@ def test_solver_driven_by_hand_reproduces_solve_step(regulate_setup, monkeypatch
     # run's solve_step passes the solver, and every input it applies,
     # comes out equal
     data, bank = regulate_setup[3:]
-    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(data, bank, t_ini=5, horizon=10)
     t_ini, n_cols = hs.t_ini, hs.n_cols
     for kind in ("DKPC", "DeePC"):
         with monkeypatch.context() as mp:
@@ -909,7 +911,7 @@ def test_one_gram_formation_per_hankel_system(regulate_setup, monkeypatch):
         assert ctrl.solve_step(np.full(10, 0.01)).status == SOLVED
         return ctrl._solver._lead_gram is not None
 
-    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(data, bank, t_ini=5, horizon=10)
     assert not solved(DeepcController(hs, DeepcConfig(lambda_g=0.0)))
     assert formed == []
     assert solved(DeepcController(hs, DeepcConfig(lambda_sigma=1e5)))
@@ -927,7 +929,7 @@ def test_thirty_bus_controllers_share_one_gram(monkeypatch):
     # first inputs match those of solvers given no Gram
     *_, data, bank = network_data(30, 4000, 80)
     formed = count_gram_formations(monkeypatch)
-    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(data, bank, t_ini=5, horizon=10)
 
     def first_input(make):
         ctrl = prime(make(), u_val=0.05, y_val=0.02)
@@ -952,7 +954,7 @@ def test_twenty_bus_closed_loop_ends_every_step_at_direct_polish():
     # polished points whose dual residual passes eps_rel |P x| but not
     # eps_abs sent warm steps to ADMM; 10-bus runs never show it
     net, params, sim_cfg, data, bank = network_data(20, 2000, 40)
-    hs = assemble(data, bank, t_ini=5, horizon=10, pe_check=False)
+    hs = assemble(data, bank, t_ini=5, horizon=10)
     ctrl = DkpcController(hs, bank, DkpcConfig())
     plant = netsim.NetworkPlant(net, params, sim_cfg, initial=netsim.equilibrium_state(params, net))
     scen = Scenario(sim_steps=50, activation_step=40, disturbance=netsim.DisturbanceSpec(seed=7))

@@ -31,7 +31,7 @@ def perfbench(monkeypatch):
 
 def test_perfbench_hooks_see_both_controllers(perfbench, small_lti, lti_dataset):
     bank = build_bank(lti_dataset.y, 12, seed=3)
-    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8, pe_check=False)
+    hs = assemble(lti_dataset, bank, t_ini=4, horizon=8)
     common = dict(t_ini=4, horizon=8, Q=10.0, R=0.1, lambda_g=1.0, u_min=-2.0, u_max=2.0)
     makers = {
         "DKPC": lambda: control.DkpcController(hs, bank, control.DkpcConfig(**common)),

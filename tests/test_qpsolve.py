@@ -275,7 +275,7 @@ def test_polish_path_follows_hessian(monkeypatch):
 def behavioral_qps(plant_dataset):
     """The DKPC and DeePC QPs of one window of the 10-bus data."""
     bank = build_bank(plant_dataset.y, 20, seed=2)
-    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6, pe_check=False)
+    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6)
     common = dict(t_ini=4, horizon=6, u_min=-1.0, u_max=1.0)
     cfg = DkpcConfig(**common)
     deepc_cfg = DeepcConfig(lambda_sigma=1e5, **common)
@@ -399,7 +399,7 @@ def default_dkpc_qp(plant_setup):
     data = netsim.simulate(netsim.equilibrium_state(params, net), inputs, params, net, sim_cfg)
     bank = build_bank(data.y, 40, seed=5)
     cfg = DkpcConfig()
-    hs = assemble(data, bank, cfg.t_ini, cfg.horizon, pe_check=False)
+    hs = assemble(data, bank, cfg.t_ini, cfg.horizon)
     return with_window(build_dkpc_qp(hs, bank, cfg), hs, bank, data)
 
 
@@ -890,6 +890,25 @@ def test_update_rejects_bad_vectors():
         solver.update(q=[1.0, 0.0, 0.0])
     solver.update(b_eq=[0.25])
     assert solver.solve().status == SOLVED
+
+
+def test_solve_rejects_non_finite_warm_starts():
+    # checked like b_eq in update: from a non-finite start ADMM iterates on NaN
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((6, 6))
+    prob = QpProblem(P=f @ f.T + 0.5 * np.eye(6), q=rng.standard_normal(6),
+                     A_eq=rng.standard_normal((2, 6)), b_eq=[0.1, -0.2],
+                     lower=[-1.0] * 6, upper=[1.0] * 6)
+    solver = QpSolver(prob)
+    cold = solver.solve()
+    assert cold.status == SOLVED
+    dual = np.concatenate([cold.y_eq, cold.y_box])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="warm_start must be finite"):
+            solver.solve(warm_start=np.full(6, bad), warm_start_dual=np.full(8, bad))
+        with pytest.raises(ValueError, match="warm_start_dual must be finite"):
+            solver.solve(warm_start=cold.x, warm_start_dual=np.where(dual == dual[0], bad, dual))
+    assert solver.solve(cold.x, dual).status == SOLVED
 
 
 def test_problem_rejects_non_finite_vectors():
