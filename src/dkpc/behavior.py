@@ -9,6 +9,14 @@ The persistency check first tries to certify full row rank from one
 Cholesky of the shifted rows x rows Gram matrix, formed by lag sums of
 the samples without building the Hankel; data the certificate cannot
 clear is decided by the full SVD of the Hankel, as before.
+
+A Hankel system forms, on first use and once for every controller
+built on it, the Gram of its stacked rows and the controllers'
+equality rows.  The Gram comes from lag sums that never subtract a
+term (``_lag_sums``), so each entry has the rounding of a product of
+the rows however large some samples are; the PE check's deep Hankel
+keeps its own cheaper recurrence (``_lag_gram``), whose rounding bound
+covers the terms it subtracts.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._csvio import read_csv, write_csv
+from .qpsolve import EqualityRows
 
 # which computation decided a PeReport
 PE_LENGTH = "length"  # too few Hankel columns for the required rank
@@ -195,6 +204,16 @@ def _gram_certificate(u: np.ndarray, order: int, c: float) -> bool:
     return info == 0
 
 
+def pe_order(n_basis: int, t_ini: int, horizon: int) -> int:
+    """Order of the persistency check of a lifted behavioral model: n_basis + t_ini + horizon.
+
+    The Hankel depth L = t_ini + horizon plus the lifted state's
+    dimension, which stands in for the plant order n of Willems' lemma
+    (inputs persistently exciting of order L + n).
+    """
+    return n_basis + t_ini + horizon
+
+
 def is_persistently_exciting(u: np.ndarray, order: int, rtol: float | None = None) -> PeReport:
     """Check full row rank of the depth-``order`` input Hankel matrix.
 
@@ -360,8 +379,9 @@ class HankelSystem:
     output blocks are the past window, the last ``N`` block-rows the
     future window.  The lifted block holds only the ``T_ini`` past
     block-rows, the only ones a controller matches.  ``pe_report`` is the
-    persistency check of the input data (``assemble``).  ``gram`` forms
-    the Gram of the stacked rows once and keeps it for every controller
+    persistency check of the input data (``assemble``).  ``gram`` and
+    ``equality_rows`` form the Gram of the stacked rows and the
+    controllers' equality rows once and keep them for every controller
     built on the system.
     """
 
@@ -374,6 +394,7 @@ class HankelSystem:
     n_y: int
     n_basis: int
     pe_report: PeReport = field(compare=False)
+    _equality_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.t_ini < 1 or self.horizon < 1:
@@ -422,6 +443,35 @@ class HankelSystem:
         past = [self.u_past, self.y_past, self.z] if lifted else [self.u_past, self.y_past]
         return past, [self.u_future, self.y_future]
 
+    def equality_rows(self, lifted: bool = True, soft: bool = True) -> EqualityRows:
+        """The controllers' equality rows over x = (g, u_f, y_f, sigma), formed once and kept.
+
+        A_eq = [Sp, 0, 0, -E; Uf, -I, 0, 0; Yf, 0, -I, 0], with the past
+        rows Sp and the future rows of ``rows(lifted)``: Sp g - E sigma
+        matches the past window, Uf g = u_f and Yf g = y_f.  With ``soft``
+        sigma has one entry per past row after Up, and E places them on
+        those rows; without, sigma is empty and the rows are hard.  Each
+        row set is built on its first call, read-only (``EqualityRows``),
+        and shared by every controller built on the system.
+        """
+        key = (lifted, soft)
+        if key not in self._equality_rows:
+            past, future = self.rows(lifted)
+            n_past, n_cols = sum(len(block) for block in past), self.n_cols
+            n_soft = n_past - self.n_u * self.t_ini if soft else 0
+            n_uf, n_yf = len(self.u_future), len(self.y_future)
+            a_eq = np.zeros((n_past + n_uf + n_yf, n_cols + n_uf + n_yf + n_soft))
+            row = 0
+            for block in [*past, *future]:
+                a_eq[row : row + len(block), :n_cols] = block
+                row += len(block)
+            a_eq[n_past - n_soft : n_past, n_cols + n_uf + n_yf :] = -np.eye(n_soft)
+            a_eq[n_past:, n_cols : n_cols + n_uf + n_yf] = -np.eye(n_uf + n_yf)
+            # the rows of the unit columns u_f, y_f and sigma
+            tail_rows = np.r_[n_past : len(a_eq), n_past - n_soft : n_past]
+            self._equality_rows[key] = EqualityRows(a_eq, tail_rows)
+        return self._equality_rows[key]
+
     @cached_property
     def _plain_gram(self) -> np.ndarray:
         return _plain_gram(self)
@@ -433,34 +483,96 @@ class HankelSystem:
     def gram(self, lifted: bool = True) -> np.ndarray:
         """Gram S S' of the stacked rows S = [Up; Yp; Z; Uf; Yf], without Z unless ``lifted``.
 
-        Each is formed on its first call and kept, read-only (rows^2
-        floats).  The rows without Z come first: the lifted Gram adds only
-        the Z rows' products to that one, an exact copy, so neither result
-        depends on which row set was asked for first.
+        Each is formed on its first call, by lag sums of the samples
+        (``_lag_sums``), and kept, read-only (rows^2 floats).  The rows
+        without Z come first: the lifted Gram adds only the Z rows' sums
+        to that one, an exact copy, so neither result depends on which
+        row set was asked for first.
         """
         return self._lifted_gram if lifted else self._plain_gram
 
 
-def _plain_rows(hs: HankelSystem) -> np.ndarray:
-    past, future = hs.rows(lifted=False)
-    return np.vstack([*past, *future])
+def _samples(h: np.ndarray, c: int) -> np.ndarray:
+    """The n + L - 1 samples (C-ordered rows) of a depth-L block Hankel ``h`` of c channels."""
+    return np.concatenate([h[:c].T, h[c:, -1].reshape(-1, c)])
+
+
+def _lag_sums(a: np.ndarray, la: int, b: np.ndarray, lb: int, n: int, out: np.ndarray,
+              first_lag: int = 0) -> None:
+    """Write blocks (i, j) of A B' with j - i >= ``first_lag`` into ``out``, by lag sums.
+
+    A and B are the depth-la and depth-lb block Hankel matrices of n
+    columns over the samples ``a`` (ca channels) and ``b`` (cb channels),
+    C-ordered.  Block (i, j) of A B' is sum_{k<n} a[k+i] b[k+j]', the sum
+    over m = k + i in [i, i + n) of a[m] b[m+d]' with lag d = j - i.
+    Every block row shares the interior m in [s, n), s = min(la - 1, n):
+    one product of those samples per lag, all lags in one batched
+    product.  Each block then adds its s terms outside it, the Hankel
+    columns k < s - i and k >= n - i, as one product per block row.  No
+    term is subtracted, so an entry has the rounding of a sum of its n
+    terms, as in the product A B', however large some samples are; a
+    recurrence that adds tail terms and subtracts head terms down each
+    block diagonal (``_lag_gram``) does not.  A and B are never formed.
+    """
+    ca, cb = a.shape[1], b.shape[1]
+    s = min(la - 1, n)
+    lagged = np.lib.stride_tricks.sliding_window_view(b[s:], n - s, axis=0)[:lb]
+    # lag d in columns d cb to (d + 1) cb
+    interior = np.matmul(a[s:n].T, lagged.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(ca, -1)
+    t, row = np.arange(s), np.arange(la)[:, None]
+    edge = np.where(t < s - row, t, t + n - s)  # the Hankel columns outside block row i's interior
+    b_cols = np.lib.stride_tricks.sliding_window_view(b.ravel(), lb * cb)[::cb]  # column k of B
+    edges = np.matmul(a[edge + row].transpose(0, 2, 1), b_cols[edge])
+    for i in range(min(la, lb - first_lag)):
+        j = i + first_lag
+        np.add(interior[:, first_lag * cb : (lb - i) * cb], edges[i, :, j * cb :],
+               out=out[i * ca : (i + 1) * ca, j * cb :])
+
+
+def _symmetric_lag_sums(a: np.ndarray, depth: int, n: int) -> np.ndarray:
+    """A A' of the depth-L block Hankel of the samples ``a`` (``_lag_sums``), exactly symmetric."""
+    g = np.empty((a.shape[1] * depth,) * 2)
+    _lag_sums(a, depth, a, depth, n, g)
+    g = np.triu(g)  # the upper block triangle holds the upper triangle
+    g += np.triu(g, 1).T
+    return g
+
+
+def _plain_samples(hs: HankelSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Samples w[k] = (u[k], y[k]) and, for each row of the rows without Z, its row of W.
+
+    W is the depth-L Hankel of w, with sample-major rows; the second
+    array lists, in the order of ``hs.rows(lifted=False)``, the W row of
+    each [Up; Yp; Uf; Yf] row.
+    """
+    w = np.hstack([_samples(hs.u, hs.n_u), _samples(hs.y, hs.n_y)])
+    pos = np.arange(w.shape[1] * hs.depth).reshape(hs.depth, -1)
+    t, n_u = hs.t_ini, hs.n_u
+    return w, np.concatenate([pos[:t, :n_u], pos[:t, n_u:], pos[t:, :n_u], pos[t:, n_u:]],
+                             axis=None)
 
 
 def _plain_gram(hs: HankelSystem) -> np.ndarray:
-    """G = S S' of ``hs``'s rows without Z, S = [Up; Yp; Uf; Yf], by one symmetric product."""
-    s = _plain_rows(hs)
-    g = s @ s.T  # one triangle (syrk)
+    """G = S S' of ``hs``'s rows without Z, S = [Up; Yp; Uf; Yf], by lag sums of (u, y)."""
+    w, order = _plain_samples(hs)
+    g = _symmetric_lag_sums(w, hs.depth, hs.n_cols)[np.ix_(order, order)]
     g.flags.writeable = False
     return g
 
 
 def _lifted_gram(hs: HankelSystem, plain: np.ndarray) -> np.ndarray:
-    """G of [Up; Yp; Z; Uf; Yf]: ``plain``, the Gram without Z, with the Z rows' products added."""
-    cross = hs.z @ _plain_rows(hs).T
+    """G of [Up; Yp; Z; Uf; Yf]: ``plain``, the Gram without Z, with the Z rows' lag sums added."""
+    w, order = _plain_samples(hs)
+    z = _samples(hs.z, hs.n_basis)
+    n, depth, t_ini = hs.n_cols, hs.depth, hs.t_ini
+    zw = np.empty((len(hs.z), len(order)))
+    _lag_sums(z, t_ini, w, depth, n, zw)  # Z block i, W block j >= i
+    _lag_sums(w, depth, z, t_ini, n, zw.T, first_lag=1)  # the rest, as W Z' blocks
+    cross = zw[:, order]
     p = sum(len(block) for block in hs.rows(lifted=False)[0])  # Z follows these past rows
     g = np.block([
         [plain[:p, :p], cross[:, :p].T, plain[:p, p:]],
-        [cross[:, :p], hs.z @ hs.z.T, cross[:, p:]],
+        [cross[:, :p], _symmetric_lag_sums(z, t_ini, n), cross[:, p:]],
         [plain[p:, :p], cross[:, p:].T, plain[p:, p:]],
     ])
     g.flags.writeable = False
@@ -470,7 +582,7 @@ def _lifted_gram(hs: HankelSystem, plain: np.ndarray) -> np.ndarray:
 def assemble(data: Trajectory, bank, t_ini: int, horizon: int) -> HankelSystem:
     """Build the stacked lifted/input/output Hankel system from data.
 
-    The persistency check of order ``n_basis + L`` always runs and its
+    The persistency check of order ``pe_order`` always runs and its
     report is kept on the system.  It is advisory here (warning only);
     controller construction treats a failed report as an error.
     """
@@ -480,7 +592,7 @@ def assemble(data: Trajectory, bank, t_ini: int, horizon: int) -> HankelSystem:
             f"trajectory length {data.length} shorter than Hankel depth {depth}"
         )
     lifted = bank.lift_trajectory(data.y)
-    report = is_persistently_exciting(data.u, bank.n_basis + depth)
+    report = is_persistently_exciting(data.u, pe_order(bank.n_basis, t_ini, horizon))
     if not report:
         warnings.warn(
             f"input data not persistently exciting of order {report.order}: "

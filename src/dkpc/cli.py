@@ -233,6 +233,8 @@ class ExperimentConfig:
         checks each weight on its own, so a sweep config fails exactly
         when one of its grid values does.
         """
+        if self.n_bus < 1:
+            raise ConfigError(f"n_bus must be >= 1, got {self.n_bus}")
         c = self.controller
         if c.kind not in ("dkpc", "deepc"):
             raise ConfigError(f"controller.kind must be 'dkpc' or 'deepc', got {c.kind!r}")
@@ -452,7 +454,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict[str, Path]:
     traj = netsim.simulate(initial, inputs, params, net, sim_cfg)
     bank = lifting.build_bank(traj.y, cfg.lifting.n_basis, cfg.lifting.seed)
 
-    pe_order = cfg.lifting.n_basis + depth
+    pe_order = behavior.pe_order(cfg.lifting.n_basis, cfg.controller.t_ini, cfg.controller.horizon)
     pe = behavior.is_persistently_exciting(traj.u, pe_order)
     if pe:
         log.info(

@@ -115,32 +115,22 @@ def _behavioral_qp(hs: HankelSystem, cfg: ControllerConfig, bank=None) -> QpProb
     the regulation cost and the scalar bounds: ``u_min``/``u_max`` on all
     of u_future, ``y_min``/``y_max`` on y_future after its first sample.
     The cost is diagonal and has no linear term (regulation to zero), so
-    P is passed as its (n,) diagonal and q is zero.  The g columns of
-    A_eq stack the Hankel rows in the order of ``hs.rows``, that of the
-    Gram the controller hands the solver.
+    P is passed as its (n,) diagonal and q is zero.  A_eq is the row
+    set ``hs.equality_rows`` keeps for every build with (or without) a
+    bank and soft (or hard) rows, so a build forms only P, q and the
+    bounds.  Its g columns stack the Hankel rows in the order of
+    ``hs.rows``, that of the Gram the controller hands the solver.
 
     Raises ValueError unless ``bank`` and ``cfg`` fit ``hs``
     (``_check_partition``).
     """
     _check_partition(hs, cfg, bank)
-    past, future = hs.rows(lifted=bank is not None)
-    n_past, n_cols = sum(len(block) for block in past), hs.n_cols
-    n_u, n_y = hs.n_u, hs.n_y
-    n_soft = 0 if math.isinf(cfg.lambda_sigma) else n_past - n_u * hs.t_ini
-    n_uf, n_yf = n_u * cfg.horizon, n_y * cfg.horizon
-    uf = slice(n_cols, n_cols + n_uf)
-    yf = slice(n_cols + n_uf, n_cols + n_uf + n_yf)
-    sig = slice(n_cols + n_uf + n_yf, n_cols + n_uf + n_yf + n_soft)
-    dim = sig.stop
-
-    a_eq = np.zeros((n_past + n_uf + n_yf, dim))
-    row = 0
-    for block in [*past, *future]:
-        a_eq[row : row + len(block), :n_cols] = block
-        row += len(block)
-    a_eq[n_past - n_soft : n_past, sig] = -np.eye(n_soft)
-    a_eq[n_past : n_past + n_uf, uf] = -np.eye(n_uf)
-    a_eq[n_past + n_uf :, yf] = -np.eye(n_yf)
+    rows = hs.equality_rows(lifted=bank is not None, soft=not math.isinf(cfg.lambda_sigma))
+    m_eq, dim = rows.a_eq.shape
+    n_cols, n_y = hs.n_cols, hs.n_y
+    uf = slice(n_cols, n_cols + hs.n_u * cfg.horizon)
+    yf = slice(uf.stop, uf.stop + n_y * cfg.horizon)
+    sig = slice(yf.stop, dim)
 
     p_vec = np.empty(dim)
     p_vec[:n_cols] = 2.0 * cfg.lambda_g
@@ -155,7 +145,7 @@ def _behavioral_qp(hs: HankelSystem, cfg: ControllerConfig, bank=None) -> QpProb
     y_later = slice(yf.start + n_y, yf.stop)
     lower[y_later], upper[y_later] = cfg.y_min, cfg.y_max
 
-    return QpProblem(P=p_vec, q=np.zeros(dim), A_eq=a_eq, b_eq=np.zeros(len(a_eq)),
+    return QpProblem(P=p_vec, q=np.zeros(dim), A_eq=rows, b_eq=np.zeros(m_eq),
                      lower=lower, upper=upper)
 
 

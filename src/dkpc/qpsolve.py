@@ -35,19 +35,26 @@ the polish through the Schur complement on the equality rows, a
 downdate of S_0 = A D^-1 A' + (delta / mu) I with D = P + delta mu
 (``QpSolver._schur_split``).  mu = mean(P) is the cost scale, so the
 regularization is delta relative to the cost whatever the units of P
-and q.  The trailing run of columns with one nonzero in A_eq (u_f, y_f
-and sigma of both controllers) is kept as (row, value) pairs: both
-Gram matrices (``QpSolver._gram``, a symmetric rank update) and the
-products of a polish step and of the ADMM x-update touch only the
-leading columns of A_eq, read as a slice.  A caller that already holds
-the Gram of A_eq's first c columns passes it with c as ``gram``; where
-P is one value on them (both controllers: 2 lambda_g on g) and every
-later column is a unit column, each Gram is that one over D's value
-there plus the unit columns' diagonal, checked once against A_eq
-(``_checked_gram``), and no rows x cols product is formed.  With hard
-lifted rows DKPC's inputs hung on the polish's rounding (reordering
-the rows of one Schur Cholesky moved them by up to 1.8e-3 on
-regulate), so rows are never permuted.  Any other (n,) P is expanded once to its n x n matrix, and
+and q.  If rounding leaves the leading block of S_0 indefinite, every
+active set is factored in full instead; a failed factor fails only its
+polish, and an ADMM system that will not factor ends the solve with
+``UNFACTORED``.  The trailing run of columns with one nonzero in A_eq
+(u_f, y_f and sigma of both controllers) is kept as (row, value)
+pairs: both Gram matrices (``QpSolver._gram``, a symmetric rank
+update) and the products of a polish step and of the ADMM x-update
+touch only the leading columns of A_eq, read as a slice.  A caller
+that already holds the Gram of A_eq's first c columns passes it with c
+as ``gram``; where P is one value on them (both controllers: 2
+lambda_g on g) and every later column is a unit column, each Gram is
+that one over D's value there plus the unit columns' diagonal, checked
+against A_eq by a Freivalds test (``_checked_gram``), and no rows x
+cols product is formed.  Problems built on shared ``EqualityRows``
+(the controllers of one Hankel system) check A_eq, lay out its unit
+columns and test a Gram once for all their solvers, not per solver.
+With hard lifted rows DKPC's inputs hung on the polish's rounding
+(reordering the rows of one Schur Cholesky moved them by up to 1.8e-3
+on regulate), so rows are never permuted.  Any other (n,) P is
+expanded once to its n x n matrix, and
 an n x n P factors by LU the quasi-definite KKT matrix (``_kkt``) of
 each system: the ADMM x-update's, (n + m_eq)^2, and the free
 variables' one per active set, (n_F + m_eq)^2, regularized by an
@@ -62,7 +69,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -70,6 +77,7 @@ import scipy.linalg
 SOLVED = "solved"
 MAX_ITERATIONS = "max-iterations"
 INFEASIBLE = "infeasible-detected"
+UNFACTORED = "factorization-failed"  # rounding left the ADMM system indefinite
 
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
@@ -85,6 +93,79 @@ _CHECK_EVERY = 25  # ADMM iterations between termination checks
 _FREIVALDS_SEED = 0  # sign vector of the check on a supplied Gram
 
 
+def _unit_layout(a_eq: np.ndarray):
+    """The unit columns of A_eq (one nonzero) and the trailing run of them.
+
+    Returns ``(unit_row, k, tail_rows, tail)``: each unit column's row
+    (-1 for any other column) and k, where the run starts (u_f, y_f and
+    sigma of both controllers follow their dense g block), with the run
+    as (row, value) pairs.  A problem with no such run has k = n and an
+    empty run.
+    """
+    nonzero = a_eq != 0.0
+    unit = np.count_nonzero(nonzero, axis=0) == 1
+    cols = np.flatnonzero(unit)
+    unit_row = np.full(a_eq.shape[1], -1)
+    if cols.size:
+        unit_row[cols] = np.argmax(nonzero[:, cols], axis=0)
+    dense = np.flatnonzero(~unit)
+    k = int(dense[-1]) + 1 if dense.size else 0
+    tail_rows = unit_row[k:]
+    return unit_row, k, tail_rows, a_eq[tail_rows, np.arange(k, a_eq.shape[1])]
+
+
+def _freivalds(g: np.ndarray, a: np.ndarray) -> bool:
+    """Whether G passes a seeded Freivalds test as the Gram A A'.
+
+    G v is compared with A (A' v) for a random sign vector v.  For G
+    formed by any sum of the products of inner dimension c = A's column
+    count, entry i of either one is off the exact A A' v by at most
+    gamma_{c + m} (|A| |A'| |v|)_i <= gamma_{c + m} |a_i| sum_j |a_j|
+    (Cauchy-Schwarz; a_i is row i of A, m its row count), so the two
+    differ by at most about (c + m) eps |a_i| sum_j |a_j|.  A difference
+    beyond twice that, or a non-finite G, fails.
+    """
+    m, c = a.shape
+    v = np.random.default_rng(_FREIVALDS_SEED).choice([-1.0, 1.0], size=m)
+    gap = np.abs(g @ v - a @ (a.T @ v))
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    return bool(np.all(gap <= 2.0 * (c + m) * np.finfo(float).eps * norms * norms.sum()))
+
+
+class EqualityRows:
+    """Equality rows A_eq, checked and laid out once for every problem built on them.
+
+    ``QpProblem(A_eq=rows, ...)`` takes ``rows.a_eq`` as its A_eq without
+    checking it again.  A solver of such a problem reads the unit-column
+    layout (that of ``_unit_layout``) from here instead of scanning A_eq,
+    and runs the Freivalds test on a supplied Gram only the first time
+    one of them is given it (``QpSolver._checked_gram``).  Problems that
+    differ only in P, q, b_eq and the bounds (the controllers built on
+    one Hankel system) share one instance.  The caller placed the
+    trailing run of unit columns and gives their rows, ``tail_rows``:
+    the run is checked, not searched for, and the leading columns count
+    as dense whatever they hold.  The 2-D ``a_eq`` is taken over and
+    made read-only, since the layout and the verdict are about its
+    values.
+    """
+
+    def __init__(self, a_eq: np.ndarray, tail_rows: np.ndarray):
+        a_eq = np.asarray(a_eq, dtype=float)
+        if not np.isfinite(a_eq).all():
+            raise ValueError("A_eq must be finite")
+        n = a_eq.shape[1]
+        k = n - len(tail_rows)
+        tail = a_eq[tail_rows, np.arange(k, n)]
+        if np.any(tail == 0.0) or np.any(np.count_nonzero(a_eq[:, k:], axis=0) != 1):
+            raise ValueError("a declared unit column of A_eq is not one nonzero in its row")
+        a_eq.flags.writeable = False
+        unit_row = np.full(n, -1)
+        unit_row[k:] = tail_rows
+        self.a_eq = a_eq
+        self.layout = unit_row, k, unit_row[k:], tail
+        self.checked_gram: tuple[np.ndarray, int] | None = None  # the last (G, c) that passed
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """Dense convex QP data.
@@ -92,6 +173,8 @@ class QpProblem:
     ``P`` is the (n,) diagonal of a diagonal cost Hessian or the
     symmetric (n, n) matrix.  ``P``, ``A_eq``, ``q`` and ``b_eq`` must
     be finite; ``A_eq`` may be empty (shape (0, n)) for box-only problems.
+    ``A_eq`` may be given as ``EqualityRows``, checked when they were
+    built; the problem then holds their array.
     ``lower``/``upper`` may contain -inf/+inf for absent bounds, but no
     NaN and no lower bound of +inf or upper bound of -inf, which no
     point satisfies.
@@ -103,6 +186,7 @@ class QpProblem:
     b_eq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    _rows: EqualityRows | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=float)
@@ -116,13 +200,17 @@ class QpProblem:
             raise ValueError("P must be finite")
         if P.ndim == 2 and not (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
             raise ValueError("P must be symmetric within 1e-10")
-        A_eq = np.asarray(self.A_eq, dtype=float)
-        if A_eq.size == 0:
-            A_eq = A_eq.reshape(0, n)
-        A_eq = np.atleast_2d(A_eq)
+        rows = self.A_eq if isinstance(self.A_eq, EqualityRows) else None
+        if rows is not None:
+            A_eq = rows.a_eq
+        else:
+            A_eq = np.asarray(self.A_eq, dtype=float)
+            if A_eq.size == 0:
+                A_eq = A_eq.reshape(0, n)
+            A_eq = np.atleast_2d(A_eq)
         if A_eq.shape[1] != n:
             raise ValueError(f"A_eq has {A_eq.shape[1]} columns, expected {n}")
-        if not np.isfinite(A_eq).all():
+        if rows is None and not np.isfinite(A_eq).all():
             raise ValueError("A_eq must be finite")
         q, b_eq = _finite_vector("q", q, n), _finite_vector("b_eq", self.b_eq, A_eq.shape[0])
         lower, upper = _vector("lower", self.lower, n), _vector("upper", self.upper, n)
@@ -134,7 +222,7 @@ class QpProblem:
             raise ValueError("lower bound exceeds upper bound")
         for name, val in (
             ("P", P), ("q", q), ("A_eq", A_eq), ("b_eq", b_eq),
-            ("lower", lower), ("upper", upper),
+            ("lower", lower), ("upper", upper), ("_rows", rows),
         ):
             object.__setattr__(self, name, val)
 
@@ -251,6 +339,8 @@ class QpSolver:
     dense form that serves an (n, n) P.  ``gram``, a pair (G, c) of
     the Gram G of A_eq's first c columns when the caller already holds
     it, replaces their product where it applies (``_checked_gram``).
+    A problem on ``EqualityRows`` lends the solver their unit-column
+    layout and Gram verdict.
     """
 
     def __init__(
@@ -289,25 +379,15 @@ class QpSolver:
             self._schur_split(problem)
 
     def _unit_columns(self, p: QpProblem) -> None:
-        """Find the unit columns of A_eq (one nonzero) and the trailing run of them.
+        """Take the unit-column layout of A_eq (``_unit_layout``) from its ``EqualityRows``.
 
-        Records each unit column's row (-1 for any other column) and
-        k = ``_n_lead``, where the run starts: u_f, y_f and sigma of both
-        controllers follow their dense g block.  The run is kept as
-        (row, value) pairs, ``_tail_rows`` with ``_tail``; the leading k
-        columns are read as a slice of A_eq.  A problem with no such
-        run has k = n and an empty unit part.
+        A problem built on plain arrays has its A_eq scanned here.  The
+        trailing run of unit columns is kept as (row, value) pairs,
+        ``_tail_rows`` with ``_tail``; the leading k = ``_n_lead``
+        columns are read as a slice of A_eq.
         """
-        nonzero = p.A_eq != 0.0
-        unit = np.count_nonzero(nonzero, axis=0) == 1
-        cols = np.flatnonzero(unit)
-        self._unit_row = np.full(p.n, -1)
-        if cols.size:
-            self._unit_row[cols] = np.argmax(nonzero[:, cols], axis=0)
-        dense = np.flatnonzero(~unit)
-        k = self._n_lead = int(dense[-1]) + 1 if dense.size else 0
-        self._tail_rows = self._unit_row[k:]
-        self._tail = p.A_eq[self._tail_rows, np.arange(k, p.n)]
+        self._unit_row, self._n_lead, self._tail_rows, self._tail = (
+            p._rows.layout if p._rows is not None else _unit_layout(p.A_eq))
 
     def _checked_gram(
         self, gram: tuple[np.ndarray, int] | None
@@ -319,30 +399,27 @@ class QpSolver:
         after the first c is a unit column and the vector P is one value
         on those c columns, so that each D the solver forms, P plus a
         constant, is one value d there and A_eq D^-1 A_eq' is G / d plus
-        the unit columns' diagonal.  A seeded Freivalds test then compares
-        G v with A (A' v) for a random sign vector v.  For G formed by any
-        product of inner dimension c, entry i of either one is off the
-        exact A A' v by at most gamma_{c + m_eq} (|A| |A'| |v|)_i <=
-        gamma_{c + m_eq} |a_i| sum_j |a_j| (Cauchy-Schwarz; a_i is row i
-        of A), so the two differ by at most about (c + m_eq) eps |a_i|
-        sum_j |a_j|.  A difference beyond twice that raises ValueError; so
-        does a non-finite G.
+        the unit columns' diagonal.  G must then pass the Freivalds test
+        (``_freivalds``) against A, or ValueError is raised.  A read-only
+        G that passed is kept on the problem's ``EqualityRows``, so the
+        next solver given it for those rows is not tested again.
         """
         if gram is None:
             return None
         g, c = gram
-        m_eq = self.problem.m_eq
-        if np.shape(g) != (m_eq, m_eq) or not max(self._n_lead, 1) <= c <= self.problem.n:
+        p = self.problem
+        if np.shape(g) != (p.m_eq, p.m_eq) or not max(self._n_lead, 1) <= c <= p.n:
             return None
         if np.any(self._P[:c] != self._P[0]):
             return None
-        a = self.problem.A_eq[:, :c]
-        v = np.random.default_rng(_FREIVALDS_SEED).choice([-1.0, 1.0], size=m_eq)
-        gap = np.abs(g @ v - a @ (a.T @ v))
-        norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-        bound = 2.0 * (c + m_eq) * np.finfo(float).eps * norms * norms.sum()
-        if not np.all(gap <= bound):
+        rows = p._rows
+        kept = rows.checked_gram if rows is not None else None
+        if kept is not None and kept[0] is g and kept[1] == c:
+            return g, c
+        if not _freivalds(g, p.A_eq[:, :c]):
             raise ValueError("gram is not the Gram of A_eq's leading columns")
+        if rows is not None and isinstance(g, np.ndarray) and not g.flags.writeable:
+            rows.checked_gram = (g, c)
         return g, c
 
     def _gram(self, D: np.ndarray) -> np.ndarray:
@@ -386,17 +463,19 @@ class QpSolver:
         only G = A D^-1 A' + I / rho_eq, m_eq x m_eq, is factored
         (Cholesky; see ``_x_update``).  A dense P factors the
         quasi-definite KKT form of M, (n + m_eq)^2, by LU (``_kkt``).
+        A Cholesky that fails raises LinAlgError and leaves the solver
+        unfactored.
         """
-        self._factored_rho = self._rho
         rho_eq = self._rho * _RHO_EQ_SCALE
         if self._P.ndim == 2:
             kkt = _kkt(self._P, _SIGMA + self._rho, self.problem.A_eq, 1.0 / rho_eq)
             self._factor = scipy.linalg.lu_factor(kkt, check_finite=False)
-            return
-        self._split_diag = self._P + _SIGMA + self._rho
-        g = self._gram(self._split_diag)
-        g[np.diag_indices_from(g)] += 1.0 / rho_eq
-        self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
+        else:
+            self._split_diag = self._P + _SIGMA + self._rho
+            g = self._gram(self._split_diag)
+            g[np.diag_indices_from(g)] += 1.0 / rho_eq
+            self._factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
+        self._factored_rho = self._rho
 
     def _x_update(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve M x = rhs (see ``_refactor``); returns x and A x.
@@ -517,7 +596,11 @@ class QpSolver:
 
         for it in range(1, s.max_iter + 1):
             if self._factored_rho != self._rho:
-                self._refactor()
+                try:
+                    self._refactor()
+                except scipy.linalg.LinAlgError:
+                    r_p, r_d, _, _, px = residuals(x, y, z)
+                    return finish(UNFACTORED, x, y, px, r_p, r_d, it - 1)
             w = rho * z - y
             rhs = _SIGMA * x - p.q + (self._at_dot(w[:m_eq]) + w[m_eq:])
             x_tilde, ax_tilde = self._x_update(rhs)
@@ -757,7 +840,9 @@ class QpSolver:
         with G = A D^-1 A' split there, L11 = chol(G11 + delta' I),
         L21 = G21 L11^-T and C0 = G22 - L21 L21' are formed once, in the
         natural row order; ``_schur_factor`` then factors only the
-        trailing block.  delta' = delta / mean(P) (``__init__``).
+        trailing block.  delta' = delta / mean(P) (``__init__``).  If
+        rounding leaves G11 + delta' I indefinite (data whose first
+        samples are 1e4 times the rest), s falls back to 0.
         """
         cols = np.flatnonzero(self._unit_row >= 0)
         rows = self._unit_row[cols]
@@ -773,7 +858,13 @@ class QpSolver:
             return
         l11 = gram[:s, :s].copy()
         l11[np.diag_indices(s)] += self._schur_delta
-        l11 = scipy.linalg.cho_factor(l11, lower=True, overwrite_a=True, check_finite=False)[0]
+        try:
+            l11 = scipy.linalg.cho_factor(l11, lower=True, overwrite_a=True, check_finite=False)[0]
+        except scipy.linalg.LinAlgError:
+            # rounding left the leading block indefinite: every active set
+            # is factored in full, and a failed factor fails its polish only
+            self._split, self._trail = 0, gram
+            return
         l21t = scipy.linalg.solve_triangular(l11, gram[s:, :s].T, lower=True, check_finite=False)
         self._lead = (l11, l21t)
         self._trail = gram[s:, s:] - l21t.T @ l21t  # one triangle (syrk)

@@ -320,6 +320,41 @@ def test_hankel_system_gram_is_the_row_stack_product(plant_dataset):
         assert hs.gram(lifted) is hs.gram(lifted) and not hs.gram(lifted).flags.writeable
 
 
+def within_product_rounding(g, s, where=True):
+    """Whether |G - S S'| <= 2 n eps |s_i| |s_j| wherever ``where``: n columns, s_i row i of S.
+
+    Any order of summing the n products of an entry is off the exact sum
+    by at most gamma_n |s_i| |s_j|, and so is the reference product.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", s, s))
+    bound = 2.0 * s.shape[1] * np.finfo(float).eps * np.outer(norms, norms)
+    return bool(np.all((np.abs(g - s @ s.T) <= bound) | ~np.asarray(where)))
+
+
+@pytest.mark.parametrize("scale, t_ini, horizon",
+                         [(1e4, 4, 6), (1e8, 4, 6), (1.0, 1, 1), (1e8, 1, 1)])
+def test_hankel_gram_has_product_rounding_on_head_scaled_data(plant_dataset, scale, t_ini,
+                                                              horizon):
+    # the first 3 samples scaled: every entry of both Grams stays within
+    # the rounding of a product, entry by entry, as no lag-sum term is
+    # subtracted.  Where the Hankel is deeper than the scaled head, a
+    # recurrence that subtracts the head pair down each block diagonal
+    # cancels those samples' products in entries of block rows that
+    # never held them, and fails the same bound.
+    u, y = plant_dataset.u.copy(), plant_dataset.y.copy()
+    u[:3] *= scale
+    y[:3] *= scale
+    hs = assemble(Trajectory(u=u, y=y), build_bank(plant_dataset.y, 20, seed=2), t_ini, horizon)
+    for lifted in (True, False):
+        past, future = hs.rows(lifted)
+        assert within_product_rounding(hs.gram(lifted), np.vstack([*past, *future])), lifted
+    w, depth = np.hstack([u, y]), t_ini + horizon
+    if scale > 1.0 and depth > 3:
+        blocks = np.triu(np.ones((depth, depth), bool))
+        upper = np.kron(blocks, np.ones((w.shape[1],) * 2, bool))
+        assert not within_product_rounding(behavior._lag_gram(w, depth), hankel(w, depth), upper)
+
+
 def test_assemble_full_scale_arithmetic():
     # shape rule:  T = 1000, T_ini = 5, N = 10 -> 986 columns
     rng = np.random.default_rng(0)

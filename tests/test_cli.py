@@ -435,6 +435,8 @@ BAD_VALUES = [
     ("report.alphas=1.5", r"bad value for report\.alphas"),
     ("report.alphas=0", r"report\.alphas must be >= 1, got 0"),
     ("report.alphas=-1", r"report\.alphas must be >= 1, got -1"),
+    ("n_bus=-3", r"n_bus must be >= 1, got -3"),
+    ("n_bus=0", r"n_bus must be >= 1, got 0"),
     ("sim.disturbance.around_equilibrium=maybe",
      r"bad value for sim\.disturbance\.around_equilibrium"),
 ]

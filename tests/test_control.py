@@ -949,6 +949,72 @@ def test_thirty_bus_controllers_share_one_gram(monkeypatch):
         assert np.max(np.abs(u - u_ref)) <= 1e-11
 
 
+def count_row_set_work(mp):
+    """Lists that gain an entry per equality row set built, A_eq mask scanned and Freivalds test."""
+    built, scans, tests = [], [], []
+    rows, layout, freivalds = behavior.EqualityRows, qpsolve._unit_layout, qpsolve._freivalds
+    mp.setattr(behavior, "EqualityRows", lambda a, t: built.append(a.shape) or rows(a, t))
+    mp.setattr(qpsolve, "_unit_layout", lambda a: scans.append(a.shape) or layout(a))
+    mp.setattr(qpsolve, "_freivalds", lambda g, a: tests.append(a.shape) or freivalds(g, a))
+    return built, scans, tests
+
+
+def test_later_builds_on_a_row_set_form_nothing(regulate_setup, monkeypatch):
+    # a row set is (Hankel system, lifted or not, hard or soft rows): its
+    # first build forms the equality rows with their unit columns (u_f,
+    # y_f, sigma) placed, not searched for, and checks the Gram; every
+    # later build, whatever its weights, reads them and forms no Gram
+    data, bank = regulate_setup[3:]
+    formed = count_gram_formations(monkeypatch)
+    built, scans, tests = count_row_set_work(monkeypatch)
+    hs = assemble(data, bank, t_ini=5, horizon=10)
+
+    def build(ctrl):
+        for k in range(5):  # a window of the data, which hard rows match too
+            ctrl.record(data.u[k], data.y[k])
+        assert ctrl.solve_step(data.y[5]).status == SOLVED
+        assert ctrl._solver._lead_gram is not None
+        return [len(formed), len(built), len(scans), len(tests)]
+
+    assert build(DkpcController(hs, bank, DkpcConfig())) == [2, 1, 0, 1]
+    assert build(DkpcController(hs, bank, DkpcConfig(Q=30.0, lambda_g=1.0))) == [2, 1, 0, 1]
+    assert build(DeepcController(hs, DeepcConfig(lambda_sigma=1e5))) == [2, 2, 0, 2]
+    assert build(DeepcController(hs, DeepcConfig(R=1.0, lambda_g=1.0))) == [2, 2, 0, 2]
+    assert build(DeepcController(hs, DeepcConfig(lambda_sigma=np.inf))) == [2, 3, 0, 3]
+    assert build(DeepcController(hs, DeepcConfig(lambda_sigma=np.inf, Q=30.0))) == [2, 3, 0, 3]
+    assert [shape[0] for shape in built] == [500, 300, 300]
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_ill_conditioned_past_rows_fall_back_without_raising(regulate_setup, monkeypatch, scale):
+    # regulate's data with its first 3 samples scaled passes the PE check,
+    # but rounding can leave the leading block of the Schur complement or
+    # the ADMM system indefinite.  The step then solves or holds the last
+    # input under a non-solved status; it never raises.  Measured: at 1e4
+    # DKPC ends at max-iterations (it raised LinAlgError from the
+    # constructor's split before) and DeePC solves; at 1e8 both factor
+    # every active set in full (split 0) and end at factorization-failed
+    data, bank = regulate_setup[3:]
+    u, y = data.u.copy(), data.y.copy()
+    u[:3] *= scale
+    y[:3] *= scale
+    hs = assemble(Trajectory(u=u, y=y, dt=data.dt), bank, t_ini=5, horizon=10)
+    assert hs.pe_report
+    short = QpSettings(max_iter=50)
+    monkeypatch.setattr(control, "QpSolver", functools.partial(QpSolver, settings=short))
+    statuses = []
+    for ctrl in (DkpcController(hs, bank, DkpcConfig()),
+                 DeepcController(hs, DeepcConfig(lambda_sigma=1e5))):
+        held = np.full(10, 0.01)
+        step = prime(ctrl, u_val=0.01, y_val=0.01).solve_step(np.full(10, 0.01))
+        assert step.status == SOLVED or (step.fallback and np.array_equal(step.u, held))
+        statuses.append((step.status, ctrl._solver._split))
+    if scale == 1e8:
+        assert statuses == [(qpsolve.UNFACTORED, 0)] * 2
+    else:
+        assert [status for status, _ in statuses] == [qpsolve.MAX_ITERATIONS, SOLVED]
+
+
 def test_twenty_bus_closed_loop_ends_every_step_at_direct_polish():
     # scale tripwire: at 20 buses max|P x| reaches about 1e2 with q = 0, so
     # polished points whose dual residual passes eps_rel |P x| but not

@@ -9,6 +9,7 @@ from dkpc.behavior import assemble
 from dkpc.control import DeepcConfig, DkpcConfig, build_deepc_qp, build_dkpc_qp
 from dkpc.lifting import build_bank
 from dkpc.qpsolve import (
+    EqualityRows,
     INFEASIBLE,
     MAX_ITERATIONS,
     SOLVED,
@@ -640,6 +641,54 @@ def test_supplied_gram_spans_the_columns_it_is_given_for(behavioral_qps):
         assert sol.status == sol_ref.status == SOLVED
         # measured: 7e-16 and 9e-17 on |x| <= 0.41
         assert np.max(np.abs(sol.x - sol_ref.x)) <= 1e-12
+
+
+def test_declared_unit_columns_match_the_scan_and_are_checked(plant_dataset):
+    # the controllers' equality rows place u_f, y_f and sigma themselves:
+    # that layout is the one a scan of A_eq finds, each row set is built
+    # once and shared read-only, and a declaration that does not hold raises
+    bank = build_bank(plant_dataset.y, 20, seed=2)
+    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6)
+    for lifted in (True, False):
+        for soft in (True, False):
+            rows = hs.equality_rows(lifted, soft)
+            assert rows is hs.equality_rows(lifted, soft) and not rows.a_eq.flags.writeable
+            for got, want in zip(rows.layout, qpsolve._unit_layout(rows.a_eq)):
+                assert np.array_equal(got, want)
+            tail_rows = rows.layout[2]
+            with pytest.raises(ValueError, match="unit column"):
+                EqualityRows(rows.a_eq.copy(), np.roll(tail_rows, 1))
+            second = rows.a_eq.copy()
+            second[0, -1] = 1.0  # the last column also meets row 0
+            with pytest.raises(ValueError, match="unit column"):
+                EqualityRows(second, tail_rows)
+    cfg = DkpcConfig(t_ini=4, horizon=6)
+    assert build_dkpc_qp(hs, bank, cfg).A_eq is hs.equality_rows(True, True).a_eq
+
+
+def test_gram_verdict_kept_only_for_the_read_only_gram_that_passed(plant_dataset, monkeypatch):
+    # solvers of problems on one row set test the Hankel system's Gram
+    # once; any other Gram, or a writeable one its owner may change, is
+    # tested every time, and a wrong one raises though a good one passed
+    tests = []
+    freivalds = qpsolve._freivalds
+    monkeypatch.setattr(qpsolve, "_freivalds", lambda g, a: tests.append(1) or freivalds(g, a))
+    bank = build_bank(plant_dataset.y, 20, seed=2)
+    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6)
+    prob = build_dkpc_qp(hs, bank, DkpcConfig(t_ini=4, horizon=6))
+    gram, c = hs.gram(), hs.n_cols
+    for _ in range(2):
+        assert QpSolver(prob, gram=(gram, c))._lead_gram is gram
+    assert len(tests) == 1 and prob._rows.checked_gram == (gram, c)
+    copy = gram.copy()
+    for _ in range(2):
+        assert QpSolver(prob, gram=(copy, c))._lead_gram is copy
+    assert len(tests) == 3
+    copy[3, 5] = copy[5, 3] = gram[3, 5] + 1e-9 * np.max(np.abs(gram))
+    copy.flags.writeable = False
+    with pytest.raises(ValueError, match="Gram"):
+        QpSolver(prob, gram=(copy, c))
+    assert prob._rows.checked_gram == (gram, c)
 
 
 def test_criterion_2_qps_never_take_the_gram_path():
