@@ -452,7 +452,9 @@ class HankelSystem:
         sigma has one entry per past row after Up, and E places them on
         those rows; without, sigma is empty and the rows are hard.  Each
         row set is built on its first call, read-only (``EqualityRows``),
-        and shared by every controller built on the system.
+        with ``gram(lifted)``, the Gram of its g columns, which passes its
+        one Freivalds test there, and is shared by every controller built
+        on the system.
         """
         key = (lifted, soft)
         if key not in self._equality_rows:
@@ -469,7 +471,7 @@ class HankelSystem:
             a_eq[n_past:, n_cols : n_cols + n_uf + n_yf] = -np.eye(n_uf + n_yf)
             # the rows of the unit columns u_f, y_f and sigma
             tail_rows = np.r_[n_past : len(a_eq), n_past - n_soft : n_past]
-            self._equality_rows[key] = EqualityRows(a_eq, tail_rows)
+            self._equality_rows[key] = EqualityRows(a_eq, tail_rows, self.gram(lifted))
         return self._equality_rows[key]
 
     @cached_property

@@ -487,8 +487,21 @@ class _RunContext:
     scenario: Scenario
 
 
+def _read_artifact(read, path: Path):
+    """``read(path)``; ConfigError naming the file for one it cannot read."""
+    try:
+        return read(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {path} ({type(exc).__name__}: {exc})") from exc
+
+
 def _load_run_context(cfg: ExperimentConfig) -> _RunContext:
-    """Network, dataset, bank and Hankel system; the network is read first."""
+    """Network, dataset, bank and Hankel system; the network is read first.
+
+    Raises ConfigError for a missing or malformed dataset or bank, and
+    for data the controllers would refuse: too short for the Hankel
+    depth or not persistently exciting.
+    """
     net = _load_network(cfg)
     out = cfg.resolved_output_dir()
     dataset = out / DATASET_FILE
@@ -497,9 +510,15 @@ def _load_run_context(cfg: ExperimentConfig) -> _RunContext:
         raise ConfigError(
             f"dataset not found in {out}; run the gen-data command first"
         )
-    traj = behavior.trajectory_from_csv(dataset)
-    bank = lifting.load_bank(bank_path)
-    hs = behavior.assemble(traj, bank, cfg.controller.t_ini, cfg.controller.horizon)
+    traj = _read_artifact(behavior.trajectory_from_csv, dataset)
+    bank = _read_artifact(lifting.load_bank, bank_path)
+    try:
+        hs = behavior.assemble(traj, bank, cfg.controller.t_ini, cfg.controller.horizon)
+    except ValueError as exc:
+        raise ConfigError(f"{dataset}: {exc}") from exc
+    if not hs.pe_report:
+        raise ConfigError(f"{dataset}: data fails persistency of excitation of order "
+                          f"{hs.pe_report.order}: {hs.pe_report.reason}")
     return _RunContext(
         cfg=cfg,
         net=net,
@@ -609,7 +628,7 @@ def cmd_report(cfg: ExperimentConfig, sweep_csv: Path | None = None) -> dict[str
     path = sweep_csv if sweep_csv is not None else out / SWEEP_FILE
     if not Path(path).exists():
         raise ConfigError(f"sweep CSV not found: {path}")
-    rows = metrics.read_sweep_csv(path)
+    rows = _read_artifact(metrics.read_sweep_csv, path)
     usable = [m for m, status in rows if status.startswith("ok") and math.isfinite(m.epsilon)]
     dkpc_rows = [m for m in usable if m.controller_kind == metrics.DKPC]
     deepc_rows = [m for m in usable if m.controller_kind == metrics.DEEPC]

@@ -119,7 +119,7 @@ def _behavioral_qp(hs: HankelSystem, cfg: ControllerConfig, bank=None) -> QpProb
     set ``hs.equality_rows`` keeps for every build with (or without) a
     bank and soft (or hard) rows, so a build forms only P, q and the
     bounds.  Its g columns stack the Hankel rows in the order of
-    ``hs.rows``, that of the Gram the controller hands the solver.
+    ``hs.rows``, that of the Gram the row set carries to the solver.
 
     Raises ValueError unless ``bank`` and ``cfg`` fit ``hs``
     (``_check_partition``).
@@ -251,11 +251,7 @@ class _BehavioralController:
                 problem = build_deepc_qp(self.hs, self.cfg)
             else:
                 problem = build_dkpc_qp(self.hs, self.bank, self.cfg)
-            # only a P > 0 stays a vector, the one form whose solver reads a Gram
-            gram = None
-            if np.all(problem.P > 0.0):
-                gram = (self.hs.gram(lifted=self.bank is not None), self.hs.n_cols)
-            self._solver = QpSolver(problem, gram=gram)
+            self._solver = QpSolver(problem)
         y_window = np.array(self.y_ini)
         past = [np.array(self.u_ini).ravel(), y_window.ravel()]
         if self.bank is not None:

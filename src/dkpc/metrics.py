@@ -165,6 +165,9 @@ def _tag_fields(tag: tuple) -> list:
     return [*tag[:3], tag[3] if len(tag) > 3 else ""]
 
 
+_SWEEP_HEADER = ["controller", "q", "r", "lambda_g", "lambda_sigma", "epsilon", "j_u", "status"]
+
+
 def write_sweep_csv(
     rows: Sequence[tuple[RunMetrics, str]],
     path: str | Path,
@@ -173,7 +176,7 @@ def write_sweep_csv(
     """Write sweep rows ``controller,q,r,lambda_g,lambda_sigma,epsilon,j_u,status``."""
     write_csv(
         path,
-        ["controller", "q", "r", "lambda_g", "lambda_sigma", "epsilon", "j_u", "status"],
+        _SWEEP_HEADER,
         (
             [m.controller_kind, *_tag_fields(m.config_tag), m.epsilon, m.j_u, run_status]
             for m, run_status in rows
@@ -183,8 +186,14 @@ def write_sweep_csv(
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple[RunMetrics, str]]:
-    """Rows of a ``write_sweep_csv`` file; raises ValueError naming a malformed row."""
+    """Rows of a ``write_sweep_csv`` file; raises ValueError naming a malformed row.
+
+    A header without one of the columns before ``status`` raises too.
+    """
     header, records = read_csv(path)
+    missing = [name for name in _SWEEP_HEADER[:-1] if name not in header]
+    if missing:
+        raise ValueError(f"sweep CSV {path} has no column {', '.join(missing)}")
     rows: list[tuple[RunMetrics, str]] = []
     for idx, record in enumerate(records):
         rec = dict(zip(header, record))

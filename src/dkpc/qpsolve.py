@@ -38,19 +38,19 @@ regularization is delta relative to the cost whatever the units of P
 and q.  If rounding leaves the leading block of S_0 indefinite, every
 active set is factored in full instead; a failed factor fails only its
 polish, and an ADMM system that will not factor ends the solve with
-``UNFACTORED``.  The trailing run of columns with one nonzero in A_eq
-(u_f, y_f and sigma of both controllers) is kept as (row, value)
-pairs: both Gram matrices (``QpSolver._gram``, a symmetric rank
-update) and the products of a polish step and of the ADMM x-update
-touch only the leading columns of A_eq, read as a slice.  A caller
-that already holds the Gram of A_eq's first c columns passes it with c
-as ``gram``; where P is one value on them (both controllers: 2
-lambda_g on g) and every later column is a unit column, each Gram is
-that one over D's value there plus the unit columns' diagonal, checked
-against A_eq by a Freivalds test (``_checked_gram``), and no rows x
-cols product is formed.  Problems built on shared ``EqualityRows``
-(the controllers of one Hankel system) check A_eq, lay out its unit
-columns and test a Gram once for all their solvers, not per solver.
+``UNFACTORED``.  Every problem holds its equality rows as
+``EqualityRows``: the controllers' come from their Hankel system, with
+the trailing run of columns with one nonzero in A_eq (u_f, y_f and
+sigma) placed and the Gram of the dense columns before it (g) tested
+once, by a Freivalds test, when the row set is built; a plain A_eq is
+copied into rows of its own, scanned for the run, with no Gram.  The
+run is kept as (row, value) pairs: both Gram matrices
+(``QpSolver._gram``) and the products of a polish step and of the ADMM
+x-update touch only the dense columns of A_eq, read as a slice.  Where
+P is one value on them (both controllers: 2 lambda_g on g), each Gram
+is the rows' one over D's value there plus the unit columns' diagonal,
+and no rows x cols product is formed; otherwise a symmetric rank update
+forms it.
 With hard lifted rows DKPC's inputs hung on the polish's rounding
 (reordering the rows of one Schur Cholesky moved them by up to 1.8e-3
 on regulate), so rows are never permuted.  Any other (n,) P is
@@ -90,7 +90,7 @@ _POLISH_DELTA = 1e-12  # KKT regularization of the polish (relative to mean(P) o
 _POLISH_REFINE_STEPS = 3  # LU polish: refinement steps against the unregularized KKT
 _POLISH_TRIGGER = 1e3  # polish an ADMM iterate once r_p <= this * eps_pri
 _CHECK_EVERY = 25  # ADMM iterations between termination checks
-_FREIVALDS_SEED = 0  # sign vector of the check on a supplied Gram
+_FREIVALDS_SEED = 0  # sign vector of the check on a row set's Gram
 
 
 def _unit_layout(a_eq: np.ndarray):
@@ -133,37 +133,48 @@ def _freivalds(g: np.ndarray, a: np.ndarray) -> bool:
 
 
 class EqualityRows:
-    """Equality rows A_eq, checked and laid out once for every problem built on them.
+    """Equality rows A_eq with their unit-column layout and, optionally, their Gram.
 
-    ``QpProblem(A_eq=rows, ...)`` takes ``rows.a_eq`` as its A_eq without
-    checking it again.  A solver of such a problem reads the unit-column
-    layout (that of ``_unit_layout``) from here instead of scanning A_eq,
-    and runs the Freivalds test on a supplied Gram only the first time
-    one of them is given it (``QpSolver._checked_gram``).  Problems that
+    Every ``QpProblem`` holds one (``QpProblem._rows``); problems that
     differ only in P, q, b_eq and the bounds (the controllers built on
-    one Hankel system) share one instance.  The caller placed the
-    trailing run of unit columns and gives their rows, ``tail_rows``:
-    the run is checked, not searched for, and the leading columns count
-    as dense whatever they hold.  The 2-D ``a_eq`` is taken over and
-    made read-only, since the layout and the verdict are about its
+    one Hankel system) share one instance, so A_eq is checked, laid out
+    and its Gram tested once for all their solvers.  ``tail_rows`` gives
+    the rows of the trailing run of unit columns (one nonzero each; u_f,
+    y_f and sigma of both controllers): the run is checked, not searched
+    for, and the leading columns count as dense whatever they hold.
+    Without it A_eq is scanned (``_unit_layout``).  ``gram`` is G = A A'
+    of the k dense columns A = A_eq[:, :k]; it must pass the Freivalds
+    test (``_freivalds``) here, or ValueError is raised.  A solver
+    starts every Gram it forms from it where the vector P is one value
+    on those k columns.  The 2-D ``a_eq`` and ``gram`` are taken over and
+    made read-only, since the layout and the verdict are about their
     values.
     """
 
-    def __init__(self, a_eq: np.ndarray, tail_rows: np.ndarray):
+    def __init__(self, a_eq: np.ndarray, tail_rows: np.ndarray | None = None,
+                 gram: np.ndarray | None = None):
         a_eq = np.asarray(a_eq, dtype=float)
         if not np.isfinite(a_eq).all():
             raise ValueError("A_eq must be finite")
-        n = a_eq.shape[1]
-        k = n - len(tail_rows)
-        tail = a_eq[tail_rows, np.arange(k, n)]
-        if np.any(tail == 0.0) or np.any(np.count_nonzero(a_eq[:, k:], axis=0) != 1):
-            raise ValueError("a declared unit column of A_eq is not one nonzero in its row")
+        if tail_rows is None:
+            self.layout = _unit_layout(a_eq)
+        else:
+            n = a_eq.shape[1]
+            k = n - len(tail_rows)
+            tail = a_eq[tail_rows, np.arange(k, n)]
+            if np.any(tail == 0.0) or np.any(np.count_nonzero(a_eq[:, k:], axis=0) != 1):
+                raise ValueError("a declared unit column of A_eq is not one nonzero in its row")
+            unit_row = np.full(n, -1)
+            unit_row[k:] = tail_rows
+            self.layout = unit_row, k, unit_row[k:], tail
+        if gram is not None:
+            gram = np.asarray(gram, dtype=float)
+            m = len(a_eq)
+            if gram.shape != (m, m) or not _freivalds(gram, a_eq[:, :self.layout[1]]):
+                raise ValueError("gram is not the Gram of A_eq's dense columns")
+            gram.flags.writeable = False
         a_eq.flags.writeable = False
-        unit_row = np.full(n, -1)
-        unit_row[k:] = tail_rows
-        self.a_eq = a_eq
-        self.layout = unit_row, k, unit_row[k:], tail
-        self.checked_gram: tuple[np.ndarray, int] | None = None  # the last (G, c) that passed
+        self.a_eq, self.gram = a_eq, gram
 
 
 @dataclass(frozen=True)
@@ -174,7 +185,8 @@ class QpProblem:
     symmetric (n, n) matrix.  ``P``, ``A_eq``, ``q`` and ``b_eq`` must
     be finite; ``A_eq`` may be empty (shape (0, n)) for box-only problems.
     ``A_eq`` may be given as ``EqualityRows``, checked when they were
-    built; the problem then holds their array.
+    built; a plain array is copied into new ones.  Either way the
+    problem holds their array as ``A_eq`` and them as ``_rows``.
     ``lower``/``upper`` may contain -inf/+inf for absent bounds, but no
     NaN and no lower bound of +inf or upper bound of -inf, which no
     point satisfies.
@@ -186,7 +198,7 @@ class QpProblem:
     b_eq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    _rows: EqualityRows | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: EqualityRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=float)
@@ -200,18 +212,13 @@ class QpProblem:
             raise ValueError("P must be finite")
         if P.ndim == 2 and not (np.array_equal(P, P.T) or np.allclose(P, P.T, atol=1e-10)):
             raise ValueError("P must be symmetric within 1e-10")
-        rows = self.A_eq if isinstance(self.A_eq, EqualityRows) else None
-        if rows is not None:
-            A_eq = rows.a_eq
-        else:
-            A_eq = np.asarray(self.A_eq, dtype=float)
-            if A_eq.size == 0:
-                A_eq = A_eq.reshape(0, n)
-            A_eq = np.atleast_2d(A_eq)
+        rows = self.A_eq
+        if not isinstance(rows, EqualityRows):
+            A_eq = np.array(rows, dtype=float)  # a copy: the row set makes it read-only
+            rows = EqualityRows(np.atleast_2d(A_eq.reshape(0, n) if A_eq.size == 0 else A_eq))
+        A_eq = rows.a_eq
         if A_eq.shape[1] != n:
             raise ValueError(f"A_eq has {A_eq.shape[1]} columns, expected {n}")
-        if rows is None and not np.isfinite(A_eq).all():
-            raise ValueError("A_eq must be finite")
         q, b_eq = _finite_vector("q", q, n), _finite_vector("b_eq", self.b_eq, A_eq.shape[0])
         lower, upper = _vector("lower", self.lower, n), _vector("upper", self.upper, n)
         if np.isnan(lower).any() or np.isnan(upper).any():
@@ -336,22 +343,22 @@ class QpSolver:
 
     An (n,) P with every entry > 0 stays a vector for every product
     the solver forms; any other (n,) P is expanded here, once, to the
-    dense form that serves an (n, n) P.  ``gram``, a pair (G, c) of
-    the Gram G of A_eq's first c columns when the caller already holds
-    it, replaces their product where it applies (``_checked_gram``).
-    A problem on ``EqualityRows`` lends the solver their unit-column
-    layout and Gram verdict.
+    dense form that serves an (n, n) P.  Layout and Gram of A_eq come
+    from the problem's ``EqualityRows``, checked when they were built:
+    the solver scans and tests nothing.  Their Gram replaces the
+    product of the dense columns where the vector P is one value on
+    them (``_gram``).
     """
 
-    def __init__(
-        self, problem: QpProblem, settings: QpSettings | None = None, *,
-        gram: tuple[np.ndarray, int] | None = None,
-    ):
+    def __init__(self, problem: QpProblem, settings: QpSettings | None = None):
         self.problem = problem
         self.settings = settings or QpSettings()
         P = problem.P
         self._P = P if P.ndim == 2 or np.all(P > 0.0) else np.diag(P)
-        self._unit_columns(problem)
+        rows = problem._rows
+        # each unit column's row (-1 for a dense one) and the trailing run of
+        # them from column _n_lead on, kept as (row, value) pairs
+        self._unit_row, self._n_lead, self._tail_rows, self._tail = rows.layout
         self._rho = _RHO
         # the splitting system is built for _factored_rho on the first ADMM
         # iteration (``_refactor``); a solve that ends before it needs none
@@ -367,77 +374,32 @@ class QpSolver:
         self._schur_diag = self._schur_delta = self._schur_gram = None
         self._lead = self._trail = None
         self._split = 0
-        # the Gram of A_eq's first _gram_cols columns, if supplied and usable
-        self._lead_gram, self._gram_cols = None, self._n_lead
+        self._lead_gram = None  # the Gram of the dense columns, where P is one value on them
         if self._P.ndim == 1:
-            if (checked := self._checked_gram(gram)) is not None:
-                self._lead_gram, self._gram_cols = checked
+            if rows.gram is not None and np.all(self._P[:self._n_lead] == self._P[0]):
+                self._lead_gram = rows.gram
             mu = float(np.mean(self._P))
             self._schur_diag = self._P + _POLISH_DELTA * mu
             self._schur_delta = _POLISH_DELTA / mu
             self._schur_gram = self._gram(self._schur_diag)
             self._schur_split(problem)
 
-    def _unit_columns(self, p: QpProblem) -> None:
-        """Take the unit-column layout of A_eq (``_unit_layout``) from its ``EqualityRows``.
-
-        A problem built on plain arrays has its A_eq scanned here.  The
-        trailing run of unit columns is kept as (row, value) pairs,
-        ``_tail_rows`` with ``_tail``; the leading k = ``_n_lead``
-        columns are read as a slice of A_eq.
-        """
-        self._unit_row, self._n_lead, self._tail_rows, self._tail = (
-            p._rows.layout if p._rows is not None else _unit_layout(p.A_eq))
-
-    def _checked_gram(
-        self, gram: tuple[np.ndarray, int] | None
-    ) -> tuple[np.ndarray, int] | None:
-        """``gram`` if every Gram the solver forms may start from it, else None.
-
-        ``gram`` is a pair (G, c): G stands for A A' of the first c columns
-        A = A_eq[:, :c].  It is used when G is m_eq x m_eq, every column
-        after the first c is a unit column and the vector P is one value
-        on those c columns, so that each D the solver forms, P plus a
-        constant, is one value d there and A_eq D^-1 A_eq' is G / d plus
-        the unit columns' diagonal.  G must then pass the Freivalds test
-        (``_freivalds``) against A, or ValueError is raised.  A read-only
-        G that passed is kept on the problem's ``EqualityRows``, so the
-        next solver given it for those rows is not tested again.
-        """
-        if gram is None:
-            return None
-        g, c = gram
-        p = self.problem
-        if np.shape(g) != (p.m_eq, p.m_eq) or not max(self._n_lead, 1) <= c <= p.n:
-            return None
-        if np.any(self._P[:c] != self._P[0]):
-            return None
-        rows = p._rows
-        kept = rows.checked_gram if rows is not None else None
-        if kept is not None and kept[0] is g and kept[1] == c:
-            return g, c
-        if not _freivalds(g, p.A_eq[:, :c]):
-            raise ValueError("gram is not the Gram of A_eq's leading columns")
-        if rows is not None and isinstance(g, np.ndarray) and not g.flags.writeable:
-            rows.checked_gram = (g, c)
-        return g, c
-
     def _gram(self, D: np.ndarray) -> np.ndarray:
         """A_eq D^-1 A_eq' for a positive (n,) D.
 
-        The first c = ``_gram_cols`` columns as the supplied Gram over D's
-        one value there (``_checked_gram``), or else, with c = k, by a
-        symmetric rank update (syrk); each later column, a unit column,
-        adds (a / D) a to its row's diagonal entry only.
+        The k = ``_n_lead`` dense columns as the rows' Gram over D's one
+        value there (``_lead_gram``), or else by a symmetric rank update
+        (syrk); each later column, a unit column, adds (a / D) a to its
+        row's diagonal entry only.
         """
-        c, k = self._gram_cols, self._n_lead
+        k = self._n_lead
         if self._lead_gram is not None:
             g = self._lead_gram / D[0]
         else:
-            b = self.problem.A_eq[:, :c] / np.sqrt(D[:c])
+            b = self.problem.A_eq[:, :k] / np.sqrt(D[:k])
             g = b @ b.T  # one triangle (syrk)
-        rows, tail = self._tail_rows[c - k:], self._tail[c - k:]
-        g[np.diag_indices_from(g)] += np.bincount(rows, (tail / D[c:]) * tail, g.shape[0])
+        tail = self._tail
+        g[np.diag_indices_from(g)] += np.bincount(self._tail_rows, (tail / D[k:]) * tail, len(g))
         return g
 
     def _a_dot(self, x: np.ndarray) -> np.ndarray:
@@ -832,7 +794,7 @@ class QpSolver:
         """Split S_0 = A D^-1 A' + delta' I at row s and factor its leading block.
 
         Records each unit column's downdate (a / D) a, its one nonzero a
-        read at the row ``_unit_columns`` found.  s is the first
+        read at the row the layout gives.  s is the first
         row that a unit column with a finite bound touches: the first
         ``u_f`` row of both controllers, 0 if there is none.  The bounds
         are fixed for the solver's life, so every active set of unit
@@ -879,8 +841,8 @@ class QpSolver:
         the downdate lowers only diagonal entries of the trailing block:
         S_K = L L' with the once-formed L11, L21 and
         L22 = chol(C0 - diag((a / D) a) + delta' I), an (m_eq - s)^2
-        factor; rows and downdates are looked up in the tables of
-        ``_unit_columns`` and ``_schur_split``.  Every active column
+        factor; rows and downdates are looked up in the layout and the
+        table of ``_schur_split``.  Every active column
         carries a bound fixed at construction, so a unit column of K
         never lies above s; any other set (dense or shared-row columns)
         keeps the gather-and-GEMM downdate of G and a full Cholesky,

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import logging
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -483,6 +484,65 @@ def test_reduced_config_validated_before_data_is_read(generated_config, monkeypa
         argv += ["--set", item]
     assert_exits_2_before_data_is_read(
         argv, r"sim: sim_steps must exceed activation_step", monkeypatch, caplog)
+
+
+def keep_header(path):
+    """Cut the CSV at ``path`` to its comment and header lines."""
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+
+
+# each artifact made malformed: the command that reads it, its file and the damage
+MALFORMED = {
+    "header-only-dataset": ("run", cli.DATASET_FILE, keep_header),
+    "bank-without-centers": (
+        "sweep", cli.BANK_FILE,
+        lambda path: path.write_text('{"n_basis": 6, "n_y": 10, "seed": 0}')),
+    "sweep-csv-without-header": (
+        "report", cli.SWEEP_FILE, lambda path: path.write_text("DKPC,abc\n")),
+    "sweep-row-not-a-number": (
+        "report", cli.SWEEP_FILE,
+        lambda path: path.write_text("controller,q,r,lambda_g,lambda_sigma,epsilon,j_u,status\n"
+                                     "DKPC,abc\n")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_artifact_exits_2_naming_it(generated_config, case, tmp_path, caplog):
+    # a file the command cannot read is a ConfigError that names it, not a traceback
+    path, overrides = generated_config
+    command, name, damage = MALFORMED[case]
+    out = tmp_path / "out"
+    shutil.copytree(load_config(path, overrides).resolved_output_dir(), out)
+    damage(out / name)
+    argv = [command, "-c", str(path), "-o", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    if command == "report":
+        argv += ["--sweep-csv", str(out / name)]
+    assert cli.main(argv) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(f"malformed {out / name} ("), errors
+
+
+def test_data_that_fails_the_pe_check_exits_2(tmp_path, caplog):
+    # 200 samples cannot excite the order-47 check of 40 observables:
+    # gen-data warns and writes them, run and sweep refuse them with the
+    # check's reason before any closed loop runs
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump({"output_dir": str(tmp_path / "out")}))
+    argv = ["-c", str(cfg_path)]
+    for item in FAST_OVERRIDES + ["lifting.n_basis=40"]:
+        argv += ["--set", item]
+    assert cli.main(["gen-data"] + argv) == 0
+    for command in ("run", "sweep"):
+        caplog.clear()
+        with pytest.warns(UserWarning, match="not persistently exciting"):
+            assert cli.main([command] + argv) == 2, command
+        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+        assert len(errors) == 1, errors
+        assert "fails persistency of excitation of order 47: sequence too short" in errors[0]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [cli.BANK_FILE,
+                                                                    cli.DATASET_FILE]
 
 
 # -- run statuses ----------------------------------------------------------------------

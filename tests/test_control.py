@@ -627,14 +627,20 @@ def test_dkpc_cold_step_ends_at_direct_polish(plant_setup, plant_dataset):
 
 
 def full_products(mp):
-    """Make every solver take all its columns as the leading block: full products, no unit part."""
-    unit_columns = qpsolve.QpSolver._unit_columns
+    """Make every controller's solver take all its columns as the leading block.
 
-    def full(self, p):
-        unit_columns(self, p)
-        self._n_lead, self._tail_rows, self._tail = p.n, self._tail_rows[:0], self._tail[:0]
+    The solver is built on a copy of the problem's rows whose layout
+    declares no trailing unit run and that carries no Gram: full products
+    over all columns, the unit columns still known to the Schur split.
+    """
 
-    mp.setattr(qpsolve.QpSolver, "_unit_columns", full)
+    def full(problem):
+        rows = qpsolve.EqualityRows(problem.A_eq.copy(), problem._rows.layout[2])
+        unit_row, _, tail_rows, tail = rows.layout
+        rows.layout = unit_row, problem.n, tail_rows[:0], tail[:0]
+        return QpSolver(dataclasses.replace(problem, A_eq=rows))
+
+    mp.setattr(control, "QpSolver", full)
 
 
 def test_unit_column_products_move_inputs_by_rounding(plant_setup, plant_dataset, monkeypatch):
@@ -796,8 +802,12 @@ def regulate_run(setup, hs, kind, sim_steps=150):
 
 
 def without_gram(mp):
-    """Build every controller's solver without the Hankel system's Gram: the product path."""
-    mp.setattr(control, "QpSolver", lambda problem, gram: QpSolver(problem))
+    """Build every controller's solver on a plain copy of its rows, which carries no Gram.
+
+    The copy is scanned for its unit columns: the product path.
+    """
+    mp.setattr(control, "QpSolver",
+               lambda problem: QpSolver(dataclasses.replace(problem, A_eq=problem.A_eq.copy())))
 
 
 def count_gram_formations(mp):
@@ -868,7 +878,7 @@ def test_every_active_step_updates_b_eq_once(lti_setup, monkeypatch):
 
 def test_solver_driven_by_hand_reproduces_solve_step(regulate_setup, monkeypatch):
     # the public pieces alone make the controller: a builder, a solver
-    # given the Hankel system's Gram, update(b_eq=window) each step and
+    # on its problem, update(b_eq=window) each step and
     # the warm start read off the last solution; every value the default
     # run's solve_step passes the solver, and every input it applies,
     # comes out equal
@@ -881,7 +891,7 @@ def test_solver_driven_by_hand_reproduces_solve_step(regulate_setup, monkeypatch
             trace, ctrl = regulate_run(regulate_setup, hs, kind)
         lifted = kind == "DKPC"
         problem = build_dkpc_qp(hs, bank, ctrl.cfg) if lifted else build_deepc_qp(hs, ctrl.cfg)
-        solver = QpSolver(problem, gram=(hs.gram(lifted=lifted), n_cols))
+        solver = QpSolver(problem)
         steps = np.flatnonzero(trace.active)
         assert len(calls) == 2 * len(steps)
         last = None
@@ -900,9 +910,9 @@ def test_solver_driven_by_hand_reproduces_solve_step(regulate_setup, monkeypatch
 
 
 def test_one_gram_formation_per_hankel_system(regulate_setup, monkeypatch):
-    # each row set's Gram is formed once, and only for a controller whose
-    # solver reads it: not for lambda_g = 0, where P is not > 0 on g.
-    # R = lambda_g (u_f weighs what g does) keeps the Gram
+    # each Gram is formed once, when the first row set that carries it is
+    # built, also for lambda_g = 0, whose solver does not read it (P is
+    # not > 0 on g).  R = lambda_g (u_f weighs what g does) keeps the Gram
     data, bank = regulate_setup[3:]
     formed = count_gram_formations(monkeypatch)
 
@@ -913,7 +923,7 @@ def test_one_gram_formation_per_hankel_system(regulate_setup, monkeypatch):
 
     hs = assemble(data, bank, t_ini=5, horizon=10)
     assert not solved(DeepcController(hs, DeepcConfig(lambda_g=0.0)))
-    assert formed == []
+    assert formed == ["plain"]
     assert solved(DeepcController(hs, DeepcConfig(lambda_sigma=1e5)))
     assert formed == ["plain"]
     controllers = [DkpcController(hs, bank, DkpcConfig()),
@@ -953,7 +963,7 @@ def count_row_set_work(mp):
     """Lists that gain an entry per equality row set built, A_eq mask scanned and Freivalds test."""
     built, scans, tests = [], [], []
     rows, layout, freivalds = behavior.EqualityRows, qpsolve._unit_layout, qpsolve._freivalds
-    mp.setattr(behavior, "EqualityRows", lambda a, t: built.append(a.shape) or rows(a, t))
+    mp.setattr(behavior, "EqualityRows", lambda a, t, g: built.append(a.shape) or rows(a, t, g))
     mp.setattr(qpsolve, "_unit_layout", lambda a: scans.append(a.shape) or layout(a))
     mp.setattr(qpsolve, "_freivalds", lambda g, a: tests.append(a.shape) or freivalds(g, a))
     return built, scans, tests
@@ -962,8 +972,9 @@ def count_row_set_work(mp):
 def test_later_builds_on_a_row_set_form_nothing(regulate_setup, monkeypatch):
     # a row set is (Hankel system, lifted or not, hard or soft rows): its
     # first build forms the equality rows with their unit columns (u_f,
-    # y_f, sigma) placed, not searched for, and checks the Gram; every
-    # later build, whatever its weights, reads them and forms no Gram
+    # y_f, sigma) placed, not searched for, and their Gram, which passes
+    # one Freivalds test there; every later build, whatever its weights,
+    # reads them, forms no Gram and tests nothing
     data, bank = regulate_setup[3:]
     formed = count_gram_formations(monkeypatch)
     built, scans, tests = count_row_set_work(monkeypatch)

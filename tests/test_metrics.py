@@ -205,6 +205,10 @@ def test_sweep_csv_malformed_rejected(tmp_path):
     path.write_text("controller,q,r,lambda_g,lambda_sigma,epsilon,j_u,status\nDKPC,oops,1,1,,1,1,ok\n")
     with pytest.raises(ValueError, match="row 2"):
         read_sweep_csv(path)
+    # a file whose one line is a row, not the header, has no columns to read
+    path.write_text("DKPC,oops,1,1,,1,1,ok\n")
+    with pytest.raises(ValueError, match="has no column controller, q, r"):
+        read_sweep_csv(path)
 
 
 def test_run_metrics_validation():

@@ -564,8 +564,8 @@ def test_unit_column_products_equal_full_products(behavioral_qps):
         D = solver._schur_diag
         gram = (A / D) @ A.T
         assert np.max(np.abs(solver._schur_gram - gram)) <= 1e-14 * np.max(np.abs(gram))
-        # the leading columns' Gram supplied: used where D is one value on them
-        supplied = QpSolver(prob, gram=leading_gram(prob, k))
+        # the dense columns' Gram carried by the rows: used where D is one value on them
+        supplied = QpSolver(with_gram(prob))
         assert (supplied._lead_gram is not None) == (i < len(behavioral_qps))
         assert np.max(np.abs(supplied._schur_gram - gram)) <= 1e-14 * np.max(np.abs(gram))
     # 10 buses, horizon 6: 60 u_f and 60 y_f; DKPC's sigma softens
@@ -573,45 +573,73 @@ def test_unit_column_products_equal_full_products(behavioral_qps):
     assert trailing == [60 + 60 + 120, 60 + 60 + 40, 3, 0]
 
 
-def leading_gram(prob, c):
-    """The pair (A A', c) of the first c columns A of ``prob.A_eq``."""
-    lead = prob.A_eq[:, :c]
-    return lead @ lead.T, c
+def rows_with_gram(prob, gram=None):
+    """A copy of ``prob``'s equality rows, their unit-column run declared, carrying ``gram``.
+
+    The default ``gram`` is the exact A A' of the dense columns A.
+    """
+    tail_rows = prob._rows.layout[2]
+    a_eq = prob.A_eq.copy()
+    if gram is None:
+        lead = a_eq[:, : prob.n - len(tail_rows)]
+        gram = lead @ lead.T
+    return EqualityRows(a_eq, tail_rows, gram)
+
+
+def with_gram(prob):
+    """``prob`` on ``rows_with_gram(prob)``."""
+    return dataclasses.replace(prob, A_eq=rows_with_gram(prob))
+
+
+def test_plain_rows_are_copied_scanned_and_carry_no_gram():
+    # a problem given a plain A_eq builds a row set of its own from a
+    # read-only copy, leaving the caller's array writeable, and finds its
+    # unit columns by a scan; with no Gram to read the solver forms products
+    rng = np.random.default_rng(5)
+    a_eq = np.hstack([rng.standard_normal((3, 4)), np.eye(3)])
+    prob = QpProblem(P=np.ones(7), q=np.zeros(7), A_eq=a_eq, b_eq=np.zeros(3),
+                     lower=np.full(7, -1.0), upper=np.ones(7))
+    assert a_eq.flags.writeable and not prob.A_eq.flags.writeable
+    assert np.array_equal(prob.A_eq, a_eq) and prob.A_eq is prob._rows.a_eq
+    assert prob._rows.layout[1] == 4 and prob._rows.gram is None
+    assert QpSolver(prob)._lead_gram is None
 
 
 def test_supplied_gram_checked_against_leading_columns(behavioral_qps):
-    # a seeded Freivalds test compares G v with A (A' v): the exact Gram
-    # passes, one entry pair off by 1e-9 of the largest entry, a non-finite
-    # entry or another block's Gram raises
+    # a row set tests its Gram when it is built, by a seeded Freivalds
+    # test that compares G v with A (A' v): the exact Gram of the dense
+    # columns passes and is the one solvers read; one entry pair off by
+    # 1e-9 of the largest entry, a NaN entry, the Gram of one column fewer
+    # and a Gram of another shape raise
     for prob in behavioral_qps:
-        k = QpSolver(prob)._n_lead
-        gram, _ = leading_gram(prob, k)
-        assert QpSolver(prob, gram=(gram, k))._lead_gram is gram
+        rows = rows_with_gram(prob)
+        gram, k = rows.gram, rows.layout[1]
+        assert QpSolver(dataclasses.replace(prob, A_eq=rows))._lead_gram is gram
         i, j = 3, prob.m_eq - 2
+        wrong = []
         for value in (gram[i, j] + 1e-9 * np.max(np.abs(gram)), np.nan):
             bad = gram.copy()
             bad[i, j] = bad[j, i] = value
+            wrong.append(bad)
+        lead = prob.A_eq[:, : k - 1]
+        wrong += [lead @ lead.T, gram[1:, 1:]]
+        for bad in wrong:
             with pytest.raises(ValueError, match="Gram"):
-                QpSolver(prob, gram=(bad, k))
-        with pytest.raises(ValueError, match="Gram"):
-            QpSolver(prob, gram=(leading_gram(prob, k - 1)[0], k))
+                rows_with_gram(prob, bad)
 
 
 def test_supplied_gram_unused_unless_d_is_one_value_on_its_columns(behavioral_qps):
-    # a block whose P, and so D, is not one value, a Gram of another shape,
-    # a dense P and a Gram with dense columns after its span keep the
-    # product path: the solver is the one built without a Gram, bit for bit
+    # a P, and so D, that is not one value on the dense columns, or a
+    # dense P, keeps the product path: the solver on rows that carry the
+    # Gram is the one built on plain rows, bit for bit
     prob = behavioral_qps[0]
-    k = QpSolver(prob)._n_lead
-    gram, _ = leading_gram(prob, k)
+    rows = rows_with_gram(prob)
+    k = rows.layout[1]
     uneven = prob.P.copy()
     uneven[k // 2] *= 1.5
-    cases = [(dataclasses.replace(prob, P=uneven), (gram, k)),
-             (prob, (gram[1:, 1:], k)),
-             (dataclasses.replace(prob, P=np.diag(prob.P)), (gram, k)),
-             (prob, leading_gram(prob, k - 1))]
-    for case, g in cases:
-        solver, ref = QpSolver(case, gram=g), QpSolver(case)
+    for P in (uneven, np.diag(prob.P)):
+        solver = QpSolver(dataclasses.replace(prob, P=P, A_eq=rows))
+        ref = QpSolver(dataclasses.replace(prob, P=P))
         assert solver._lead_gram is None
         if ref._schur_gram is not None:
             assert np.array_equal(solver._schur_gram, ref._schur_gram)
@@ -619,40 +647,18 @@ def test_supplied_gram_unused_unless_d_is_one_value_on_its_columns(behavioral_qp
         assert sol.status == SOLVED and np.array_equal(sol.x, sol_ref.x)
 
 
-def test_supplied_gram_spans_the_columns_it_is_given_for(behavioral_qps):
-    # the span is the caller's, not read off P or A_eq: g's last column cut
-    # to one nonzero (the trailing unit run then starts inside g) and an R
-    # equal to lambda_g (u_f then weighs what g does) both keep the Gram,
-    # and S_0 and the solution equal those of the product path to rounding
-    prob = behavioral_qps[0]
-    k = QpSolver(prob)._n_lead
-    a_eq = prob.A_eq.copy()
-    a_eq[1:, k - 1] = 0.0
-    one_nonzero = dataclasses.replace(prob, A_eq=a_eq)
-    assert QpSolver(one_nonzero)._n_lead == k - 1
-    even = prob.P.copy()
-    even[k:k + 60] = even[0]  # the 60 u_f columns
-    for case in (one_nonzero, dataclasses.replace(prob, P=even)):
-        solver, ref = QpSolver(case, gram=leading_gram(case, k)), QpSolver(case)
-        assert solver._lead_gram is not None and solver._gram_cols == k
-        scale = np.max(np.abs(ref._schur_gram))
-        assert np.max(np.abs(solver._schur_gram - ref._schur_gram)) <= 1e-14 * scale
-        sol, sol_ref = solver.solve(), ref.solve()
-        assert sol.status == sol_ref.status == SOLVED
-        # measured: 7e-16 and 9e-17 on |x| <= 0.41
-        assert np.max(np.abs(sol.x - sol_ref.x)) <= 1e-12
-
-
 def test_declared_unit_columns_match_the_scan_and_are_checked(plant_dataset):
     # the controllers' equality rows place u_f, y_f and sigma themselves:
     # that layout is the one a scan of A_eq finds, each row set is built
-    # once and shared read-only, and a declaration that does not hold raises
+    # once, carries the Hankel system's Gram and is shared read-only, and a
+    # declaration that does not hold raises
     bank = build_bank(plant_dataset.y, 20, seed=2)
     hs = assemble(plant_dataset, bank, t_ini=4, horizon=6)
     for lifted in (True, False):
         for soft in (True, False):
             rows = hs.equality_rows(lifted, soft)
             assert rows is hs.equality_rows(lifted, soft) and not rows.a_eq.flags.writeable
+            assert rows.gram is hs.gram(lifted)
             for got, want in zip(rows.layout, qpsolve._unit_layout(rows.a_eq)):
                 assert np.array_equal(got, want)
             tail_rows = rows.layout[2]
@@ -666,40 +672,15 @@ def test_declared_unit_columns_match_the_scan_and_are_checked(plant_dataset):
     assert build_dkpc_qp(hs, bank, cfg).A_eq is hs.equality_rows(True, True).a_eq
 
 
-def test_gram_verdict_kept_only_for_the_read_only_gram_that_passed(plant_dataset, monkeypatch):
-    # solvers of problems on one row set test the Hankel system's Gram
-    # once; any other Gram, or a writeable one its owner may change, is
-    # tested every time, and a wrong one raises though a good one passed
-    tests = []
-    freivalds = qpsolve._freivalds
-    monkeypatch.setattr(qpsolve, "_freivalds", lambda g, a: tests.append(1) or freivalds(g, a))
-    bank = build_bank(plant_dataset.y, 20, seed=2)
-    hs = assemble(plant_dataset, bank, t_ini=4, horizon=6)
-    prob = build_dkpc_qp(hs, bank, DkpcConfig(t_ini=4, horizon=6))
-    gram, c = hs.gram(), hs.n_cols
-    for _ in range(2):
-        assert QpSolver(prob, gram=(gram, c))._lead_gram is gram
-    assert len(tests) == 1 and prob._rows.checked_gram == (gram, c)
-    copy = gram.copy()
-    for _ in range(2):
-        assert QpSolver(prob, gram=(copy, c))._lead_gram is copy
-    assert len(tests) == 3
-    copy[3, 5] = copy[5, 3] = gram[3, 5] + 1e-9 * np.max(np.abs(gram))
-    copy.flags.writeable = False
-    with pytest.raises(ValueError, match="Gram"):
-        QpSolver(prob, gram=(copy, c))
-    assert prob._rows.checked_gram == (gram, c)
-
-
 def test_criterion_2_qps_never_take_the_gram_path():
-    # the random QPs of acceptance criterion 2, each given its exact A A'
+    # the random QPs of acceptance criterion 2, each on rows that carry their exact Gram
     rng = np.random.default_rng(7)
     for k in range(100):
         definite = k % 7 != 3
         P, q, A, b, lo, hi = random_box_qp(rng, n_max=30, m_max=10 if definite else 0,
                                            definite=definite)
         prob = QpProblem(P=P, q=q, A_eq=A, b_eq=b, lower=lo, upper=hi)
-        assert QpSolver(prob, gram=leading_gram(prob, prob.n))._lead_gram is None
+        assert QpSolver(with_gram(prob))._lead_gram is None
 
 
 def test_bounded_slack_moves_split_to_its_row(behavioral_qps, monkeypatch):
